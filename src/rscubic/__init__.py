@@ -8,7 +8,7 @@ Typical use:
     ((-4+0j), (2+0j), (2+0j))
 """
 
-from .cardano import CardanoIntermediates, ComparisonReport, cardano_solve, compare_methods, match_root_sets
+from .cardano import CardanoIntermediates, cardano_solve, match_root_sets
 from .chen import (
     ExactValue,
     InvalidCaseError,
@@ -62,7 +62,6 @@ __all__ = [
     "OMEGA2",
     "CardanoIntermediates",
     "CaseTag",
-    "ComparisonReport",
     "CubeRootBranch",
     "DenestResult",
     "DepressedCubic",
@@ -80,7 +79,6 @@ __all__ = [
     "brute_force_roots",
     "cardano_solve",
     "classify",
-    "compare_methods",
     "compute_rs",
     "cube_root",
     "cube_roots_all",

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .chen import RootTriple, _finalize, solve_depressed
-from .decompose import CaseTag, classify
+from .chen import RootTriple, _finalize
+from .decompose import classify
 from .numerics import OMEGA, OMEGA2, principal_cube_root, real_cube_root
 from .reduction import DepressedCubic
 
@@ -36,18 +36,6 @@ class CardanoIntermediates:
     sqrt_disc: complex
     cbrt_a: complex
     cbrt_b: complex
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Agreement report between the r,s solver and the Cardano baseline."""
-
-    case: CaseTag
-    rs_roots: tuple[complex, complex, complex]
-    cardano_roots: tuple[complex, complex, complex]
-    max_matched_distance: float
-    rs_residuals: tuple[float, float, float]
-    cardano_residuals: tuple[float, float, float]
 
 
 def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
@@ -90,17 +78,3 @@ def match_root_sets(a, b) -> float:
     """Minimum over pairings of the maximum pairwise distance between two root triples."""
     return min(max(abs(x - y) for x, y in zip(a, perm)) for perm in permutations(b))
 
-
-def compare_methods(d: DepressedCubic) -> ComparisonReport:
-    """Run both solvers on the same depressed cubic and score the agreement."""
-    rs_triple = solve_depressed(d)
-    cardano_triple, _ = cardano_solve(d)
-    dist = match_root_sets(rs_triple.roots, cardano_triple.roots)
-    return ComparisonReport(
-        case=rs_triple.case,
-        rs_roots=rs_triple.roots,
-        cardano_roots=cardano_triple.roots,
-        max_matched_distance=dist,
-        rs_residuals=tuple(abs(d(x)) for x in rs_triple.roots),
-        cardano_residuals=tuple(abs(d(x)) for x in cardano_triple.roots),
-    )

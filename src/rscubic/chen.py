@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .decompose import CaseTag, classify, compute_rs
+from .decompose import CaseTag, RsPair, classify, compute_rs
 from .numerics import (
     OMEGA,
     OMEGA2,
@@ -167,6 +167,8 @@ class RootTriple:
 
     multiplicity lists (index, count) for repeated roots only. exact holds
     per-root exactly-known values when the input arithmetic allowed it.
+    pair is the (r, s) decomposition the case dispatch ran on (set by
+    solve_depressed and solve_unified; None from the other solvers).
     """
 
     roots: tuple[complex, complex, complex]
@@ -174,6 +176,13 @@ class RootTriple:
     multiplicity: tuple[tuple[int, int], ...] = ()
     exact: Optional[tuple[Optional[ExactValue], ...]] = None
     trig: Optional[TrigForm] = None
+    pair: Optional[RsPair] = None
+
+
+def _with_pair(triple: RootTriple, pair: RsPair) -> RootTriple:
+    """Record on a freshly built triple the pair it was dispatched on (no copy)."""
+    object.__setattr__(triple, "pair", pair)
+    return triple
 
 
 def _as_real(x) -> float:
@@ -327,11 +336,11 @@ def solve_unified(
 ) -> RootTriple:
     """Solve via the uniform product form (p, q != 0; degenerate inputs reroute)."""
     d = _with_negligible_p_zeroed(d)
-    if d.p == 0 or d.q == 0:
-        return solve_degenerate(d)
     pair = compute_rs(d)
+    if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
+        return _with_pair(solve_degenerate(d), pair)
     raw = unified_roots(pair.r, pair.s, branch)
-    return _finalize(raw, pair.case, float(d.p), float(d.q))
+    return _with_pair(_finalize(raw, pair.case, float(d.p), float(d.q)), pair)
 
 
 def solve_moebius(r: complex, s: complex) -> RootTriple:
@@ -406,14 +415,17 @@ def solve_depressed(
     d = _with_negligible_p_zeroed(d)
     pair = compute_rs(d)
     if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
-        return solve_degenerate(d)
-    if pair.case is CaseTag.EQUAL:
-        return solve_equal(pair.exact_r if pair.exact_r is not None else pair.r.real)
-    if pair.case is CaseTag.REAL_DISTINCT:
+        triple = solve_degenerate(d)
+    elif pair.case is CaseTag.EQUAL:
+        triple = solve_equal(pair.exact_r if pair.exact_r is not None else pair.r.real)
+    elif pair.case is CaseTag.REAL_DISTINCT:
         if pair.exact_r is not None:
-            return solve_real_distinct(pair.exact_r, pair.exact_s)
-        return solve_real_distinct(pair.r.real, pair.s.real)
-    return solve_conjugate(pair.r)
+            triple = solve_real_distinct(pair.exact_r, pair.exact_s)
+        else:
+            triple = solve_real_distinct(pair.r.real, pair.s.real)
+    else:
+        triple = solve_conjugate(pair.r)
+    return _with_pair(triple, pair)
 
 
 def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:

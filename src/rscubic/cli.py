@@ -19,19 +19,20 @@ import math
 import sys
 from typing import Optional
 
-from .cardano import cardano_solve, compare_methods
+from .cardano import cardano_solve, match_root_sets
 from .chen import (
     InvalidCaseError,
+    RootTriple,
     newton_polish,
     solve_degenerate,
     solve_depressed,
     solve_moebius,
 )
-from .decompose import CaseTag, RsPair, compute_rs
+from .decompose import CaseTag, compute_rs
 from .denest import NestedRadical, denest
 from .numerics import CubeRootBranch
 from .parsing import ParseError, parse_coefficient, parse_cubic
-from .reduction import DepressedCubic, GeneralCubic, InvalidInputError, depress, lift_roots
+from .reduction import GeneralCubic, InvalidInputError, Shift, depress, lift_roots
 from .verify import verify_roots
 
 _BRANCHES = {
@@ -87,30 +88,40 @@ def _check_finite(values) -> None:
             raise NumericFailure("non-finite intermediate or result")
 
 
-def _dispatch(cubic: GeneralCubic, method: str, branch: CubeRootBranch, polish: bool):
-    """Depress, solve with the chosen method, lift; returns all the stages."""
+def _lift(depressed: RootTriple, shift: Shift, cubic: GeneralCubic, polish: bool) -> RootTriple:
+    lifted = lift_roots(depressed, shift)
+    return newton_polish(lifted, cubic) if polish else lifted
+
+
+def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
+    """One pass per cubic: depress, solve once per method, lift, then record.
+
+    The case and (r, s) reported are those of the pair the r,s solve
+    dispatched on; Cardano and Moebius get theirs from one compute_rs call.
+    """
     d, shift = depress(cubic)
-    pair = compute_rs(d)
-    if method == "cardano":
-        depressed, _ = cardano_solve(d)
-    elif method == "moebius":
-        if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
+    if args.method in ("chen", "both"):
+        depressed = solve_depressed(d, _BRANCHES[args.branch])
+        pair = depressed.pair
+    else:
+        pair = compute_rs(d)
+        if args.method == "cardano":
+            depressed, _ = cardano_solve(d)
+        elif pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
             depressed = solve_degenerate(d)
         else:
             depressed = solve_moebius(pair.r, pair.s)
-    else:
-        depressed = solve_depressed(d, branch)
-    lifted = lift_roots(depressed, shift)
-    if polish:
-        lifted = newton_polish(lifted, cubic)
-    _check_finite(lifted.roots)
-    return d, shift, pair, depressed, lifted
+    lifted = _lift(depressed, shift, cubic, args.polish)
+    checked = lifted.roots
+    if args.method == "both":
+        cardano_depressed, _ = cardano_solve(d)
+        cardano_lifted = _lift(cardano_depressed, shift, cubic, args.polish)
+        checked += cardano_lifted.roots
+    _check_finite(checked)
 
-
-def _base_record(echo: str, method: str, cubic: GeneralCubic, d: DepressedCubic, shift, pair: RsPair) -> dict:
-    return {
+    rec = {
         "input": echo,
-        "method": method,
+        "method": args.method,
         "cubic": {"a": float(cubic.a), "b": float(cubic.b), "c": float(cubic.c)},
         "p": float(d.p),
         "q": float(d.q),
@@ -118,55 +129,30 @@ def _base_record(echo: str, method: str, cubic: GeneralCubic, d: DepressedCubic,
         "case": pair.case.value,
         "r": _cjson(pair.r) if pair.r is not None else None,
         "s": _cjson(pair.s) if pair.s is not None else None,
+        "roots": [_cjson(x) for x in lifted.roots],
     }
-
-
-def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
-    branch = _BRANCHES[args.branch]
     if args.method == "both":
-        d, shift = depress(cubic)
-        pair = compute_rs(d)
-        report = compare_methods(d)
-        rs_lifted = lift_roots(solve_depressed(d, branch), shift)
-        cardano_lifted = lift_roots(cardano_solve(d)[0], shift)
-        if args.polish:
-            rs_lifted = newton_polish(rs_lifted, cubic)
-            cardano_lifted = newton_polish(cardano_lifted, cubic)
-        _check_finite(rs_lifted.roots + cardano_lifted.roots)
-        rec = _base_record(echo, "both", cubic, d, shift, pair)
-        rec.update(
-            {
-                "roots": [_cjson(x) for x in rs_lifted.roots],
-                "cardano_roots": [_cjson(x) for x in cardano_lifted.roots],
-                "max_matched_distance": report.max_matched_distance,
-                "residuals": [abs(cubic(x)) for x in rs_lifted.roots],
-                "cardano_residuals": [abs(cubic(x)) for x in cardano_lifted.roots],
-            }
-        )
-        triple_for_verify = solve_depressed(d, branch)
+        rec["cardano_roots"] = [_cjson(x) for x in cardano_lifted.roots]
+        rec["max_matched_distance"] = match_root_sets(depressed.roots, cardano_depressed.roots)
+        rec["residuals"] = [abs(cubic(x)) for x in lifted.roots]
+        rec["cardano_residuals"] = [abs(cubic(x)) for x in cardano_lifted.roots]
     else:
-        d, shift, pair, depressed, lifted = _dispatch(cubic, args.method, branch, args.polish)
-        rec = _base_record(echo, args.method, cubic, d, shift, pair)
-        rec.update(
-            {
-                "roots": [_cjson(x) for x in lifted.roots],
-                "residuals": [abs(cubic(x)) for x in lifted.roots],
-                "multiplicity": [list(m) for m in lifted.multiplicity],
-                "exact": [str(e) if e is not None else None for e in lifted.exact]
-                if lifted.exact is not None
-                else None,
-                "trig": {
-                    "amplitude": lifted.trig.amplitude,
-                    "theta": lifted.trig.theta,
-                    "offsets": list(lifted.trig.offsets),
-                }
-                if lifted.trig is not None
-                else None,
-            }
+        rec["residuals"] = [abs(cubic(x)) for x in lifted.roots]
+        rec["multiplicity"] = [list(m) for m in lifted.multiplicity]
+        rec["exact"] = (
+            [str(e) if e is not None else None for e in lifted.exact] if lifted.exact is not None else None
         )
-        triple_for_verify = depressed
+        rec["trig"] = (
+            {
+                "amplitude": lifted.trig.amplitude,
+                "theta": lifted.trig.theta,
+                "offsets": list(lifted.trig.offsets),
+            }
+            if lifted.trig is not None
+            else None
+        )
     if args.verify:
-        report = verify_roots(d, triple_for_verify)
+        report = verify_roots(d, depressed)
         rec["verification"] = {
             "pass": report.passed,
             "residuals": list(report.residuals),
@@ -273,10 +259,6 @@ def _render(rec: dict, fmt: str, precision: int) -> str:
     return _render_text(rec, precision)
 
 
-def _echo_flags(cubic: GeneralCubic) -> str:
-    return str(cubic)
-
-
 def cmd_solve(args) -> int:
     modes = [
         args.expr is not None,
@@ -309,7 +291,7 @@ def cmd_solve(args) -> int:
             print(f"error: missing {', '.join(missing)}", file=sys.stderr)
             return 2
         cubic = GeneralCubic(args.a, args.b, args.c, lead=args.lead if args.lead is not None else 1)
-        echo = _echo_flags(cubic)
+        echo = str(cubic)
 
     rec = _solve_record(cubic, echo, args)
     print(_render(rec, args.format, args.precision))
@@ -378,10 +360,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_denest(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidInputError as exc:
+    except (ParseError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidCaseError as exc:

@@ -112,9 +112,10 @@ def compute_rs(d: DepressedCubic) -> RsPair:
         exact = half if isinstance(half, Fraction) else None
         return RsPair(complex(half), complex(half), case, exact, exact)
 
+    exact_disc = None
     if d.exact:
-        disc = B * B - 4 * C
-        root = _fraction_sqrt(Fraction(disc))
+        exact_disc = B * B - 4 * C
+        root = _fraction_sqrt(Fraction(exact_disc))
         if root is not None:
             r = (-B + root) / 2
             s = (-B - root) / 2
@@ -129,7 +130,9 @@ def compute_rs(d: DepressedCubic) -> RsPair:
         t2 = C / t1
         r, s = (t1, t2) if t1 >= t2 else (t2, t1)
         return RsPair(complex(r), complex(s), case)
-    disc = B * B - 4.0 * C
+    # Rounding the exact discriminant once avoids the cancellation of
+    # B*B - 4C in doubles when B^2 ~ 4|C|, which could even flip its sign.
+    disc = float(exact_disc) if exact_disc is not None else B * B - 4.0 * C
     if case is CaseTag.REAL_DISTINCT:
         # Stable form: the large-magnitude root first, the other from the
         # product so that r*s reproduces C to a rounding error.

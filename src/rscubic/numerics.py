@@ -43,14 +43,6 @@ def principal_arg(z: complex) -> float:
     return a
 
 
-def modulus(z: complex) -> float:
-    return abs(z)
-
-
-def from_polar(mod: float, arg: float) -> complex:
-    return cmath.rect(mod, arg)
-
-
 def principal_cube_root(z: complex) -> complex:
     """Cube root |z|^(1/3) * e^(i*Arg(z)/3); argument in (-pi/3, pi/3]."""
     z = complex(z)

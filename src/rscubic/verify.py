@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .chen import RootTriple
 from .decompose import classify
@@ -30,7 +29,6 @@ from .reduction import DepressedCubic
 class VerificationReport:
     residuals: tuple[float, float, float]
     vieta_errors: tuple[float, float, float]
-    identity_errors: Optional[tuple[float, ...]]
     passed: bool
     tol: float
     scale: float
@@ -54,7 +52,7 @@ def verify_roots(d: DepressedCubic, triple: RootTriple, tol: float = 1e-10) -> V
     )
     scale = max(1.0, abs(p), abs(q)) ** 1.5
     passed = all(e <= tol * scale for e in residuals + vieta)
-    return VerificationReport(residuals, vieta, None, passed, tol, scale)
+    return VerificationReport(residuals, vieta, passed, tol, scale)
 
 
 def decomposition_identity_residual(r: complex, s: complex, x: complex) -> float:

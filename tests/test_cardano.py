@@ -7,7 +7,6 @@ from rscubic import (
     CaseTag,
     DepressedCubic,
     cardano_solve,
-    compare_methods,
     match_root_sets,
     solve_depressed,
 )
@@ -112,28 +111,36 @@ class TestCompareMethods:
         ],
     )
     def test_example_agreement(self, p, q, tol):
-        report = compare_methods(DepressedCubic(p, q))
-        assert report.max_matched_distance <= tol
+        d = DepressedCubic(p, q)
+        cardano, _ = cardano_solve(d)
+        assert match_root_sets(solve_depressed(d).roots, cardano.roots) <= tol
 
     def test_report_contents(self):
-        report = compare_methods(DepressedCubic(-6, -9))
-        assert report.case is CaseTag.REAL_DISTINCT
-        assert len(report.rs_residuals) == 3
-        assert len(report.cardano_residuals) == 3
-        assert max(report.rs_residuals + report.cardano_residuals) <= 1e-12
+        d = DepressedCubic(-6, -9)
+        rs = solve_depressed(d)
+        cardano, _ = cardano_solve(d)
+        rs_residuals = tuple(abs(d(x)) for x in rs.roots)
+        cardano_residuals = tuple(abs(d(x)) for x in cardano.roots)
+        assert rs.case is CaseTag.REAL_DISTINCT
+        assert len(rs_residuals) == 3
+        assert len(cardano_residuals) == 3
+        assert max(rs_residuals + cardano_residuals) <= 1e-12
 
     def test_bulk_agreement(self):
         rng = random.Random(79)
         for _ in range(2000):
             p, q = log_uniform_pq(rng)
-            report = compare_methods(DepressedCubic(p, q))
-            roots_scale = max(1.0, max(abs(x) for x in report.rs_roots))
-            assert report.max_matched_distance <= 1e-8 * roots_scale
+            d = DepressedCubic(p, q)
+            rs = solve_depressed(d)
+            cardano, _ = cardano_solve(d)
+            roots_scale = max(1.0, max(abs(x) for x in rs.roots))
+            assert match_root_sets(rs.roots, cardano.roots) <= 1e-8 * roots_scale
 
     def test_degenerate_inputs_accepted(self):
         for p, q in [(0.0, 0.0), (0.0, 5.0), (-4.0, 0.0), (4.0, 0.0)]:
-            report = compare_methods(DepressedCubic(p, q))
-            assert report.max_matched_distance <= 1e-10
+            d = DepressedCubic(p, q)
+            cardano, _ = cardano_solve(d)
+            assert match_root_sets(solve_depressed(d).roots, cardano.roots) <= 1e-10
 
 
 class TestAgainstCaseSolver:

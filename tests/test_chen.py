@@ -13,6 +13,7 @@ from rscubic import (
     GeneralCubic,
     InvalidCaseError,
     compute_rs,
+    depress,
     match_root_sets,
     newton_polish,
     solve,
@@ -263,6 +264,28 @@ class TestSolvePipeline:
         polished = newton_polish(solve(cubic), cubic)
         assert polished.case is CaseTag.EQUAL
         assert polished.multiplicity == ((1, 2),)
+
+    @pytest.mark.parametrize(
+        "planted",
+        [(1, 2, 10**6), (-3, 5, 920515), (Fraction(1, 3), 7, -375722)],
+    )
+    def test_planted_roots_keep_relative_accuracy(self, planted):
+        # Three real roots of very different size: B^2 ~ 4|C| in the (r, s)
+        # quadratic, where a discriminant recomputed in doubles cancels.
+        x0, x1, x2 = planted
+        cubic = GeneralCubic(-(x0 + x1 + x2), x0 * x1 + x0 * x2 + x1 * x2, -x0 * x1 * x2)
+        triple = solve(cubic)
+        for x, want in zip(triple.roots, sorted(planted)):
+            assert abs(x - float(want)) <= 1e-8 * abs(float(want))
+
+    def test_pair_rides_through_lift_and_polish(self):
+        cubic = GeneralCubic(1, -10, 8)  # roots -4, 1, 2
+        d, _ = depress(cubic)
+        expected = compute_rs(d)
+        assert solve_depressed(d).pair == expected
+        assert solve_depressed(d, CubeRootBranch.PRINCIPAL).pair == expected
+        assert solve(cubic, polish=True).pair == expected
+        assert solve_moebius(expected.r, expected.s).pair is None
 
 
 class TestProperties:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rscubic import GeneralCubic, solve
 from rscubic.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -101,6 +102,15 @@ class TestSolveFlags:
         _, out15, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "15")
         assert len(out15) > len(out4)
 
+    def test_negligible_p_case_matches_library(self, capsys):
+        # p is below double resolution next to q, so the solve runs on x^3 + q.
+        q = 10**40
+        code, out, _ = run(capsys, "solve", "--p", "1", "--q", str(q), "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["case"] == solve(GeneralCubic(0, 1, q)).case.value == "degenerate_p0"
+        assert rec["r"] is None and rec["s"] is None
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
@@ -165,6 +175,16 @@ class TestBatch:
         assert code == 0
         echoed = [json.loads(line)["input"] for line in out.strip().splitlines()]
         assert echoed == exprs
+
+    def test_batch_survives_cancelling_discriminant(self, capsys, tmp_path):
+        # B^2 ~ 4|C| in the (r, s) quadratic of the first line.
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-719919180x^2-205527342x+966976506\nx^3-12x+16\n")
+        code, out, _ = run(capsys, "solve", "--batch", str(batch))
+        assert code == 0
+        first, second = (json.loads(line) for line in out.strip().splitlines())
+        assert first["case"] == "conjugate_pair"
+        assert second["case"] == "equal"
 
     def test_missing_batch_file_is_2(self, capsys):
         code, _, err = run(capsys, "solve", "--batch", "/nonexistent/file.txt")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rscubic import (
     CaseTag,
@@ -99,6 +99,7 @@ def test_roundtrip_residual(a, b, c):
 
 
 @given(st.fractions(-50, 50), st.fractions(-50, 50), st.fractions(-50, 50))
+@example(Fraction(-50), Fraction(0), Fraction(1, 3039929748476))
 def test_roundtrip_residual_exact_inputs(a, b, c):
     cubic = GeneralCubic(a, b, c)
     scale = float(max(1, abs(a), abs(b), abs(c))) ** 2
