@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .chen import RootTriple, _finalize
-from .decompose import classify
+from .decompose import classify, integer_discriminant
 from .numerics import OMEGA, OMEGA2, principal_cube_root, real_cube_root
 from .reduction import DepressedCubic
 
@@ -42,7 +42,13 @@ def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
     """Solve x^3 + px + q by Cardano's formula (all p, q accepted)."""
     p = float(d.p)
     q = float(d.q)
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if d.exact:
+        # (q/2)^2 + (p/3)^3 = (4p^3 + 27q^2) / 108, rounded once: formed
+        # in doubles it cancels when the two terms nearly balance.
+        n, m = integer_discriminant(d)
+        disc = n / (108 * m)
+    else:
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc >= 0:
         w = math.sqrt(disc)
         # Compute whichever of A, B adds like signs (no cancellation) and

@@ -12,6 +12,12 @@ r = s.
 
 Note the quadratic above: r + s = -3q/p and r*s = -p/3, which is what the
 worked examples satisfy (p = -12, q = 16 gives t^2 - 4t + 4).
+
+Exact inputs are worked on as integers: with p = P/dp and q = Q/dq the
+case, the perfect-square test and every float come from integer
+expressions (integer_discriminant), not from Fraction arithmetic. The
+Fraction formulas discriminant and rs_quadratic serve float inputs and
+remain the reference the integer path is tested against.
 """
 
 from __future__ import annotations
@@ -60,17 +66,29 @@ def discriminant(d: DepressedCubic) -> Coefficient:
     return 4 * d.p**3 + 27 * d.q**2
 
 
+def integer_discriminant(d: DepressedCubic) -> tuple[int, int]:
+    """4p^3 + 27q^2 of an exact cubic as a quotient n / m of integers, m > 0.
+
+    With p = P/dp and q = Q/dq in lowest terms, n = 4 P^3 dq^2 + 27 Q^2 dp^3
+    and m = dp^3 dq^2: no Fraction arithmetic, so no gcd per operation.
+    """
+    P, dp, Q, dq = d.p.numerator, d.p.denominator, d.q.numerator, d.q.denominator
+    dp3, dq2 = dp * dp * dp, dq * dq
+    return 4 * P * P * P * dq2 + 27 * Q * Q * dp3, dp3 * dq2
+
+
 def classify(d: DepressedCubic) -> CaseTag:
     """Case tag from the zero tests on p, q and the sign of 4p^3 + 27q^2."""
     if d.p == 0:
         return CaseTag.DEGENERATE_P0
     if d.q == 0:
         return CaseTag.DEGENERATE_Q0
-    delta = discriminant(d)
     if d.exact:
+        delta = integer_discriminant(d)[0]
         if delta == 0:
             return CaseTag.EQUAL
     else:
+        delta = discriminant(d)
         band = EQUAL_BAND * (abs(4 * float(d.p) ** 3) + abs(27 * float(d.q) ** 2))
         if abs(delta) <= band:
             return CaseTag.EQUAL
@@ -82,15 +100,18 @@ def rs_quadratic(d: DepressedCubic) -> tuple[Coefficient, Coefficient]:
     return 3 * d.q / d.p, -d.p / 3
 
 
-def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _sqrt_ratio(n: int, m: int) -> float:
+    """sqrt(|n / m|) for integers n and m > 0, from |n| / m rounded once.
+
+    A quotient beyond the double range is first divided by a power of 4,
+    and its square root multiplied back by the power of 2.
+    """
+    n = abs(n)
+    try:
+        return math.sqrt(n / m)
+    except OverflowError:
+        k = (n.bit_length() - m.bit_length()) // 2
+        return math.ldexp(math.sqrt(n / (m << 2 * k)), k)
 
 
 def compute_rs(d: DepressedCubic) -> RsPair:
@@ -101,47 +122,84 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     whose quadratic discriminant is a perfect rational square get exact
     rational r, s.
     """
+    if d.exact:
+        return _compute_rs_exact(d)
     case = classify(d)
     if case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
         return RsPair(None, None, case)
 
     B, C = rs_quadratic(d)
-
     if case is CaseTag.EQUAL:
         half = -B / 2
-        exact = half if isinstance(half, Fraction) else None
-        return RsPair(complex(half), complex(half), case, exact, exact)
-
-    exact_disc = None
-    if d.exact:
-        exact_disc = B * B - 4 * C
-        root = _fraction_sqrt(Fraction(exact_disc))
-        if root is not None:
-            r = (-B + root) / 2
-            s = (-B - root) / 2
-            return RsPair(complex(r), complex(s), case, Fraction(r), Fraction(s))
-
-    B = float(B)
-    C = float(C)
+        return RsPair(complex(half), complex(half), case)
+    B, C = float(B), float(C)
     if abs(B) > 1e150:
-        # B*B would overflow; the 4C/B^2 correction is below double
-        # resolution there, so the roots are -B and C/(-B) outright.
-        t1 = -B
-        t2 = C / t1
-        r, s = (t1, t2) if t1 >= t2 else (t2, t1)
-        return RsPair(complex(r), complex(s), case)
-    # Rounding the exact discriminant once avoids the cancellation of
-    # B*B - 4C in doubles when B^2 ~ 4|C|, which could even flip its sign.
-    disc = float(exact_disc) if exact_disc is not None else B * B - 4.0 * C
+        return _rs_huge_b(B, C, case)
+    disc = B * B - 4.0 * C
+    return _rs_float(case, B, C, math.sqrt(abs(disc)) if case is CaseTag.REAL_DISTINCT else math.sqrt(-disc))
+
+
+def _compute_rs_exact(d: DepressedCubic) -> RsPair:
+    """compute_rs on integers: with p = P/dp and q = Q/dq,
+
+        B = 3q/p = 3 Q dp / (dq P),   C = -p/3 = -P / (3 dp),
+        B^2 - 4C = n / (3 P^2 dp dq^2)   (n from integer_discriminant),
+
+    so the case is the sign of n, the quadratic discriminant is a rational
+    square exactly when n * 3 P^2 dp dq^2 is an integer square, and each
+    float is one correctly rounded int / int division, bit-equal to the
+    float of the Fraction it stands for.
+    """
+    p, q = d.p, d.q
+    if p == 0:
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
+    if q == 0:
+        return RsPair(None, None, CaseTag.DEGENERATE_Q0)
+    P, dp, Q, dq = p.numerator, p.denominator, q.numerator, q.denominator
+    n = integer_discriminant(d)[0]
+    b_num, b_den = 3 * Q * dp, dq * P
+    if n == 0:
+        half = Fraction(-b_num, 2 * b_den)
+        return RsPair(complex(half), complex(half), CaseTag.EQUAL, half, half)
+
+    case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
+    disc_den = 3 * P * P * dp * dq * dq
+    if n > 0:
+        square = n * disc_den
+        root = math.isqrt(square)
+        if root * root == square:
+            # sqrt(B^2 - 4C) = root / disc_den; r, s = (-B +- sqrt) / 2.
+            den = 2 * b_den * disc_den
+            r = Fraction(root * b_den - b_num * disc_den, den)
+            s = Fraction(-root * b_den - b_num * disc_den, den)
+            return RsPair(complex(r), complex(s), case, r, s)
+
+    B = b_num / b_den
+    C = -P / (3 * dp)
+    if abs(B) > 1e150:
+        return _rs_huge_b(B, C, case)
+    # The exact discriminant is rounded once: B*B - 4C in doubles cancels
+    # when B^2 ~ 4|C| and can even flip sign.
+    return _rs_float(case, B, C, _sqrt_ratio(n, disc_den))
+
+
+def _rs_huge_b(B: float, C: float, case: CaseTag) -> RsPair:
+    # B*B would overflow; the 4C/B^2 correction is below double
+    # resolution there, so the roots are -B and C/(-B) outright.
+    t1 = -B
+    t2 = C / t1
+    r, s = (t1, t2) if t1 >= t2 else (t2, t1)
+    return RsPair(complex(r), complex(s), case)
+
+
+def _rs_float(case: CaseTag, B: float, C: float, w: float) -> RsPair:
+    """Float r, s of t^2 + Bt + C, given w = sqrt(|B^2 - 4C|)."""
     if case is CaseTag.REAL_DISTINCT:
         # Stable form: the large-magnitude root first, the other from the
         # product so that r*s reproduces C to a rounding error.
-        w = math.sqrt(abs(disc))
         t1 = -(B + math.copysign(w, B)) / 2.0 if B != 0 else w / 2.0
         t2 = C / t1
         r, s = (t1, t2) if t1 >= t2 else (t2, t1)
         return RsPair(complex(r), complex(s), case)
-
-    im = math.sqrt(-disc) / 2.0
-    r = complex(-B / 2.0, im)
+    r = complex(-B / 2.0, w / 2.0)
     return RsPair(r, r.conjugate(), case)

@@ -8,10 +8,15 @@ Grammar (whitespace-insensitive, locale-independent, '.' decimal point):
     number   := digits '/' digits | decimal | digits
     sqrtlit  := 'sqrt' '(' digits ')'
 
-Integers, rationals a/b, and decimals parse to exact Fractions (decimals
-exactly: "0.75" -> 3/4); sqrt(m) stays exact for perfect squares and falls
-back to a float otherwise. A term needs a coefficient or an x-part, powers
-may not exceed 3, and the x^3 coefficient must be nonzero.
+One compiled regex reads a whole term from its start position; every
+token of the grammar is an optional group in it, so a malformed term
+still matches and the groups it lacks name the error and its position.
+Integers, rationals a/b, and decimals parse to exact values (decimals
+exactly: "0.75" -> 3/4), carried as integer numerator/denominator pairs
+until each power's coefficient is summed, which then becomes one
+Fraction. sqrt(m) stays exact for perfect squares and falls back to a
+float otherwise. A term needs a coefficient or an x-part, powers may not
+exceed 3, and the x^3 coefficient must be nonzero.
 """
 
 from __future__ import annotations
@@ -20,12 +25,31 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .reduction import GeneralCubic
 
-_INT = re.compile(r"\d+")
-_DECIMAL = re.compile(r"\d+\.\d+|\.\d+|\d+\.")
+_WS = re.compile(r"\s*")
+
+
+def _sqrt_pattern(i: int) -> str:
+    """'sqrt' '(' digits ')' with each token after 'sqrt' optional, groups suffixed i."""
+    return rf"(?P<s{i}>sqrt)(?:\s*(?P<o{i}>\()(?:\s*(?P<n{i}>\d+)(?:\s*(?P<c{i}>\)))?)?)?"
+
+
+_TERM = re.compile(
+    r"(?P<sign>[+-]?)\s*"
+    # coefficient: a sqrt literal, or a number with an optional '* sqrtlit' factor
+    r"(?:" + _sqrt_pattern(1) + r"|"
+    r"(?:(?P<dec>(?=\.?\d)(?P<ip>\d*)\.(?P<fp>\d*))|(?P<num>\d+)(?:\s*(?P<slash>/)(?:\s*(?P<den>\d+))?)?)"
+    r"(?:\s*(?P<star2>\*)\s*" + _sqrt_pattern(2) + r")?"
+    r")?"
+    r"\s*(?P<star>\*)?(?:\s*(?P<x>[xX])(?:\s*(?P<caret>\^)(?:\s*(?P<pow>\d+))?)?)?\s*"
+)
+
+# A coefficient value: an exact rational as (numerator, denominator > 0),
+# or a float (a product with an irrational sqrt literal).
+_Value = Union[tuple[int, int], float]
 
 
 class ParseError(ValueError):
@@ -47,152 +71,136 @@ class Term:
     power: int
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def accept(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def match(self, regex: re.Pattern) -> Optional[str]:
-        self.skip_ws()
-        m = regex.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return m.group()
-        return None
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos, self.text)
+def _skip_ws(text: str, pos: int) -> int:
+    return _WS.match(text, pos).end()
 
 
-def _parse_sqrt(sc: _Scanner) -> Optional[Union[Fraction, float]]:
-    save = sc.pos
-    if not sc.accept("sqrt"):
-        return None
-    if not sc.accept("("):
-        sc.pos = save
-        sc.error("expected '(' after sqrt")
-    digits = sc.match(_INT)
-    if digits is None:
-        sc.error("expected a nonnegative integer inside sqrt()")
-    if not sc.accept(")"):
-        sc.error("expected ')'")
-    n = int(digits)
+def _sqrt_value(m: re.Match, i: int, save: int) -> Union[int, float]:
+    """The sqrt literal of group suffix i: an int root when exact, else a float.
+
+    ``save`` is where the literal's parse began (before any whitespace),
+    which is where a missing '(' is reported.
+    """
+    text = m.string
+    if m[f"o{i}"] is None:
+        raise ParseError("expected '(' after sqrt", save, text)
+    if m[f"n{i}"] is None:
+        raise ParseError("expected a nonnegative integer inside sqrt()", _skip_ws(text, m.end(f"o{i}")), text)
+    if m[f"c{i}"] is None:
+        raise ParseError("expected ')'", _skip_ws(text, m.end(f"n{i}")), text)
+    n = int(m[f"n{i}"])
     root = math.isqrt(n)
-    if root * root == n:
-        return Fraction(root)
-    return math.sqrt(n)
+    return root if root * root == n else math.sqrt(n)
 
 
-def _parse_coefficient(sc: _Scanner) -> Optional[Union[Fraction, float]]:
-    """number ('*' sqrtlit)? | sqrtlit, or None if neither is present."""
-    if (value := _parse_sqrt(sc)) is not None:
-        return value
-    if (dec := sc.match(_DECIMAL)) is not None:
-        number = Fraction(dec if dec[-1] != "." else dec + "0")
-    elif (digits := sc.match(_INT)) is not None:
-        number = Fraction(int(digits))
-        save = sc.pos
-        if sc.accept("/"):
-            denom = sc.match(_INT)
-            if denom is None:
-                sc.error("expected an integer denominator after '/'")
-            if int(denom) == 0:
-                sc.pos = save + 1
-                sc.error("zero denominator")
-            number = Fraction(int(digits), int(denom))
+def _coefficient(m: re.Match) -> Optional[_Value]:
+    """The coefficient a term or literal match holds, or None if it has none."""
+    if m["s1"] is not None:
+        root = _sqrt_value(m, 1, m.end("sign"))
+        return (root, 1) if isinstance(root, int) else root
+    text = m.string
+    if m["dec"] is not None:
+        ip, fp = m["ip"], m["fp"]
+        n, d = int(ip or "0"), 1
+        if fp:
+            d = 10 ** len(fp)
+            n = n * d + int(fp)
+    elif (digits := m["num"]) is not None:
+        n, d = int(digits), 1
+        if m["slash"] is not None:
+            if m["den"] is None:
+                raise ParseError("expected an integer denominator after '/'", _skip_ws(text, m.end("slash")), text)
+            d = int(m["den"])
+            if d == 0:
+                raise ParseError("zero denominator", m.end("num") + 1, text)
     else:
         return None
-    save = sc.pos
-    if sc.accept("*"):
-        surd = _parse_sqrt(sc)
-        if surd is None:
-            sc.pos = save  # the '*' separates coefficient and x instead
-            return number
-        if isinstance(surd, Fraction):
-            return number * surd
-        return float(number) * surd
-    return number
+    if m["s2"] is None:
+        return (n, d)
+    root = _sqrt_value(m, 2, m.end("star2"))
+    return (n * root, d) if isinstance(root, int) else n / d * root
+
+
+def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
+    """Yield (sign, coefficient, power) per term; raises ParseError."""
+    pos = _skip_ws(text, 0)
+    end = len(text)
+    if pos == end:
+        raise ParseError("empty input", pos, text)
+    first = True
+    while pos < end:
+        if text[pos] == "=":
+            pos = _skip_ws(text, pos + 1)
+            if not text.startswith("0", pos):
+                raise ParseError("only '= 0' is supported on the right-hand side", pos, text)
+            pos = _skip_ws(text, pos + 1)
+            if pos < end:
+                raise ParseError("unexpected input after '= 0'", pos, text)
+            return
+        m = _TERM.match(text, pos)
+        if not m["sign"] and not first:
+            raise ParseError("expected '+', '-' or '=' between terms", pos, text)
+        coefficient = _coefficient(m)
+        if coefficient is None:
+            if m["x"] is None or m["star"] is not None:
+                at = m.start("star") if m["star"] is not None else _skip_ws(text, m.end("sign"))
+                raise ParseError("expected a coefficient or 'x'", at, text)
+            coefficient = (1, 1)
+        power = 0
+        if m["x"] is not None:
+            power = 1
+            if m["caret"] is not None:
+                if m["pow"] is None:
+                    raise ParseError("expected an integer exponent after '^'", _skip_ws(text, m.end("caret")), text)
+                power = int(m["pow"])
+                if power > 3:
+                    raise ParseError(f"power {power} exceeds 3 (cubics only)", pos, text)
+        elif m["star"] is not None:
+            raise ParseError("expected 'x' after '*'", _skip_ws(text, m.end("star")), text)
+        yield (-1 if m["sign"] == "-" else 1), coefficient, power
+        first = False
+        pos = m.end()
+
+
+def _as_number(value: _Value) -> Union[Fraction, float]:
+    return Fraction(*value) if isinstance(value, tuple) else value
 
 
 def parse_terms(text: str) -> list[Term]:
     """Tokenize the equation into signed terms; raises ParseError."""
-    sc = _Scanner(text)
-    terms: list[Term] = []
-    if sc.at_end():
-        sc.error("empty input")
-    while not sc.at_end():
-        if sc.accept("="):
-            if not sc.accept("0"):
-                sc.error("only '= 0' is supported on the right-hand side")
-            if not sc.at_end():
-                sc.error("unexpected input after '= 0'")
-            break
-        term_start = sc.pos
-        sign = 1
-        if sc.accept("+"):
-            sign = 1
-        elif sc.accept("-"):
-            sign = -1
-        elif terms:
-            sc.error("expected '+', '-' or '=' between terms")
-        coefficient = _parse_coefficient(sc)
-        starred = coefficient is not None and sc.accept("*")
-        power = 0
-        if sc.accept("x") or sc.accept("X"):
-            power = 1
-            if sc.accept("^"):
-                digits = sc.match(_INT)
-                if digits is None:
-                    sc.error("expected an integer exponent after '^'")
-                power = int(digits)
-                if power > 3:
-                    sc.pos = term_start
-                    sc.error(f"power {power} exceeds 3 (cubics only)")
-        elif starred:
-            sc.error("expected 'x' after '*'")
-        elif coefficient is None:
-            sc.error("expected a coefficient or 'x'")
-        terms.append(Term(sign, coefficient if coefficient is not None else Fraction(1), power))
-    return terms
+    return [Term(sign, _as_number(value), power) for sign, value, power in _scan(text)]
 
 
 def parse_cubic(text: str) -> GeneralCubic:
     """Parse an equation string into a (monic-normalized) general cubic."""
-    terms = parse_terms(text)
-    coeffs: dict[int, Union[Fraction, float]] = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-    for t in terms:
-        coeffs[t.power] = coeffs[t.power] + t.sign * t.coefficient
-    if coeffs[3] == 0:
+    # Per power: an exact (numerator, denominator) sum, or a float once an
+    # irrational term joins it (summed in term order, as Fraction + float
+    # arithmetic would round it).
+    sums: list[_Value] = [(0, 1)] * 4
+    for sign, value, power in _scan(text):
+        acc = sums[power]
+        if isinstance(acc, tuple) and isinstance(value, tuple):
+            (n, d), (vn, vd) = acc, value
+            sums[power] = (n * vd + sign * vn * d, d * vd)
+        else:
+            acc = acc[0] / acc[1] if isinstance(acc, tuple) else acc
+            term = sign * value[0] / value[1] if isinstance(value, tuple) else sign * value
+            sums[power] = acc + term
+    a, b, c, lead = (_as_number(s) for s in (sums[2], sums[1], sums[0], sums[3]))
+    if lead == 0:
         raise ParseError("not a cubic: the x^3 coefficient is zero", 0, text)
-    return GeneralCubic(coeffs[2], coeffs[1], coeffs[0], lead=coeffs[3])
+    return GeneralCubic(a, b, c, lead=lead)
 
 
 def parse_coefficient(text: str) -> Union[Fraction, float]:
     """Parse a standalone coefficient literal: '9/2', '-0.5', '64*sqrt(2)', 'sqrt(3)'."""
-    sc = _Scanner(text)
-    sign = 1
-    if sc.accept("-"):
-        sign = -1
-    elif sc.accept("+"):
-        sign = 1
-    value = _parse_coefficient(sc)
+    m = _TERM.match(text, _skip_ws(text, 0))
+    value = _coefficient(m)
     if value is None:
-        sc.error("expected a number")
-    if not sc.at_end():
-        sc.error("unexpected trailing input")
-    return sign * value
+        raise ParseError("expected a number", _skip_ws(text, m.end("sign")), text)
+    # A '*' or an x-part after the literal is trailing input here.
+    end = m.start("star") if m["star"] is not None else m.start("x") if m["x"] is not None else m.end()
+    if end < len(text):
+        raise ParseError("unexpected trailing input", end, text)
+    sign = -1 if m["sign"] == "-" else 1
+    return sign * _as_number(value)

@@ -55,9 +55,14 @@ class GeneralCubic:
         lead = _coerce(lead)
         if lead == 0:
             raise InvalidInputError("leading coefficient must be nonzero")
-        object.__setattr__(self, "a", _coerce(a) / lead)
-        object.__setattr__(self, "b", _coerce(b) / lead)
-        object.__setattr__(self, "c", _coerce(c) / lead)
+        a, b, c = _coerce(a), _coerce(b), _coerce(c)
+        # Dividing by an exact 1 changes nothing; a float 1.0 still turns
+        # exact coefficients into floats.
+        if lead != 1 or isinstance(lead, float):
+            a, b, c = a / lead, b / lead, c / lead
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def exact(self) -> bool:
@@ -109,11 +114,21 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Shift]:
     """Substitute x -> x - a/3, giving x^3 + px + q.
 
     p = -a^2/3 + b and q = 2a^3/27 - ab/3 + c; exact when the input is.
+    Exact p and q are summed as integers over the common denominators
+    3*da^2*db and 27*da^3*db*dc, one Fraction each.
     """
     a, b, c = cubic.a, cubic.b, cubic.c
-    p = b - a * a / 3
-    q = 2 * a**3 / 27 - a * b / 3 + c
-    return DepressedCubic(p, q), Shift(delta=a / 3)
+    if not cubic.exact:
+        p = b - a * a / 3
+        q = 2 * a**3 / 27 - a * b / 3 + c
+        return DepressedCubic(p, q), Shift(delta=a / 3)
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
+    ad2 = ad * ad
+    p = Fraction(3 * bn * ad2 - an * an * bd, 3 * ad2 * bd)
+    q = Fraction((2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd)
+    return DepressedCubic(p, q), Shift(delta=Fraction(an, 3 * ad))
 
 
 def lift_roots(triple: "RootTriple", shift: Shift) -> "RootTriple":

@@ -7,7 +7,10 @@ from rscubic import (
     CaseTag,
     DepressedCubic,
     cardano_solve,
+    depress,
+    lift_roots,
     match_root_sets,
+    parse_cubic,
     solve_depressed,
 )
 
@@ -153,3 +156,13 @@ class TestAgainstCaseSolver:
             b, _ = cardano_solve(d)
             scale = max(1.0, max(abs(x) for x in a.roots))
             assert match_root_sets(a.roots, b.roots) <= 1e-9 * scale
+
+
+def test_exact_discriminant_keeps_small_root():
+    # (q/2)^2 and (p/3)^3 nearly cancel here; formed in doubles they left
+    # the small root at 0.0031675963.
+    d, shift = depress(parse_cubic("x^3+903310x^2-995557x + 3151"))
+    roots = lift_roots(cardano_solve(d)[0], shift).roots
+    small = min(roots, key=abs)
+    assert small.imag == 0
+    assert abs(small.real - 0.0031742043560985796) <= 1e-7 * 0.0031742043560985796

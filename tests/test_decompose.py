@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rscubic import (
     CaseTag,
     DepressedCubic,
+    GeneralCubic,
+    cardano_solve,
     classify,
     compute_rs,
+    depress,
     discriminant,
     rs_quadratic,
+    solve,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -162,3 +167,80 @@ class TestEqualBand:
         q = Fraction(16) + Fraction(1, 10**40)
         assert classify(DepressedCubic(p, q)) is CaseTag.REAL_DISTINCT
         assert classify(DepressedCubic(Fraction(-12), Fraction(16))) is CaseTag.EQUAL
+
+
+def reference_rs(d):
+    """(case, r, s, exact_r, exact_s) from the Fraction formulas, each float rounded once."""
+    delta = discriminant(d)
+    case = CaseTag.EQUAL if delta == 0 else CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
+    B, C = rs_quadratic(d)
+    if case is CaseTag.EQUAL:
+        return case, complex(-B / 2), complex(-B / 2), -B / 2, -B / 2
+    quad = B * B - 4 * C
+    if quad > 0:
+        rn, rd = math.isqrt(quad.numerator), math.isqrt(quad.denominator)
+        if rn * rn == quad.numerator and rd * rd == quad.denominator:
+            r, s = (-B + Fraction(rn, rd)) / 2, (-B - Fraction(rn, rd)) / 2
+            return case, complex(r), complex(s), r, s
+    Bf, Cf = float(B), float(C)
+    if abs(Bf) > 1e150:
+        t1 = -Bf
+    elif case is CaseTag.REAL_DISTINCT:
+        w = math.sqrt(float(quad))
+        t1 = -(Bf + math.copysign(w, Bf)) / 2.0 if Bf != 0 else w / 2.0
+    else:
+        r = complex(-Bf / 2.0, math.sqrt(-float(quad)) / 2.0)
+        return case, r, r.conjugate(), None, None
+    t2 = Cf / t1
+    r, s = (t1, t2) if t1 >= t2 else (t2, t1)
+    return case, complex(r), complex(s), None, None
+
+
+def bits(z):
+    return (math.copysign(1.0, z.real), z.real, math.copysign(1.0, z.imag), z.imag)
+
+
+exact_coefficient = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**40), 10**40),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**9)),
+)
+
+
+class TestIntegerPathMatchesFractionFormulas:
+    """Exact inputs run on integers; the Fraction formulas are the reference."""
+
+    @given(exact_coefficient, exact_coefficient, exact_coefficient)
+    @example(-6, 11, -6)  # roots 1, 2, 3
+    @example(-5, 8, -4)  # roots 1, 2, 2: the equal case
+    @example(0, -6, -9)  # exact r, s = -1/2, -4
+    @example(Fraction(-1, 3), Fraction(7, 4), Fraction(-7, 12))  # (x - 1/3)(x^2 + 7/4)
+    @example(0, 0, 5)
+    @example(3, 3, 0)
+    def test_depress_classify_and_rs(self, a, b, c):
+        cubic = GeneralCubic(a, b, c)
+        d, shift = depress(cubic)
+        a, b, c = cubic.a, cubic.b, cubic.c
+        assert type(d.p) is Fraction and d.p == b - a * a / 3
+        assert type(d.q) is Fraction and d.q == 2 * a**3 / 27 - a * b / 3 + c
+        assert shift.delta == a / 3
+        pair = compute_rs(d)
+        if d.p == 0 or d.q == 0:
+            expected = CaseTag.DEGENERATE_P0 if d.p == 0 else CaseTag.DEGENERATE_Q0
+            assert classify(d) is pair.case is expected
+            assert pair.r is None and pair.s is None
+            return
+        case, r, s, exact_r, exact_s = reference_rs(d)
+        assert classify(d) is pair.case is case
+        assert bits(pair.r) == bits(r) and bits(pair.s) == bits(s)
+        assert pair.exact_r == exact_r and pair.exact_s == exact_s
+        assert cardano_solve(d)[1].disc == float(discriminant(d) / 108)
+
+
+@pytest.mark.parametrize("p", [15 * 10**307, -15 * 10**307], ids=["positive", "negative"])
+def test_exact_p_near_double_limit_gives_finite_roots(p):
+    # 4C = -4p/3 exceeds the double range there, so B^2 - 4C cannot be
+    # rounded as it stands; its square root can.
+    triple = solve(GeneralCubic(0, p, 1))
+    assert all(math.isfinite(x.real) and math.isfinite(x.imag) for x in triple.roots)
+    assert max(abs(x) for x in triple.roots) == pytest.approx(math.sqrt(abs(p)), rel=1e-12)

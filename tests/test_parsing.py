@@ -162,3 +162,62 @@ class TestParseCoefficient:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_coefficient(bad)
+
+
+# One case per error branch of the parser: (parser, text, position, message).
+ERROR_CASES = [
+    (parse_cubic, "", 0, "empty input"),
+    (parse_cubic, "   ", 3, "empty input"),
+    (parse_cubic, "x^3 = 5", 6, "only '= 0' is supported on the right-hand side"),
+    (parse_cubic, "x^3 =0.0", 6, "unexpected input after '= 0'"),
+    (parse_cubic, "x^3 = 0 extra", 8, "unexpected input after '= 0'"),
+    (parse_cubic, "x^3=00", 5, "unexpected input after '= 0'"),
+    (parse_cubic, "x^3 + 1 2", 8, "expected '+', '-' or '=' between terms"),
+    (parse_cubic, "x^3 + 2y", 7, "expected '+', '-' or '=' between terms"),
+    (parse_cubic, "x^3 + sqrt 2", 5, "expected '(' after sqrt"),
+    (parse_cubic, "x^3 +  sqrtx", 5, "expected '(' after sqrt"),
+    (parse_cubic, "sqrt 2 x^3", 0, "expected '(' after sqrt"),
+    (parse_cubic, "x^3 + 2* sqrt 3", 8, "expected '(' after sqrt"),
+    (parse_cubic, "x^3 + 2 *  sqrt[3]", 9, "expected '(' after sqrt"),
+    (parse_cubic, "x^3 + sqrt( -2)", 12, "expected a nonnegative integer inside sqrt()"),
+    (parse_cubic, "x^3 - 2*sqrt()", 13, "expected a nonnegative integer inside sqrt()"),
+    (parse_cubic, "x^3 + sqrt(2.5)", 12, "expected ')'"),
+    (parse_cubic, "x^3 + 3*sqrt(5 x", 15, "expected ')'"),
+    (parse_cubic, "x^3 + 1/ x", 9, "expected an integer denominator after '/'"),
+    (parse_cubic, "x^3 + 1/", 8, "expected an integer denominator after '/'"),
+    (parse_cubic, "3/0x^3", 2, "zero denominator"),
+    (parse_cubic, "x^3 + 3 / 0x", 8, "zero denominator"),
+    (parse_cubic, "x^3 + 2x^4", 4, "power 4 exceeds 3 (cubics only)"),
+    (parse_cubic, "x^3 -  X ^ 12", 4, "power 12 exceeds 3 (cubics only)"),
+    (parse_cubic, "x^", 2, "expected an integer exponent after '^'"),
+    (parse_cubic, "x^3 + x^ y", 9, "expected an integer exponent after '^'"),
+    (parse_cubic, "x^3 + 2*", 8, "expected 'x' after '*'"),
+    (parse_cubic, "x^3 + 2 * y", 10, "expected 'x' after '*'"),
+    (parse_cubic, "x^3 + sqrt(2)*sqrt(3)", 14, "expected 'x' after '*'"),
+    (parse_cubic, "x^3 +", 5, "expected a coefficient or 'x'"),
+    (parse_cubic, "x^3 + @", 6, "expected a coefficient or 'x'"),
+    (parse_cubic, "x^3 + *x", 6, "expected a coefficient or 'x'"),
+    (parse_cubic, "x^3 + =0", 6, "expected a coefficient or 'x'"),
+    (parse_cubic, "x^2 + 1", 0, "not a cubic: the x^3 coefficient is zero"),
+    (parse_cubic, "x^3 - x^3 + x", 0, "not a cubic: the x^3 coefficient is zero"),
+    (parse_cubic, "= 0", 0, "not a cubic: the x^3 coefficient is zero"),
+    (parse_coefficient, "", 0, "expected a number"),
+    (parse_coefficient, "x", 0, "expected a number"),
+    (parse_coefficient, "-", 1, "expected a number"),
+    (parse_coefficient, "  + @", 4, "expected a number"),
+    (parse_coefficient, "1/2/3", 3, "unexpected trailing input"),
+    (parse_coefficient, "2*", 1, "unexpected trailing input"),
+    (parse_coefficient, "1..5", 2, "unexpected trailing input"),
+    (parse_coefficient, "1 x", 2, "unexpected trailing input"),
+    (parse_coefficient, "  sqrt 5", 2, "expected '(' after sqrt"),
+    (parse_coefficient, "- 3*sqrt(x)", 9, "expected a nonnegative integer inside sqrt()"),
+    (parse_coefficient, "7/0", 2, "zero denominator"),
+]
+
+
+@pytest.mark.parametrize("parser,text,position,message", ERROR_CASES)
+def test_error_position_and_message(parser, text, position, message):
+    with pytest.raises(ParseError) as info:
+        parser(text)
+    assert info.value.position == position
+    assert str(info.value).startswith(f"{message} (at position {position})")
