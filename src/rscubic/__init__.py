@@ -22,7 +22,6 @@ from .chen import (
     solve_equal,
     solve_moebius,
     solve_real_distinct,
-    solve_unified,
     unified_roots,
 )
 from .decompose import CaseTag, RsPair, classify, compute_rs, discriminant, rs_quadratic
@@ -30,8 +29,6 @@ from .denest import DenestResult, NestedRadical, denest, radical_to_cubic
 from .numerics import (
     OMEGA,
     OMEGA2,
-    CubeRootBranch,
-    cube_root,
     cube_roots_all,
     principal_arg,
     principal_cube_root,
@@ -42,7 +39,6 @@ from .reduction import (
     DepressedCubic,
     GeneralCubic,
     InvalidInputError,
-    Shift,
     depress,
     lift_roots,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "OMEGA2",
     "CardanoIntermediates",
     "CaseTag",
-    "CubeRootBranch",
     "DenestResult",
     "DepressedCubic",
     "ExactValue",
@@ -73,14 +68,12 @@ __all__ = [
     "ParseError",
     "RootTriple",
     "RsPair",
-    "Shift",
     "TrigForm",
     "VerificationReport",
     "brute_force_roots",
     "cardano_solve",
     "classify",
     "compute_rs",
-    "cube_root",
     "cube_roots_all",
     "decomposition_identity_residual",
     "denest",
@@ -104,7 +97,6 @@ __all__ = [
     "solve_equal",
     "solve_moebius",
     "solve_real_distinct",
-    "solve_unified",
     "trig_identity_residuals",
     "unified_roots",
     "verify_roots",

@@ -12,9 +12,10 @@ roots of the ratio r/s:
                    an omega-twisted conjugate pair (real cube roots);
 * s = conj(r):     three real roots -2|r| cos(theta/3 + 2k pi/3) with
                    theta = Arg(r) -- no complex intermediates at all;
-* any cube roots:  the uniform product form works for every branch choice,
-                   and the Moebius map x = (r - su)/(1 - u) over the cube
-                   roots u of r/s gives the same set.
+* any cube roots:  the uniform product form -uv(omega^j u + omega^-j v)
+                   gives the same set for every choice of cube roots u of
+                   r and v of s, and so does the Moebius map
+                   x = (r - su)/(1 - u) over the cube roots u of r/s.
 
 p = 0 or q = 0 fall outside the decomposition and are solved directly.
 """
@@ -27,15 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import CaseTag, RsPair, classify, compute_rs
-from .numerics import (
-    OMEGA,
-    OMEGA2,
-    CubeRootBranch,
-    cube_root,
-    cube_roots_all,
-    principal_arg,
-    real_cube_root,
-)
+from .numerics import OMEGA, OMEGA2, cube_roots_all, principal_arg, real_cube_root
 from .reduction import DepressedCubic, GeneralCubic, depress, is_exact, lift_roots
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -45,16 +38,19 @@ _SQRT3 = math.sqrt(3.0)
 # multiple root by the approximate solution paths.
 _MULTIPLICITY_TOL = 1e-8
 
+# Trial divisors tried by _square_free_split before the rest is kept whole.
+_SQUARE_FREE_TRIAL_CAP = 10**6
+
 
 class InvalidCaseError(ValueError):
     """Raised when a solver is applied outside its case (e.g. Moebius with r = s)."""
 
 
-def _square_free_split(n: int, max_trial: int = 10**6) -> tuple[int, int]:
+def _square_free_split(n: int) -> tuple[int, int]:
     """Write n = k^2 * m with m square-free (best effort under the trial cap)."""
     k, m = 1, 1
     d = 2
-    while d * d <= n and d <= max_trial:
+    while d * d <= n and d <= _SQUARE_FREE_TRIAL_CAP:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -168,7 +164,7 @@ class RootTriple:
     multiplicity lists (index, count) for repeated roots only. exact holds
     per-root exactly-known values when the input arithmetic allowed it.
     pair is the (r, s) decomposition the case dispatch ran on (set by
-    solve_depressed and solve_unified; None from the other solvers).
+    solve_depressed; None from the other solvers).
     """
 
     roots: tuple[complex, complex, complex]
@@ -177,12 +173,6 @@ class RootTriple:
     exact: Optional[tuple[Optional[ExactValue], ...]] = None
     trig: Optional[TrigForm] = None
     pair: Optional[RsPair] = None
-
-
-def _with_pair(triple: RootTriple, pair: RsPair) -> RootTriple:
-    """Record on a freshly built triple the pair it was dispatched on (no copy)."""
-    object.__setattr__(triple, "pair", pair)
-    return triple
 
 
 def _as_real(x) -> float:
@@ -281,16 +271,13 @@ def solve_conjugate(r: complex) -> RootTriple:
     return RootTriple(roots, CaseTag.CONJUGATE_PAIR, trig=trig)
 
 
-def unified_roots(
-    r: complex, s: complex, branch: CubeRootBranch = CubeRootBranch.REAL_PREFERRING
-) -> tuple[complex, complex, complex]:
-    """The raw product-form roots -r^(1/3) s^(1/3) (omega^j r^(1/3) + omega^-j s^(1/3)).
+def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
+    """The raw product-form roots -uv(omega^j u + omega^-j v), j = 0, 1, 2.
 
-    Any cube-root branch yields the same root set: replacing u by omega^a u
-    and v by omega^b v permutes the three j-values.
+    For any cube roots u of r and v of s these are the roots of
+    x^3 - 3rsx + rs(r+s): replacing u by omega^a u and v by omega^b v
+    permutes the three j-values, so all nine choices give the same set.
     """
-    u = cube_root(complex(r), branch)
-    v = cube_root(complex(s), branch)
     m = u * v
     return (
         -m * (u + v),
@@ -329,18 +316,6 @@ def _finalize(raw, case: CaseTag, p: float, q: float) -> RootTriple:
     im = 0.5 * (abs(z1.imag) + abs(z2.imag))
     roots = (complex(raw[k].real, 0.0), complex(re, -im), complex(re, im))
     return RootTriple(roots, case)
-
-
-def solve_unified(
-    d: DepressedCubic, branch: CubeRootBranch = CubeRootBranch.REAL_PREFERRING
-) -> RootTriple:
-    """Solve via the uniform product form (p, q != 0; degenerate inputs reroute)."""
-    d = _with_negligible_p_zeroed(d)
-    pair = compute_rs(d)
-    if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
-        return _with_pair(solve_degenerate(d), pair)
-    raw = unified_roots(pair.r, pair.s, branch)
-    return _with_pair(_finalize(raw, pair.case, float(d.p), float(d.q)), pair)
 
 
 def solve_moebius(r: complex, s: complex) -> RootTriple:
@@ -399,19 +374,13 @@ def solve_degenerate(d: DepressedCubic) -> RootTriple:
     return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact)
 
 
-def solve_depressed(
-    d: DepressedCubic, branch: CubeRootBranch = CubeRootBranch.REAL_PREFERRING
-) -> RootTriple:
+def solve_depressed(d: DepressedCubic) -> RootTriple:
     """Case-dispatched solve of x^3 + px + q.
 
-    The default branch keeps every intermediate real where the case allows
-    it (real cube roots for real r, s; the cosine form for a conjugate
-    pair) and carries exact/trig annotations. Any other branch goes through
-    the uniform product form, which returns the same root set without
-    annotations.
+    Every intermediate stays real where the case allows it (real cube
+    roots for real r, s; the cosine form for a conjugate pair), and exact
+    and trig annotations are carried.
     """
-    if branch is not CubeRootBranch.REAL_PREFERRING:
-        return solve_unified(d, branch)
     d = _with_negligible_p_zeroed(d)
     pair = compute_rs(d)
     if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
@@ -425,7 +394,9 @@ def solve_depressed(
             triple = solve_real_distinct(pair.r.real, pair.s.real)
     else:
         triple = solve_conjugate(pair.r)
-    return _with_pair(triple, pair)
+    # The triple is freshly built, so the pair is recorded on it without a copy.
+    object.__setattr__(triple, "pair", pair)
+    return triple
 
 
 def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
@@ -443,14 +414,10 @@ def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
     return replace(triple, roots=tuple(polished))
 
 
-def solve(
-    cubic: GeneralCubic,
-    branch: CubeRootBranch = CubeRootBranch.REAL_PREFERRING,
-    polish: bool = False,
-) -> RootTriple:
+def solve(cubic: GeneralCubic, polish: bool = False) -> RootTriple:
     """Full pipeline: depress, decompose into (r, s), dispatch, lift back."""
-    d, shift = depress(cubic)
-    triple = lift_roots(solve_depressed(d, branch), shift)
+    d, delta = depress(cubic)
+    triple = lift_roots(solve_depressed(d), delta)
     if polish:
         triple = newton_polish(triple, cubic)
     return triple

@@ -30,15 +30,9 @@ from .chen import (
 )
 from .decompose import CaseTag, compute_rs
 from .denest import NestedRadical, denest
-from .numerics import CubeRootBranch
 from .parsing import ParseError, parse_coefficient, parse_cubic
-from .reduction import GeneralCubic, InvalidInputError, Shift, depress, lift_roots
+from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress, lift_roots
 from .verify import verify_roots
-
-_BRANCHES = {
-    "principal": CubeRootBranch.PRINCIPAL,
-    "real": CubeRootBranch.REAL_PREFERRING,
-}
 
 
 class NumericFailure(RuntimeError):
@@ -66,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--format", choices=["text", "json", "trig", "exact"], default="text")
     solve.add_argument("--precision", type=int, default=12, help="significant digits in text output")
     solve.add_argument("--polish", action="store_true", help="one Newton step per root")
-    solve.add_argument("--branch", choices=sorted(_BRANCHES), default="real", help="cube-root branch")
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
     den = sub.add_parser("denest", help="denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b))")
@@ -88,8 +81,8 @@ def _check_finite(values) -> None:
             raise NumericFailure("non-finite intermediate or result")
 
 
-def _lift(depressed: RootTriple, shift: Shift, cubic: GeneralCubic, polish: bool) -> RootTriple:
-    lifted = lift_roots(depressed, shift)
+def _lift(depressed: RootTriple, delta: Coefficient, cubic: GeneralCubic, polish: bool) -> RootTriple:
+    lifted = lift_roots(depressed, delta)
     return newton_polish(lifted, cubic) if polish else lifted
 
 
@@ -99,9 +92,9 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
     The case and (r, s) reported are those of the pair the r,s solve
     dispatched on; Cardano and Moebius get theirs from one compute_rs call.
     """
-    d, shift = depress(cubic)
+    d, delta = depress(cubic)
     if args.method in ("chen", "both"):
-        depressed = solve_depressed(d, _BRANCHES[args.branch])
+        depressed = solve_depressed(d)
         pair = depressed.pair
     else:
         pair = compute_rs(d)
@@ -111,11 +104,11 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
             depressed = solve_degenerate(d)
         else:
             depressed = solve_moebius(pair.r, pair.s)
-    lifted = _lift(depressed, shift, cubic, args.polish)
+    lifted = _lift(depressed, delta, cubic, args.polish)
     checked = lifted.roots
     if args.method == "both":
         cardano_depressed, _ = cardano_solve(d)
-        cardano_lifted = _lift(cardano_depressed, shift, cubic, args.polish)
+        cardano_lifted = _lift(cardano_depressed, delta, cubic, args.polish)
         checked += cardano_lifted.roots
     _check_finite(checked)
 
@@ -125,7 +118,7 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         "cubic": {"a": float(cubic.a), "b": float(cubic.b), "c": float(cubic.c)},
         "p": float(d.p),
         "q": float(d.q),
-        "shift": float(shift.delta),
+        "shift": float(delta),
         "case": pair.case.value,
         "r": _cjson(pair.r) if pair.r is not None else None,
         "s": _cjson(pair.s) if pair.s is not None else None,

@@ -69,12 +69,12 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     return DepressedCubic(p, -2 * a)
 
 
-def _divisors(n: int, cap: int = SEARCH_CAP) -> tuple[list[int], bool]:
+def _divisors(n: int) -> tuple[list[int], bool]:
     """Positive divisors of n > 0 (ascending), plus an exhausted flag if capped."""
     small, large = [], []
     i = 1
     while i * i <= n:
-        if i > cap:
+        if i > SEARCH_CAP:
             return small + large[::-1], True
         if n % i == 0:
             small.append(i)

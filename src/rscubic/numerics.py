@@ -15,20 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 
 # Primitive cube root of unity, omega = (-1 + sqrt(3) i) / 2.
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 OMEGA2 = OMEGA.conjugate()
-
-
-class CubeRootBranch(Enum):
-    """Which of the three cube roots (or the real-preferring one) to take."""
-
-    PRINCIPAL = "principal"
-    PRINCIPAL_TIMES_OMEGA = "principal*omega"
-    PRINCIPAL_TIMES_OMEGA_SQ = "principal*omega^2"
-    REAL_PREFERRING = "real"
 
 
 def principal_arg(z: complex) -> float:
@@ -62,21 +52,3 @@ def cube_roots_all(z: complex) -> tuple[complex, complex, complex]:
     w = principal_cube_root(z)
     return (w, w * OMEGA, w * OMEGA2)
 
-
-def cube_root(z: complex, branch: CubeRootBranch = CubeRootBranch.PRINCIPAL) -> complex:
-    """Cube root of z on the requested branch.
-
-    REAL_PREFERRING keeps real inputs real (negative included) and falls
-    back to the principal root for non-real inputs.
-    """
-    z = complex(z)
-    if branch is CubeRootBranch.REAL_PREFERRING:
-        if z.imag == 0.0:
-            return complex(real_cube_root(z.real), 0.0)
-        return principal_cube_root(z)
-    w = principal_cube_root(z)
-    if branch is CubeRootBranch.PRINCIPAL_TIMES_OMEGA:
-        return w * OMEGA
-    if branch is CubeRootBranch.PRINCIPAL_TIMES_OMEGA_SQ:
-        return w * OMEGA2
-    return w

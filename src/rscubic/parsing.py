@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -62,13 +61,6 @@ class ParseError(ValueError):
         if text:
             pointer = f"\n  {text}\n  {' ' * position}^"
         super().__init__(f"{message} (at position {position}){pointer}")
-
-
-@dataclass(frozen=True)
-class Term:
-    sign: int
-    coefficient: Union[Fraction, float]
-    power: int
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -164,11 +156,6 @@ def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
 
 def _as_number(value: _Value) -> Union[Fraction, float]:
     return Fraction(*value) if isinstance(value, tuple) else value
-
-
-def parse_terms(text: str) -> list[Term]:
-    """Tokenize the equation into signed terms; raises ParseError."""
-    return [Term(sign, _as_number(value), power) for sign, value, power in _scan(text)]
 
 
 def parse_cubic(text: str) -> GeneralCubic:

@@ -103,17 +103,11 @@ class DepressedCubic:
         return f"x^3 + ({self.p})x + ({self.q})"
 
 
-@dataclass(frozen=True)
-class Shift:
-    """Records the translation: original_root = depressed_root - delta."""
+def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
+    """Substitute x -> x - a/3, giving x^3 + px + q and the shift delta = a/3.
 
-    delta: Coefficient
-
-
-def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Shift]:
-    """Substitute x -> x - a/3, giving x^3 + px + q.
-
-    p = -a^2/3 + b and q = 2a^3/27 - ab/3 + c; exact when the input is.
+    original_root = depressed_root - delta. p = -a^2/3 + b and
+    q = 2a^3/27 - ab/3 + c; exact when the input is.
     Exact p and q are summed as integers over the common denominators
     3*da^2*db and 27*da^3*db*dc, one Fraction each.
     """
@@ -121,24 +115,23 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Shift]:
     if not cubic.exact:
         p = b - a * a / 3
         q = 2 * a**3 / 27 - a * b / 3 + c
-        return DepressedCubic(p, q), Shift(delta=a / 3)
+        return DepressedCubic(p, q), a / 3
     an, ad = a.numerator, a.denominator
     bn, bd = b.numerator, b.denominator
     cn, cd = c.numerator, c.denominator
     ad2 = ad * ad
     p = Fraction(3 * bn * ad2 - an * an * bd, 3 * ad2 * bd)
     q = Fraction((2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd)
-    return DepressedCubic(p, q), Shift(delta=Fraction(an, 3 * ad))
+    return DepressedCubic(p, q), Fraction(an, 3 * ad)
 
 
-def lift_roots(triple: "RootTriple", shift: Shift) -> "RootTriple":
-    """Undo the depression shift on a root triple.
+def lift_roots(triple: "RootTriple", delta: Coefficient) -> "RootTriple":
+    """Undo the depression shift on a root triple: x = y - delta.
 
     Case tag, multiplicity, and the trig annotation ride along unchanged
     (the trig form keeps describing the depressed roots); exact values are
     shifted exactly when the shift itself is exact.
     """
-    delta = shift.delta
     if delta == 0:
         return triple
     d = complex(delta)

@@ -24,6 +24,8 @@ from .chen import RootTriple
 from .decompose import classify
 from .reduction import DepressedCubic
 
+_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -34,14 +36,12 @@ class VerificationReport:
     scale: float
 
 
-def verify_roots(d: DepressedCubic, triple: RootTriple, tol: float = 1e-10) -> VerificationReport:
+def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
     """Residuals |x^3+px+q| and Vieta errors |sum x|, |sum x_i x_j - p|, |prod x + q|.
 
-    passed requires every error <= tol * max(1,|p|,|q|)^(3/2); the 3/2 power
-    keeps the bound covariant under the scaling (p,q) -> (p l^2, q l^3).
+    passed requires every error <= _TOL * max(1,|p|,|q|)^(3/2); the
+    3/2 power keeps the bound covariant under the scaling (p,q) -> (p l^2, q l^3).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     p, q = float(d.p), float(d.q)
     x0, x1, x2 = triple.roots
     residuals = tuple(abs(d(x)) for x in triple.roots)
@@ -51,8 +51,8 @@ def verify_roots(d: DepressedCubic, triple: RootTriple, tol: float = 1e-10) -> V
         abs(x0 * x1 * x2 + q),
     )
     scale = max(1.0, abs(p), abs(q)) ** 1.5
-    passed = all(e <= tol * scale for e in residuals + vieta)
-    return VerificationReport(residuals, vieta, passed, tol, scale)
+    passed = all(e <= _TOL * scale for e in residuals + vieta)
+    return VerificationReport(residuals, vieta, passed, _TOL, scale)
 
 
 def decomposition_identity_residual(r: complex, s: complex, x: complex) -> float:

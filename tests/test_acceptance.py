@@ -15,20 +15,20 @@ import pytest
 
 from rscubic import (
     CaseTag,
-    CubeRootBranch,
     DepressedCubic,
     GeneralCubic,
     NestedRadical,
     brute_force_roots,
     cardano_solve,
     compute_rs,
+    cube_roots_all,
     decomposition_identity_residual,
     denest,
     match_root_sets,
+    principal_cube_root,
     solve,
     solve_depressed,
     solve_moebius,
-    solve_unified,
     trig_identity_residuals,
     unified_roots,
 )
@@ -162,14 +162,12 @@ def test_criterion_4_branch_and_symmetry_suite():
             reference = solve_depressed(d)
             scale = max(1.0, max(abs(x) for x in reference.roots))
 
-            for branch in CubeRootBranch:
-                t = solve_unified(d, branch)
-                assert match_root_sets(t.roots, reference.roots) <= 1e-10 * scale
-
             pair = compute_rs(d)
-            a = unified_roots(pair.r, pair.s)
-            b = unified_roots(pair.s, pair.r)
-            assert match_root_sets(a, b) <= 1e-10 * scale
+            for u in cube_roots_all(pair.r):
+                for v in cube_roots_all(pair.s):
+                    assert match_root_sets(unified_roots(u, v), reference.roots) <= 1e-10 * scale
+            u, v = principal_cube_root(pair.r), principal_cube_root(pair.s)
+            assert match_root_sets(unified_roots(u, v), unified_roots(v, u)) <= 1e-10 * scale
 
             lam = 10 ** rng.uniform(-2, 2)
             scaled = solve_depressed(DepressedCubic(p * lam**2, q * lam**3))

@@ -7,15 +7,16 @@ import pytest
 
 from rscubic import (
     CaseTag,
-    CubeRootBranch,
     DepressedCubic,
     ExactValue,
     GeneralCubic,
     InvalidCaseError,
     compute_rs,
+    cube_roots_all,
     depress,
     match_root_sets,
     newton_polish,
+    principal_cube_root,
     solve,
     solve_conjugate,
     solve_degenerate,
@@ -23,7 +24,6 @@ from rscubic import (
     solve_equal,
     solve_moebius,
     solve_real_distinct,
-    solve_unified,
     unified_roots,
 )
 from rscubic.chen import fraction_cbrt
@@ -129,37 +129,20 @@ class TestSolveConjugate:
             assert trig.amplitude * math.cos(offset) == pytest.approx(root.real, abs=1e-12)
 
 
-class TestSolveUnified:
-    def test_principal_branch_real_distinct(self):
-        triple = solve_unified(DepressedCubic(-6, -9), CubeRootBranch.PRINCIPAL)
-        expected = (complex(3), complex(-1.5, -SQRT3 / 2), complex(-1.5, SQRT3 / 2))
-        assert_root_sets_close(triple.roots, expected, 1e-10)
-
-    def test_matches_equal_case(self):
-        triple = solve_unified(DepressedCubic(-12, 16))
-        assert_root_sets_close(triple.roots, (complex(-4), complex(2), complex(2)), 1e-10)
-
-    def test_matches_conjugate_case(self):
-        triple = solve_unified(DepressedCubic(-0.75, 0.125))
-        expected = tuple(complex(math.cos(k * math.pi / 9)) for k in (8, 2, 4))
-        assert_root_sets_close(triple.roots, expected, 1e-12)
-
-    def test_degenerate_reroutes(self):
-        triple = solve_unified(DepressedCubic(0, -8))
-        assert_root_sets_close(
-            triple.roots, (complex(2), 2 * complex(-0.5, SQRT3 / 2), 2 * complex(-0.5, -SQRT3 / 2)), 1e-12
-        )
-
+class TestUnifiedRoots:
     def test_set_matches_case_solver_for_every_branch(self):
+        # All nine choices of cube roots u of r and v of s give one root set.
         rng = random.Random(29)
         for _ in range(300):
             p, q = log_uniform_pq(rng)
             d = DepressedCubic(p, q)
             reference = solve_depressed(d)
-            for branch in CubeRootBranch:
-                triple = solve_unified(d, branch)
-                scale = max(1.0, max(abs(x) for x in reference.roots))
-                assert match_root_sets(triple.roots, reference.roots) <= 1e-10 * scale
+            pair = compute_rs(d)
+            scale = max(1.0, max(abs(x) for x in reference.roots))
+            for u in cube_roots_all(pair.r):
+                for v in cube_roots_all(pair.s):
+                    roots = unified_roots(u, v)
+                    assert match_root_sets(roots, reference.roots) <= 1e-10 * scale
 
 
 class TestSolveMoebius:
@@ -283,7 +266,6 @@ class TestSolvePipeline:
         d, _ = depress(cubic)
         expected = compute_rs(d)
         assert solve_depressed(d).pair == expected
-        assert solve_depressed(d, CubeRootBranch.PRINCIPAL).pair == expected
         assert solve(cubic, polish=True).pair == expected
         assert solve_moebius(expected.r, expected.s).pair is None
 
@@ -336,8 +318,9 @@ class TestProperties:
             pair = compute_rs(DepressedCubic(p, q))
             if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
                 continue
-            a = unified_roots(pair.r, pair.s)
-            b = unified_roots(pair.s, pair.r)
+            u, v = principal_cube_root(pair.r), principal_cube_root(pair.s)
+            a = unified_roots(u, v)
+            b = unified_roots(v, u)
             scale = max(1.0, max(abs(x) for x in a))
             assert match_root_sets(a, b) <= 1e-10 * scale
             if pair.case is not CaseTag.EQUAL:

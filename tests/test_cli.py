@@ -76,14 +76,6 @@ class TestSolveFlags:
         rec = json.loads(out)
         assert any(abs(z["re"] - 3) < 1e-9 and abs(z["im"]) < 1e-9 for z in rec["roots"])
 
-    def test_branch_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "solve", "--p=-6", "--q=-9", "--branch", "principal", "--format", "json"
-        )
-        assert code == 0
-        rec = json.loads(out)
-        assert any(abs(z["re"] - 3) < 1e-9 for z in rec["roots"])
-
     def test_polish_flag(self, capsys):
         code, out, _ = run(capsys, "solve", "--expr", "x^3-6x-9", "--polish", "--format", "json")
         assert code == 0

@@ -219,11 +219,11 @@ class TestIntegerPathMatchesFractionFormulas:
     @example(3, 3, 0)
     def test_depress_classify_and_rs(self, a, b, c):
         cubic = GeneralCubic(a, b, c)
-        d, shift = depress(cubic)
+        d, delta = depress(cubic)
         a, b, c = cubic.a, cubic.b, cubic.c
         assert type(d.p) is Fraction and d.p == b - a * a / 3
         assert type(d.q) is Fraction and d.q == 2 * a**3 / 27 - a * b / 3 + c
-        assert shift.delta == a / 3
+        assert delta == a / 3
         pair = compute_rs(d)
         if d.p == 0 or d.q == 0:
             expected = CaseTag.DEGENERATE_P0 if d.p == 0 else CaseTag.DEGENERATE_Q0

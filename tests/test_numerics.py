@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from rscubic import (
     OMEGA,
     OMEGA2,
-    CubeRootBranch,
-    cube_root,
     cube_roots_all,
     principal_arg,
     principal_cube_root,
@@ -121,27 +119,3 @@ class TestCubeRootsAll:
             for w in roots:
                 rotated = w * OMEGA
                 assert min(abs(rotated - other) for other in roots) <= 1e-12 * max(1.0, abs(w))
-
-
-class TestBranches:
-    def test_real_preferring_on_negative_real(self):
-        w = cube_root(complex(-8.0, 0.0), CubeRootBranch.REAL_PREFERRING)
-        assert w == complex(-2.0, 0.0)
-
-    def test_real_preferring_equals_principal_off_axis(self):
-        z = complex(1.0, 2.0)
-        assert cube_root(z, CubeRootBranch.REAL_PREFERRING) == principal_cube_root(z)
-
-    @pytest.mark.parametrize("branch", list(CubeRootBranch))
-    def test_every_branch_cubes_back(self, branch):
-        rng = random.Random(5)
-        for _ in range(100):
-            z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            w = cube_root(z, branch)
-            assert abs(w**3 - z) <= 1e-12 * max(1.0, abs(z))
-
-    def test_omega_branches_are_rotations(self):
-        z = complex(2.0, 1.0)
-        w = principal_cube_root(z)
-        assert cube_root(z, CubeRootBranch.PRINCIPAL_TIMES_OMEGA) == w * OMEGA
-        assert cube_root(z, CubeRootBranch.PRINCIPAL_TIMES_OMEGA_SQ) == w * OMEGA2

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from rscubic import ParseError, parse_coefficient, parse_cubic
-from rscubic.parsing import parse_terms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -124,19 +123,6 @@ class TestParseErrors:
         e = self.err("x^3 + @")
         assert e.position == 6
         assert "^" in str(e)  # caret line rendered
-
-
-class TestParseTerms:
-    def test_term_structure(self):
-        terms = parse_terms("-2x^3+3/4x-sqrt(2)")
-        assert [(t.sign, t.power) for t in terms] == [(-1, 3), (1, 1), (-1, 0)]
-        assert terms[0].coefficient == 2
-        assert terms[1].coefficient == Fraction(3, 4)
-        assert terms[2].coefficient == pytest.approx(SQRT2)
-
-    def test_powers_bounded(self):
-        with pytest.raises(ParseError):
-            parse_terms("x^12")
 
 
 class TestParseCoefficient:

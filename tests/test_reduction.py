@@ -9,7 +9,6 @@ from rscubic import (
     GeneralCubic,
     InvalidInputError,
     RootTriple,
-    Shift,
     depress,
     lift_roots,
     solve,
@@ -19,27 +18,27 @@ finite = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 
 
 def test_depress_trivial():
-    d, shift = depress(GeneralCubic(0, 0, 0))
-    assert (d.p, d.q, shift.delta) == (0, 0, 0)
+    d, delta = depress(GeneralCubic(0, 0, 0))
+    assert (d.p, d.q, delta) == (0, 0, 0)
 
 
 def test_depress_shifted_example():
     # Oracle: (y+2)^3 - 6(y+2)^2 + 11(y+2) - 6 == y^3 - y at sampled points.
-    d, shift = depress(GeneralCubic(-6, 11, -6))
+    d, delta = depress(GeneralCubic(-6, 11, -6))
     assert d.p == Fraction(-1)
     assert d.q == Fraction(0)
-    assert shift.delta == Fraction(-2)
+    assert delta == Fraction(-2)
 
 
 def test_depress_already_depressed_is_identity():
-    d, shift = depress(GeneralCubic(0, -12, 16))
-    assert (d.p, d.q, shift.delta) == (-12, 16, 0)
+    d, delta = depress(GeneralCubic(0, -12, 16))
+    assert (d.p, d.q, delta) == (-12, 16, 0)
 
 
 def test_exact_coefficients_stay_exact():
-    d, shift = depress(GeneralCubic(Fraction(1, 2), Fraction(-3, 4), 5))
+    d, delta = depress(GeneralCubic(Fraction(1, 2), Fraction(-3, 4), 5))
     assert isinstance(d.p, Fraction) and isinstance(d.q, Fraction)
-    assert isinstance(shift.delta, Fraction)
+    assert isinstance(delta, Fraction)
     assert d.p == Fraction(-3, 4) - Fraction(1, 12)
     assert d.q == 2 * Fraction(1, 2) ** 3 / 27 - Fraction(1, 2) * Fraction(-3, 4) / 3 + 5
 
@@ -72,19 +71,19 @@ def _triple(values, case=CaseTag.REAL_DISTINCT):
 
 
 def test_lift_examples():
-    lifted = lift_roots(_triple([0, 1, -1]), Shift(Fraction(-2)))
+    lifted = lift_roots(_triple([0, 1, -1]), Fraction(-2))
     assert [z.real for z in lifted.roots] == [2, 3, 1]
 
     untouched = _triple([1, 2, 3])
-    assert lift_roots(untouched, Shift(Fraction(0))) is untouched
+    assert lift_roots(untouched, Fraction(0)) is untouched
 
-    lifted = lift_roots(_triple([2, 2, -4]), Shift(Fraction(1)))
+    lifted = lift_roots(_triple([2, 2, -4]), Fraction(1))
     assert [z.real for z in lifted.roots] == [1, 1, -5]
 
 
 def test_lift_preserves_case_and_multiplicity():
     triple = RootTriple((complex(2), complex(2), complex(-4)), CaseTag.EQUAL, multiplicity=((0, 2),))
-    lifted = lift_roots(triple, Shift(Fraction(3)))
+    lifted = lift_roots(triple, Fraction(3))
     assert lifted.case is CaseTag.EQUAL
     assert lifted.multiplicity == ((0, 2),)
 
