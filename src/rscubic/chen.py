@@ -23,7 +23,7 @@ p = 0 or q = 0 fall outside the decomposition and are solved directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -94,6 +94,8 @@ class ExactValue:
     radicand: int = 1
 
     def __post_init__(self):
+        if self.radicand == 1 and not self.surd_coef:
+            return  # a plain rational: nothing to fold
         if self.radicand < 0:
             raise ValueError("radicand must be nonnegative")
         if self.radicand in (0, 1) or self.surd_coef == 0:
@@ -411,7 +413,7 @@ def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
             f = ((x + a) * x + b) * x + c
             x = x - f / fp
         polished.append(x)
-    return replace(triple, roots=tuple(polished))
+    return RootTriple(tuple(polished), triple.case, triple.multiplicity, triple.exact, triple.trig, triple.pair)
 
 
 def solve(cubic: GeneralCubic, polish: bool = False) -> RootTriple:

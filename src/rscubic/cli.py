@@ -112,10 +112,17 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         checked += cardano_lifted.roots
     _check_finite(checked)
 
+    # Each coefficient is rounded once; the residuals use GeneralCubic.__call__'s
+    # complex Horner form, so their bits are the same.
+    a, b, c = float(cubic.a), float(cubic.b), float(cubic.c)
+
+    def residuals(roots) -> list:
+        return [abs(((x + a) * x + b) * x + c) for x in roots]
+
     rec = {
         "input": echo,
         "method": args.method,
-        "cubic": {"a": float(cubic.a), "b": float(cubic.b), "c": float(cubic.c)},
+        "cubic": {"a": a, "b": b, "c": c},
         "p": float(d.p),
         "q": float(d.q),
         "shift": float(delta),
@@ -127,10 +134,10 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
     if args.method == "both":
         rec["cardano_roots"] = [_cjson(x) for x in cardano_lifted.roots]
         rec["max_matched_distance"] = match_root_sets(depressed.roots, cardano_depressed.roots)
-        rec["residuals"] = [abs(cubic(x)) for x in lifted.roots]
-        rec["cardano_residuals"] = [abs(cubic(x)) for x in cardano_lifted.roots]
+        rec["residuals"] = residuals(lifted.roots)
+        rec["cardano_residuals"] = residuals(cardano_lifted.roots)
     else:
-        rec["residuals"] = [abs(cubic(x)) for x in lifted.roots]
+        rec["residuals"] = residuals(lifted.roots)
         rec["multiplicity"] = [list(m) for m in lifted.multiplicity]
         rec["exact"] = (
             [str(e) if e is not None else None for e in lifted.exact] if lifted.exact is not None else None
@@ -340,8 +347,7 @@ def cmd_denest(args) -> int:
     if result.exact is not None:
         print(f"value = {result.exact} (exact)")
     else:
-        note = f"   [{result.note}]" if result.note else ""
-        print(f"value = {_fmt(result.value, args.precision)}{note}")
+        print(f"value = {_fmt(result.value, args.precision)}")
     print(f"satisfies: {result.cubic} = 0")
     return 0
 

@@ -8,7 +8,10 @@ i.e. it is a root of x^3 + px + q with
 where the cube root is the real, sign-preserving one (a^2 - b is often
 negative). When a and b are rational and a^2 - b is a perfect rational
 cube, the cubic is exact and a rational-root search can replace the nested
-radical by a plain number -- no by-hand simplification step.
+radical by a plain number -- no by-hand simplification step. The search
+needs no factoring: scaled to a monic integer cubic, a rational root near
+the radical's float value is an integer in a narrow window, found by exact
+bisection, so it always completes.
 """
 
 from __future__ import annotations
@@ -21,11 +24,6 @@ from typing import Optional
 from .chen import fraction_cbrt
 from .numerics import real_cube_root
 from .reduction import Coefficient, DepressedCubic, InvalidInputError, _coerce, is_exact
-
-# Cap on candidate (numerator divisor, denominator divisor) pairs tried by
-# the rational-root search, and on trial-division steps per divisor list.
-SEARCH_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class NestedRadical:
@@ -54,6 +52,7 @@ class DenestResult:
     value: float
     exact: Optional[Fraction]
     cubic: DepressedCubic
+    # Always None since the rational-root search cannot give up; kept for readers of the field.
     note: Optional[str] = None
 
 
@@ -69,48 +68,53 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     return DepressedCubic(p, -2 * a)
 
 
-def _divisors(n: int) -> tuple[list[int], bool]:
-    """Positive divisors of n > 0 (ascending), plus an exhausted flag if capped."""
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if i > SEARCH_CAP:
-            return small + large[::-1], True
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1], False
-
-
-def _rational_root_near(p: Fraction, q: Fraction, target: float) -> tuple[Optional[Fraction], bool]:
+def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:
     """Rational root of x^3 + px + q within 1e-9 of target, if one exists.
 
-    Candidates come from the rational root theorem on the integerized cubic
-    L x^3 + Lp x + Lq (L clearing both denominators); verification is exact
-    Fraction arithmetic. Returns (root_or_None, search_exhausted).
+    With L = lcm(den p, den q), y = L x gives the monic integer cubic
+    y^3 + P y + Q (P = p L^2, Q = q L^3), whose rational roots are integers
+    (rational root theorem). Only integers within about 2e-9 max(1, |target|)
+    of L target can pass, and the cubic is strictly monotone on the integer
+    runs y < -k, |y| <= k and y > k (k = floor(sqrt(-P/3)) when P < 0), so
+    exact bisection finds each run's root in O(log window) evaluations.
+    Ties go to the smallest reduced denominator, then the smallest
+    |numerator|, then the positive root.
     """
-    lead = math.lcm(p.denominator, q.denominator)
-    const = abs(q.numerator * (lead // q.denominator)) if q != 0 else 0
-    if const == 0:
+    if q == 0:
         # q = 0: zero is a root; it only denests the radical if it IS the value.
-        return (Fraction(0), False) if abs(target) <= 1e-9 else (None, False)
-    num_divs, exhausted_n = _divisors(const)
-    den_divs, exhausted_d = _divisors(lead)
-    exhausted = exhausted_n or exhausted_d
-    tried = 0
-    for den in den_divs:
-        for num in num_divs:
-            tried += 1
-            if tried > SEARCH_CAP:
-                return None, True
-            if abs(num / den - abs(target)) > 1e-9 * max(1.0, abs(target)):
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand**3 + p * cand + q == 0 and abs(float(cand) - target) <= 1e-9:
-                    return cand, exhausted
-    return None, exhausted
+        return Fraction(0) if abs(target) <= 1e-9 else None
+    lead = math.lcm(p.denominator, q.denominator)
+    big_p = p.numerator * (lead // p.denominator) * lead
+    big_q = q.numerator * (lead // q.denominator) * lead * lead
+    scale = max(1.0, abs(target))
+    width = 2e-9 * scale
+    n, d = (target - width).as_integer_ratio()
+    lo = lead * n // d - 1
+    n, d = (target + width).as_integer_ratio()
+    hi = -(-lead * n // d) + 1
+    if big_p < 0:
+        k = math.isqrt(-big_p // 3)
+        runs = ((lo, -k - 1, 1), (-k, k, -1), (k + 1, hi, 1))
+    else:
+        runs = ((lo, hi, 1),)
+    found = []
+    for start, stop, sign in runs:
+        # Smallest y in the run with sign * f(y) >= 0; f(y) = 0 there iff the run has a root.
+        y, stop = max(start, lo), min(stop, hi)
+        if y > stop:
+            continue
+        while y < stop:
+            mid = (y + stop) // 2
+            if sign * ((mid * mid + big_p) * mid + big_q) >= 0:
+                stop = mid
+            else:
+                y = mid + 1
+        if (y * y + big_p) * y + big_q == 0:
+            x = Fraction(y, lead)
+            fx = float(x)
+            if abs(fx - target) <= 1e-9 and abs(abs(fx) - abs(target)) <= 1e-9 * scale:
+                found.append(x)
+    return min(found, key=lambda x: (x.denominator, abs(x.numerator), x < 0), default=None)
 
 
 def denest(radical: NestedRadical) -> DenestResult:
@@ -122,6 +126,4 @@ def denest(radical: NestedRadical) -> DenestResult:
         return DenestResult(value, Fraction(0), cubic)
     if not cubic.exact:
         return DenestResult(value, None, cubic)
-    root, exhausted = _rational_root_near(Fraction(cubic.p), Fraction(cubic.q), value)
-    note = "search exhausted" if (exhausted and root is None) else None
-    return DenestResult(value, root, cubic, note)
+    return DenestResult(value, _rational_root_near(Fraction(cubic.p), Fraction(cubic.q), value), cubic)

@@ -10,7 +10,7 @@ into a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
@@ -57,9 +57,16 @@ class GeneralCubic:
             raise InvalidInputError("leading coefficient must be nonzero")
         a, b, c = _coerce(a), _coerce(b), _coerce(c)
         # Dividing by an exact 1 changes nothing; a float 1.0 still turns
-        # exact coefficients into floats.
-        if lead != 1 or isinstance(lead, float):
+        # exact coefficients into floats. An exact lead ln/ld divides an exact
+        # coefficient as one Fraction(n ld, d ln), not a Fraction division.
+        if isinstance(lead, float):
             a, b, c = a / lead, b / lead, c / lead
+        elif lead != 1:
+            ln, ld = lead.numerator, lead.denominator
+            a, b, c = (
+                Fraction(v.numerator * ld, v.denominator * ln) if isinstance(v, Fraction) else v / lead
+                for v in (a, b, c)
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -139,7 +146,9 @@ def lift_roots(triple: "RootTriple", delta: Coefficient) -> "RootTriple":
     exact = triple.exact
     if exact is not None:
         if is_exact(delta):
-            exact = tuple(e.shift(-Fraction(delta)) if e is not None else None for e in exact)
+            dr = -Fraction(delta)
+            exact = tuple(e.shift(dr) if e is not None else None for e in exact)
         else:
             exact = None
-    return replace(triple, roots=roots, exact=exact)
+    # type(triple) is chen.RootTriple, which this module cannot import at load time.
+    return type(triple)(roots, triple.case, triple.multiplicity, exact, triple.trig, triple.pair)

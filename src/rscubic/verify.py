@@ -44,7 +44,7 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
     """
     p, q = float(d.p), float(d.q)
     x0, x1, x2 = triple.roots
-    residuals = tuple(abs(d(x)) for x in triple.roots)
+    residuals = tuple(abs((x * x + p) * x + q) for x in triple.roots)
     vieta = (
         abs(x0 + x1 + x2),
         abs(x0 * x1 + x0 * x2 + x1 * x2 - p),

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rscubic import (
     InvalidInputError,
@@ -10,6 +11,7 @@ from rscubic import (
     radical_to_cubic,
     real_cube_root,
 )
+from rscubic.denest import _rational_root_near
 
 # Frozen by independent evaluation: (1+sqrt(2))**(1/3) - (sqrt(2)-1)**(1/3)
 VALUE_1_2 = 0.5960716379833214
@@ -91,11 +93,99 @@ class TestDenest:
         assert result.exact is None
 
     def test_search_exhausted_note(self):
-        # q = -2a with a huge prime-ish numerator: divisor enumeration caps out
+        # q = -2a with a huge prime numerator: a divisor enumeration would give
+        # up; the window search completes, and no integer near the value is a root.
         a = Fraction(2**89 - 1)  # Mersenne prime
         result = denest(NestedRadical(a, a * a - 1))
         assert result.exact is None
-        assert result.note == "search exhausted"
+        assert result.note is None
+
+    def test_root_with_huge_prime_denominator(self):
+        # x = 7/D, D = 10^20 + 39 prime, from x^3 + 3x = 2a (a^2 - b = -1):
+        # the denominator D^3 of q has no divisor below 10^6 but 1.
+        x = Fraction(7, 10**20 + 39)
+        a = (x**3 + 3 * x) / 2
+        result = denest(NestedRadical(a, a * a + 1))
+        assert result.exact == x
+        assert result.note is None
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _reference_root(p: Fraction, q: Fraction, target: float):
+    """Brute-force rational-root search: every (numerator, denominator) pair the
+    rational root theorem allows, smallest denominator first, then smallest
+    numerator, + before -; the first exact root within 1e-9 of target wins."""
+    if q == 0:
+        return Fraction(0) if abs(target) <= 1e-9 else None
+    lead = math.lcm(p.denominator, q.denominator)
+    nums = _divisors(abs(q.numerator) * (lead // q.denominator))
+    for den in _divisors(lead):
+        for num in nums:
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if cand**3 + p * cand + q == 0 and abs(float(cand) - target) <= 1e-9:
+                    return cand
+    return None
+
+
+@st.composite
+def exact_radicals(draw):
+    """(a, b) with a^2 - b = m^3 for a rational m, so the cubic x^3 - 3mx - 2a is
+    exact; with no offset, 2a = x^3 - 3mx puts the rational x among its roots."""
+    x = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
+    m = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    a = (x**3 - 3 * m * x) / 2 + draw(st.sampled_from([0, 0, Fraction(1, 2), 1]))
+    assume(a * a >= m**3)
+    return a, a * a - m**3
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_radicals())
+@example((Fraction(9, 2), Fraction(49, 4)))
+@example((Fraction(2), Fraction(5)))
+@example((Fraction(1), Fraction(2)))
+@example((Fraction(0), Fraction(7)))
+@example((Fraction(3), Fraction(9)))
+@example((Fraction(-7), Fraction(50)))
+def test_matches_divisor_reference(radical):
+    a, b = radical
+    result = denest(NestedRadical(a, b))
+    assert result.note is None
+    if result.cubic.exact:
+        p, q = Fraction(result.cubic.p), Fraction(result.cubic.q)
+        assert result.exact == _reference_root(p, q, result.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.sampled_from([0, 1, 2]),
+)
+@example(Fraction(1), Fraction(2), 0)  # x^3 - 7x + 6: root 1 lies between the critical points
+@example(Fraction(1, 2), Fraction(2, 3), 1)
+def test_three_real_roots_match_divisor_reference(r1, r2, k):
+    # Radicals only reach the one-real-root side; a cubic with three rational
+    # roots also puts one between the critical points, where it is decreasing.
+    roots = (r1, r2, -r1 - r2)
+    p = r1 * r2 + (r1 + r2) * roots[2]
+    q = -r1 * r2 * roots[2]
+    target = float(roots[k])
+    assert _rational_root_near(p, q, target) == _reference_root(p, q, target)
+    assert _rational_root_near(p, q, target + 1e-3) is None
+
+
+def test_tie_goes_to_smallest_denominator():
+    # Two rational roots within 1e-9 of the target: 3/10^10 has the smaller
+    # denominator, -1/(10^10 + 1) the smaller numerator.
+    r1, r2 = Fraction(3, 10**10), Fraction(-1, 10**10 + 1)
+    r3 = -r1 - r2
+    p, q = r1 * r2 + (r1 + r2) * r3, -r1 * r2 * r3
+    assert _rational_root_near(p, q, 0.0) == r1
+    assert _rational_root_near(p, q, float(r2)) == r1
 
 
 @settings(max_examples=200, deadline=None)
