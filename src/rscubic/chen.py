@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decompose import CaseTag, RsPair, classify, compute_rs
-from .numerics import OMEGA, OMEGA2, cube_roots_all, principal_arg, real_cube_root
+from .decompose import _NEGLIGIBLE_P_BITS, CaseTag, RsPair, classify, compute_rs
+from .numerics import OMEGA, OMEGA2, _exponent, _root, cube_roots_all, principal_arg, real_cube_root
 from .reduction import DepressedCubic, GeneralCubic, depress, is_exact, lift_roots
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -183,23 +183,6 @@ def _as_real(x) -> float:
     return float(x)
 
 
-def _with_negligible_p_zeroed(d: DepressedCubic) -> DepressedCubic:
-    """Zero out p when its effect on the roots is below double resolution.
-
-    The roots have magnitude ~|q|^(1/3), so p matters only through
-    p*|q|^(1/3) against q; once |p|^3 < 1e-60 * q^2 (log-compared, and
-    covariant under (p,q) -> (p l^2, q l^3)) the px term is invisible in
-    doubles while the decomposition's r, s overflow/underflow. Solving
-    x^3 + q instead is then exact to the last ulp.
-    """
-    p, q = float(d.p), float(d.q)
-    if p == 0.0 or q == 0.0:
-        return d
-    if 3.0 * math.log(abs(p)) < 2.0 * math.log(abs(q)) - 138.2:
-        return DepressedCubic(0.0, d.q)
-    return d
-
-
 def _multiplicity_of(values) -> tuple[tuple[int, int], ...]:
     """(index, count) entries for exactly-equal runs in a sorted list."""
     notes = []
@@ -341,9 +324,10 @@ def solve_moebius(r: complex, s: complex) -> RootTriple:
 
 
 def solve_degenerate(d: DepressedCubic) -> RootTriple:
-    """p = 0 or q = 0: solved directly, no decomposition involved.
+    """p = 0 (or negligible) or q = 0: solved directly, no decomposition involved.
 
-    q = 0: x(x^2 + p) -> {0, +-sqrt(-p)};  p = 0: the cube roots of -q.
+    q = 0: x(x^2 + p) -> {0, +-sqrt(-p)};  p = 0: the cube roots of -q, exact
+    only if p is exactly 0. Roots go through one power-of-two scale.
     """
     p, q = d.p, d.q
     if p == 0 and q == 0:
@@ -352,28 +336,28 @@ def solve_degenerate(d: DepressedCubic) -> RootTriple:
             (0j, 0j, 0j), CaseTag.DEGENERATE_P0, multiplicity=((0, 3),), exact=(zero, zero, zero)
         )
     if q == 0:
-        pf = float(p)
-        if pf < 0:
-            w = math.sqrt(-pf)
+        w = _root(abs(p), 2)
+        if p < 0:
             roots = (complex(-w, 0.0), complex(0.0, 0.0), complex(w, 0.0))
-            exact = None
-            if is_exact(p):
-                sv = ExactValue.sqrt_of(-Fraction(p))
-                exact = (-sv, ExactValue(Fraction(0)), sv)
+            sv = ExactValue.sqrt_of(-Fraction(p)) if is_exact(p) else None
+            exact = (-sv, ExactValue(Fraction(0)), sv) if sv is not None else None
             return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact)
-        w = math.sqrt(pf)
         roots = (complex(0.0, 0.0), complex(0.0, -w), complex(0.0, w))
         exact = (ExactValue(Fraction(0)), None, None) if is_exact(p) else None
         return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact)
-    c = real_cube_root(-float(q))
+    c = _root(-q, 3)
     re, im = -c / 2.0, abs(c) * _SQRT3 / 2.0
     roots = (complex(c, 0.0), complex(re, -im), complex(re, im))
-    exact = None
-    if is_exact(q):
-        cr = fraction_cbrt(-Fraction(q))
-        if cr is not None:
-            exact = (ExactValue(cr), None, None)
-    return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact)
+    cr = fraction_cbrt(-Fraction(q)) if is_exact(q) and p == 0 else None
+    return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=(ExactValue(cr), None, None) if cr is not None else None)
+
+
+def _dispatch_pair(d: DepressedCubic) -> RsPair:
+    """compute_rs(d), but a negligible exact p, which compute_rs keeps in band, is dropped too."""
+    pair = compute_rs(d)
+    if pair.case is CaseTag.REAL_DISTINCT and d.exact and 2 * _exponent(d.q) - 3 * _exponent(d.p) > _NEGLIGIBLE_P_BITS:
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
+    return pair
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:
@@ -383,17 +367,14 @@ def solve_depressed(d: DepressedCubic) -> RootTriple:
     roots for real r, s; the cosine form for a conjugate pair), and exact
     and trig annotations are carried.
     """
-    d = _with_negligible_p_zeroed(d)
-    pair = compute_rs(d)
+    pair = _dispatch_pair(d)
     if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
         triple = solve_degenerate(d)
     elif pair.case is CaseTag.EQUAL:
         triple = solve_equal(pair.exact_r if pair.exact_r is not None else pair.r.real)
     elif pair.case is CaseTag.REAL_DISTINCT:
-        if pair.exact_r is not None:
-            triple = solve_real_distinct(pair.exact_r, pair.exact_s)
-        else:
-            triple = solve_real_distinct(pair.r.real, pair.s.real)
+        # An exact r, s gives the same floats: pair.r is complex(exact_r).
+        triple = solve_real_distinct(pair.r.real, pair.s.real)
     else:
         triple = solve_conjugate(pair.r)
     # The triple is freshly built, so the pair is recorded on it without a copy.

@@ -23,12 +23,13 @@ from .cardano import cardano_solve, match_root_sets
 from .chen import (
     InvalidCaseError,
     RootTriple,
+    _dispatch_pair,
     newton_polish,
     solve_degenerate,
     solve_depressed,
     solve_moebius,
 )
-from .decompose import CaseTag, compute_rs
+from .decompose import CaseTag
 from .denest import NestedRadical, denest
 from .parsing import ParseError, parse_coefficient, parse_cubic
 from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress, lift_roots
@@ -90,14 +91,14 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
     """One pass per cubic: depress, solve once per method, lift, then record.
 
     The case and (r, s) reported are those of the pair the r,s solve
-    dispatched on; Cardano and Moebius get theirs from one compute_rs call.
+    dispatched on; Cardano and Moebius get theirs from the same dispatch.
     """
     d, delta = depress(cubic)
     if args.method in ("chen", "both"):
         depressed = solve_depressed(d)
         pair = depressed.pair
     else:
-        pair = compute_rs(d)
+        pair = _dispatch_pair(d)
         if args.method == "cardano":
             depressed, _ = cardano_solve(d)
         elif pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):

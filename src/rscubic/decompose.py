@@ -28,6 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from .numerics import _band, _exponent, _shift
 from .reduction import Coefficient, DepressedCubic
 
 # Relative half-width of the band around 0 inside which the discriminant is
@@ -35,6 +36,9 @@ from .reduction import Coefficient, DepressedCubic
 # zero the distinct-root formulas are ill-conditioned while the equal-case
 # formula r = s = -3q/(2p) is exact, so the band errs toward Equal.
 EQUAL_BAND = 1e-12
+
+# |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
+_NEGLIGIBLE_P_BITS = 199
 
 
 class CaseTag(Enum):
@@ -100,46 +104,51 @@ def rs_quadratic(d: DepressedCubic) -> tuple[Coefficient, Coefficient]:
     return 3 * d.q / d.p, -d.p / 3
 
 
-def _sqrt_ratio(n: int, m: int) -> float:
-    """sqrt(|n / m|) for integers n and m > 0, from |n| / m rounded once.
-
-    A quotient beyond the double range is first divided by a power of 4,
-    and its square root multiplied back by the power of 2.
-    """
-    n = abs(n)
-    try:
-        return math.sqrt(n / m)
-    except OverflowError:
-        k = (n.bit_length() - m.bit_length()) // 2
-        return math.ldexp(math.sqrt(n / (m << 2 * k)), k)
+def _ratio(n: int, m: int, e: int) -> float:
+    """n * 2^e / m for integers n and m != 0, rounded once."""
+    return (n << e) / m if e >= 0 else n / (m << -e)
 
 
 def compute_rs(d: DepressedCubic) -> RsPair:
     """Solve t^2 + (3q/p)t - p/3 = 0 for the pair (r, s).
 
-    Degenerate inputs (p = 0 or q = 0) return a tag with r, s unset; the
-    solver handles those directly without a decomposition. Rational inputs
-    whose quadratic discriminant is a perfect rational square get exact
-    rational r, s.
+    p = 0, q = 0 and a negligible p return a tag with r, s unset. Range: r, s
+    scale by 2^k under (p, q) -> (p 4^k, q 8^k), so the quadratic is solved on
+    (p 4^-k, q 8^-k), k = max(ceil(e_p/2), ceil(e_q/3)) from binary exponents,
+    and the float r, s are multiplied by 2^k, exactly; in band (|k| <= 100)
+    k = 0. Exact r, s come back when the quadratic discriminant is a square.
     """
+    p, q = d.p, d.q
+    if p == 0:
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
+    if q == 0:
+        return RsPair(None, None, CaseTag.DEGENERATE_Q0)
+    ep, eq = _exponent(p), _exponent(q)
+    k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
+    k = _band(kq if kq > k else k)
+    # An exact cubic in band keeps a negligible p while r, s fit in doubles: its pair is exact-rounded.
+    gap = 2 * eq - 3 * ep
+    if gap > _NEGLIGIBLE_P_BITS and (k or gap > 1000 or not d.exact):
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
     if d.exact:
-        return _compute_rs_exact(d)
+        return _compute_rs_exact(d, k)
+    if k:
+        # An exact p of a mixed cubic stays exact, so its bits do not change.
+        d = DepressedCubic(_shift(p, -2 * k), _shift(q, -3 * k))
     case = classify(d)
-    if case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
-        return RsPair(None, None, case)
+    if case is CaseTag.DEGENERATE_Q0:  # q underflowed at unit scale: solve x^3 + px
+        case = CaseTag.REAL_DISTINCT if p > 0 else CaseTag.CONJUGATE_PAIR
 
     B, C = rs_quadratic(d)
     if case is CaseTag.EQUAL:
-        half = -B / 2
-        return RsPair(complex(half), complex(half), case)
+        half = complex(math.ldexp(-B / 2, k))
+        return RsPair(half, half, case)
     B, C = float(B), float(C)
-    if abs(B) > 1e150:
-        return _rs_huge_b(B, C, case)
     disc = B * B - 4.0 * C
-    return _rs_float(case, B, C, math.sqrt(abs(disc)) if case is CaseTag.REAL_DISTINCT else math.sqrt(-disc))
+    return _rs_float(case, B, C, math.sqrt(abs(disc)) if case is CaseTag.REAL_DISTINCT else math.sqrt(-disc), k)
 
 
-def _compute_rs_exact(d: DepressedCubic) -> RsPair:
+def _compute_rs_exact(d: DepressedCubic, k: int) -> RsPair:
     """compute_rs on integers: with p = P/dp and q = Q/dq,
 
         B = 3q/p = 3 Q dp / (dq P),   C = -p/3 = -P / (3 dp),
@@ -147,15 +156,10 @@ def _compute_rs_exact(d: DepressedCubic) -> RsPair:
 
     so the case is the sign of n, the quadratic discriminant is a rational
     square exactly when n * 3 P^2 dp dq^2 is an integer square, and each
-    float is one correctly rounded int / int division, bit-equal to the
-    float of the Fraction it stands for.
+    float is one correctly rounded int / int division at scale 2^-k,
+    bit-equal to the float of the Fraction it stands for when k = 0.
     """
-    p, q = d.p, d.q
-    if p == 0:
-        return RsPair(None, None, CaseTag.DEGENERATE_P0)
-    if q == 0:
-        return RsPair(None, None, CaseTag.DEGENERATE_Q0)
-    P, dp, Q, dq = p.numerator, p.denominator, q.numerator, q.denominator
+    P, dp, Q, dq = d.p.numerator, d.p.denominator, d.q.numerator, d.q.denominator
     n = integer_discriminant(d)[0]
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
@@ -174,32 +178,20 @@ def _compute_rs_exact(d: DepressedCubic) -> RsPair:
             s = Fraction(-root * b_den - b_num * disc_den, den)
             return RsPair(complex(r), complex(s), case, r, s)
 
-    B = b_num / b_den
-    C = -P / (3 * dp)
-    if abs(B) > 1e150:
-        return _rs_huge_b(B, C, case)
     # The exact discriminant is rounded once: B*B - 4C in doubles cancels
     # when B^2 ~ 4|C| and can even flip sign.
-    return _rs_float(case, B, C, _sqrt_ratio(n, disc_den))
+    w = math.sqrt(_ratio(abs(n), disc_den, -2 * k))
+    return _rs_float(case, _ratio(b_num, b_den, -k), _ratio(-P, 3 * dp, -2 * k), w, k)
 
 
-def _rs_huge_b(B: float, C: float, case: CaseTag) -> RsPair:
-    # B*B would overflow; the 4C/B^2 correction is below double
-    # resolution there, so the roots are -B and C/(-B) outright.
-    t1 = -B
-    t2 = C / t1
-    r, s = (t1, t2) if t1 >= t2 else (t2, t1)
-    return RsPair(complex(r), complex(s), case)
-
-
-def _rs_float(case: CaseTag, B: float, C: float, w: float) -> RsPair:
-    """Float r, s of t^2 + Bt + C, given w = sqrt(|B^2 - 4C|)."""
+def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:
+    """Float r, s of t^2 + Bt + C, given w = sqrt(|B^2 - 4C|), times 2^k."""
     if case is CaseTag.REAL_DISTINCT:
         # Stable form: the large-magnitude root first, the other from the
         # product so that r*s reproduces C to a rounding error.
         t1 = -(B + math.copysign(w, B)) / 2.0 if B != 0 else w / 2.0
         t2 = C / t1
         r, s = (t1, t2) if t1 >= t2 else (t2, t1)
-        return RsPair(complex(r), complex(s), case)
-    r = complex(-B / 2.0, w / 2.0)
+        return RsPair(complex(math.ldexp(r, k)), complex(math.ldexp(s, k)), case)
+    r = complex(math.ldexp(-B / 2.0, k), math.ldexp(w / 2.0, k))
     return RsPair(r, r.conjugate(), case)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chen import fraction_cbrt
-from .numerics import real_cube_root
+from .numerics import _root, real_cube_root
 from .reduction import Coefficient, DepressedCubic, InvalidInputError, _coerce, is_exact
 
 @dataclass(frozen=True)
@@ -41,10 +41,8 @@ class NestedRadical:
         object.__setattr__(self, "b", b)
 
     def evaluate(self) -> float:
-        """Direct numeric value, via real cube roots."""
-        a, b = float(self.a), float(self.b)
-        w = math.sqrt(b)
-        return real_cube_root(a + w) + real_cube_root(a - w)
+        """Direct numeric value, via real cube roots (see _value)."""
+        return _value(self, radical_to_cubic(self))
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,16 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     """The depressed cubic the radical's value satisfies: p = -3 cbrt(a^2-b), q = -2a."""
     a, b = radical.a, radical.b
     t = a * a - b
-    if is_exact(t):
-        cr = fraction_cbrt(Fraction(t))
-        p = -3 * cr if cr is not None else -3.0 * real_cube_root(float(t))
-    else:
-        p = -3.0 * real_cube_root(float(t))
-    return DepressedCubic(p, -2 * a)
+    cr = fraction_cbrt(Fraction(t)) if is_exact(t) else None
+    return DepressedCubic(-3 * cr if cr is not None else -3.0 * _root(t, 3), -2 * a)
+
+
+def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
+    """u = cbrt(a + sign(a) sqrt(b)) plus the other cube root, cbrt(a^2 - b) / u = -p / (3u):
+    p = -3 cbrt(a^2 - b) of the radical's cubic is formed from an exact a^2 - b, so b ~ a^2 does not cancel."""
+    a = float(radical.a)
+    u = real_cube_root(a + math.copysign(_root(radical.b, 2), a))
+    return u - float(cubic.p) / (3.0 * u) if a else 0.0  # a = 0: the two cube roots cancel exactly
 
 
 def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:
@@ -119,8 +121,8 @@ def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fra
 
 def denest(radical: NestedRadical) -> DenestResult:
     """Numeric value of the radical, plus its exact rational form when one exists."""
-    value = radical.evaluate()
     cubic = radical_to_cubic(radical)
+    value = _value(radical, cubic)
     if is_exact(radical.a) and radical.a == 0:
         # cbrt(sqrt(b)) + cbrt(-sqrt(b)) cancels identically, whatever b is.
         return DenestResult(value, Fraction(0), cubic)

@@ -47,6 +47,28 @@ def real_cube_root(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _exponent(x) -> int:
+    """e with |x| within a factor 4 of 2^e (x != 0): frexp's for a float, bit lengths for an exact x."""
+    return math.frexp(x)[1] if isinstance(x, float) else x.numerator.bit_length() - x.denominator.bit_length()
+
+
+def _band(k: int) -> int:
+    """The scale exponent applied: 0 inside |k| <= 100, where no double of the formulas overflows."""
+    return k if k > 100 or k < -100 else 0
+
+
+def _shift(x, e: int):
+    """x * 2^e, exactly: ldexp for a float, a Fraction product for an exact x."""
+    return math.ldexp(x, e) if isinstance(x, float) else x * 2**e if e >= 0 else x / 2**-e
+
+
+def _root(x, n: int) -> float:
+    """sqrt(x) (n = 2) or the real cube root (n = 3) of a float or exact x, as root(x 2^-nk) 2^k."""
+    k = _band(-(-_exponent(x) // n))
+    y = float(_shift(x, -n * k)) if k else float(x)
+    return math.ldexp(math.sqrt(y) if n == 2 else real_cube_root(y), k)
+
+
 def cube_roots_all(z: complex) -> tuple[complex, complex, complex]:
     """All three cube roots of z: principal * {1, omega, omega^2}."""
     w = principal_cube_root(z)

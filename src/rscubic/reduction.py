@@ -36,7 +36,8 @@ def _coerce(value) -> Coefficient:
 
 
 def is_exact(value) -> bool:
-    return isinstance(value, (Fraction, int))
+    # A float is ruled out first: isinstance of a float against the Fraction ABC is slow.
+    return not isinstance(value, float) and isinstance(value, (Fraction, int))
 
 
 @dataclass(frozen=True)

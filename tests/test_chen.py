@@ -187,6 +187,13 @@ class TestSolveDegenerate:
         assert str(triple.exact[2]) == "2*sqrt(2)"
         assert float(triple.exact[2]) == pytest.approx(math.sqrt(8))
 
+    def test_negligible_p_has_no_exact_cube_root(self):
+        # f(-2) = -2e-30 for x^3 + 1e-30 x + 8, so -2 is not an exact root.
+        d = DepressedCubic(Fraction(1, 10**30), 8)
+        assert solve_degenerate(d).exact is None
+        triple = solve(GeneralCubic(0, d.p, d.q))
+        assert triple.case is CaseTag.DEGENERATE_P0 and triple.exact is None
+
     def test_p_zero(self):
         triple = solve_degenerate(DepressedCubic(0, -8))
         assert triple.roots[0] == complex(2)

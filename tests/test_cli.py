@@ -103,6 +103,11 @@ class TestSolveFlags:
         assert rec["case"] == solve(GeneralCubic(0, 1, q)).case.value == "degenerate_p0"
         assert rec["r"] is None and rec["s"] is None
 
+    def test_negligible_p_claims_no_exact_root(self, capsys):
+        code, out, _ = run(capsys, "solve", "--expr", "x^3 + 1/1000000000000000000000000000000x + 8", "--format", "exact")
+        assert code == 0
+        assert "degenerate_p0" in out and "(exact)" not in out
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):

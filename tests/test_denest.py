@@ -109,6 +109,13 @@ class TestDenest:
         assert result.exact == x
         assert result.note is None
 
+    def test_b_beyond_double_range(self):
+        # b = a^2 + 1 is about 2.5e599, yet the value is 10^100.
+        x = Fraction(10**100)
+        a = (x**3 + 3 * x) / 2
+        result = denest(NestedRadical(a, a * a + 1))
+        assert abs(result.value - 1e100) <= 1e-13 * 1e100
+
 
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -193,6 +200,7 @@ def test_tie_goes_to_smallest_denominator():
     st.fractions(min_value=-20, max_value=20),
     st.fractions(min_value=0, max_value=400),
 )
+@example(Fraction(20), Fraction(19070011233469367, 47675028083944))  # b ~ a^2: cbrt(a - sqrt(b)) cancelled
 def test_roundtrip_residual(a, b):
     radical = NestedRadical(a, b)
     result = denest(radical)

@@ -1,0 +1,131 @@
+"""Range: one power-of-two scale in compute_rs, checked against mpmath.
+
+The r,s problem is covariant: (p, q) -> (p 4^j, q 8^j) maps r, s and the
+roots by 2^j. compute_rs solves out-of-range cubics at unit scale, so its
+pair must be the unit-scale pair times 2^j to the bit, and the roots of
+cubics far outside the double range of p^3 and q^2 must still match an
+arbitrary-precision oracle root by root.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from rscubic import CaseTag, DepressedCubic, GeneralCubic, compute_rs, solve, solve_depressed
+
+mpmath = pytest.importorskip("mpmath")
+
+
+def unit(x):
+    return math.copysign(1.0, x) * (abs(x) + 0.0625)
+
+
+unit_float = st.floats(-4, 4, allow_nan=False).map(unit)
+unit_exact = st.fractions(-4, 4, max_denominator=1000).map(lambda x: x + (1 if x >= 0 else -1))
+
+
+def scaled(x, e):
+    return math.ldexp(x, e) if isinstance(x, float) else x * Fraction(2) ** e
+
+
+def bits(z):
+    return None if z is None else (z.real.hex(), z.imag.hex(), math.copysign(1.0, z.imag))
+
+
+@given(st.one_of(st.tuples(unit_float, unit_float), st.tuples(unit_exact, unit_exact)), st.sampled_from([300, -300]))
+def test_pair_is_bitwise_covariant(pq, j):
+    p, q = pq
+    base = compute_rs(DepressedCubic(p, q))
+    pair = compute_rs(DepressedCubic(scaled(p, 2 * j), scaled(q, 3 * j)))
+    assert pair.case is base.case
+    for got, want in ((pair.r, base.r), (pair.s, base.s)):
+        assert bits(got) == bits(complex(math.ldexp(want.real, j), math.ldexp(want.imag, j)))
+    if base.exact_r is not None:
+        assert (pair.exact_r, pair.exact_s) == (base.exact_r * Fraction(2) ** j, base.exact_s * Fraction(2) ** j)
+
+
+def oracle_roots(p, q):
+    """Roots of x^3 + px + q for float or exact p, q, solved by mpmath at unit scale."""
+    with mpmath.workdps(60):
+        p, q = (mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mpmath.mpf(v) for v in (p, q))
+        lam = max(mpmath.sqrt(abs(p)), mpmath.cbrt(abs(q)))
+        roots = mpmath.polyroots([1, 0, p / lam**2, q / lam**3], maxsteps=200, extraprec=100)
+        return [complex(z * lam) for z in roots]
+
+
+def assert_roots_match(roots, p, q, rel=1e-12):
+    assert all(math.isfinite(abs(x)) for x in roots)
+    for z in oracle_roots(p, q):
+        assert min(abs(x - z) for x in roots) <= rel * abs(z), roots
+
+
+# (p, q) of well-separated unit shapes: roots {1, 2, -3}, {1, 3, -4}, {1, -1/2 +- i}, {-1, 0, 1}, cube roots of -1.
+SHAPES = [(-7, 6), (-13, 12), (Fraction(1, 4), Fraction(-5, 4)), (-1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["three_real", "three_real_wide", "real_and_pair", "q0", "p0"])
+@pytest.mark.parametrize("e", range(-100, 101, 8))
+def test_float_shapes_match_mpmath_across_the_double_range(shape, e):
+    lam = 10.0**e
+    p, q = float(shape[0]) * lam * lam, float(shape[1]) * lam**3
+    assert_roots_match(solve_depressed(DepressedCubic(p, q)).roots, p, q)
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(-3, 2)], ids=["three_real", "three_real_wide", "real_and_pair", "q0", "p0", "equal"])
+@pytest.mark.parametrize("e", range(-250, 251, 25))
+def test_exact_shapes_match_mpmath_across_the_double_range(shape, e):
+    lam = Fraction(10) ** e
+    p, q = Fraction(shape[0]) * lam * lam, Fraction(shape[1]) * lam**3
+    assert_roots_match(solve_depressed(DepressedCubic(p, q)).roots, p, q)
+
+
+def test_huge_float_conjugate_case_is_finite():
+    triple = solve_depressed(DepressedCubic(-3e120, 1e180))
+    assert triple.case is CaseTag.CONJUGATE_PAIR
+    assert_roots_match(triple.roots, -3e120, 1e180)
+
+
+@pytest.mark.parametrize(
+    "p, q, case",
+    [(1e-110, 1e-170, CaseTag.REAL_DISTINCT), (-3e-120, 1e-181, CaseTag.CONJUGATE_PAIR)],
+    ids=["real_and_pair", "three_real"],
+)
+def test_tiny_float_cubics_do_not_underflow_into_the_equal_case(p, q, case):
+    # The first has its real root 1e5 below the pair, where -uv(u + v) cancels
+    # about five digits (at any scale), hence the looser bound.
+    triple = solve_depressed(DepressedCubic(p, q))
+    assert triple.case is case
+    assert_roots_match(triple.roots, p, q, rel=1e-9)
+
+
+def test_exact_double_root_beyond_double_range_of_q():
+    t = 10**200
+    triple = solve(GeneralCubic(0, -3 * t * t, 2 * t**3))
+    assert triple.case is CaseTag.EQUAL
+    assert [e.as_fraction() for e in triple.exact] == [-2 * t, t, t]
+    assert triple.roots == (complex(-2e200), complex(1e200), complex(1e200))
+
+
+def test_exact_distinct_roots_beyond_double_range_of_q():
+    r = (10**200, 2 * 10**200, -3 * 10**200)
+    cubic = GeneralCubic(-sum(r), r[0] * r[1] + r[0] * r[2] + r[1] * r[2], -r[0] * r[1] * r[2])
+    triple = solve(cubic)
+    for x, want in zip(triple.roots, sorted(r)):
+        assert x.imag == 0 and abs(x.real - want) <= 1e-14 * abs(want)
+
+
+def test_pure_cube_beyond_double_range():
+    triple = solve(GeneralCubic(0, 0, -(10**600)))
+    assert triple.case is CaseTag.DEGENERATE_P0
+    assert triple.roots[0] == complex(1e200)
+    assert triple.exact[0].as_fraction() == 10**200
+    assert all(abs(abs(x) - 1e200) <= 1e-14 * 1e200 for x in triple.roots)
+
+
+def test_q0_cubic_beyond_double_range():
+    triple = solve(GeneralCubic(0, -(10**400), 0))
+    assert triple.case is CaseTag.DEGENERATE_Q0
+    assert triple.roots == (complex(-1e200), 0j, complex(1e200))
+    assert [e.as_fraction() for e in triple.exact] == [-(10**200), 0, 10**200]
