@@ -16,12 +16,8 @@ from .chen import (
     TrigForm,
     newton_polish,
     solve,
-    solve_conjugate,
-    solve_degenerate,
     solve_depressed,
-    solve_equal,
     solve_moebius,
-    solve_real_distinct,
     unified_roots,
 )
 from .decompose import CaseTag, RsPair, classify, compute_rs, discriminant, rs_quadratic
@@ -42,14 +38,7 @@ from .reduction import (
     depress,
     lift_roots,
 )
-from .verify import (
-    VerificationReport,
-    brute_force_roots,
-    decomposition_identity_residual,
-    ratio_cube_residual,
-    trig_identity_residuals,
-    verify_roots,
-)
+from .verify import VerificationReport, brute_force_roots, verify_roots
 
 __version__ = "0.1.0"
 
@@ -75,7 +64,6 @@ __all__ = [
     "classify",
     "compute_rs",
     "cube_roots_all",
-    "decomposition_identity_residual",
     "denest",
     "depress",
     "discriminant",
@@ -87,17 +75,11 @@ __all__ = [
     "principal_arg",
     "principal_cube_root",
     "radical_to_cubic",
-    "ratio_cube_residual",
     "real_cube_root",
     "rs_quadratic",
     "solve",
-    "solve_conjugate",
-    "solve_degenerate",
     "solve_depressed",
-    "solve_equal",
     "solve_moebius",
-    "solve_real_distinct",
-    "trig_identity_residuals",
     "unified_roots",
     "verify_roots",
 ]

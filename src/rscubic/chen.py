@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decompose import _NEGLIGIBLE_P_BITS, CaseTag, RsPair, classify, compute_rs
-from .numerics import OMEGA, OMEGA2, _exponent, _root, cube_roots_all, principal_arg, real_cube_root
+from .decompose import CaseTag, RsPair, classify, compute_rs
+from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
 from .reduction import DepressedCubic, GeneralCubic, depress, is_exact, lift_roots
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -47,10 +47,10 @@ class InvalidCaseError(ValueError):
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """Write n = k^2 * m with m square-free (best effort under the trial cap)."""
+    """Write n = k^2 * m with m square-free (exact for n <= 10^18, best effort above)."""
     k, m = 1, 1
     d = 2
-    while d * d <= n and d <= _SQUARE_FREE_TRIAL_CAP:
+    while d * d * d <= n and d <= _SQUARE_FREE_TRIAL_CAP:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -60,7 +60,9 @@ def _square_free_split(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= d
         d += 1 if d == 2 else 2
-    return k, m * n
+    # Once d^3 > n, n has at most two prime factors, all >= d: square-free unless a square.
+    root = math.isqrt(n)
+    return (k * root, m) if root * root == n else (k, m * n)
 
 
 def _icbrt_floor(n: int) -> int:
@@ -177,12 +179,6 @@ class RootTriple:
     pair: Optional[RsPair] = None
 
 
-def _as_real(x) -> float:
-    if isinstance(x, complex):
-        return x.real
-    return float(x)
-
-
 def _multiplicity_of(values) -> tuple[tuple[int, int], ...]:
     """(index, count) entries for exactly-equal runs in a sorted list."""
     notes = []
@@ -197,63 +193,56 @@ def _multiplicity_of(values) -> tuple[tuple[int, int], ...]:
     return tuple(notes)
 
 
-def solve_equal(r) -> RootTriple:
+def _solve_equal(pair: RsPair) -> RootTriple:
     """Roots r, r, -2r of the repeated-pair case x^3 - 3r^2 x + 2r^3.
 
     Stated with r itself rather than sqrt(rs): for r < 0, sqrt(rs) = |r|
     would flip the sign, while (x-r)^2 (x+2r) pins the repeated root at r.
     Exact when r is rational.
     """
-    if isinstance(r, complex):
-        if r.imag != 0:
-            raise InvalidCaseError("equal case needs a real r")
-        r = r.real
-    if is_exact(r):
-        r = Fraction(r)
+    r = pair.exact_r
+    if r is not None:
         values = sorted([r, r, -2 * r])
         roots = tuple(complex(float(v), 0.0) for v in values)
         exact = tuple(ExactValue(v) for v in values)
     else:
-        r = float(r)
+        r = pair.r.real
         values = sorted([r, r, -2.0 * r])
         roots = tuple(complex(v, 0.0) for v in values)
         exact = None
-    return RootTriple(roots, CaseTag.EQUAL, multiplicity=_multiplicity_of(values), exact=exact)
+    return RootTriple(roots, CaseTag.EQUAL, multiplicity=_multiplicity_of(values), exact=exact, pair=pair)
 
 
-def solve_real_distinct(r, s) -> RootTriple:
+def _solve_real_distinct(pair: RsPair) -> RootTriple:
     """One real root and a conjugate pair, from real cube roots of r and s.
 
-    With u = r^(1/3), v = s^(1/3) (real, sign-preserving) the roots are
-    -uv(u+v) and -uv(omega^j u + omega^-j v); the twisted pair collapses to
-    uv(u+v)/2 +- i sqrt(3) uv(u-v)/2.
+    With u = r^(1/3), v = s^(1/3) (real, sign-preserving, through one
+    power-of-two scale) the roots are -uv(u+v) and -uv(omega^j u + omega^-j v);
+    the twisted pair collapses to uv(u+v)/2 +- i sqrt(3) uv(u-v)/2.
     """
-    r = _as_real(r)
-    s = _as_real(s)
-    u = real_cube_root(r)
-    v = real_cube_root(s)
+    u = _root(pair.r.real, 3)
+    v = _root(pair.s.real, 3)
     m = u * v
     x0 = -m * (u + v)
     re = -x0 / 2.0
     im = abs(m * (u - v)) * _SQRT3 / 2.0
     roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
-    return RootTriple(roots, CaseTag.REAL_DISTINCT)
+    return RootTriple(roots, CaseTag.REAL_DISTINCT, pair=pair)
 
 
-def solve_conjugate(r: complex) -> RootTriple:
+def _solve_conjugate(pair: RsPair) -> RootTriple:
     """Three real roots -2|r| cos(theta/3 + 2k pi/3) for s = conj(r).
 
     The imaginary parts are identically zero by construction, so none of
     the casus-irreducibilis complex arithmetic leaks into the output.
     """
-    r = complex(r)
-    theta = principal_arg(r)
-    amplitude = -2.0 * abs(r)
+    theta = principal_arg(pair.r)
+    amplitude = -2.0 * abs(pair.r)
     offsets = (theta / 3.0, theta / 3.0 + _TWO_PI_3, theta / 3.0 + 2.0 * _TWO_PI_3)
     pairs = sorted((amplitude * math.cos(o), o) for o in offsets)
     roots = tuple(complex(v, 0.0) for v, _ in pairs)
     trig = TrigForm(amplitude=amplitude, theta=theta, offsets=tuple(o for _, o in pairs))
-    return RootTriple(roots, CaseTag.CONJUGATE_PAIR, trig=trig)
+    return RootTriple(roots, CaseTag.CONJUGATE_PAIR, trig=trig, pair=pair)
 
 
 def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
@@ -323,7 +312,7 @@ def solve_moebius(r: complex, s: complex) -> RootTriple:
     return _finalize(raw, case, p, q)
 
 
-def solve_degenerate(d: DepressedCubic) -> RootTriple:
+def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:
     """p = 0 (or negligible) or q = 0: solved directly, no decomposition involved.
 
     q = 0: x(x^2 + p) -> {0, +-sqrt(-p)};  p = 0: the cube roots of -q, exact
@@ -333,7 +322,7 @@ def solve_degenerate(d: DepressedCubic) -> RootTriple:
     if p == 0 and q == 0:
         zero = ExactValue(Fraction(0))
         return RootTriple(
-            (0j, 0j, 0j), CaseTag.DEGENERATE_P0, multiplicity=((0, 3),), exact=(zero, zero, zero)
+            (0j, 0j, 0j), CaseTag.DEGENERATE_P0, multiplicity=((0, 3),), exact=(zero, zero, zero), pair=pair
         )
     if q == 0:
         w = _root(abs(p), 2)
@@ -341,45 +330,36 @@ def solve_degenerate(d: DepressedCubic) -> RootTriple:
             roots = (complex(-w, 0.0), complex(0.0, 0.0), complex(w, 0.0))
             sv = ExactValue.sqrt_of(-Fraction(p)) if is_exact(p) else None
             exact = (-sv, ExactValue(Fraction(0)), sv) if sv is not None else None
-            return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact)
-        roots = (complex(0.0, 0.0), complex(0.0, -w), complex(0.0, w))
-        exact = (ExactValue(Fraction(0)), None, None) if is_exact(p) else None
-        return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact)
+        else:
+            roots = (complex(0.0, 0.0), complex(0.0, -w), complex(0.0, w))
+            exact = (ExactValue(Fraction(0)), None, None) if is_exact(p) else None
+        return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact, pair=pair)
     c = _root(-q, 3)
     re, im = -c / 2.0, abs(c) * _SQRT3 / 2.0
     roots = (complex(c, 0.0), complex(re, -im), complex(re, im))
     cr = fraction_cbrt(-Fraction(q)) if is_exact(q) and p == 0 else None
-    return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=(ExactValue(cr), None, None) if cr is not None else None)
+    exact = (ExactValue(cr), None, None) if cr is not None else None
+    return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact, pair=pair)
 
 
-def _dispatch_pair(d: DepressedCubic) -> RsPair:
-    """compute_rs(d), but a negligible exact p, which compute_rs keeps in band, is dropped too."""
-    pair = compute_rs(d)
-    if pair.case is CaseTag.REAL_DISTINCT and d.exact and 2 * _exponent(d.q) - 3 * _exponent(d.p) > _NEGLIGIBLE_P_BITS:
-        return RsPair(None, None, CaseTag.DEGENERATE_P0)
-    return pair
+_CASE_STEPS = {
+    CaseTag.EQUAL: _solve_equal,
+    CaseTag.REAL_DISTINCT: _solve_real_distinct,
+    CaseTag.CONJUGATE_PAIR: _solve_conjugate,
+}
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:
-    """Case-dispatched solve of x^3 + px + q.
+    """Case-dispatched solve of x^3 + px + q on the pair compute_rs returns.
 
     Every intermediate stays real where the case allows it (real cube
     roots for real r, s; the cosine form for a conjugate pair), and exact
     and trig annotations are carried.
     """
-    pair = _dispatch_pair(d)
-    if pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
-        triple = solve_degenerate(d)
-    elif pair.case is CaseTag.EQUAL:
-        triple = solve_equal(pair.exact_r if pair.exact_r is not None else pair.r.real)
-    elif pair.case is CaseTag.REAL_DISTINCT:
-        # An exact r, s gives the same floats: pair.r is complex(exact_r).
-        triple = solve_real_distinct(pair.r.real, pair.s.real)
-    else:
-        triple = solve_conjugate(pair.r)
-    # The triple is freshly built, so the pair is recorded on it without a copy.
-    object.__setattr__(triple, "pair", pair)
-    return triple
+    pair = compute_rs(d)
+    if pair.r is None:
+        return _solve_degenerate(d, pair)
+    return _CASE_STEPS[pair.case](pair)
 
 
 def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:

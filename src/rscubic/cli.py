@@ -20,16 +20,7 @@ import sys
 from typing import Optional
 
 from .cardano import cardano_solve, match_root_sets
-from .chen import (
-    InvalidCaseError,
-    RootTriple,
-    _dispatch_pair,
-    newton_polish,
-    solve_degenerate,
-    solve_depressed,
-    solve_moebius,
-)
-from .decompose import CaseTag
+from .chen import InvalidCaseError, RootTriple, newton_polish, solve_depressed, solve_moebius
 from .denest import NestedRadical, denest
 from .parsing import ParseError, parse_coefficient, parse_cubic
 from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress, lift_roots
@@ -88,23 +79,19 @@ def _lift(depressed: RootTriple, delta: Coefficient, cubic: GeneralCubic, polish
 
 
 def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
-    """One pass per cubic: depress, solve once per method, lift, then record.
+    """One pass per cubic: depress, solve, lift, then record.
 
-    The case and (r, s) reported are those of the pair the r,s solve
-    dispatched on; Cardano and Moebius get theirs from the same dispatch.
+    The r,s solve runs for every method: its pair gives the case and (r, s)
+    reported. Cardano replaces its roots, and so does Moebius when the pair
+    has an r (a degenerate case keeps the direct roots).
     """
     d, delta = depress(cubic)
-    if args.method in ("chen", "both"):
-        depressed = solve_depressed(d)
-        pair = depressed.pair
-    else:
-        pair = _dispatch_pair(d)
-        if args.method == "cardano":
-            depressed, _ = cardano_solve(d)
-        elif pair.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0):
-            depressed = solve_degenerate(d)
-        else:
-            depressed = solve_moebius(pair.r, pair.s)
+    depressed = solve_depressed(d)
+    pair = depressed.pair
+    if args.method == "cardano":
+        depressed, _ = cardano_solve(d)
+    elif args.method == "moebius" and pair.r is not None:
+        depressed = solve_moebius(pair.r, pair.s)
     lifted = _lift(depressed, delta, cubic, args.polish)
     checked = lifted.roots
     if args.method == "both":

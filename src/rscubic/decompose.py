@@ -124,12 +124,10 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     if q == 0:
         return RsPair(None, None, CaseTag.DEGENERATE_Q0)
     ep, eq = _exponent(p), _exponent(q)
+    if 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
     k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
     k = _band(kq if kq > k else k)
-    # An exact cubic in band keeps a negligible p while r, s fit in doubles: its pair is exact-rounded.
-    gap = 2 * eq - 3 * ep
-    if gap > _NEGLIGIBLE_P_BITS and (k or gap > 1000 or not d.exact):
-        return RsPair(None, None, CaseTag.DEGENERATE_P0)
     if d.exact:
         return _compute_rs_exact(d, k)
     if k:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chen import fraction_cbrt
-from .numerics import _root, real_cube_root
+from .numerics import _band, _exponent, _root, _shift, real_cube_root
 from .reduction import Coefficient, DepressedCubic, InvalidInputError, _coerce, is_exact
 
 @dataclass(frozen=True)
@@ -64,10 +64,18 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
 
 def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
     """u = cbrt(a + sign(a) sqrt(b)) plus the other cube root, cbrt(a^2 - b) / u = -p / (3u):
-    p = -3 cbrt(a^2 - b) of the radical's cubic is formed from an exact a^2 - b, so b ~ a^2 does not cancel."""
-    a = float(radical.a)
-    u = real_cube_root(a + math.copysign(_root(radical.b, 2), a))
-    return u - float(cubic.p) / (3.0 * u) if a else 0.0  # a = 0: the two cube roots cancel exactly
+    p = -3 cbrt(a^2 - b) of the radical's cubic is formed from an exact a^2 - b, so b ~ a^2 does not cancel.
+    Formed on (a 8^-k, b 64^-k, p 4^-k), which scales the value by 2^-k; k = 0 in band."""
+    a, b, p = radical.a, radical.b, cubic.p
+    if not a:
+        return 0.0  # the two cube roots cancel exactly
+    ka, kb = -(-_exponent(a) // 3), -(-_exponent(b) // 6)  # ceil(e_a / 3), ceil(e_b / 6)
+    k = _band(kb if kb > ka else ka)
+    if k:
+        a, b, p = _shift(a, -3 * k), _shift(b, -6 * k), _shift(p, -2 * k)
+    a = float(a)
+    u = real_cube_root(a + math.copysign(_root(b, 2), a))
+    return math.ldexp(u - float(p) / (3.0 * u), k)
 
 
 def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:

@@ -1,18 +1,5 @@
-"""Independent checks: residuals, Vieta sums, algebraic identities, and a
-bisection/deflation root finder that shares no code path with the closed-form
-solvers.
-
-The trig identities checked here are the ones the three-real-root cosine
-form forces through Vieta's relations, with c_k = cos(theta/3 + 2k pi/3):
-
-    sum c_k = 0
-    sum_{j<k} c_j c_k = -3/4
-    prod c_k = +cos(theta)/4
-    sum c_k^3 = +(3/4) cos(theta)
-
-The signs on the last two follow from prod(-2|r| c_k) = -q = -2|r|^3 cos
-theta and from A^3+B^3+C^3 = 3ABC when A+B+C = 0; theta = 0 (c = 1, -1/2,
--1/2, product 1/4) pins them numerically.
+"""Independent checks: residuals, Vieta sums, and a bisection/deflation
+root finder that shares no code path with the closed-form solvers.
 """
 
 from __future__ import annotations
@@ -53,31 +40,6 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
     scale = max(1.0, abs(p), abs(q)) ** 1.5
     passed = all(e <= _TOL * scale for e in residuals + vieta)
     return VerificationReport(residuals, vieta, passed, _TOL, scale)
-
-
-def decomposition_identity_residual(r: complex, s: complex, x: complex) -> float:
-    """|x^3 - 3rsx + rs(r+s)  -  [s/(s-r) (x-r)^3 + r/(r-s) (x-s)^3]| for r != s."""
-    r, s, x = complex(r), complex(s), complex(x)
-    lhs = x**3 - 3 * r * s * x + r * s * (r + s)
-    rhs = s / (s - r) * (x - r) ** 3 + r / (r - s) * (x - s) ** 3
-    return abs(lhs - rhs)
-
-
-def ratio_cube_residual(r: complex, s: complex, x: complex) -> float:
-    """|((x-r)/(x-s))^3 - r/s|: every root turns the split form into this ratio condition."""
-    r, s, x = complex(r), complex(s), complex(x)
-    return abs(((x - r) / (x - s)) ** 3 - r / s)
-
-
-def trig_identity_residuals(theta: float) -> tuple[float, float, float, float]:
-    """Absolute deviations of the four cosine identities above at this theta."""
-    c0, c1, c2 = (math.cos(theta / 3.0 + k * 2.0 * math.pi / 3.0) for k in range(3))
-    return (
-        abs(c0 + c1 + c2),
-        abs(c0 * c1 + c0 * c2 + c1 * c2 + 0.75),
-        abs(c0 * c1 * c2 - math.cos(theta) / 4.0),
-        abs(c0**3 + c1**3 + c2**3 - 0.75 * math.cos(theta)),
-    )
 
 
 def brute_force_roots(d: DepressedCubic) -> RootTriple:

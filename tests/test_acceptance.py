@@ -22,16 +22,16 @@ from rscubic import (
     cardano_solve,
     compute_rs,
     cube_roots_all,
-    decomposition_identity_residual,
     denest,
     match_root_sets,
     principal_cube_root,
     solve,
     solve_depressed,
     solve_moebius,
-    trig_identity_residuals,
     unified_roots,
 )
+
+from paper_identities import decomposition_identity_residual, trig_identity_residuals
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rscubic import (
     CaseTag,
@@ -18,12 +19,8 @@ from rscubic import (
     newton_polish,
     principal_cube_root,
     solve,
-    solve_conjugate,
-    solve_degenerate,
     solve_depressed,
-    solve_equal,
     solve_moebius,
-    solve_real_distinct,
     unified_roots,
 )
 from rscubic.chen import fraction_cbrt
@@ -43,51 +40,55 @@ def assert_root_sets_close(a, b, tol):
     assert match_root_sets(a, b) <= tol
 
 
+def from_pair(r, s):
+    """The depressed cubic x^3 - 3rsx + rs(r+s) of the pair (r, s); real parts for a conjugate pair."""
+    rs = r * s
+    p, q = -3 * rs, rs * (r + s)
+    return DepressedCubic(p.real, q.real) if isinstance(rs, complex) else DepressedCubic(p, q)
+
+
 class TestSolveEqual:
     def test_rational_example(self):
-        triple = solve_equal(Fraction(2))
+        triple = solve_depressed(from_pair(Fraction(2), Fraction(2)))
         assert triple.roots == (complex(-4), complex(2), complex(2))
         assert triple.multiplicity == ((1, 2),)
         assert [e.as_fraction() for e in triple.exact] == [-4, 2, 2]
 
     def test_negative_r(self):
         # x^3 - 3x - 2 = (x+1)^2 (x-2): the repeated root must be -1, not +1
-        triple = solve_equal(Fraction(-1))
+        triple = solve_depressed(from_pair(Fraction(-1), Fraction(-1)))
         assert triple.roots == (complex(-1), complex(-1), complex(2))
         assert triple.multiplicity == ((0, 2),)
 
     def test_positive_one(self):
         # x^3 - 3x + 2 = (x-1)^2 (x+2)
-        triple = solve_equal(Fraction(1))
+        triple = solve_depressed(from_pair(Fraction(1), Fraction(1)))
         assert triple.roots == (complex(-2), complex(1), complex(1))
 
     def test_float_input_no_exact(self):
-        triple = solve_equal(1.5)
-        assert triple.exact is None
+        triple = solve_depressed(from_pair(1.5, 1.5))
+        assert triple.case is CaseTag.EQUAL and triple.exact is None
         assert triple.roots == (complex(-3.0), complex(1.5), complex(1.5))
-
-    def test_complex_with_imag_rejected(self):
-        with pytest.raises(InvalidCaseError):
-            solve_equal(complex(1, 1))
 
 
 class TestSolveRealDistinct:
     def test_worked_example(self):
-        triple = solve_real_distinct(-0.5, -4.0)
+        triple = solve_depressed(from_pair(-0.5, -4.0))
         assert triple.roots[0].real == pytest.approx(3.0, abs=1e-12)
         assert triple.roots[1] == pytest.approx(complex(-1.5, -SQRT3 / 2), abs=1e-12)
         assert triple.roots[2] == pytest.approx(complex(-1.5, SQRT3 / 2), abs=1e-12)
 
     def test_one_eight(self):
         # r=1, s=8 gives p=-24, q=72; the real root is -(1*2)(1+2) = -6
-        triple = solve_real_distinct(1.0, 8.0)
+        triple = solve_depressed(from_pair(1.0, 8.0))
         assert triple.roots[0].real == pytest.approx(-6.0, abs=1e-12)
         d = DepressedCubic(-24, 72)
         for x in triple.roots:
             assert abs(d(x)) <= 1e-10
 
     def test_exactly_one_real_root(self):
-        triple = solve_real_distinct(0.25, 7.5)
+        triple = solve_depressed(from_pair(0.25, 7.5))
+        assert triple.case is CaseTag.REAL_DISTINCT
         assert triple.roots[0].imag == 0
         assert triple.roots[1].imag != 0
         assert triple.roots[1] == triple.roots[2].conjugate()
@@ -101,27 +102,29 @@ class TestSolveRealDistinct:
 class TestSolveConjugate:
     def test_surd_example(self):
         r = cmath.rect(4.0, 3 * math.pi / 4)
-        triple = solve_conjugate(r)
+        triple = solve_depressed(from_pair(r, r.conjugate()))
         expected = sorted([-4 * SQRT2, 2 * SQRT2 + 2 * SQRT6, 2 * SQRT2 - 2 * SQRT6])
         for root, want in zip(triple.roots, expected):
             assert root.real == pytest.approx(want, abs=1e-12)
             assert root.imag == 0.0
 
     def test_cosine_example(self):
-        triple = solve_conjugate(cmath.rect(0.5, math.pi / 3))
+        r = cmath.rect(0.5, math.pi / 3)
+        triple = solve_depressed(from_pair(r, r.conjugate()))
         expected = sorted(math.cos(k * math.pi / 9) for k in (8, 2, 4))
         for root, want in zip(triple.roots, expected):
             assert root.real == pytest.approx(want, abs=1e-12)
 
     def test_sine_example(self):
-        triple = solve_conjugate(cmath.rect(0.5, math.pi / 6))
+        r = cmath.rect(0.5, math.pi / 6)
+        triple = solve_depressed(from_pair(r, r.conjugate()))
         expected = sorted(math.sin(k * math.pi / 9) for k in (14, 2, 8))
         for root, want in zip(triple.roots, expected):
             assert root.real == pytest.approx(want, abs=1e-12)
 
     def test_trig_annotation_reproduces_roots(self):
         r = cmath.rect(4.0, 3 * math.pi / 4)
-        triple = solve_conjugate(r)
+        triple = solve_depressed(from_pair(r, r.conjugate()))
         trig = triple.trig
         assert trig.amplitude == pytest.approx(-8.0)
         assert trig.theta == pytest.approx(3 * math.pi / 4)
@@ -158,7 +161,7 @@ class TestSolveMoebius:
     def test_conjugate_matches_trig_solver(self):
         r = cmath.rect(4.0, 3 * math.pi / 4)
         triple = solve_moebius(r, r.conjugate())
-        reference = solve_conjugate(r)
+        reference = solve_depressed(from_pair(r, r.conjugate()))
         assert_root_sets_close(triple.roots, reference.roots, 1e-9)
 
     def test_equal_pair_rejected(self):
@@ -172,37 +175,37 @@ class TestSolveMoebius:
 
 class TestSolveDegenerate:
     def test_q_zero_negative_p(self):
-        triple = solve_degenerate(DepressedCubic(-1, 0))
+        triple = solve_depressed(DepressedCubic(-1, 0))
         assert triple.roots == (complex(-1), complex(0), complex(1))
         assert [e.as_fraction() for e in triple.exact] == [-1, 0, 1]
 
     def test_q_zero_positive_p(self):
-        triple = solve_degenerate(DepressedCubic(3, 0))
+        triple = solve_depressed(DepressedCubic(3, 0))
         assert triple.roots[0] == 0
         assert triple.roots[1] == pytest.approx(complex(0, -SQRT3), abs=1e-15)
         assert triple.roots[2] == pytest.approx(complex(0, SQRT3), abs=1e-15)
 
     def test_q_zero_surd_annotation(self):
-        triple = solve_degenerate(DepressedCubic(Fraction(-8), 0))
+        triple = solve_depressed(DepressedCubic(Fraction(-8), 0))
         assert str(triple.exact[2]) == "2*sqrt(2)"
         assert float(triple.exact[2]) == pytest.approx(math.sqrt(8))
 
     def test_negligible_p_has_no_exact_cube_root(self):
         # f(-2) = -2e-30 for x^3 + 1e-30 x + 8, so -2 is not an exact root.
         d = DepressedCubic(Fraction(1, 10**30), 8)
-        assert solve_degenerate(d).exact is None
+        assert solve_depressed(d).exact is None
         triple = solve(GeneralCubic(0, d.p, d.q))
         assert triple.case is CaseTag.DEGENERATE_P0 and triple.exact is None
 
     def test_p_zero(self):
-        triple = solve_degenerate(DepressedCubic(0, -8))
+        triple = solve_depressed(DepressedCubic(0, -8))
         assert triple.roots[0] == complex(2)
         assert triple.exact[0].as_fraction() == 2
         assert triple.roots[1] == pytest.approx(complex(-1, -SQRT3), abs=1e-14)
         assert triple.roots[2] == pytest.approx(complex(-1, SQRT3), abs=1e-14)
 
     def test_origin(self):
-        triple = solve_degenerate(DepressedCubic(0, 0))
+        triple = solve_depressed(DepressedCubic(0, 0))
         assert triple.roots == (0j, 0j, 0j)
         assert triple.multiplicity == ((0, 3),)
 
@@ -376,6 +379,18 @@ class TestExactValue:
         assert ExactValue.sqrt_of(Fraction(49, 4)).as_fraction() == Fraction(7, 2)
         v = ExactValue.sqrt_of(Fraction(8, 9))
         assert float(v) == pytest.approx(math.sqrt(8 / 9))
+
+    def test_sqrt_of_large_square_part(self):
+        # 10^7 + 19 is prime: its square is found after trial division stops at the cube root.
+        assert str(ExactValue.sqrt_of(Fraction(3 * (10**7 + 19) ** 2))) == "10000019*sqrt(3)"
+
+    @given(st.integers(1, 10**5), st.integers(1, 10**8))
+    def test_sqrt_of_splits_off_a_square_free_radicand(self, a, b):
+        n = a * a * b  # at most 10^18, where the split is exact
+        v = ExactValue.sqrt_of(Fraction(n))
+        k, m = (v.rational, 1) if v.is_rational else (v.surd_coef, v.radicand)
+        assert k * k * m == n
+        assert all(m % (d * d) for d in range(2, math.isqrt(m) + 1))
 
     def test_shift_and_negate(self):
         v = ExactValue.sqrt_of(Fraction(2)).shift(Fraction(-1))

@@ -1,8 +1,11 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import rscubic.cli
 from rscubic import GeneralCubic, solve
 from rscubic.cli import main
 
@@ -211,3 +214,16 @@ class TestDenestCommand:
         code, _, err = run(capsys, "denest", "--a", "1", "--b=-2")
         assert code == 2
         assert "nonnegative" in err
+
+
+def test_cli_imports_no_private_library_name():
+    # The CLI renders a library result: a private step imported here would be a second pipeline.
+    tree = ast.parse(Path(rscubic.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "rscubic")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

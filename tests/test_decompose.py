@@ -87,6 +87,14 @@ class TestComputeRs:
         assert pair.case is CaseTag.DEGENERATE_Q0
         assert compute_rs(DepressedCubic(0, 0)).case is CaseTag.DEGENERATE_P0
 
+    # One rule for exact and float inputs: 2 e_q - 3 e_p > 199 drops p. A float's
+    # exponent (frexp) is one above an integer's bit-length exponent, so the float
+    # rule needs one bit more: (1.0, 2.0**100) sits just inside it.
+    @pytest.mark.parametrize("p,q", [(1, 2**100), (1.0, 2.0**101), (Fraction(-1, 3), 10**40)])
+    def test_negligible_p_is_degenerate(self, p, q):
+        pair = compute_rs(DepressedCubic(p, q))
+        assert pair.case is CaseTag.DEGENERATE_P0 and pair.r is None and pair.s is None
+
     def test_conjugate_orientation_and_bit_exact_conjugation(self):
         rng = random.Random(17)
         seen = 0
@@ -196,6 +204,11 @@ def reference_rs(d):
     return case, complex(r), complex(s), None, None
 
 
+def exponent(x):
+    """e with 2^e within a factor 4 of the nonzero rational x, from bit lengths."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
 def bits(z):
     return (math.copysign(1.0, z.real), z.real, math.copysign(1.0, z.imag), z.imag)
 
@@ -217,6 +230,7 @@ class TestIntegerPathMatchesFractionFormulas:
     @example(Fraction(-1, 3), Fraction(7, 4), Fraction(-7, 12))  # (x - 1/3)(x^2 + 7/4)
     @example(0, 0, 5)
     @example(3, 3, 0)
+    @example(0, 1, 2**100)  # negligible p
     def test_depress_classify_and_rs(self, a, b, c):
         cubic = GeneralCubic(a, b, c)
         d, delta = depress(cubic)
@@ -228,6 +242,10 @@ class TestIntegerPathMatchesFractionFormulas:
         if d.p == 0 or d.q == 0:
             expected = CaseTag.DEGENERATE_P0 if d.p == 0 else CaseTag.DEGENERATE_Q0
             assert classify(d) is pair.case is expected
+            assert pair.r is None and pair.s is None
+            return
+        if 2 * exponent(d.q) - 3 * exponent(d.p) > 199:
+            assert pair.case is CaseTag.DEGENERATE_P0
             assert pair.r is None and pair.s is None
             return
         case, r, s, exact_r, exact_s = reference_rs(d)

@@ -116,6 +116,14 @@ class TestDenest:
         result = denest(NestedRadical(a, a * a + 1))
         assert abs(result.value - 1e100) <= 1e-13 * 1e100
 
+    def test_a_beyond_double_range(self):
+        # a = 10^600 has no double; the value, about 1.26e200, has one.
+        mpmath = pytest.importorskip("mpmath")
+        a, b = 10**600, 10**1200 - 1
+        with mpmath.workdps(60):
+            want = mpmath.cbrt(a + mpmath.sqrt(b)) + mpmath.cbrt(a - mpmath.sqrt(b))
+            assert abs(denest(NestedRadical(a, b)).value - want) <= 1e-15 * want
+
 
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -220,3 +228,4 @@ def test_perfect_cube_construction_denests(a):
     if result.exact is not None:
         assert result.exact**3 + 3 * result.exact - 2 * a == 0
         assert abs(float(result.exact) - result.value) <= 1e-9
+

@@ -22,7 +22,6 @@ PUBLIC = {
     "classify",
     "compute_rs",
     "cube_roots_all",
-    "decomposition_identity_residual",
     "denest",
     "depress",
     "discriminant",
@@ -34,24 +33,18 @@ PUBLIC = {
     "principal_arg",
     "principal_cube_root",
     "radical_to_cubic",
-    "ratio_cube_residual",
     "real_cube_root",
     "rs_quadratic",
     "solve",
-    "solve_conjugate",
-    "solve_degenerate",
     "solve_depressed",
-    "solve_equal",
     "solve_moebius",
-    "solve_real_distinct",
-    "trig_identity_residuals",
     "unified_roots",
     "verify_roots",
 }
 
 
 def test_all_is_the_pinned_surface():
-    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 46
+    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 39
     assert set(rscubic.__all__) == PUBLIC
 
 

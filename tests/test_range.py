@@ -129,3 +129,11 @@ def test_q0_cubic_beyond_double_range():
     assert triple.case is CaseTag.DEGENERATE_Q0
     assert triple.roots == (complex(-1e200), 0j, complex(1e200))
     assert [e.as_fraction() for e in triple.exact] == [-(10**200), 0, 10**200]
+
+
+@pytest.mark.parametrize("p, q", [(1e300, 1e-10), (0.25e200, -1.25e300), (0.25e-200, -1.25e-300)])
+def test_out_of_band_real_distinct_cube_roots_keep_accuracy(p, q):
+    # r and s lie beyond the band, so their cube roots are taken at unit scale.
+    triple = solve_depressed(DepressedCubic(p, q))
+    assert triple.case is CaseTag.REAL_DISTINCT
+    assert_roots_match(triple.roots, p, q, rel=1e-15)

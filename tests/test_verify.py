@@ -9,13 +9,12 @@ from rscubic import (
     CaseTag,
     brute_force_roots,
     cardano_solve,
-    decomposition_identity_residual,
     match_root_sets,
-    ratio_cube_residual,
     solve_depressed,
-    trig_identity_residuals,
     verify_roots,
 )
+
+from paper_identities import decomposition_identity_residual, ratio_cube_residual, trig_identity_residuals
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
