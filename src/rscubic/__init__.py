@@ -14,37 +14,22 @@ from .chen import (
     InvalidCaseError,
     RootTriple,
     TrigForm,
+    lift_roots,
     newton_polish,
     solve,
     solve_depressed,
     solve_moebius,
     unified_roots,
 )
-from .decompose import CaseTag, RsPair, classify, compute_rs, discriminant, rs_quadratic
-from .denest import DenestResult, NestedRadical, denest, radical_to_cubic
-from .numerics import (
-    OMEGA,
-    OMEGA2,
-    cube_roots_all,
-    principal_arg,
-    principal_cube_root,
-    real_cube_root,
-)
+from .decompose import CaseTag, RsPair, compute_rs
+from .denest import DenestResult, NestedRadical, denest
 from .parsing import ParseError, parse_coefficient, parse_cubic
-from .reduction import (
-    DepressedCubic,
-    GeneralCubic,
-    InvalidInputError,
-    depress,
-    lift_roots,
-)
+from .reduction import DepressedCubic, GeneralCubic, InvalidInputError, depress
 from .verify import VerificationReport, brute_force_roots, verify_roots
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OMEGA",
-    "OMEGA2",
     "CardanoIntermediates",
     "CaseTag",
     "DenestResult",
@@ -61,22 +46,14 @@ __all__ = [
     "VerificationReport",
     "brute_force_roots",
     "cardano_solve",
-    "classify",
     "compute_rs",
-    "cube_roots_all",
     "denest",
     "depress",
-    "discriminant",
     "lift_roots",
     "match_root_sets",
     "newton_polish",
     "parse_coefficient",
     "parse_cubic",
-    "principal_arg",
-    "principal_cube_root",
-    "radical_to_cubic",
-    "real_cube_root",
-    "rs_quadratic",
     "solve",
     "solve_depressed",
     "solve_moebius",

@@ -17,7 +17,7 @@ from itertools import permutations
 
 from .chen import RootTriple, _finalize
 from .decompose import classify, integer_discriminant
-from .numerics import OMEGA, OMEGA2, principal_cube_root, real_cube_root
+from .numerics import OMEGA, OMEGA2, _root, principal_cube_root
 from .reduction import DepressedCubic
 
 
@@ -59,8 +59,8 @@ def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
         else:
             b_val = -q / 2.0 - w
             a_val = -((p / 3.0) ** 3) / b_val if b_val != 0.0 else -q / 2.0 + w
-        ca = real_cube_root(a_val)
-        cb = (-p / 3.0) / ca if ca != 0.0 else real_cube_root(b_val)
+        ca = _root(a_val, 3)
+        cb = (-p / 3.0) / ca if ca != 0.0 else _root(b_val, 3)
         A, B = complex(a_val, 0.0), complex(b_val, 0.0)
         sqrt_disc = complex(w, 0.0)
         cbrt_a, cbrt_b = complex(ca, 0.0), complex(cb, 0.0)

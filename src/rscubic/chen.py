@@ -29,7 +29,7 @@ from typing import Optional
 
 from .decompose import CaseTag, RsPair, classify, compute_rs
 from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
-from .reduction import DepressedCubic, GeneralCubic, depress, is_exact, lift_roots
+from .reduction import Coefficient, DepressedCubic, GeneralCubic, depress, is_exact
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -360,6 +360,27 @@ def solve_depressed(d: DepressedCubic) -> RootTriple:
     if pair.r is None:
         return _solve_degenerate(d, pair)
     return _CASE_STEPS[pair.case](pair)
+
+
+def lift_roots(triple: RootTriple, delta: Coefficient) -> RootTriple:
+    """Undo the depression shift on a root triple: x = y - delta.
+
+    Case tag, multiplicity, and the trig annotation ride along unchanged
+    (the trig form keeps describing the depressed roots); exact values are
+    shifted exactly when the shift itself is exact.
+    """
+    if delta == 0:
+        return triple
+    d = complex(delta)
+    roots = tuple(x - d for x in triple.roots)
+    exact = triple.exact
+    if exact is not None:
+        if is_exact(delta):
+            dr = -Fraction(delta)
+            exact = tuple(e.shift(dr) if e is not None else None for e in exact)
+        else:
+            exact = None
+    return RootTriple(roots, triple.case, triple.multiplicity, exact, triple.trig, triple.pair)
 
 
 def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:

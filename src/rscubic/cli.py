@@ -8,7 +8,8 @@ Two subcommands:
 * ``denest`` -- evaluate and denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b)).
 
 Exit codes: 0 success, 2 parse/usage error, 3 numeric failure (non-finite
-result, method not applicable, or a failed ``--verify``).
+result, method not applicable, or a failed ``--verify``). A batch run skips
+a failing line and exits with the lowest nonzero code it met.
 """
 
 from __future__ import annotations
@@ -20,15 +21,29 @@ import sys
 from typing import Optional
 
 from .cardano import cardano_solve, match_root_sets
-from .chen import InvalidCaseError, RootTriple, newton_polish, solve_depressed, solve_moebius
+from .chen import InvalidCaseError, RootTriple, lift_roots, newton_polish, solve_depressed, solve_moebius
 from .denest import NestedRadical, denest
 from .parsing import ParseError, parse_coefficient, parse_cubic
-from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress, lift_roots
+from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress
 from .verify import verify_roots
 
 
 class NumericFailure(RuntimeError):
     """A non-finite value escaped the computation."""
+
+
+# Exit code and message prefix of each failure, for single and batch runs alike.
+_FAILURES = {
+    ParseError: (2, ""),
+    InvalidInputError: (2, ""),
+    InvalidCaseError: (3, ""),
+    NumericFailure: (3, "numeric failure: "),
+    OverflowError: (3, "numeric failure: "),
+}
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    return next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,8 +310,7 @@ def _run_batch(args) -> int:
     except OSError as exc:
         print(f"error: cannot read batch file: {exc}", file=sys.stderr)
         return 2
-    code = 0
-    verify_failed = False
+    codes = set()
     for lineno, line in enumerate(batch_lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -304,16 +318,15 @@ def _run_batch(args) -> int:
         try:
             cubic = parse_cubic(line)
             rec = _solve_record(cubic, line, args)
-        except (ParseError, InvalidInputError, InvalidCaseError, NumericFailure, OverflowError) as exc:
+        except tuple(_FAILURES) as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
-            code = 2
+            codes.add(_failure(exc)[0])
             continue
         print(json.dumps(rec))
         if args.verify and not rec["verification"]["pass"]:
-            verify_failed = True
-    if verify_failed and code == 0:
-        code = 3
-    return code
+            codes.add(3)
+    # A usage error (2) outranks a numeric failure (3).
+    return min(codes, default=0)
 
 
 def cmd_denest(args) -> int:
@@ -347,15 +360,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_denest(args)
-    except (ParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidCaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericFailure, OverflowError) as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_FAILURES) as exc:
+        code, prefix = _failure(exc)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

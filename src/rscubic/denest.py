@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chen import fraction_cbrt
-from .numerics import _band, _exponent, _root, _shift, real_cube_root
+from .numerics import _band, _exponent, _root, _shift
 from .reduction import Coefficient, DepressedCubic, InvalidInputError, _coerce, is_exact
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class NestedRadical:
             raise InvalidInputError("b must be nonnegative (real square root)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def evaluate(self) -> float:
-        """Direct numeric value, via real cube roots (see _value)."""
-        return _value(self, radical_to_cubic(self))
 
 
 @dataclass(frozen=True)
@@ -74,12 +70,12 @@ def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
     if k:
         a, b, p = _shift(a, -3 * k), _shift(b, -6 * k), _shift(p, -2 * k)
     a = float(a)
-    u = real_cube_root(a + math.copysign(_root(b, 2), a))
+    u = _root(a + math.copysign(_root(b, 2), a), 3)
     return math.ldexp(u - float(p) / (3.0 * u), k)
 
 
 def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:
-    """Rational root of x^3 + px + q within 1e-9 of target, if one exists.
+    """Rational root of x^3 + px + q within 1e-9 max(1, |target|) of target, if one exists.
 
     With L = lcm(den p, den q), y = L x gives the monic integer cubic
     y^3 + P y + Q (P = p L^2, Q = q L^3), whose rational roots are integers
@@ -122,7 +118,7 @@ def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fra
         if (y * y + big_p) * y + big_q == 0:
             x = Fraction(y, lead)
             fx = float(x)
-            if abs(fx - target) <= 1e-9 and abs(abs(fx) - abs(target)) <= 1e-9 * scale:
+            if abs(fx - target) <= 1e-9 * scale:
                 found.append(x)
     return min(found, key=lambda x: (x.denominator, abs(x.numerator), x < 0), default=None)
 

@@ -7,8 +7,9 @@ Everything downstream leans on two conventions fixed here:
 * the principal cube root of z is |z|^(1/3) * e^(i*Arg(z)/3), so its
   argument lives in (-pi/3, pi/3].
 
-A separate sign-preserving *real* cube root is provided because the real
-r,s solution formulas want (-8)^(1/3) = -2, not the principal complex root.
+A separate sign-preserving *real* cube root, ``_root(x, 3)``, serves the
+real r,s solution formulas, which want (-8)^(1/3) = -2, not the principal
+complex root.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ def principal_cube_root(z: complex) -> complex:
     return cmath.rect(abs(z) ** (1.0 / 3.0), principal_arg(z) / 3.0)
 
 
-def real_cube_root(x: float) -> float:
-    """Sign-preserving real cube root: real_cube_root(-8) == -2."""
-    x = float(x)
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def _exponent(x) -> int:
     """e with |x| within a factor 4 of 2^e (x != 0): frexp's for a float, bit lengths for an exact x."""
     return math.frexp(x)[1] if isinstance(x, float) else x.numerator.bit_length() - x.denominator.bit_length()
@@ -63,10 +58,11 @@ def _shift(x, e: int):
 
 
 def _root(x, n: int) -> float:
-    """sqrt(x) (n = 2) or the real cube root (n = 3) of a float or exact x, as root(x 2^-nk) 2^k."""
+    """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
+    of a float or exact x, as root(x 2^-nk) 2^k."""
     k = _band(-(-_exponent(x) // n))
     y = float(_shift(x, -n * k)) if k else float(x)
-    return math.ldexp(math.sqrt(y) if n == 2 else real_cube_root(y), k)
+    return math.ldexp(math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y), k)
 
 
 def cube_roots_all(z: complex) -> tuple[complex, complex, complex]:

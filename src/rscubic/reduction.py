@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    from .chen import RootTriple
+from typing import Union
 
 Coefficient = Union[Fraction, float]
 
@@ -132,24 +129,3 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
     q = Fraction((2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd)
     return DepressedCubic(p, q), Fraction(an, 3 * ad)
 
-
-def lift_roots(triple: "RootTriple", delta: Coefficient) -> "RootTriple":
-    """Undo the depression shift on a root triple: x = y - delta.
-
-    Case tag, multiplicity, and the trig annotation ride along unchanged
-    (the trig form keeps describing the depressed roots); exact values are
-    shifted exactly when the shift itself is exact.
-    """
-    if delta == 0:
-        return triple
-    d = complex(delta)
-    roots = tuple(x - d for x in triple.roots)
-    exact = triple.exact
-    if exact is not None:
-        if is_exact(delta):
-            dr = -Fraction(delta)
-            exact = tuple(e.shift(dr) if e is not None else None for e in exact)
-        else:
-            exact = None
-    # type(triple) is chen.RootTriple, which this module cannot import at load time.
-    return type(triple)(roots, triple.case, triple.multiplicity, exact, triple.trig, triple.pair)

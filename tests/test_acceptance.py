@@ -21,15 +21,14 @@ from rscubic import (
     brute_force_roots,
     cardano_solve,
     compute_rs,
-    cube_roots_all,
     denest,
     match_root_sets,
-    principal_cube_root,
     solve,
     solve_depressed,
     solve_moebius,
     unified_roots,
 )
+from rscubic.numerics import cube_roots_all, principal_cube_root
 
 from paper_identities import decomposition_identity_residual, trig_identity_residuals
 

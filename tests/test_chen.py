@@ -13,17 +13,16 @@ from rscubic import (
     GeneralCubic,
     InvalidCaseError,
     compute_rs,
-    cube_roots_all,
     depress,
     match_root_sets,
     newton_polish,
-    principal_cube_root,
     solve,
     solve_depressed,
     solve_moebius,
     unified_roots,
 )
 from rscubic.chen import fraction_cbrt
+from rscubic.numerics import cube_roots_all, principal_cube_root
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

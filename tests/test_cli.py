@@ -167,6 +167,22 @@ class TestBatch:
         assert len(out.strip().splitlines()) == 2  # bad line skipped
         assert "line 2" in err
 
+    def test_batch_numeric_failure_is_3(self, capsys, tmp_path):
+        # x^3-12x+16 has r = s, where the Moebius form raises, as with --expr.
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-6x-9\nx^3-12x+16\nx^3+x+1\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch), "--method", "moebius")
+        assert code == 3
+        assert len(out.strip().splitlines()) == 2
+        assert "line 2" in err
+
+    def test_batch_usage_error_outranks_numeric_failure(self, capsys, tmp_path):
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-12x+16\nnot a cubic!!\n")
+        code, _, err = run(capsys, "solve", "--batch", str(batch), "--method", "moebius")
+        assert code == 2
+        assert "line 1" in err and "line 2" in err
+
     def test_batch_preserves_input_order(self, capsys, tmp_path):
         batch = tmp_path / "cubics.txt"
         exprs = [f"x^3+{k}x+1" for k in range(1, 8)]

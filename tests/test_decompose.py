@@ -10,13 +10,11 @@ from rscubic import (
     DepressedCubic,
     GeneralCubic,
     cardano_solve,
-    classify,
     compute_rs,
     depress,
-    discriminant,
-    rs_quadratic,
     solve,
 )
+from rscubic.decompose import classify, discriminant, rs_quadratic
 
 SQRT2 = math.sqrt(2.0)
 

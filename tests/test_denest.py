@@ -1,17 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rscubic import (
-    InvalidInputError,
-    NestedRadical,
-    denest,
-    radical_to_cubic,
-    real_cube_root,
-)
-from rscubic.denest import _rational_root_near
+from rscubic import InvalidInputError, NestedRadical, denest
+from rscubic.denest import _rational_root_near, radical_to_cubic
+from rscubic.numerics import _root
 
 # Frozen by independent evaluation: (1+sqrt(2))**(1/3) - (sqrt(2)-1)**(1/3)
 VALUE_1_2 = 0.5960716379833214
@@ -81,7 +77,7 @@ class TestDenest:
         # a^2 - b = 0 collapses p; value = cbrt(2a)
         result = denest(NestedRadical(3, 9))
         assert result.cubic.p == 0
-        assert result.value == pytest.approx(real_cube_root(6.0), abs=1e-14)
+        assert result.value == pytest.approx(_root(6.0, 3), abs=1e-14)
 
     def test_exact_root_substitutes_to_zero(self):
         result = denest(NestedRadical(2, 5))
@@ -108,6 +104,15 @@ class TestDenest:
         result = denest(NestedRadical(a, a * a + 1))
         assert result.exact == x
         assert result.note is None
+
+    @pytest.mark.parametrize("decade", [6, 9, 12])
+    def test_large_integer_values(self, decade):
+        # One rounding of a value above 10^6 exceeds 1e-9, so the root is matched relatively.
+        rng = random.Random(decade)
+        for _ in range(20):
+            x = Fraction(rng.randrange(10**decade, 10 ** (decade + 1)))
+            a = (x**3 + 3 * x) / 2
+            assert denest(NestedRadical(a, a * a + 1)).exact == x
 
     def test_b_beyond_double_range(self):
         # b = a^2 + 1 is about 2.5e599, yet the value is 10^100.

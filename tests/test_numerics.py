@@ -5,14 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rscubic import (
-    OMEGA,
-    OMEGA2,
-    cube_roots_all,
-    principal_arg,
-    principal_cube_root,
-    real_cube_root,
-)
+from rscubic.numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg, principal_cube_root
 
 SQRT3 = math.sqrt(3.0)
 
@@ -81,16 +74,22 @@ class TestPrincipalCubeRoot:
 class TestRealCubeRoot:
     @pytest.mark.parametrize("x,expected", [(-1.0, -1.0), (0.0, 0.0), (27.0, 3.0), (-8.0, -2.0)])
     def test_examples(self, x, expected):
-        assert real_cube_root(x) == pytest.approx(expected)
+        assert _root(x, 3) == pytest.approx(expected)
 
     def test_sign_preserved(self):
-        assert real_cube_root(-0.001) < 0
+        assert _root(-0.001, 3) < 0
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_product_law(self, x, y):
-        lhs = real_cube_root(x) * real_cube_root(y)
-        rhs = real_cube_root(x * y)
+        lhs = _root(x, 3) * _root(y, 3)
+        rhs = _root(x * y, 3)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @given(st.floats(1.0, 2.0, exclude_max=True), st.integers(-300, 298), st.booleans())
+    def test_unscaled_inside_the_band(self, m, e, negative):
+        # |x| in [2^-300, 2^299): no range scale, so the bits are the plain formula's.
+        x = math.copysign(math.ldexp(m, e), -1.0 if negative else 1.0)
+        assert _root(x, 3) == math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
 class TestCubeRootsAll:
