@@ -29,7 +29,7 @@ from typing import Optional
 
 from .decompose import CaseTag, RsPair, classify, compute_rs
 from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
-from .reduction import Coefficient, DepressedCubic, GeneralCubic, depress, is_exact
+from .reduction import Coefficient, DepressedCubic, GeneralCubic, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -200,16 +200,10 @@ def _solve_equal(pair: RsPair) -> RootTriple:
     would flip the sign, while (x-r)^2 (x+2r) pins the repeated root at r.
     Exact when r is rational.
     """
-    r = pair.exact_r
-    if r is not None:
-        values = sorted([r, r, -2 * r])
-        roots = tuple(complex(float(v), 0.0) for v in values)
-        exact = tuple(ExactValue(v) for v in values)
-    else:
-        r = pair.r.real
-        values = sorted([r, r, -2.0 * r])
-        roots = tuple(complex(v, 0.0) for v in values)
-        exact = None
+    r = pair.exact_r if pair.exact_r is not None else pair.r.real
+    values = sorted([r, r, -2 * r])
+    roots = tuple(complex(float(v), 0.0) for v in values)
+    exact = tuple(ExactValue(v) for v in values) if pair.exact_r is not None else None
     return RootTriple(roots, CaseTag.EQUAL, multiplicity=_multiplicity_of(values), exact=exact, pair=pair)
 
 
@@ -328,16 +322,16 @@ def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:
         w = _root(abs(p), 2)
         if p < 0:
             roots = (complex(-w, 0.0), complex(0.0, 0.0), complex(w, 0.0))
-            sv = ExactValue.sqrt_of(-Fraction(p)) if is_exact(p) else None
+            sv = ExactValue.sqrt_of(-p) if d.exact else None
             exact = (-sv, ExactValue(Fraction(0)), sv) if sv is not None else None
         else:
             roots = (complex(0.0, 0.0), complex(0.0, -w), complex(0.0, w))
-            exact = (ExactValue(Fraction(0)), None, None) if is_exact(p) else None
+            exact = (ExactValue(Fraction(0)), None, None) if d.exact else None
         return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact, pair=pair)
     c = _root(-q, 3)
     re, im = -c / 2.0, abs(c) * _SQRT3 / 2.0
     roots = (complex(c, 0.0), complex(re, -im), complex(re, im))
-    cr = fraction_cbrt(-Fraction(q)) if is_exact(q) and p == 0 else None
+    cr = fraction_cbrt(-q) if d.exact and p == 0 else None
     exact = (ExactValue(cr), None, None) if cr is not None else None
     return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact, pair=pair)
 
@@ -367,19 +361,16 @@ def lift_roots(triple: RootTriple, delta: Coefficient) -> RootTriple:
 
     Case tag, multiplicity, and the trig annotation ride along unchanged
     (the trig form keeps describing the depressed roots); exact values are
-    shifted exactly when the shift itself is exact.
+    shifted exactly by an exact shift and dropped by a float one.
     """
     if delta == 0:
         return triple
     d = complex(delta)
     roots = tuple(x - d for x in triple.roots)
-    exact = triple.exact
-    if exact is not None:
-        if is_exact(delta):
-            dr = -Fraction(delta)
-            exact = tuple(e.shift(dr) if e is not None else None for e in exact)
-        else:
-            exact = None
+    exact = None
+    if triple.exact is not None and not isinstance(delta, float):
+        dr = -Fraction(delta)
+        exact = tuple(e.shift(dr) if e is not None else None for e in triple.exact)
     return RootTriple(roots, triple.case, triple.multiplicity, exact, triple.trig, triple.pair)
 
 
@@ -398,10 +389,7 @@ def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
     return RootTriple(tuple(polished), triple.case, triple.multiplicity, triple.exact, triple.trig, triple.pair)
 
 
-def solve(cubic: GeneralCubic, polish: bool = False) -> RootTriple:
+def solve(cubic: GeneralCubic) -> RootTriple:
     """Full pipeline: depress, decompose into (r, s), dispatch, lift back."""
     d, delta = depress(cubic)
-    triple = lift_roots(solve_depressed(d), delta)
-    if polish:
-        triple = newton_polish(triple, cubic)
-    return triple
+    return lift_roots(solve_depressed(d), delta)

@@ -46,6 +46,13 @@ def _failure(exc: Exception) -> tuple[int, str]:
     return next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
 
 
+def _precision(text: str) -> int:
+    """A --precision value: a nonnegative digit count, else a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rscubic",
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--batch", metavar="FILE", help="file with one equation per line; emits JSON lines")
     solve.add_argument("--method", choices=["chen", "cardano", "moebius", "both"], default="chen")
     solve.add_argument("--format", choices=["text", "json", "trig", "exact"], default="text")
-    solve.add_argument("--precision", type=int, default=12, help="significant digits in text output")
+    solve.add_argument("--precision", type=_precision, default=12, help="significant digits in text output")
     solve.add_argument("--polish", action="store_true", help="one Newton step per root")
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--a", type=parse_coefficient, required=True)
     den.add_argument("--b", type=parse_coefficient, required=True)
     den.add_argument("--format", choices=["text", "json"], default="text")
-    den.add_argument("--precision", type=int, default=12)
+    den.add_argument("--precision", type=_precision, default=12)
     return parser
 
 

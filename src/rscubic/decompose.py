@@ -15,9 +15,10 @@ worked examples satisfy (p = -12, q = 16 gives t^2 - 4t + 4).
 
 Exact inputs are worked on as integers: with p = P/dp and q = Q/dq the
 case, the perfect-square test and every float come from integer
-expressions (integer_discriminant), not from Fraction arithmetic. The
-Fraction formulas discriminant and rs_quadratic serve float inputs and
-remain the reference the integer path is tested against.
+expressions (integer_discriminant), not from Fraction arithmetic. Float
+inputs read their case from one banded sign test (_float_case). The
+formulas discriminant and rs_quadratic are the reference both paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import _band, _exponent, _shift
+from .numerics import _band, _exponent
 from .reduction import Coefficient, DepressedCubic
 
 # Relative half-width of the band around 0 inside which the discriminant is
@@ -87,15 +88,21 @@ def classify(d: DepressedCubic) -> CaseTag:
         return CaseTag.DEGENERATE_P0
     if d.q == 0:
         return CaseTag.DEGENERATE_Q0
-    if d.exact:
-        delta = integer_discriminant(d)[0]
-        if delta == 0:
-            return CaseTag.EQUAL
-    else:
-        delta = discriminant(d)
-        band = EQUAL_BAND * (abs(4 * float(d.p) ** 3) + abs(27 * float(d.q) ** 2))
-        if abs(delta) <= band:
-            return CaseTag.EQUAL
+    if not d.exact:
+        return _float_case(d.p, d.q)
+    delta = integer_discriminant(d)[0]
+    if delta == 0:
+        return CaseTag.EQUAL
+    return CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
+
+
+def _float_case(p: float, q: float) -> CaseTag:
+    """The sign of 4p^3 + 27q^2 for float p != 0, read as zero within
+    EQUAL_BAND of its two terms. A q of 0 leaves the sign of 4p^3."""
+    cube, square = 4 * p**3, 27 * q**2
+    delta = cube + square
+    if abs(delta) <= EQUAL_BAND * (abs(cube) + square):
+        return CaseTag.EQUAL
     return CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
 
 
@@ -131,19 +138,13 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     if d.exact:
         return _compute_rs_exact(d, k)
     if k:
-        # An exact p of a mixed cubic stays exact, so its bits do not change.
-        d = DepressedCubic(_shift(p, -2 * k), _shift(q, -3 * k))
-    case = classify(d)
-    if case is CaseTag.DEGENERATE_Q0:  # q underflowed at unit scale: solve x^3 + px
-        case = CaseTag.REAL_DISTINCT if p > 0 else CaseTag.CONJUGATE_PAIR
-
-    B, C = rs_quadratic(d)
+        p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
+    case = _float_case(p, q)
+    B, C = 3 * q / p, -p / 3
     if case is CaseTag.EQUAL:
         half = complex(math.ldexp(-B / 2, k))
         return RsPair(half, half, case)
-    B, C = float(B), float(C)
-    disc = B * B - 4.0 * C
-    return _rs_float(case, B, C, math.sqrt(abs(disc)) if case is CaseTag.REAL_DISTINCT else math.sqrt(-disc), k)
+    return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
 
 def _compute_rs_exact(d: DepressedCubic, k: int) -> RsPair:

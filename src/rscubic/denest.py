@@ -23,18 +23,22 @@ from typing import Optional
 
 from .chen import fraction_cbrt
 from .numerics import _band, _exponent, _root, _shift
-from .reduction import Coefficient, DepressedCubic, InvalidInputError, _coerce, is_exact
+from .reduction import Coefficient, DepressedCubic, InvalidInputError, _beyond_double, _coerce
 
 @dataclass(frozen=True)
 class NestedRadical:
-    """The expression cbrt(a + sqrt(b)) + cbrt(a - sqrt(b)), b >= 0."""
+    """The expression cbrt(a + sqrt(b)) + cbrt(a - sqrt(b)), b >= 0; a float a or b rounds both."""
 
     a: Coefficient
     b: Coefficient
 
     def __init__(self, a, b):
-        a = _coerce(a)
-        b = _coerce(b)
+        a, b = _coerce(a), _coerce(b)
+        if isinstance(a, float) or isinstance(b, float):
+            try:
+                a, b = float(a), float(b)
+            except OverflowError:
+                raise _beyond_double() from None
         if b < 0:
             raise InvalidInputError("b must be nonnegative (real square root)")
         object.__setattr__(self, "a", a)
@@ -51,11 +55,18 @@ class DenestResult:
 
 
 def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
-    """The depressed cubic the radical's value satisfies: p = -3 cbrt(a^2-b), q = -2a."""
+    """The depressed cubic the radical's value satisfies: p = -3 cbrt(a^2-b), q = -2a.
+    Float unless a^2 - b is a rational cube; an exact -2a that no double holds stays exact."""
     a, b = radical.a, radical.b
     t = a * a - b
-    cr = fraction_cbrt(Fraction(t)) if is_exact(t) else None
-    return DepressedCubic(-3 * cr if cr is not None else -3.0 * _root(t, 3), -2 * a)
+    cr = None if isinstance(t, float) else fraction_cbrt(t)
+    p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
+    try:
+        return DepressedCubic(p, -2 * a)
+    except InvalidInputError:  # p is a float here; solve_depressed still solves the cubic
+        cubic = DepressedCubic(p, 0.0)
+        object.__setattr__(cubic, "q", -2 * a)
+        return cubic
 
 
 def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
@@ -127,9 +138,9 @@ def denest(radical: NestedRadical) -> DenestResult:
     """Numeric value of the radical, plus its exact rational form when one exists."""
     cubic = radical_to_cubic(radical)
     value = _value(radical, cubic)
-    if is_exact(radical.a) and radical.a == 0:
+    if not isinstance(radical.a, float) and radical.a == 0:
         # cbrt(sqrt(b)) + cbrt(-sqrt(b)) cancels identically, whatever b is.
         return DenestResult(value, Fraction(0), cubic)
     if not cubic.exact:
         return DenestResult(value, None, cubic)
-    return DenestResult(value, _rational_root_near(Fraction(cubic.p), Fraction(cubic.q), value), cubic)
+    return DenestResult(value, _rational_root_near(cubic.p, cubic.q, value), cubic)

@@ -15,7 +15,7 @@ Integers, rationals a/b, and decimals parse to exact values (decimals
 exactly: "0.75" -> 3/4), carried as integer numerator/denominator pairs
 until each power's coefficient is summed, which then becomes one
 Fraction. sqrt(m) stays exact for perfect squares and falls back to a
-float otherwise. A term needs a coefficient or an x-part, powers may not
+float otherwise, which makes the whole cubic float. A term needs a coefficient or an x-part, powers may not
 exceed 3, and the x^3 coefficient must be nonzero.
 """
 

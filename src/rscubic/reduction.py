@@ -1,10 +1,10 @@
 """Cubic input forms and the quadratic-term elimination x -> x - a/3.
 
-Coefficients may be floats or exact rationals (``fractions.Fraction``).
-Rational inputs are kept rational through the substitution, which is what
-lets whole-number examples come out exact downstream. Ints are promoted to
-Fraction at construction so ``a / 3`` never silently turns exact input
-into a float.
+A cubic is exact (ints, promoted to Fraction so ``a / 3`` stays exact, and
+Fractions) or float: a float anywhere, the lead included, rounds every exact
+value once at construction (InvalidInputError for an exact value beyond the
+double range). Exact inputs stay rational through the
+substitution, which is what lets whole-number examples come out exact.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ def _coerce(value) -> Coefficient:
     return value
 
 
-def is_exact(value) -> bool:
-    # A float is ruled out first: isinstance of a float against the Fraction ABC is slow.
-    return not isinstance(value, float) and isinstance(value, (Fraction, int))
+def _beyond_double() -> InvalidInputError:
+    return InvalidInputError("an exact value beyond the double range cannot be rounded into a float form")
 
 
 @dataclass(frozen=True)
 class GeneralCubic:
-    """Monic cubic x^3 + a*x^2 + b*x + c.
+    """Monic cubic x^3 + a*x^2 + b*x + c, exact or float (see the module docstring).
 
     A non-unit leading coefficient may be passed via ``lead``; the stored
     form is always monic (coefficients divided through).
@@ -54,24 +53,27 @@ class GeneralCubic:
         if lead == 0:
             raise InvalidInputError("leading coefficient must be nonzero")
         a, b, c = _coerce(a), _coerce(b), _coerce(c)
-        # Dividing by an exact 1 changes nothing; a float 1.0 still turns
-        # exact coefficients into floats. An exact lead ln/ld divides an exact
-        # coefficient as one Fraction(n ld, d ln), not a Fraction division.
-        if isinstance(lead, float):
-            a, b, c = a / lead, b / lead, c / lead
+        # A float anywhere rounds every value once, so a mixed cubic is
+        # bit-identical to its all-float twin; x / 1.0 is x. An exact lead
+        # ln/ld divides as one Fraction(n ld, d ln), not a Fraction division.
+        if isinstance(a, float) or isinstance(b, float) or isinstance(c, float) or isinstance(lead, float):
+            try:
+                a, b, c = float(a), float(b), float(c)
+                if lead != 1:
+                    lead = float(lead)  # an exact lead below the double range rounds to 0.0
+                    a, b, c = a / lead, b / lead, c / lead
+            except (OverflowError, ZeroDivisionError):
+                raise _beyond_double() from None
         elif lead != 1:
             ln, ld = lead.numerator, lead.denominator
-            a, b, c = (
-                Fraction(v.numerator * ld, v.denominator * ln) if isinstance(v, Fraction) else v / lead
-                for v in (a, b, c)
-            )
+            a, b, c = (Fraction(v.numerator * ld, v.denominator * ln) for v in (a, b, c))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
+        return not isinstance(self.a, float)
 
     def __call__(self, x):
         """Evaluate at x (Horner); exact for rational x, complex-capable."""
@@ -85,18 +87,24 @@ class GeneralCubic:
 
 @dataclass(frozen=True)
 class DepressedCubic:
-    """x^3 + p*x + q."""
+    """x^3 + p*x + q; a float p or q rounds both."""
 
     p: Coefficient
     q: Coefficient
 
     def __init__(self, p, q):
-        object.__setattr__(self, "p", _coerce(p))
-        object.__setattr__(self, "q", _coerce(q))
+        p, q = _coerce(p), _coerce(q)
+        if isinstance(p, float) or isinstance(q, float):
+            try:
+                p, q = float(p), float(q)
+            except OverflowError:
+                raise _beyond_double() from None
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.p) and is_exact(self.q)
+        return not isinstance(self.p, float)
 
     def __call__(self, x):
         """Evaluate at x (Horner); exact for rational x, complex-capable."""

@@ -248,7 +248,7 @@ class TestSolvePipeline:
     def test_polish_flag(self):
         cubic = GeneralCubic(0, -6, -9)
         raw = solve(cubic)
-        polished = solve(cubic, polish=True)
+        polished = newton_polish(solve(cubic), cubic)
         assert max(abs(cubic(x)) for x in polished.roots) <= max(abs(cubic(x)) for x in raw.roots) + 1e-15
 
     def test_polish_keeps_triple_shape(self):
@@ -275,7 +275,7 @@ class TestSolvePipeline:
         d, _ = depress(cubic)
         expected = compute_rs(d)
         assert solve_depressed(d).pair == expected
-        assert solve(cubic, polish=True).pair == expected
+        assert newton_polish(solve(cubic), cubic).pair == expected
         assert solve_moebius(expected.r, expected.s).pair is None
 
 

@@ -146,6 +146,20 @@ class TestExitCodes:
         assert info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    @pytest.mark.parametrize("argv", [["solve", "--p=-6", "--q=-9"], ["denest", "--a", "2", "--b", "3"]])
+    def test_bad_precision_is_2(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--precision", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--precision: must be a nonnegative integer" in err and "_precision" not in err
+
+    def test_denest_a_beyond_double_range_is_0(self, capsys):
+        code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2")
+        assert code == 0
+        assert out.startswith("value = 4.30886938006e+133")
+
 
 class TestBatch:
     def test_batch_json_lines(self, capsys, tmp_path):

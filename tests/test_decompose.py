@@ -9,12 +9,13 @@ from rscubic import (
     CaseTag,
     DepressedCubic,
     GeneralCubic,
+    RsPair,
     cardano_solve,
     compute_rs,
     depress,
     solve,
 )
-from rscubic.decompose import classify, discriminant, rs_quadratic
+from rscubic.decompose import EQUAL_BAND, classify, discriminant, rs_quadratic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -260,3 +261,50 @@ def test_exact_p_near_double_limit_gives_finite_roots(p):
     triple = solve(GeneralCubic(0, p, 1))
     assert all(math.isfinite(x.real) and math.isfinite(x.imag) for x in triple.roots)
     assert max(abs(x) for x in triple.roots) == pytest.approx(math.sqrt(abs(p)), rel=1e-12)
+
+
+def reference_float_rs(p, q):
+    """compute_rs of float p, q != 0 by the reference formulas: classify's band
+    on discriminant, rs_quadratic, B*B - 4C and ldexp by k."""
+    ep, eq = math.frexp(p)[1], math.frexp(q)[1]
+    if 2 * eq - 3 * ep > 199:
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
+    k = max(-(-ep // 2), -(-eq // 3))
+    k = k if abs(k) > 100 else 0
+    d = DepressedCubic(math.ldexp(p, -2 * k), math.ldexp(q, -3 * k))
+    if d.q == 0:  # q underflowed at unit scale: x^3 + px
+        case = CaseTag.REAL_DISTINCT if d.p > 0 else CaseTag.CONJUGATE_PAIR
+    else:
+        delta = discriminant(d)
+        band = EQUAL_BAND * (abs(4 * d.p**3) + abs(27 * d.q**2))
+        case = (
+            CaseTag.EQUAL if abs(delta) <= band else CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
+        )
+    B, C = rs_quadratic(d)
+    if case is CaseTag.EQUAL:
+        half = complex(math.ldexp(-B / 2, k))
+        return RsPair(half, half, case)
+    disc = B * B - 4.0 * C
+    if case is CaseTag.REAL_DISTINCT:
+        w = math.sqrt(abs(disc))
+        t1 = -(B + math.copysign(w, B)) / 2.0 if B != 0 else w / 2.0
+        t2 = C / t1
+        r, s = (t1, t2) if t1 >= t2 else (t2, t1)
+        return RsPair(complex(math.ldexp(r, k)), complex(math.ldexp(s, k)), case)
+    r = complex(math.ldexp(-B / 2.0, k), math.ldexp(math.sqrt(-disc) / 2.0, k))
+    return RsPair(r, r.conjugate(), case)
+
+
+nonzero_float = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@given(nonzero_float, nonzero_float)
+@example(-12.0 * 2.0**300, 16.0 * 2.0**450)  # the equal case, out of band
+@example(-12.0, 16.0 * (1 + 1e-14))  # inside EQUAL_BAND
+@example(1e300, 1e-10)
+@example(-3e200, 2e300)
+@example(1e-300, 1e-200)
+@example(2.0**400, 1e-200)  # q underflows at unit scale
+@example(-(2.0**400), 1e-200)
+def test_float_compute_rs_matches_reference_formulas_bitwise(p, q):
+    assert repr(compute_rs(DepressedCubic(p, q))) == repr(reference_float_rs(p, q))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rscubic import InvalidInputError, NestedRadical, denest
+from rscubic import InvalidInputError, NestedRadical, denest, solve_depressed
 from rscubic.denest import _rational_root_near, radical_to_cubic
 from rscubic.numerics import _root
 
@@ -128,6 +128,13 @@ class TestDenest:
         with mpmath.workdps(60):
             want = mpmath.cbrt(a + mpmath.sqrt(b)) + mpmath.cbrt(a - mpmath.sqrt(b))
             assert abs(denest(NestedRadical(a, b)).value - want) <= 1e-15 * want
+
+    def test_a_beyond_double_range_without_a_rational_cube(self):
+        # a^2 - b = 2 makes p a float; q = -2a has no double, so it stays exact.
+        result = denest(NestedRadical(10**600, 10**1200 - 2))
+        assert result.value == pytest.approx(2 ** (1 / 3) * 1e200, rel=1e-14)
+        assert result.cubic.q == -2 * 10**600 and not result.cubic.exact
+        assert solve_depressed(result.cubic).roots[0] == pytest.approx(result.value, rel=1e-14)
 
 
 def _divisors(n: int) -> list[int]:

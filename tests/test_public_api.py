@@ -1,3 +1,5 @@
+import ast
+import sys
 from pathlib import Path
 
 import rscubic
@@ -58,3 +60,17 @@ def test_readme_documents_every_export():
     text = README.read_text(encoding="utf-8")
     undocumented = [name for name in rscubic.__all__ if f"`{name}`" not in text]
     assert undocumented == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

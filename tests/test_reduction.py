@@ -8,10 +8,13 @@ from rscubic import (
     DepressedCubic,
     GeneralCubic,
     InvalidInputError,
+    NestedRadical,
     RootTriple,
+    denest,
     depress,
     lift_roots,
     solve,
+    solve_depressed,
 )
 
 finite = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -120,3 +123,66 @@ def test_evaluation_is_exact_for_rational_points():
     assert cubic(Fraction(2)) == 0
     d, _ = depress(cubic)
     assert d(Fraction(1)) == d.p + d.q + 1
+
+
+exact_value = st.one_of(st.integers(-(10**6), 10**6), st.fractions(-1000, 1000, max_denominator=10**4))
+
+
+def _floats_at(values, picks):
+    return [float(v) if i in picks else v for i, v in enumerate(values)]
+
+
+@given(exact_value, exact_value, exact_value, exact_value.filter(bool), st.sets(st.integers(0, 3), min_size=1))
+@example(0, -2, 0, 1, {2})  # the exact channel used to follow which coefficient was a float
+@example(0, Fraction(-25, 2), Fraction(65, 4), 1, {1, 2})
+@example(Fraction(1, 3), 5, 7, 3, {0})
+def test_mixed_cubic_is_its_float_twin(a, b, c, lead, picks):
+    *mixed, mixed_lead = _floats_at((a, b, c, lead), picks)
+    cubic = GeneralCubic(*mixed, lead=mixed_lead)
+    twin = GeneralCubic(float(a), float(b), float(c), lead=float(lead))
+    assert repr(cubic) == repr(twin) and not cubic.exact
+    assert repr(solve(cubic)) == repr(solve(twin))
+
+
+@given(exact_value, exact_value, st.sets(st.integers(0, 1), min_size=1))
+@example(Fraction(-1, 3), 5, {0})
+def test_mixed_depressed_cubic_is_its_float_twin(p, q, picks):
+    d = DepressedCubic(*_floats_at((p, q), picks))
+    twin = DepressedCubic(float(p), float(q))
+    assert repr(d) == repr(twin) and not d.exact
+    assert repr(solve_depressed(d)) == repr(solve_depressed(twin))
+
+
+@given(exact_value, exact_value.map(abs), st.sets(st.integers(0, 1), min_size=1))
+@example(0, 2, {1})  # a = 0 used to denest to an exact 0 beside a float b
+def test_mixed_radical_is_its_float_twin(a, b, picks):
+    radical = NestedRadical(*_floats_at((a, b), picks))
+    twin = NestedRadical(float(a), float(b))
+    assert repr(radical) == repr(twin)
+    assert repr(denest(radical)) == repr(denest(twin))
+
+
+def test_a_float_coefficient_drops_the_exact_channel():
+    assert solve(GeneralCubic(0, -2, 0)).exact is not None
+    assert solve(GeneralCubic(0, -2, 0.0)).exact is None
+    assert repr(GeneralCubic(0, -2, 0.0)) == repr(GeneralCubic(0.0, -2.0, 0.0))
+
+
+def test_a_float_shift_drops_the_exact_channel():
+    triple = solve(GeneralCubic(0, -4, 0))  # roots -2, 0, 2
+    assert lift_roots(triple, Fraction(1, 2)).exact is not None
+    assert lift_roots(triple, 0.5).exact is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DepressedCubic(-3 * 10**400, 0.5),
+        lambda: GeneralCubic(0, 10**400, 1.5),
+        lambda: GeneralCubic(1.0, 1, 1, lead=Fraction(1, 10**400)),  # the lead rounds to 0.0
+        lambda: NestedRadical(10**400, 2.0),
+    ],
+)
+def test_a_float_form_rejects_an_exact_value_without_a_double(build):
+    with pytest.raises(InvalidInputError):
+        build()
