@@ -22,14 +22,31 @@ class InvalidInputError(ValueError):
 
 
 def _coerce(value) -> Coefficient:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    # Exact int and float are tested by type first: isinstance(x, Fraction)
+    # goes through ABCMeta.__instancecheck__ for any x that is not exactly a
+    # Fraction. Every other input (bool, subclasses, numpy floats, Decimal,
+    # numeric strings) takes the isinstance rules as before.
+    kind = type(value)
+    if kind is int:
         return Fraction(value)
-    value = float(value)
+    if kind is not float:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        value = float(value)
     if not math.isfinite(value):
         raise InvalidInputError(f"non-finite coefficient: {value!r}")
     return value
+
+
+def _record(cls, **fields):
+    """cls(**fields) for a frozen dataclass, given every field: the instance's
+    __dict__ is filled in one call, where the generated __init__ pays an
+    object.__setattr__ per field. Frozenness, ==, hash and repr are the class's."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def _beyond_double() -> InvalidInputError:
@@ -49,9 +66,13 @@ class GeneralCubic:
     c: Coefficient
 
     def __init__(self, a, b, c, lead=1):
-        lead = _coerce(lead)
-        if lead == 0:
-            raise InvalidInputError("leading coefficient must be nonzero")
+        if type(lead) is int and lead == 1:  # the default: nothing to coerce or divide by
+            unit = True
+        else:
+            lead = _coerce(lead)
+            if lead == 0:
+                raise InvalidInputError("leading coefficient must be nonzero")
+            unit = lead == 1
         a, b, c = _coerce(a), _coerce(b), _coerce(c)
         # A float anywhere rounds every value once, so a mixed cubic is
         # bit-identical to its all-float twin; x / 1.0 is x. An exact lead
@@ -59,12 +80,13 @@ class GeneralCubic:
         if isinstance(a, float) or isinstance(b, float) or isinstance(c, float) or isinstance(lead, float):
             try:
                 a, b, c = float(a), float(b), float(c)
-                if lead != 1:
+                if not unit:
                     lead = float(lead)  # an exact lead below the double range rounds to 0.0
-                    a, b, c = a / lead, b / lead, c / lead
+                    # A tiny lead can overflow a quotient: _coerce rejects it here, not in depress.
+                    a, b, c = _coerce(a / lead), _coerce(b / lead), _coerce(c / lead)
             except (OverflowError, ZeroDivisionError):
                 raise _beyond_double() from None
-        elif lead != 1:
+        elif not unit:
             ln, ld = lead.numerator, lead.denominator
             a, b, c = (Fraction(v.numerator * ld, v.denominator * ln) for v in (a, b, c))
         object.__setattr__(self, "a", a)
@@ -93,12 +115,14 @@ class DepressedCubic:
     q: Coefficient
 
     def __init__(self, p, q):
-        p, q = _coerce(p), _coerce(q)
-        if isinstance(p, float) or isinstance(q, float):
-            try:
-                p, q = float(p), float(q)
-            except OverflowError:
-                raise _beyond_double() from None
+        # Two finite floats, as the float pipeline builds them, need no coercion.
+        if not (type(p) is float and type(q) is float and math.isfinite(p) and math.isfinite(q)):
+            p, q = _coerce(p), _coerce(q)
+            if isinstance(p, float) or isinstance(q, float):
+                try:
+                    p, q = float(p), float(q)
+                except OverflowError:
+                    raise _beyond_double() from None
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from rscubic import (
     ExactValue,
     GeneralCubic,
     InvalidCaseError,
+    brute_force_roots,
+    cardano_solve,
     compute_rs,
     depress,
     match_root_sets,
@@ -418,3 +421,47 @@ class TestFractionCbrt:
     @pytest.mark.parametrize("value", [Fraction(2), Fraction(9), Fraction(8, 3)])
     def test_non_cubes(self, value):
         assert fraction_cbrt(value) is None
+
+
+# (p, q) of x^3 + px + q for each case tag; the origin is degenerate_p0 too.
+CASE_INPUTS = {
+    CaseTag.EQUAL: (-12, 16),
+    CaseTag.REAL_DISTINCT: (-6, -9),
+    CaseTag.CONJUGATE_PAIR: (-3, 1),
+    CaseTag.DEGENERATE_P0: (0, 2),
+    CaseTag.DEGENERATE_Q0: (-4, 0),
+}
+
+
+def records_of(p, q):
+    """Every record the solvers return for x^3 + px + q, with the records nested in them."""
+    d = DepressedCubic(p, q)
+    pair = compute_rs(d)
+    # x = y - 1 shifts the cubic, so solve lifts the roots by a nonzero delta.
+    shifted = GeneralCubic(3, 3 + p, 1 + p + q)
+    triples = [solve(shifted), solve_depressed(d), cardano_solve(d)[0], brute_force_roots(d)]
+    triples.append(newton_polish(triples[0], shifted))
+    if pair.r is not None and pair.r != pair.s:
+        triples.append(solve_moebius(pair.r, pair.s))
+    nested = [t.pair for t in triples if t.pair is not None] + [t.trig for t in triples if t.trig is not None]
+    return [pair] + triples + nested
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("case", list(CASE_INPUTS), ids=lambda c: c.value)
+def test_records_stay_frozen_values(case, exact):
+    p, q = CASE_INPUTS[case]
+    if not exact:
+        p, q = float(p), float(q)
+    records = records_of(p, q)
+    assert records[0].case is case
+    for record in records:
+        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        rebuilt = type(record)(**fields)
+        assert record == rebuilt and hash(record) == hash(rebuilt)
+        assert vars(record) == vars(rebuilt) and repr(record) == repr(rebuilt)
+        assert dataclasses.replace(record) == record
+        assert dataclasses.asdict(record) == dataclasses.asdict(rebuilt)
+        for name, value in fields.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, value)

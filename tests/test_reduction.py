@@ -1,3 +1,6 @@
+import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,11 @@ from rscubic import (
     solve,
     solve_depressed,
 )
+
+try:
+    import numpy
+except ImportError:  # an optional test dependency
+    numpy = None
 
 finite = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 
@@ -186,3 +194,118 @@ def test_a_float_shift_drops_the_exact_channel():
 def test_a_float_form_rejects_an_exact_value_without_a_double(build):
     with pytest.raises(InvalidInputError):
         build()
+
+
+def test_a_float_lead_that_overflows_a_coefficient_is_rejected():
+    with pytest.raises(InvalidInputError, match=re.escape("non-finite coefficient: inf")):
+        GeneralCubic(1e300, 1.0, 1.0, lead=1e-300)
+    with pytest.raises(InvalidInputError, match=re.escape("non-finite coefficient: -inf")):
+        GeneralCubic(1, 10**300, 1, lead=-1e-300)
+
+
+BEYOND = "an exact value beyond the double range cannot be rounded into a float form"
+
+
+def reference_coerce(value):
+    """The isinstance rules that the type-first checks in _coerce must keep."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"non-finite coefficient: {value!r}")
+    return value
+
+
+def reference_rounded(*values):
+    """Values coerced in order; a float among them rounds them all."""
+    values = [reference_coerce(v) for v in values]
+    if any(isinstance(v, float) for v in values):
+        try:
+            values = [float(v) for v in values]
+        except OverflowError:
+            raise InvalidInputError(BEYOND) from None
+    return values
+
+
+def reference_general(a, b, c, lead):
+    lead = reference_coerce(lead)
+    if lead == 0:
+        raise InvalidInputError("leading coefficient must be nonzero")
+    values = [reference_coerce(v) for v in (a, b, c)]
+    if isinstance(lead, float) or any(isinstance(v, float) for v in values):
+        try:
+            values = [float(v) for v in values]
+            if lead != 1:
+                values = [reference_coerce(v / float(lead)) for v in values]
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidInputError(BEYOND) from None
+    elif lead != 1:
+        values = [v / lead for v in values]
+    return values
+
+
+def reference_radical(a, b):
+    a, b = reference_rounded(a, b)
+    if b < 0:
+        raise InvalidInputError("b must be nonnegative (real square root)")
+    return [a, b]
+
+
+class Int(int):
+    pass
+
+
+class Real(float):
+    pass
+
+
+finite_float = st.floats(allow_nan=False, allow_infinity=False)
+raw_value = st.one_of(
+    [
+        st.integers(-(10**20), 10**20),
+        st.sampled_from([0, 10**400, -(10**400)]),
+        st.booleans(),
+        st.integers(-1000, 1000).map(Int),
+        st.fractions(max_denominator=10**6),
+        st.floats(),
+        finite_float.map(Real),
+        st.decimals(allow_nan=False),
+        finite_float.map(repr),
+        st.sampled_from(["inf", "-inf", "nan", "1e999", "12"]),
+    ]
+    + ([finite_float.map(numpy.float64), st.integers(-(2**62), 2**62).map(numpy.int64)] if numpy is not None else [])
+)
+leads = st.sampled_from([1, 1.0, True, Fraction(1), 2, -0.5, 1e-300, 0])
+
+
+def general_cubic(a, b, c, lead):
+    return GeneralCubic(a, b, c, lead=lead)
+
+
+def assert_built_like(build, reference, fields, *args):
+    """build(*args) stores reference(*args) (same types and reprs), or both raise alike."""
+    try:
+        expected = reference(*args)
+    except InvalidInputError as error:
+        with pytest.raises(InvalidInputError, match=re.escape(str(error))):
+            build(*args)
+        return
+    built = build(*args)
+    got = [getattr(built, name) for name in fields]
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert repr(got) == repr(expected)
+
+
+@given(raw_value, raw_value, raw_value, leads)
+@example(True, Int(3), Decimal("0.5"), 1)
+@example("12", 2, Fraction(1, 3), True)
+@example(1e300, 1.0, 1.0, 1e-300)
+@example(float("nan"), 1, 1, 0)  # the zero lead is reported first
+@example(1.5, float("-inf"), 2.0, 1)  # two floats, one of them not finite
+@example(float("nan"), 0.5, 0.5, 1.0)
+def test_coercion_keeps_the_isinstance_rules(a, b, c, lead):
+    assert_built_like(general_cubic, reference_general, "abc", a, b, c, lead)
+    assert_built_like(DepressedCubic, reference_rounded, "pq", a, b)
+    assert_built_like(NestedRadical, reference_radical, "ab", b, c)
