@@ -29,7 +29,7 @@ from typing import Optional
 
 from .decompose import CaseTag, RsPair, classify, compute_rs
 from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
-from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, depress
+from .reduction import Coefficient, DepressedCubic, GeneralCubic, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -159,6 +159,10 @@ class TrigForm:
     theta: float
     offsets: tuple[float, float, float]
 
+    def __init__(self, amplitude, theta, offsets):
+        # One __dict__ fill, as in RsPair.
+        self.__dict__.update(amplitude=amplitude, theta=theta, offsets=offsets)
+
 
 @dataclass(frozen=True)
 class RootTriple:
@@ -177,6 +181,10 @@ class RootTriple:
     exact: Optional[tuple[Optional[ExactValue], ...]] = None
     trig: Optional[TrigForm] = None
     pair: Optional[RsPair] = None
+
+    def __init__(self, roots, case, multiplicity=(), exact=None, trig=None, pair=None):
+        # One __dict__ fill, as in RsPair.
+        self.__dict__.update(roots=roots, case=case, multiplicity=multiplicity, exact=exact, trig=trig, pair=pair)
 
 
 def _multiplicity_of(values) -> tuple[tuple[int, int], ...]:
@@ -204,15 +212,7 @@ def _solve_equal(pair: RsPair) -> RootTriple:
     values = sorted([r, r, -2 * r])
     roots = tuple(complex(float(v), 0.0) for v in values)
     exact = tuple(ExactValue(v) for v in values) if pair.exact_r is not None else None
-    return _record(
-        RootTriple,
-        roots=roots,
-        case=CaseTag.EQUAL,
-        multiplicity=_multiplicity_of(values),
-        exact=exact,
-        trig=None,
-        pair=pair,
-    )
+    return RootTriple(roots, CaseTag.EQUAL, multiplicity=_multiplicity_of(values), exact=exact, pair=pair)
 
 
 def _solve_real_distinct(pair: RsPair) -> RootTriple:
@@ -229,9 +229,7 @@ def _solve_real_distinct(pair: RsPair) -> RootTriple:
     re = -x0 / 2.0
     im = abs(m * (u - v)) * _SQRT3 / 2.0
     roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
-    return _record(
-        RootTriple, roots=roots, case=CaseTag.REAL_DISTINCT, multiplicity=(), exact=None, trig=None, pair=pair
-    )
+    return RootTriple(roots, CaseTag.REAL_DISTINCT, pair=pair)
 
 
 def _solve_conjugate(pair: RsPair) -> RootTriple:
@@ -245,10 +243,8 @@ def _solve_conjugate(pair: RsPair) -> RootTriple:
     offsets = (theta / 3.0, theta / 3.0 + _TWO_PI_3, theta / 3.0 + 2.0 * _TWO_PI_3)
     pairs = sorted((amplitude * math.cos(o), o) for o in offsets)
     roots = tuple(complex(v, 0.0) for v, _ in pairs)
-    trig = _record(TrigForm, amplitude=amplitude, theta=theta, offsets=tuple(o for _, o in pairs))
-    return _record(
-        RootTriple, roots=roots, case=CaseTag.CONJUGATE_PAIR, multiplicity=(), exact=None, trig=trig, pair=pair
-    )
+    trig = TrigForm(amplitude=amplitude, theta=theta, offsets=tuple(o for _, o in pairs))
+    return RootTriple(roots, CaseTag.CONJUGATE_PAIR, trig=trig, pair=pair)
 
 
 def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
@@ -289,13 +285,13 @@ def _finalize(raw, case: CaseTag, p: float, q: float) -> RootTriple:
                 if abs(merged[i] - merged[i - 1]) <= tol:
                     merged[i] = merged[i - 1]
             mult = _multiplicity_of(merged)
-        return _record(RootTriple, roots=roots, case=case, multiplicity=mult, exact=None, trig=None, pair=None)
+        return RootTriple(roots, case, multiplicity=mult)
     k = min(range(3), key=lambda i: abs(raw[i].imag))
     z1, z2 = (raw[i] for i in range(3) if i != k)
     re = 0.5 * (z1.real + z2.real)
     im = 0.5 * (abs(z1.imag) + abs(z2.imag))
     roots = (complex(raw[k].real, 0.0), complex(re, -im), complex(re, im))
-    return _record(RootTriple, roots=roots, case=case, multiplicity=(), exact=None, trig=None, pair=None)
+    return RootTriple(roots, case)
 
 
 def solve_moebius(r: complex, s: complex) -> RootTriple:
@@ -327,14 +323,8 @@ def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:
     p, q = d.p, d.q
     if p == 0 and q == 0:
         zero = ExactValue(Fraction(0))
-        return _record(
-            RootTriple,
-            roots=(0j, 0j, 0j),
-            case=CaseTag.DEGENERATE_P0,
-            multiplicity=((0, 3),),
-            exact=(zero, zero, zero),
-            trig=None,
-            pair=pair,
+        return RootTriple(
+            (0j, 0j, 0j), CaseTag.DEGENERATE_P0, multiplicity=((0, 3),), exact=(zero, zero, zero), pair=pair
         )
     if q == 0:
         w = _root(abs(p), 2)
@@ -345,17 +335,13 @@ def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:
         else:
             roots = (complex(0.0, 0.0), complex(0.0, -w), complex(0.0, w))
             exact = (ExactValue(Fraction(0)), None, None) if d.exact else None
-        return _record(
-            RootTriple, roots=roots, case=CaseTag.DEGENERATE_Q0, multiplicity=(), exact=exact, trig=None, pair=pair
-        )
+        return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact, pair=pair)
     c = _root(-q, 3)
     re, im = -c / 2.0, abs(c) * _SQRT3 / 2.0
     roots = (complex(c, 0.0), complex(re, -im), complex(re, im))
     cr = fraction_cbrt(-q) if d.exact and p == 0 else None
     exact = (ExactValue(cr), None, None) if cr is not None else None
-    return _record(
-        RootTriple, roots=roots, case=CaseTag.DEGENERATE_P0, multiplicity=(), exact=exact, trig=None, pair=pair
-    )
+    return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact, pair=pair)
 
 
 _CASE_STEPS = {
@@ -391,17 +377,9 @@ def lift_roots(triple: RootTriple, delta: Coefficient) -> RootTriple:
     roots = tuple(x - d for x in triple.roots)
     exact = None
     if triple.exact is not None and not isinstance(delta, float):
-        dr = -delta
+        dr = -Fraction(delta)
         exact = tuple(e.shift(dr) if e is not None else None for e in triple.exact)
-    return _record(
-        RootTriple,
-        roots=roots,
-        case=triple.case,
-        multiplicity=triple.multiplicity,
-        exact=exact,
-        trig=triple.trig,
-        pair=triple.pair,
-    )
+    return RootTriple(roots, triple.case, triple.multiplicity, exact, triple.trig, triple.pair)
 
 
 def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
@@ -416,15 +394,7 @@ def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
             f = ((x + a) * x + b) * x + c
             x = x - f / fp
         polished.append(x)
-    return _record(
-        RootTriple,
-        roots=tuple(polished),
-        case=triple.case,
-        multiplicity=triple.multiplicity,
-        exact=triple.exact,
-        trig=triple.trig,
-        pair=triple.pair,
-    )
+    return RootTriple(tuple(polished), triple.case, triple.multiplicity, triple.exact, triple.trig, triple.pair)
 
 
 def solve(cubic: GeneralCubic) -> RootTriple:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .numerics import _band, _exponent
-from .reduction import Coefficient, DepressedCubic, _record
+from .reduction import Coefficient, DepressedCubic
 
 # Relative half-width of the band around 0 inside which the discriminant is
 # treated as zero (float inputs only; exact inputs compare exactly). Near
@@ -64,6 +64,11 @@ class RsPair:
     case: CaseTag
     exact_r: Optional[Fraction] = None
     exact_s: Optional[Fraction] = None
+
+    def __init__(self, r, s, case, exact_r=None, exact_s=None):
+        # One __dict__ fill: the generated frozen __init__ pays an
+        # object.__setattr__ per field, and a solve builds one record per stage.
+        self.__dict__.update(r=r, s=s, case=case, exact_r=exact_r, exact_s=exact_s)
 
 
 def discriminant(d: DepressedCubic) -> Coefficient:
@@ -127,12 +132,12 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     """
     p, q = d.p, d.q
     if p == 0:
-        return _record(RsPair, r=None, s=None, case=CaseTag.DEGENERATE_P0, exact_r=None, exact_s=None)
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
     if q == 0:
-        return _record(RsPair, r=None, s=None, case=CaseTag.DEGENERATE_Q0, exact_r=None, exact_s=None)
+        return RsPair(None, None, CaseTag.DEGENERATE_Q0)
     ep, eq = _exponent(p), _exponent(q)
     if 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
-        return _record(RsPair, r=None, s=None, case=CaseTag.DEGENERATE_P0, exact_r=None, exact_s=None)
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
     k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
     k = _band(kq if kq > k else k)
     if d.exact:
@@ -143,7 +148,7 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     B, C = 3 * q / p, -p / 3
     if case is CaseTag.EQUAL:
         half = complex(math.ldexp(-B / 2, k))
-        return _record(RsPair, r=half, s=half, case=case, exact_r=None, exact_s=None)
+        return RsPair(half, half, case)
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
 
@@ -163,7 +168,7 @@ def _compute_rs_exact(d: DepressedCubic, k: int) -> RsPair:
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
         half = Fraction(-b_num, 2 * b_den)
-        return _record(RsPair, r=complex(half), s=complex(half), case=CaseTag.EQUAL, exact_r=half, exact_s=half)
+        return RsPair(complex(half), complex(half), CaseTag.EQUAL, half, half)
 
     case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
     disc_den = 3 * P * P * dp * dq * dq
@@ -175,7 +180,7 @@ def _compute_rs_exact(d: DepressedCubic, k: int) -> RsPair:
             den = 2 * b_den * disc_den
             r = Fraction(root * b_den - b_num * disc_den, den)
             s = Fraction(-root * b_den - b_num * disc_den, den)
-            return _record(RsPair, r=complex(r), s=complex(s), case=case, exact_r=r, exact_s=s)
+            return RsPair(complex(r), complex(s), case, r, s)
 
     # The exact discriminant is rounded once: B*B - 4C in doubles cancels
     # when B^2 ~ 4|C| and can even flip sign.
@@ -191,8 +196,6 @@ def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:
         t1 = -(B + math.copysign(w, B)) / 2.0 if B != 0 else w / 2.0
         t2 = C / t1
         r, s = (t1, t2) if t1 >= t2 else (t2, t1)
-        return _record(
-            RsPair, r=complex(math.ldexp(r, k)), s=complex(math.ldexp(s, k)), case=case, exact_r=None, exact_s=None
-        )
+        return RsPair(complex(math.ldexp(r, k)), complex(math.ldexp(s, k)), case)
     r = complex(math.ldexp(-B / 2.0, k), math.ldexp(w / 2.0, k))
-    return _record(RsPair, r=r, s=r.conjugate(), case=case, exact_r=None, exact_s=None)
+    return RsPair(r, r.conjugate(), case)

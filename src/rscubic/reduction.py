@@ -40,15 +40,6 @@ def _coerce(value) -> Coefficient:
     return value
 
 
-def _record(cls, **fields):
-    """cls(**fields) for a frozen dataclass, given every field: the instance's
-    __dict__ is filled in one call, where the generated __init__ pays an
-    object.__setattr__ per field. Frozenness, ==, hash and repr are the class's."""
-    record = object.__new__(cls)
-    record.__dict__.update(fields)
-    return record
-
-
 def _beyond_double() -> InvalidInputError:
     return InvalidInputError("an exact value beyond the double range cannot be rounded into a float form")
 
@@ -115,14 +106,12 @@ class DepressedCubic:
     q: Coefficient
 
     def __init__(self, p, q):
-        # Two finite floats, as the float pipeline builds them, need no coercion.
-        if not (type(p) is float and type(q) is float and math.isfinite(p) and math.isfinite(q)):
-            p, q = _coerce(p), _coerce(q)
-            if isinstance(p, float) or isinstance(q, float):
-                try:
-                    p, q = float(p), float(q)
-                except OverflowError:
-                    raise _beyond_double() from None
+        p, q = _coerce(p), _coerce(q)
+        if isinstance(p, float) or isinstance(q, float):
+            try:
+                p, q = float(p), float(q)
+            except OverflowError:
+                raise _beyond_double() from None
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .chen import RootTriple
 from .decompose import classify
-from .reduction import DepressedCubic, _record
+from .reduction import DepressedCubic
 
 _TOL = 1e-10
 
@@ -94,4 +94,4 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
     else:
         re, im = -b2 / 2.0, math.sqrt(-disc) / 2.0
         roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
-    return _record(RootTriple, roots=roots, case=classify(d), multiplicity=(), exact=None, trig=None, pair=None)
+    return RootTriple(roots, classify(d))
