@@ -6,7 +6,10 @@ product is -p/3, otherwise cbrt(A) + cbrt(B) silently stops being a root
 once the discriminant goes negative. We therefore take one cube root and
 derive the other as (-p/3) / cbrt(A).
 
-Kept independent of the r,s path so the two can cross-check each other.
+The roots are kept independent of the r,s path so the two can
+cross-check each other: they stay raw Cardano values, only ordered and
+folded to the real/conjugate shape of the case. The case tag itself is
+compute_rs's, so every solver reports the same one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .chen import RootTriple, _finalize
-from .decompose import classify, integer_discriminant
+from .decompose import compute_rs, integer_discriminant
 from .numerics import OMEGA, OMEGA2, _root, principal_cube_root
 from .reduction import DepressedCubic
 
@@ -75,8 +78,7 @@ def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
         OMEGA * cbrt_a + OMEGA2 * cbrt_b,
         OMEGA2 * cbrt_a + OMEGA * cbrt_b,
     )
-    case = classify(d)
-    triple = _finalize(raw, case, p, q)
+    triple = _finalize(raw, compute_rs(d).case, p, q)
     return triple, CardanoIntermediates(A, B, disc, sqrt_disc, cbrt_a, cbrt_b)
 
 

@@ -27,16 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decompose import CaseTag, RsPair, classify, compute_rs
+from .decompose import CaseTag, RsPair, compute_rs
 from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
 from .reduction import Coefficient, DepressedCubic, GeneralCubic, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
-
-# Roots closer than this (relative to the largest root) are annotated as a
-# multiple root by the approximate solution paths.
-_MULTIPLICITY_TOL = 1e-8
 
 # Trial divisors tried by _square_free_split before the rest is kept whole.
 _SQUARE_FREE_TRIAL_CAP = 10**6
@@ -187,32 +183,18 @@ class RootTriple:
         self.__dict__.update(roots=roots, case=case, multiplicity=multiplicity, exact=exact, trig=trig, pair=pair)
 
 
-def _multiplicity_of(values) -> tuple[tuple[int, int], ...]:
-    """(index, count) entries for exactly-equal runs in a sorted list."""
-    notes = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[j + 1] == values[i]:
-            j += 1
-        if j > i:
-            notes.append((i, j - i + 1))
-        i = j + 1
-    return tuple(notes)
-
-
 def _solve_equal(pair: RsPair) -> RootTriple:
     """Roots r, r, -2r of the repeated-pair case x^3 - 3r^2 x + 2r^3.
 
     Stated with r itself rather than sqrt(rs): for r < 0, sqrt(rs) = |r|
-    would flip the sign, while (x-r)^2 (x+2r) pins the repeated root at r.
-    Exact when r is rational.
+    would flip the sign, while (x-r)^2 (x+2r) pins the repeated root at r,
+    first in ascending order when r < 0. Exact when r is rational.
     """
     r = pair.exact_r if pair.exact_r is not None else pair.r.real
     values = sorted([r, r, -2 * r])
     roots = tuple(complex(float(v), 0.0) for v in values)
     exact = tuple(ExactValue(v) for v in values) if pair.exact_r is not None else None
-    return RootTriple(roots, CaseTag.EQUAL, multiplicity=_multiplicity_of(values), exact=exact, pair=pair)
+    return RootTriple(roots, CaseTag.EQUAL, multiplicity=((0, 2),) if r < 0 else ((1, 2),), exact=exact, pair=pair)
 
 
 def _solve_real_distinct(pair: RsPair) -> RootTriple:
@@ -263,11 +245,13 @@ def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
 
 
 def _finalize(raw, case: CaseTag, p: float, q: float) -> RootTriple:
-    """Order raw roots canonically and restore the exact real/conjugate shape.
+    """Order raw roots canonically and restore the real/conjugate shape of the case.
 
     Real coefficients force the roots to be all real or one real plus a
     conjugate pair; residual imaginary noise from complex cube roots is
-    folded back into that structure.
+    folded back into that structure. Multiplicity follows from the case:
+    the double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0,
+    and p = q = 0 is a triple root.
     """
     three_real = (
         case in (CaseTag.EQUAL, CaseTag.CONJUGATE_PAIR)
@@ -277,14 +261,10 @@ def _finalize(raw, case: CaseTag, p: float, q: float) -> RootTriple:
     if three_real:
         values = sorted(x.real for x in raw)
         roots = tuple(complex(v, 0.0) for v in values)
-        mult = ()
-        if case in (CaseTag.EQUAL, CaseTag.DEGENERATE_P0):
-            tol = _MULTIPLICITY_TOL * max(1.0, max(abs(v) for v in values))
-            merged = list(values)
-            for i in (1, 2):
-                if abs(merged[i] - merged[i - 1]) <= tol:
-                    merged[i] = merged[i - 1]
-            mult = _multiplicity_of(merged)
+        if case is CaseTag.EQUAL:
+            mult = ((0, 2),) if q < 0 else ((1, 2),)
+        else:
+            mult = ((0, 3),) if case is CaseTag.DEGENERATE_P0 else ()
         return RootTriple(roots, case, multiplicity=mult)
     k = min(range(3), key=lambda i: abs(raw[i].imag))
     z1, z2 = (raw[i] for i in range(3) if i != k)
@@ -297,21 +277,22 @@ def _finalize(raw, case: CaseTag, p: float, q: float) -> RootTriple:
 def solve_moebius(r: complex, s: complex) -> RootTriple:
     """Roots x = (r - su)/(1 - u) over the three cube roots u of r/s.
 
-    Needs s != 0 and r != s (u = 1 would make the map blow up, and it
-    cannot occur otherwise).
+    Needs s != 0 and no cube root u equal to 1, where the map blows up:
+    that is r = s, or an r/s that rounds to 1. The case is compute_rs's
+    for p = -3rs and q = rs(r+s).
     """
     r = complex(r)
     s = complex(s)
     if s == 0:
         raise InvalidCaseError("Moebius form needs s != 0")
-    if r == s:
-        raise InvalidCaseError("Moebius form degenerates when r = s")
-    raw = tuple((r - s * u) / (1.0 - u) for u in cube_roots_all(r / s))
+    us = cube_roots_all(r / s)
+    if 1 in us:
+        raise InvalidCaseError("Moebius form degenerates when r = s (a cube root of r/s is 1)")
+    raw = tuple((r - s * u) / (1.0 - u) for u in us)
     rs = r * s
     p = (-3.0 * rs).real
     q = (rs * (r + s)).real
-    case = classify(DepressedCubic(p, q))
-    return _finalize(raw, case, p, q)
+    return _finalize(raw, compute_rs(DepressedCubic(p, q)).case, p, q)
 
 
 def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:

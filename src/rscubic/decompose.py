@@ -1,4 +1,4 @@
-"""Recover the pair (r, s) with p = -3rs, q = rs(r+s), and classify the case.
+"""Recover the pair (r, s) with p = -3rs, q = rs(r+s), and the case they give.
 
 r and s are the two roots of the quadratic
 
@@ -13,12 +13,14 @@ r = s.
 Note the quadratic above: r + s = -3q/p and r*s = -p/3, which is what the
 worked examples satisfy (p = -12, q = 16 gives t^2 - 4t + 4).
 
-Exact inputs are worked on as integers: with p = P/dp and q = Q/dq the
-case, the perfect-square test and every float come from integer
-expressions (integer_discriminant), not from Fraction arithmetic. Float
-inputs read their case from one banded sign test (_float_case). The
-formulas discriminant and rs_quadratic are the reference both paths are
-tested against.
+compute_rs is the one place that decides the case, from the plain sign
+of 4p^3 + 27q^2: equal only when it is exactly 0. Exact inputs are worked
+on as integers: with p = P/dp and q = Q/dq the sign, the perfect-square
+test and every float come from integer expressions
+(integer_discriminant), not from Fraction arithmetic. Float inputs take
+the sign in doubles, on the 2^k-scaled p and q. The formulas
+discriminant and rs_quadratic are the reference both paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ from typing import Optional
 
 from .numerics import _band, _exponent
 from .reduction import Coefficient, DepressedCubic
-
-# Relative half-width of the band around 0 inside which the discriminant is
-# treated as zero (float inputs only; exact inputs compare exactly). Near
-# zero the distinct-root formulas are ill-conditioned while the equal-case
-# formula r = s = -3q/(2p) is exact, so the band errs toward Equal.
-EQUAL_BAND = 1e-12
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
 _NEGLIGIBLE_P_BITS = 199
@@ -87,30 +83,6 @@ def integer_discriminant(d: DepressedCubic) -> tuple[int, int]:
     return 4 * P * P * P * dq2 + 27 * Q * Q * dp3, dp3 * dq2
 
 
-def classify(d: DepressedCubic) -> CaseTag:
-    """Case tag from the zero tests on p, q and the sign of 4p^3 + 27q^2."""
-    if d.p == 0:
-        return CaseTag.DEGENERATE_P0
-    if d.q == 0:
-        return CaseTag.DEGENERATE_Q0
-    if not d.exact:
-        return _float_case(d.p, d.q)
-    delta = integer_discriminant(d)[0]
-    if delta == 0:
-        return CaseTag.EQUAL
-    return CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
-
-
-def _float_case(p: float, q: float) -> CaseTag:
-    """The sign of 4p^3 + 27q^2 for float p != 0, read as zero within
-    EQUAL_BAND of its two terms. A q of 0 leaves the sign of 4p^3."""
-    cube, square = 4 * p**3, 27 * q**2
-    delta = cube + square
-    if abs(delta) <= EQUAL_BAND * (abs(cube) + square):
-        return CaseTag.EQUAL
-    return CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
-
-
 def rs_quadratic(d: DepressedCubic) -> tuple[Coefficient, Coefficient]:
     """Coefficients (B, C) of the monic quadratic t^2 + Bt + C with roots r, s."""
     return 3 * d.q / d.p, -d.p / 3
@@ -144,11 +116,12 @@ def compute_rs(d: DepressedCubic) -> RsPair:
         return _compute_rs_exact(d, k)
     if k:
         p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
-    case = _float_case(p, q)
+    delta = 4 * p**3 + 27 * q**2
     B, C = 3 * q / p, -p / 3
-    if case is CaseTag.EQUAL:
+    if delta == 0:
         half = complex(math.ldexp(-B / 2, k))
-        return RsPair(half, half, case)
+        return RsPair(half, half, CaseTag.EQUAL)
+    case = CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
 

@@ -43,8 +43,12 @@ def principal_cube_root(z: complex) -> complex:
 
 
 def _exponent(x) -> int:
-    """e with |x| within a factor 4 of 2^e (x != 0): frexp's for a float, bit lengths for an exact x."""
-    return math.frexp(x)[1] if isinstance(x, float) else x.numerator.bit_length() - x.denominator.bit_length()
+    """frexp's exponent e, 2^(e-1) <= |x| < 2^e (x != 0), for a float and for an exact x alike."""
+    if isinstance(x, float):
+        return math.frexp(x)[1]
+    n, d = abs(x.numerator), x.denominator
+    e = n.bit_length() - d.bit_length()
+    return e + (n >= d << e if e >= 0 else n << -e >= d)
 
 
 def _band(k: int) -> int:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .chen import RootTriple
-from .decompose import classify
+from .decompose import compute_rs
 from .reduction import DepressedCubic
 
 _TOL = 1e-10
@@ -48,7 +48,8 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
     A monic cubic always changes sign over [-R, R] with R = 1 + max(|p|,|q|)
     (Cauchy bound), and bisection can only converge to a sign-changing
     (odd-multiplicity) root, so deflation never divides out the wrong
-    factor at a double root. Pure oracle: no cube roots, no (r, s).
+    factor at a double root. Pure oracle: no cube roots, no (r, s); only
+    its case tag is compute_rs's.
     """
     p, q = float(d.p), float(d.q)
 
@@ -94,4 +95,4 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
     else:
         re, im = -b2 / 2.0, math.sqrt(-disc) / 2.0
         roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
-    return RootTriple(roots, classify(d))
+    return RootTriple(roots, compute_rs(d).case)

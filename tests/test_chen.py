@@ -174,6 +174,27 @@ class TestSolveMoebius:
         with pytest.raises(InvalidCaseError):
             solve_moebius(complex(1), complex(0))
 
+    def test_ratio_rounding_to_one_rejected(self):
+        # r != s, but r/s rounds to 1: the cube root u = 1 would divide by 1 - u = 0.
+        d, _ = depress(GeneralCubic(43951145.871853314, 38670.97222551304, -0.0005494343777076591))
+        pair = compute_rs(d)
+        assert pair.r != pair.s
+        with pytest.raises(InvalidCaseError, match="degenerates"):
+            solve_moebius(pair.r, pair.s)
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [(1e-200, 1e-200), (-3e-120, 1e-181), (1e-30, 1.0), (1, 2**100), (1.0, 2.0**100)],
+)
+def test_every_solver_reports_the_case_of_compute_rs(p, q):
+    d = DepressedCubic(p, q)
+    pair = compute_rs(d)
+    assert cardano_solve(d)[0].case is pair.case
+    assert brute_force_roots(d).case is pair.case
+    if pair.r is not None and pair.r != pair.s:
+        assert solve_moebius(pair.r, pair.s).case is pair.case
+
 
 class TestSolveDegenerate:
     def test_q_zero_negative_p(self):
@@ -210,6 +231,14 @@ class TestSolveDegenerate:
         triple = solve_depressed(DepressedCubic(0, 0))
         assert triple.roots == (0j, 0j, 0j)
         assert triple.multiplicity == ((0, 3),)
+
+    def test_close_roots_of_a_float_cubic_are_not_a_double_root(self):
+        # Roots -8.07e-6, -4.24 and 2.92e7: the discriminant is small next to
+        # 4p^3 and 27q^2, but it is not 0.
+        r0, r1, r2 = -8.07e-6, -4.24, 2.92e7
+        triple = solve(GeneralCubic(-(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -(r0 * r1 * r2)))
+        assert triple.case is CaseTag.CONJUGATE_PAIR and triple.multiplicity == ()
+        assert all(x.imag == 0 for x in triple.roots)
 
 
 class TestSolvePipeline:

@@ -79,6 +79,18 @@ class TestSolveFlags:
         rec = json.loads(out)
         assert any(abs(z["re"] - 3) < 1e-9 and abs(z["im"]) < 1e-9 for z in rec["roots"])
 
+    def test_moebius_keeps_the_complex_pair(self, capsys):
+        # The pair is -0.4795 +- 0.1385i, not a double real root.
+        code, out, _ = run(
+            capsys, "solve", "--expr", "x^3+964519x^2 + 924916x+240245", "--method", "moebius", "--format", "json"
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["case"] == "real_distinct" and rec["multiplicity"] == []
+        assert rec["roots"][2]["re"] == pytest.approx(-0.47947, abs=1e-5)
+        assert rec["roots"][2]["im"] == pytest.approx(0.13853, abs=1e-5)
+        assert max(rec["residuals"][1:]) < 1e-3
+
     def test_polish_flag(self, capsys):
         code, out, _ = run(capsys, "solve", "--expr", "x^3-6x-9", "--polish", "--format", "json")
         assert code == 0

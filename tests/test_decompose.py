@@ -15,7 +15,7 @@ from rscubic import (
     depress,
     solve,
 )
-from rscubic.decompose import EQUAL_BAND, classify, discriminant, rs_quadratic
+from rscubic.decompose import discriminant, rs_quadratic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -86,10 +86,9 @@ class TestComputeRs:
         assert pair.case is CaseTag.DEGENERATE_Q0
         assert compute_rs(DepressedCubic(0, 0)).case is CaseTag.DEGENERATE_P0
 
-    # One rule for exact and float inputs: 2 e_q - 3 e_p > 199 drops p. A float's
-    # exponent (frexp) is one above an integer's bit-length exponent, so the float
-    # rule needs one bit more: (1.0, 2.0**100) sits just inside it.
-    @pytest.mark.parametrize("p,q", [(1, 2**100), (1.0, 2.0**101), (Fraction(-1, 3), 10**40)])
+    # One rule for exact and float inputs: 2 e_q - 3 e_p > 199 drops p, with
+    # frexp's exponent for both, so (1, 2**100) and (1.0, 2.0**100) sit just inside it.
+    @pytest.mark.parametrize("p,q", [(1, 2**101), (1.0, 2.0**101), (Fraction(-1, 3), 10**40)])
     def test_negligible_p_is_degenerate(self, p, q):
         pair = compute_rs(DepressedCubic(p, q))
         assert pair.case is CaseTag.DEGENERATE_P0 and pair.r is None and pair.s is None
@@ -153,27 +152,29 @@ class TestPairInvariants:
             delta = discriminant(d)
             B, C = rs_quadratic(d)
             quad_disc = B * B - 4 * C
-            if classify(d) in (CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR):
+            if compute_rs(d).case in (CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR):
                 assert (quad_disc > 0) == (delta > 0)
 
 
 class TestEqualBand:
-    def test_exact_zero_float(self):
-        assert classify(DepressedCubic(-12.0, 16.0)) is CaseTag.EQUAL
+    """The equal case is a discriminant of exactly 0, for float input too: there is no band."""
 
-    def test_near_zero_float_lands_in_band(self):
+    def test_exact_zero_float(self):
+        assert compute_rs(DepressedCubic(-12.0, 16.0)).case is CaseTag.EQUAL
+
+    def test_near_zero_float_is_not_equal(self):
         q = 16.0 * (1 + 1e-14)
-        assert classify(DepressedCubic(-12.0, q)) is CaseTag.EQUAL
+        assert compute_rs(DepressedCubic(-12.0, q)).case is CaseTag.REAL_DISTINCT
 
     def test_outside_band(self):
-        assert classify(DepressedCubic(-12.0, 16.5)) is not CaseTag.EQUAL
+        assert compute_rs(DepressedCubic(-12.0, 16.5)).case is not CaseTag.EQUAL
 
     def test_exact_inputs_classify_exactly(self):
         # A rationally tiny but nonzero discriminant is NOT the equal case.
         p = Fraction(-12)
         q = Fraction(16) + Fraction(1, 10**40)
-        assert classify(DepressedCubic(p, q)) is CaseTag.REAL_DISTINCT
-        assert classify(DepressedCubic(Fraction(-12), Fraction(16))) is CaseTag.EQUAL
+        assert compute_rs(DepressedCubic(p, q)).case is CaseTag.REAL_DISTINCT
+        assert compute_rs(DepressedCubic(Fraction(-12), Fraction(16))).case is CaseTag.EQUAL
 
 
 def reference_rs(d):
@@ -204,8 +205,9 @@ def reference_rs(d):
 
 
 def exponent(x):
-    """e with 2^e within a factor 4 of the nonzero rational x, from bit lengths."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
+    """frexp's exponent of the nonzero rational x: 2^(e-1) <= |x| < 2^e."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return e + (abs(x) >= Fraction(2) ** e)
 
 
 def bits(z):
@@ -240,7 +242,7 @@ class TestIntegerPathMatchesFractionFormulas:
         pair = compute_rs(d)
         if d.p == 0 or d.q == 0:
             expected = CaseTag.DEGENERATE_P0 if d.p == 0 else CaseTag.DEGENERATE_Q0
-            assert classify(d) is pair.case is expected
+            assert pair.case is expected
             assert pair.r is None and pair.s is None
             return
         if 2 * exponent(d.q) - 3 * exponent(d.p) > 199:
@@ -248,7 +250,7 @@ class TestIntegerPathMatchesFractionFormulas:
             assert pair.r is None and pair.s is None
             return
         case, r, s, exact_r, exact_s = reference_rs(d)
-        assert classify(d) is pair.case is case
+        assert pair.case is case
         assert bits(pair.r) == bits(r) and bits(pair.s) == bits(s)
         assert pair.exact_r == exact_r and pair.exact_s == exact_s
         assert cardano_solve(d)[1].disc == float(discriminant(d) / 108)
@@ -264,8 +266,8 @@ def test_exact_p_near_double_limit_gives_finite_roots(p):
 
 
 def reference_float_rs(p, q):
-    """compute_rs of float p, q != 0 by the reference formulas: classify's band
-    on discriminant, rs_quadratic, B*B - 4C and ldexp by k."""
+    """compute_rs of float p, q != 0 by the reference formulas: the sign of
+    discriminant, rs_quadratic, B*B - 4C and ldexp by k."""
     ep, eq = math.frexp(p)[1], math.frexp(q)[1]
     if 2 * eq - 3 * ep > 199:
         return RsPair(None, None, CaseTag.DEGENERATE_P0)
@@ -276,10 +278,7 @@ def reference_float_rs(p, q):
         case = CaseTag.REAL_DISTINCT if d.p > 0 else CaseTag.CONJUGATE_PAIR
     else:
         delta = discriminant(d)
-        band = EQUAL_BAND * (abs(4 * d.p**3) + abs(27 * d.q**2))
-        case = (
-            CaseTag.EQUAL if abs(delta) <= band else CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
-        )
+        case = CaseTag.EQUAL if delta == 0 else CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
     B, C = rs_quadratic(d)
     if case is CaseTag.EQUAL:
         half = complex(math.ldexp(-B / 2, k))
@@ -300,7 +299,7 @@ nonzero_float = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 
 @given(nonzero_float, nonzero_float)
 @example(-12.0 * 2.0**300, 16.0 * 2.0**450)  # the equal case, out of band
-@example(-12.0, 16.0 * (1 + 1e-14))  # inside EQUAL_BAND
+@example(-12.0, 16.0 * (1 + 1e-14))  # near the equal case, not in it
 @example(1e300, 1e-10)
 @example(-3e200, 2e300)
 @example(1e-300, 1e-200)
