@@ -45,6 +45,11 @@ class TestWorkedExamples:
         assert inter.cbrt_a == complex(-2.0, 0.0)
         assert triple.roots == (complex(-4), complex(2), complex(2))
 
+    @pytest.mark.parametrize("p,q,mult", [(-12, 16, ((1, 2),)), (-12, -16, ((0, 2),)), (0, 0, ((0, 3),))])
+    def test_multiplicity_follows_the_case(self, p, q, mult):
+        # The double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0.
+        assert cardano_solve(DepressedCubic(p, q))[0].multiplicity == mult
+
     def test_pure_cube(self):
         triple, inter = cardano_solve(DepressedCubic(0, -8))
         assert inter.A == complex(8.0, 0.0)
