@@ -15,30 +15,23 @@ compute_rs's, so every solver reports the same one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 from .chen import RootTriple, _finalize
 from .decompose import compute_rs, integer_discriminant
 from .numerics import OMEGA, OMEGA2, _root, principal_cube_root
-from .reduction import DepressedCubic
+from .reduction import DepressedCubic, _record
 
 
-@dataclass(frozen=True)
-class CardanoIntermediates:
+class CardanoIntermediates(_record("CardanoIntermediates", "A B disc sqrt_disc cbrt_a cbrt_b")):
     """The raw quantities a by-hand application would write down.
 
-    disc = (q/2)^2 + (p/3)^3; sqrt_disc is its principal square root
-    (+i sqrt|disc| when negative). All four of A, B, cbrt_a, cbrt_b stay
-    exactly real (zero imaginary part) whenever disc >= 0.
+    The float disc = (q/2)^2 + (p/3)^3; the complex sqrt_disc is its principal
+    square root (+i sqrt|disc| when negative). All four of the complex A, B,
+    cbrt_a, cbrt_b stay exactly real (zero imaginary part) whenever disc >= 0.
     """
 
-    A: complex
-    B: complex
-    disc: float
-    sqrt_disc: complex
-    cbrt_a: complex
-    cbrt_b: complex
+    __slots__ = ()
 
 
 def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:

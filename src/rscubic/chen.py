@@ -23,13 +23,12 @@ p = 0 or q = 0 fall outside the decomposition and are solved directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .decompose import CaseTag, RsPair, compute_rs
 from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
-from .reduction import Coefficient, DepressedCubic, GeneralCubic, depress
+from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -83,25 +82,20 @@ def fraction_cbrt(value: Fraction) -> Optional[Fraction]:
     return Fraction(-rn if num < 0 else rn, rd)
 
 
-@dataclass(frozen=True)
-class ExactValue:
-    """An exactly-known real root value: rational + surd_coef * sqrt(radicand)."""
+class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
+    """An exactly-known real root value: rational + surd_coef * sqrt(radicand),
+    two Fractions and an int."""
 
-    rational: Fraction
-    surd_coef: Fraction = Fraction(0)
-    radicand: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radicand == 1 and not self.surd_coef:
-            return  # a plain rational: nothing to fold
-        if self.radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        if self.radicand in (0, 1) or self.surd_coef == 0:
-            # Fold degenerate surds into the rational part.
-            extra = self.surd_coef if self.radicand == 1 else Fraction(0)
-            object.__setattr__(self, "rational", self.rational + extra)
-            object.__setattr__(self, "surd_coef", Fraction(0))
-            object.__setattr__(self, "radicand", 1)
+    def __new__(cls, rational, surd_coef=Fraction(0), radicand=1):
+        if radicand != 1 or surd_coef:  # not a plain rational: check the surd, fold a degenerate one
+            if radicand < 0:
+                raise ValueError("radicand must be nonnegative")
+            if radicand in (0, 1) or surd_coef == 0:
+                rational += surd_coef if radicand == 1 else Fraction(0)
+                surd_coef, radicand = Fraction(0), 1
+        return _tuple_new(cls, (rational, surd_coef, radicand))
 
     @classmethod
     def sqrt_of(cls, value: Fraction) -> "ExactValue":
@@ -143,44 +137,29 @@ class ExactValue:
         return f"{self.rational}{joiner}{surd}"
 
 
-@dataclass(frozen=True)
-class TrigForm:
+class TrigForm(_record("TrigForm", "amplitude theta offsets")):
     """Cosine form of the three-real-root case: root_k = amplitude * cos(offsets[k]).
 
-    amplitude = -2*sqrt(rs) = -2|r| and theta = Arg(r); the offsets are
-    theta/3 + 2k pi/3, reordered in step with the sorted roots.
+    amplitude = -2*sqrt(rs) = -2|r| and theta = Arg(r) are floats; the
+    offsets are the three floats theta/3 + 2k pi/3, reordered in step with
+    the sorted roots.
     """
 
-    amplitude: float
-    theta: float
-    offsets: tuple[float, float, float]
-
-    def __init__(self, amplitude, theta, offsets):
-        # One __dict__ fill, as in RsPair.
-        self.__dict__.update(amplitude=amplitude, theta=theta, offsets=offsets)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootTriple:
-    """Three roots in canonical order: reals first ascending, then the
-    non-real pair by ascending imaginary part.
+class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair", ((), None, None, None))):
+    """Three complex roots in canonical order: reals first ascending, then
+    the non-real pair by ascending imaginary part; case is the CaseTag.
 
     multiplicity lists (index, count) for repeated roots only. exact holds
-    per-root exactly-known values when the input arithmetic allowed it.
-    pair is the (r, s) decomposition the case dispatch ran on (set by
-    solve_depressed; None from the other solvers).
+    per-root ExactValues (or None) when the input arithmetic allowed it.
+    trig is the TrigForm of the conjugate-pair case. pair is the RsPair the
+    case dispatch ran on (set by solve_depressed; None from the other
+    solvers).
     """
 
-    roots: tuple[complex, complex, complex]
-    case: CaseTag
-    multiplicity: tuple[tuple[int, int], ...] = ()
-    exact: Optional[tuple[Optional[ExactValue], ...]] = None
-    trig: Optional[TrigForm] = None
-    pair: Optional[RsPair] = None
-
-    def __init__(self, roots, case, multiplicity=(), exact=None, trig=None, pair=None):
-        # One __dict__ fill, as in RsPair.
-        self.__dict__.update(roots=roots, case=case, multiplicity=multiplicity, exact=exact, trig=trig, pair=pair)
+    __slots__ = ()
 
 
 def _solve_equal(pair: RsPair) -> RootTriple:

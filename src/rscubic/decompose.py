@@ -26,13 +26,11 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .numerics import _band, _exponent
-from .reduction import Coefficient, DepressedCubic
+from .reduction import Coefficient, DepressedCubic, _record
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
 _NEGLIGIBLE_P_BITS = 199
@@ -46,25 +44,16 @@ class CaseTag(Enum):
     DEGENERATE_Q0 = "degenerate_q0"
 
 
-@dataclass(frozen=True)
-class RsPair:
-    """The decomposition pair. r and s are None for the degenerate tags.
+class RsPair(_record("RsPair", "r s case exact_r exact_s", (None, None))):
+    """The decomposition pair: complex r and s (None for the degenerate tags) and the CaseTag.
 
     Canonical orientation: r >= s when both are real, Im(r) > 0 for a
-    conjugate pair (with s = conj(r) bit-exactly). exact_r/exact_s are set
-    when the quadratic could be solved in rational arithmetic.
+    conjugate pair (with s = conj(r) bit-exactly). The Fractions
+    exact_r/exact_s are set when the quadratic could be solved in rational
+    arithmetic.
     """
 
-    r: Optional[complex]
-    s: Optional[complex]
-    case: CaseTag
-    exact_r: Optional[Fraction] = None
-    exact_s: Optional[Fraction] = None
-
-    def __init__(self, r, s, case, exact_r=None, exact_s=None):
-        # One __dict__ fill: the generated frozen __init__ pays an
-        # object.__setattr__ per field, and a solve builds one record per stage.
-        self.__dict__.update(r=r, s=s, case=case, exact_r=exact_r, exact_s=exact_s)
+    __slots__ = ()
 
 
 def discriminant(d: DepressedCubic) -> Coefficient:

@@ -17,22 +17,20 @@ bisection, so it always completes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .chen import fraction_cbrt
 from .numerics import _band, _exponent, _root, _shift
-from .reduction import Coefficient, DepressedCubic, InvalidInputError, _beyond_double, _coerce
+from .reduction import DepressedCubic, InvalidInputError, _beyond_double, _coerce, _record, _tuple_new
 
-@dataclass(frozen=True)
-class NestedRadical:
+
+class NestedRadical(_record("NestedRadical", "a b")):
     """The expression cbrt(a + sqrt(b)) + cbrt(a - sqrt(b)), b >= 0; a float a or b rounds both."""
 
-    a: Coefficient
-    b: Coefficient
+    __slots__ = ()
 
-    def __init__(self, a, b):
+    def __new__(cls, a, b):
         a, b = _coerce(a), _coerce(b)
         if isinstance(a, float) or isinstance(b, float):
             try:
@@ -41,17 +39,16 @@ class NestedRadical:
                 raise _beyond_double() from None
         if b < 0:
             raise InvalidInputError("b must be nonnegative (real square root)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return _tuple_new(cls, (a, b))
 
 
-@dataclass(frozen=True)
-class DenestResult:
-    value: float
-    exact: Optional[Fraction]
-    cubic: DepressedCubic
-    # Always None since the rational-root search cannot give up; kept for readers of the field.
-    note: Optional[str] = None
+class DenestResult(_record("DenestResult", "value exact cubic note", (None,))):
+    """The radical's float value, its exact Fraction (or None) and its DepressedCubic.
+
+    note is always None since the rational-root search cannot give up; kept for readers of the field.
+    """
+
+    __slots__ = ()
 
 
 def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
@@ -64,9 +61,7 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     try:
         return DepressedCubic(p, -2 * a)
     except InvalidInputError:  # p is a float here; solve_depressed still solves the cubic
-        cubic = DepressedCubic(p, 0.0)
-        object.__setattr__(cubic, "q", -2 * a)
-        return cubic
+        return _tuple_new(DepressedCubic, (p, -2 * a))
 
 
 def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:

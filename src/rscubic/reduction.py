@@ -1,16 +1,21 @@
 """Cubic input forms and the quadratic-term elimination x -> x - a/3.
 
-A cubic is exact (ints, promoted to Fraction so ``a / 3`` stays exact, and
-Fractions) or float: a float anywhere, the lead included, rounds every exact
-value once at construction (InvalidInputError for an exact value beyond the
-double range). Exact inputs stay rational through the
-substitution, which is what lets whole-number examples come out exact.
+A cubic is exact (integers of any kind and other rationals, promoted to
+Fraction so ``a / 3`` stays exact) or float: a float anywhere, the lead
+included, rounds every exact value once at construction (InvalidInputError
+for an exact value beyond the double range). Exact inputs stay rational
+through the substitution, which is what lets whole-number examples come out
+exact.
+
+The cubics, and every other record the package returns, are built on
+_record: immutable namedtuples that compare and hash by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
@@ -21,19 +26,51 @@ class InvalidInputError(ValueError):
     """Raised for non-finite or otherwise unusable coefficients."""
 
 
+_tuple_new = tuple.__new__
+
+
+def _refuse(self, other):
+    # Raised, not NotImplemented: tuple would then serve (0,) + record and tuple < record.
+    raise TypeError(f"{type(self).__name__} is a value record: no +, * or ordering")
+
+
+def _record_eq(self, other):
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    # Not NotImplemented for a tuple: tuple.__eq__ would then compare the values.
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _record(name, fields, defaults=()):
+    """Base class of an immutable value record: a namedtuple that equals only a
+    record of its own type and refuses tuple +, * and ordering. _make and
+    _replace build through the class, so a coercing __new__ runs again."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base.__eq__, base.__ne__, base.__hash__ = _record_eq, object.__ne__, tuple.__hash__  # != negates __eq__
+    base.__add__ = base.__radd__ = base.__mul__ = base.__rmul__ = _refuse
+    base.__lt__ = base.__le__ = base.__gt__ = base.__ge__ = _refuse
+    base._make = classmethod(lambda cls, values: cls(*values))
+    # Pickle and copy store the values as they are and never re-coerce: denest's
+    # cubic can hold a float p beside an exact q that no double holds.
+    base.__reduce__ = lambda self: (_tuple_new, (type(self), tuple(self)))
+    return base
+
+
 def _coerce(value) -> Coefficient:
     # Exact int and float are tested by type first: isinstance(x, Fraction)
     # goes through ABCMeta.__instancecheck__ for any x that is not exactly a
-    # Fraction. Every other input (bool, subclasses, numpy floats, Decimal,
-    # numeric strings) takes the isinstance rules as before.
+    # Fraction. Every other input takes the isinstance rules: a Rational (bool,
+    # int subclasses, numpy integers) is exact, the rest (numpy floats,
+    # Decimal, numeric strings) goes through float().
     kind = type(value)
     if kind is int:
         return Fraction(value)
     if kind is not float:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, numbers.Rational):
+            # int() first: a numpy integer's numerator stays a numpy int, which wraps at 2^63.
+            return Fraction(int(value.numerator), int(value.denominator))
         value = float(value)
     if not math.isfinite(value):
         raise InvalidInputError(f"non-finite coefficient: {value!r}")
@@ -44,19 +81,16 @@ def _beyond_double() -> InvalidInputError:
     return InvalidInputError("an exact value beyond the double range cannot be rounded into a float form")
 
 
-@dataclass(frozen=True)
-class GeneralCubic:
+class GeneralCubic(_record("GeneralCubic", "a b c")):
     """Monic cubic x^3 + a*x^2 + b*x + c, exact or float (see the module docstring).
 
     A non-unit leading coefficient may be passed via ``lead``; the stored
     form is always monic (coefficients divided through).
     """
 
-    a: Coefficient
-    b: Coefficient
-    c: Coefficient
+    __slots__ = ()
 
-    def __init__(self, a, b, c, lead=1):
+    def __new__(cls, a, b, c, lead=1):
         if type(lead) is int and lead == 1:  # the default: nothing to coerce or divide by
             unit = True
         else:
@@ -80,9 +114,7 @@ class GeneralCubic:
         elif not unit:
             ln, ld = lead.numerator, lead.denominator
             a, b, c = (Fraction(v.numerator * ld, v.denominator * ln) for v in (a, b, c))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        return _tuple_new(cls, (a, b, c))
 
     @property
     def exact(self) -> bool:
@@ -98,22 +130,19 @@ class GeneralCubic:
         return f"x^3 + ({self.a})x^2 + ({self.b})x + ({self.c})"
 
 
-@dataclass(frozen=True)
-class DepressedCubic:
+class DepressedCubic(_record("DepressedCubic", "p q")):
     """x^3 + p*x + q; a float p or q rounds both."""
 
-    p: Coefficient
-    q: Coefficient
+    __slots__ = ()
 
-    def __init__(self, p, q):
+    def __new__(cls, p, q):
         p, q = _coerce(p), _coerce(q)
         if isinstance(p, float) or isinstance(q, float):
             try:
                 p, q = float(p), float(q)
             except OverflowError:
                 raise _beyond_double() from None
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return _tuple_new(cls, (p, q))
 
     @property
     def exact(self) -> bool:

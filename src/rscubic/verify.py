@@ -5,22 +5,19 @@ root finder that shares no code path with the closed-form solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .chen import RootTriple
 from .decompose import compute_rs
-from .reduction import DepressedCubic
+from .reduction import DepressedCubic, _record
 
 _TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    residuals: tuple[float, float, float]
-    vieta_errors: tuple[float, float, float]
-    passed: bool
-    tol: float
-    scale: float
+class VerificationReport(_record("VerificationReport", "residuals vieta_errors passed tol scale")):
+    """What verify_roots measured: three float residuals, three float Vieta
+    errors, whether all passed, and the float tolerance and scale they met."""
+
+    __slots__ = ()
 
 
 def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:

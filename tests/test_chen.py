@@ -1,6 +1,8 @@
 import cmath
-import dataclasses
+import copy
 import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,14 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rscubic import (
+    CardanoIntermediates,
     CaseTag,
     DepressedCubic,
     ExactValue,
     GeneralCubic,
     InvalidCaseError,
+    NestedRadical,
     brute_force_roots,
     cardano_solve,
     compute_rs,
+    denest,
     depress,
     match_root_sets,
     newton_polish,
@@ -23,6 +28,7 @@ from rscubic import (
     solve_depressed,
     solve_moebius,
     unified_roots,
+    verify_roots,
 )
 from rscubic.chen import fraction_cbrt
 from rscubic.numerics import cube_roots_all, principal_cube_root
@@ -433,6 +439,14 @@ class TestExactValue:
         v = ExactValue(Fraction(1), Fraction(3), 1)
         assert v.as_fraction() == 4
 
+    def test_make_and_replace_fold_the_surd(self):
+        plain = ExactValue(Fraction(4))
+        assert ExactValue._make((Fraction(1), Fraction(3), 1)) == plain
+        assert ExactValue(Fraction(1), Fraction(3), 2)._replace(radicand=1) == plain
+        assert ExactValue(Fraction(4), Fraction(3), 2)._replace(surd_coef=Fraction(0)) == plain
+        with pytest.raises(ValueError):
+            ExactValue._make((Fraction(1), Fraction(3), -2))
+
 
 class TestFractionCbrt:
     @pytest.mark.parametrize(
@@ -463,7 +477,7 @@ CASE_INPUTS = {
 
 
 def records_of(p, q):
-    """Every record the solvers return for x^3 + px + q, with the records nested in them."""
+    """A record of every type built for x^3 + px + q: the inputs, what the solvers return, and the records nested in them."""
     d = DepressedCubic(p, q)
     pair = compute_rs(d)
     # x = y - 1 shifts the cubic, so solve lifts the roots by a nonzero delta.
@@ -473,7 +487,10 @@ def records_of(p, q):
     if pair.r is not None and pair.r != pair.s:
         triples.append(solve_moebius(pair.r, pair.s))
     nested = [t.pair for t in triples if t.pair is not None] + [t.trig for t in triples if t.trig is not None]
-    return [pair] + triples + nested
+    nested += [e for t in triples for e in t.exact or () if e is not None]
+    radical = NestedRadical(q, p * p)
+    inputs = [d, shifted, radical]
+    return [pair] + triples + nested + inputs + [cardano_solve(d)[1], verify_roots(d, triples[1]), denest(radical)]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -485,12 +502,36 @@ def test_records_stay_frozen_values(case, exact):
     records = records_of(p, q)
     assert records[0].case is case
     for record in records:
-        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        fields = record._asdict()
+        assert list(fields) == list(record._fields)
         rebuilt = type(record)(**fields)
-        assert record == rebuilt and hash(record) == hash(rebuilt)
-        assert vars(record) == vars(rebuilt) and repr(record) == repr(rebuilt)
-        assert dataclasses.replace(record) == record
-        assert dataclasses.asdict(record) == dataclasses.asdict(rebuilt)
+        assert record == rebuilt and hash(record) == hash(rebuilt) and repr(record) == repr(rebuilt)
+        assert record._replace() == record
+        assert record._asdict() == rebuilt._asdict()
+        # A value record equals only a record of its own type, never the plain tuple of its values.
+        assert record != tuple(record) and tuple(record) != record and not record == tuple(record)
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied == record and repr(copied) == repr(record)
         for name, value in fields.items():
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.unknown_field = None  # no instance __dict__ either
+        for op in (operator.add, operator.mul, operator.lt):
+            for left, right in ((record, record), (tuple(record), record), (record, tuple(record))):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        with pytest.raises(TypeError):
+            record * 2
+        with pytest.raises(TypeError):
+            2 * record
+    values = (Fraction(1), Fraction(2), 3)
+    assert tuple(GeneralCubic(*values)) == tuple(ExactValue(*values))
+    assert GeneralCubic(*values) != ExactValue(*values)
+    assert DepressedCubic(1, 2) != NestedRadical(1, 2)
+    triple = solve_depressed(DepressedCubic(-3, 1))
+    assert triple != CardanoIntermediates(*triple)
+    # denest's cubic keeps a float p beside an exact q that no double holds; copies keep it as it is.
+    mixed = denest(NestedRadical(10**400, 10**800 - 2)).cubic
+    assert type(mixed.p) is float and mixed.q == -2 * 10**400
+    assert copy.deepcopy(mixed) == mixed and pickle.loads(pickle.dumps(mixed)) == mixed

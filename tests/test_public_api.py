@@ -1,10 +1,13 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import rscubic
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC = {
     "CardanoIntermediates",
@@ -74,3 +77,12 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cold_start_skips_dataclasses_and_inspect():
+    # -S: no site-packages .pth file can import either module first and mask the result.
+    code = "import sys, rscubic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

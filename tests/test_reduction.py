@@ -1,4 +1,5 @@
 import math
+import numbers
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -210,12 +211,41 @@ def reference_coerce(value):
     """The isinstance rules that the type-first checks in _coerce must keep."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     value = float(value)
     if not math.isfinite(value):
         raise InvalidInputError(f"non-finite coefficient: {value!r}")
     return value
+
+
+@pytest.mark.skipif(numpy is None, reason="needs numpy")
+def test_numpy_integers_are_exact():
+    big = GeneralCubic(numpy.int64(2**62 + 1), numpy.uint64(2**64 - 1), numpy.int8(-3))
+    assert tuple(big) == (2**62 + 1, 2**64 - 1, -3)
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in big)
+    # A numpy numerator would wrap at 2^63 when the lead 1/4 is divided out.
+    assert GeneralCubic(numpy.int64(2**62), 0, 0, lead=Fraction(1, 4)).a == 2**64
+    assert DepressedCubic(numpy.int32(-3), numpy.int64(1)).exact
+    exact = solve(GeneralCubic(*map(numpy.int64, (-6, 11, -6)))).exact
+    assert exact is not None and exact == solve(GeneralCubic(-6, 11, -6)).exact
+
+
+@pytest.mark.parametrize(
+    "record, change, rounded",
+    [
+        (GeneralCubic(1, 2, 3), {"a": 1.5}, (1.5, 2.0, 3.0)),
+        (DepressedCubic(Fraction(1, 3), 2), {"q": 0.5}, (1 / 3, 0.5)),
+        (NestedRadical(Fraction(1, 3), 2), {"b": 2.5}, (1 / 3, 2.5)),
+    ],
+)
+def test_replace_coerces_the_input_records_again(record, change, rounded):
+    replaced = record._replace(**change)
+    assert type(replaced) is type(record) and not any(type(v) is Fraction for v in replaced)
+    assert tuple(replaced) == rounded and replaced == type(record)(*rounded)
+    assert type(record)._make(replaced) == replaced
+    with pytest.raises(InvalidInputError):
+        record._replace(**{name: math.nan for name in change})
 
 
 def reference_rounded(*values):
