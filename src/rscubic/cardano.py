@@ -18,7 +18,7 @@ import math
 from itertools import permutations
 
 from .chen import RootTriple, _finalize
-from .decompose import compute_rs, integer_discriminant
+from .decompose import CaseTag, compute_rs, integer_discriminant
 from .numerics import OMEGA, OMEGA2, _root, principal_cube_root
 from .reduction import DepressedCubic, _record
 
@@ -36,6 +36,11 @@ class CardanoIntermediates(_record("CardanoIntermediates", "A B disc sqrt_disc c
 
 def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
     """Solve x^3 + px + q by Cardano's formula (all p, q accepted)."""
+    return _cardano(d, compute_rs(d).case)
+
+
+def _cardano(d: DepressedCubic, case: CaseTag) -> tuple[RootTriple, CardanoIntermediates]:
+    """cardano_solve for a cubic whose case compute_rs has already decided."""
     p = float(d.p)
     q = float(d.q)
     if d.exact:
@@ -71,7 +76,7 @@ def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
         OMEGA * cbrt_a + OMEGA2 * cbrt_b,
         OMEGA2 * cbrt_a + OMEGA * cbrt_b,
     )
-    triple = _finalize(raw, compute_rs(d).case, p, q)
+    triple = _finalize(raw, case, p, q)
     return triple, CardanoIntermediates(A, B, disc, sqrt_disc, cbrt_a, cbrt_b)
 
 

@@ -18,6 +18,13 @@ roots of the ratio r/s:
                    x = (r - su)/(1 - u) over the cube roots u of r/s.
 
 p = 0 or q = 0 fall outside the decomposition and are solved directly.
+
+solve and solve_depressed read only one root off these forms, the one
+whose f' is largest, lift it (x = y - a/3), refine it with one Newton
+step on the original cubic and take the other two from the quadratic left
+by deflation (Kahan, "To Solve a Real Cubic Equation", 1986; Flocke, ACM
+TOMS Alg. 954, 2015). Lifting all three roots in doubles would lose any
+root far below the shift a/3. A rational pair r = s keeps its exact roots.
 """
 
 from __future__ import annotations
@@ -27,11 +34,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg
+from .numerics import OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
 from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
+# Bound once: the float path compares a tag with them on every call.
+_REAL_DISTINCT, _CONJUGATE_PAIR = CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR
+# Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
+_NEWTON_CAP = 2.0**-45
+# Magnitudes whose binary exponent lies outside _band's |k| <= 100.
+_BAND_TOP, _BAND_BOTTOM = 2.0**100, 2.0**-101
 
 # Trial divisors tried by _square_free_split before the rest is kept whole.
 _SQUARE_FREE_TRIAL_CAP = 10**6
@@ -121,7 +134,9 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
         return ExactValue(-self.rational, -self.surd_coef, self.radicand)
 
     def __float__(self) -> float:
-        return float(self.rational) + float(self.surd_coef) * math.sqrt(self.radicand)
+        if not self.surd_coef:
+            return _float_of(self.rational)
+        return _float_of(self.rational) + _float_of(self.surd_coef) * math.sqrt(self.radicand)
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -138,11 +153,13 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
 
 
 class TrigForm(_record("TrigForm", "amplitude theta offsets")):
-    """Cosine form of the three-real-root case: root_k = amplitude * cos(offsets[k]).
+    """Cosine form of the three-real-root case: the closed form of root k is
+    amplitude * cos(offsets[k]) - delta (delta = a/3); the root reported
+    refines it.
 
-    amplitude = -2*sqrt(rs) = -2|r| and theta = Arg(r) are floats; the
-    offsets are the three floats theta/3 + 2k pi/3, reordered in step with
-    the sorted roots.
+    amplitude = -2*sqrt(rs) = -2|r| and theta = Arg(r) in (0, pi] are
+    floats; the offsets are theta/3, theta/3 + 4pi/3 and theta/3 + 2pi/3,
+    whose cosines ascend with the roots, so no sort is needed.
     """
 
     __slots__ = ()
@@ -155,57 +172,177 @@ class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair"
     multiplicity lists (index, count) for repeated roots only. exact holds
     per-root ExactValues (or None) when the input arithmetic allowed it.
     trig is the TrigForm of the conjugate-pair case. pair is the RsPair the
-    case dispatch ran on (set by solve_depressed; None from the other
-    solvers).
+    case dispatch ran on (set by solve and solve_depressed; None from the
+    other solvers).
     """
 
     __slots__ = ()
 
 
-def _solve_equal(pair: RsPair) -> RootTriple:
-    """Roots r, r, -2r of the repeated-pair case x^3 - 3r^2 x + 2r^3.
+def _solve_equal_exact(pair: RsPair, delta) -> RootTriple:
+    """Roots r - delta (double) and -2r - delta of (x-r)^2 (x+2r) for a rational r, shifted
+    exactly; each float is its exact value rounded once.
 
     Stated with r itself rather than sqrt(rs): for r < 0, sqrt(rs) = |r|
     would flip the sign, while (x-r)^2 (x+2r) pins the repeated root at r,
-    first in ascending order when r < 0. Exact when r is rational.
+    first in ascending order when r < 0.
     """
-    r = pair.exact_r if pair.exact_r is not None else pair.r.real
-    values = sorted([r, r, -2 * r])
-    roots = tuple(complex(float(v), 0.0) for v in values)
-    exact = tuple(ExactValue(v) for v in values) if pair.exact_r is not None else None
-    return RootTriple(roots, CaseTag.EQUAL, multiplicity=((0, 2),) if r < 0 else ((1, 2),), exact=exact, pair=pair)
+    r = pair.exact_r
+    double, simple = ExactValue(r - delta), ExactValue(-2 * r - delta)
+    d, s = complex(float(double)), complex(float(simple))
+    if r < 0:
+        return RootTriple((d, d, s), CaseTag.EQUAL, ((0, 2),), (double, double, simple), pair=pair)
+    return RootTriple((s, d, d), CaseTag.EQUAL, ((1, 2),), (simple, double, double), pair=pair)
 
 
-def _solve_real_distinct(pair: RsPair) -> RootTriple:
-    """One real root and a conjugate pair, from real cube roots of r and s.
+def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
+    """The one solve step of x^3 + ax^2 + bx + c, given its depressed cubic d,
+    delta = a/3 and compute_rs's pair for d.
 
-    With u = r^(1/3), v = s^(1/3) (real, sign-preserving, through one
-    power-of-two scale) the roots are -uv(u+v) and -uv(omega^j u + omega^-j v);
-    the twisted pair collapses to uv(u+v)/2 +- i sqrt(3) uv(u-v)/2.
+    The degenerate tags take the direct formulas on d and the shift, and a
+    rational equal pair keeps its exact triple. Every other cubic is solved
+    from one real root x, read off (r, s) in the depressed variable and
+    lifted, x = y - delta:
+
+    * real_distinct: y = -uv(u+v) from the real cube roots u, v of r and s;
+      when the lifted pair z = -y/2 - delta +- i sqrt(3)|uv(u-v)|/2 has the
+      larger modulus, the real root is the product of the roots over |z|^2,
+      x = -c/|z|^2, since y - delta would cancel;
+    * conjugate_pair: of the smallest root amplitude*cos(theta/3) and the
+      largest amplitude*cos(theta/3 + 2pi/3), the one farther from the
+      middle root amplitude*cos(theta/3 + 4pi/3), where f' is largest (at a
+      double root it vanishes): three cosines, no sort; when the lift would
+      cancel, 1/|x| > 1/|middle| + 1/|other|, x = -c / (other * middle);
+    * equal: the simple root -2r - delta, or -c/(r - delta)^2 when it is
+      under half the double root; at the double root f' vanishes, and a
+      Newton step there would divide by rounding noise.
+
+    One Newton step on the original cubic refines x. The other two roots are
+    those of x^2 - Sx + P with P = -c/x and S = (b - P)/x while x dominates
+    (x^2 >= |P|), else S = -a - x: the larger real root is
+    (S + sign(S) sqrt(S^2 - 4P))/2 and the other is P over it, or, when
+    S^2 < 4P, the pair is S/2 +- i sqrt(4P - S^2)/2: the quadratic decides,
+    whatever the tag. For c = 0 the root x is 0 exactly and the
+    quadratic is x^2 + ax + b. The work runs at the scale 2^k of the largest
+    root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k and delta 2^-k are taken
+    exactly before they are rounded, and the roots are multiplied back by 2^k.
     """
-    u = _root(pair.r.real, 3)
-    v = _root(pair.s.real, 3)
-    m = u * v
-    x0 = -m * (u + v)
-    re = -x0 / 2.0
-    im = abs(m * (u - v)) * _SQRT3 / 2.0
-    roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
-    return RootTriple(roots, CaseTag.REAL_DISTINCT, pair=pair)
+    r, s, case, exact_r = pair[:4]
+    if exact_r is None:
+        if r is None:
+            return lift_roots(_solve_degenerate(d, pair), delta)
+    elif case is CaseTag.EQUAL:
+        return _solve_equal_exact(pair, delta)
+    trig = None
+    if case is _REAL_DISTINCT:
+        u, v = _root(r.real, 3), _root(s.real, 3)
+        m = u * v
+        y = -m * (u + v)
+        im = abs(m * (u - v)) * _SQRT3 / 2.0
+        size = abs(y) + im
+    elif case is _CONJUGATE_PAIR:
+        theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
+        amplitude = -2.0 * abs(r)
+        size = -amplitude
+        # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
+        t = theta / 3.0
+        trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
+    else:
+        size = 2.0 * abs(r.real)
+    exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
+    if exact:
+        try:
+            shift = _float_of(delta)
+        except OverflowError:
+            shift = math.inf
+    else:
+        shift = delta
+    top = abs(shift)
+    if size > top:
+        top = size
+    if _BAND_BOTTOM <= top < _BAND_TOP:  # _band's k = 0
+        k = 0
+    else:
+        e = math.frexp(size)[1]
+        if delta:
+            e_delta = _exponent(delta)
+            e = e_delta if e_delta > e else e
+        k = _band(e)
+    if exact or k:
+        a, b, c = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k)
+        delta = _float_of(delta, -k) if k else shift
 
+    if case is _REAL_DISTINCT:
+        if k:
+            y, im = math.ldexp(y, -k), math.ldexp(im, -k)
+        x = y - delta
+        re = -0.5 * y - delta
+        modulus2 = re * re + im * im
+        if x * x < modulus2:
+            x = -c / modulus2
+    elif case is _CONJUGATE_PAIR:
+        amp = math.ldexp(amplitude, -k) if k else amplitude
+        lo = amp * math.cos(t) - delta
+        mid = amp * math.cos(t + 2.0 * _TWO_PI_3) - delta
+        hi = amp * math.cos(t + _TWO_PI_3) - delta
+        x, other = (hi, lo) if hi - mid >= mid - lo else (lo, hi)
+        if abs(x) * (abs(mid) + abs(other)) < abs(mid * other):
+            x = -c / (other * mid)
+    else:
+        y = math.ldexp(r.real, -k) if k else r.real
+        x, double = -2.0 * y - delta, y - delta
+        if 2.0 * abs(x) < abs(double):
+            x = -c / (double * double)
 
-def _solve_conjugate(pair: RsPair) -> RootTriple:
-    """Three real roots -2|r| cos(theta/3 + 2k pi/3) for s = conj(r).
+    if c:
+        slope = (3.0 * x + 2.0 * a) * x + b
+        if slope:
+            step = (((x + a) * x + b) * x + c) / slope
+            # An exact cubic's closed form is within a few ulps, since p, q and the
+            # discriminant were rounded once; a larger step is the rounding of a, b, c
+            # speaking, as next to a cluster of roots far from 0.
+            if not exact or abs(step) <= _NEWTON_CAP * abs(x):
+                x -= step
+    else:
+        x = 0.0
+    if x:
+        P = -c / x
+        S = (b - P) / x if x * x >= abs(P) else -a - x
+    else:
+        S, P = -a, b
+    disc = S * S - 4.0 * P
 
-    The imaginary parts are identically zero by construction, so none of
-    the casus-irreducibilis complex arithmetic leaks into the output.
-    """
-    theta = principal_arg(pair.r)
-    amplitude = -2.0 * abs(pair.r)
-    offsets = (theta / 3.0, theta / 3.0 + _TWO_PI_3, theta / 3.0 + 2.0 * _TWO_PI_3)
-    pairs = sorted((amplitude * math.cos(o), o) for o in offsets)
-    roots = tuple(complex(v, 0.0) for v, _ in pairs)
-    trig = TrigForm(amplitude=amplitude, theta=theta, offsets=tuple(o for _, o in pairs))
-    return RootTriple(roots, CaseTag.CONJUGATE_PAIR, trig=trig, pair=pair)
+    mult = () if case is not CaseTag.EQUAL else ((0, 2),) if r.real < 0 else ((1, 2),)
+    if exact and c and case is _CONJUGATE_PAIR and (S * S + 4.0 * abs(P)) > 8.0 * math.sqrt(max(disc, 0.0)) * (
+        abs(amp) + abs(delta)
+    ):
+        # Rounding S and P moves the deflated roots by about eps (S^2 + 4|P|) / (4 sqrt(disc)),
+        # the lifted cosines by about 2 eps (|amplitude| + |delta|): a pair clustered next
+        # to each other or to x keeps its cosines, as exact p, q tell it apart.
+        x1, x2 = mid, other
+    elif disc < 0:
+        # The quadratic decides, not the tag: a float tag read off a cancelling
+        # discriminant can call a large real root beside a small pair three real roots.
+        re, im = 0.5 * S, 0.5 * math.sqrt(-disc)
+        if k:
+            x, re, im = math.ldexp(x, k), math.ldexp(re, k), math.ldexp(im, k)
+        re += 0.0  # no -0.0 in the output
+        return RootTriple((complex(x + 0.0, 0.0), complex(re, -im), complex(re, im)), case, mult, None, trig, pair)
+    elif disc > 0:
+        x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
+        x2 = P / x1
+    else:
+        x1 = x2 = 0.5 * S
+    if x1 > x2:
+        x1, x2 = x2, x1
+    if x > x1:
+        x, x1 = x1, x
+        if x1 > x2:
+            x1, x2 = x2, x1
+    if k:
+        x, x1, x2 = math.ldexp(x, k), math.ldexp(x1, k), math.ldexp(x2, k)
+    roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
+    return RootTriple(roots, case, mult, None, trig, pair)
 
 
 def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
@@ -304,24 +441,15 @@ def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:
     return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact, pair=pair)
 
 
-_CASE_STEPS = {
-    CaseTag.EQUAL: _solve_equal,
-    CaseTag.REAL_DISTINCT: _solve_real_distinct,
-    CaseTag.CONJUGATE_PAIR: _solve_conjugate,
-}
-
-
 def solve_depressed(d: DepressedCubic) -> RootTriple:
-    """Case-dispatched solve of x^3 + px + q on the pair compute_rs returns.
+    """Roots of x^3 + px + q: solve's step with a = 0 and delta = 0.
 
     Every intermediate stays real where the case allows it (real cube
     roots for real r, s; the cosine form for a conjugate pair), and exact
     and trig annotations are carried.
     """
-    pair = compute_rs(d)
-    if pair.r is None:
-        return _solve_degenerate(d, pair)
-    return _CASE_STEPS[pair.case](pair)
+    zero = 0 if d.exact else 0.0
+    return _solve_cubic(zero, d.p, d.q, d, zero, compute_rs(d))
 
 
 def lift_roots(triple: RootTriple, delta: Coefficient) -> RootTriple:
@@ -358,6 +486,7 @@ def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
 
 
 def solve(cubic: GeneralCubic) -> RootTriple:
-    """Full pipeline: depress, decompose into (r, s), dispatch, lift back."""
+    """Full pipeline: depress, decompose into (r, s), take one dominant root, deflate."""
     d, delta = depress(cubic)
-    return lift_roots(solve_depressed(d), delta)
+    a, b, c = cubic
+    return _solve_cubic(a, b, c, d, delta, compute_rs(d))

@@ -20,9 +20,11 @@ import math
 import sys
 from typing import Optional
 
-from .cardano import cardano_solve, match_root_sets
-from .chen import InvalidCaseError, RootTriple, lift_roots, newton_polish, solve_depressed, solve_moebius
+from .cardano import _cardano, match_root_sets
+from .chen import InvalidCaseError, RootTriple, _solve_cubic, lift_roots, newton_polish, solve_moebius
+from .decompose import compute_rs
 from .denest import NestedRadical, denest
+from .numerics import _float_of
 from .parsing import ParseError, parse_coefficient, parse_cubic
 from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress
 from .verify import verify_roots
@@ -101,30 +103,33 @@ def _lift(depressed: RootTriple, delta: Coefficient, cubic: GeneralCubic, polish
 
 
 def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
-    """One pass per cubic: depress, solve, lift, then record.
+    """One pass per cubic: depress, decompose once, solve, then record.
 
-    The r,s solve runs for every method: its pair gives the case and (r, s)
-    reported. Cardano replaces its roots, and so does Moebius when the pair
-    has an r (a degenerate case keeps the direct roots).
+    The pair gives the case and the (r, s) reported for every method. The
+    r,s roots are solve's, from the library's one step; Cardano replaces
+    them, and so does Moebius when the pair has an r (a degenerate case
+    keeps the direct roots). The baselines are lifted as they are.
     """
     d, delta = depress(cubic)
-    depressed = solve_depressed(d)
-    pair = depressed.pair
+    pair = compute_rs(d)
     if args.method == "cardano":
-        depressed, _ = cardano_solve(d)
+        lifted = _lift(_cardano(d, pair.case)[0], delta, cubic, args.polish)
     elif args.method == "moebius" and pair.r is not None:
-        depressed = solve_moebius(pair.r, pair.s)
-    lifted = _lift(depressed, delta, cubic, args.polish)
+        lifted = _lift(solve_moebius(pair.r, pair.s), delta, cubic, args.polish)
+    else:
+        lifted = _solve_cubic(cubic.a, cubic.b, cubic.c, d, delta, pair)
+        if args.polish:
+            lifted = newton_polish(lifted, cubic)
     checked = lifted.roots
     if args.method == "both":
-        cardano_depressed, _ = cardano_solve(d)
-        cardano_lifted = _lift(cardano_depressed, delta, cubic, args.polish)
+        cardano_lifted = _lift(_cardano(d, pair.case)[0], delta, cubic, args.polish)
         checked += cardano_lifted.roots
     _check_finite(checked)
 
     # Each coefficient is rounded once; the residuals use GeneralCubic.__call__'s
     # complex Horner form, so their bits are the same.
-    a, b, c = float(cubic.a), float(cubic.b), float(cubic.c)
+    a, b, c = _float_of(cubic.a), _float_of(cubic.b), _float_of(cubic.c)
+    shift = _float_of(delta)
 
     def residuals(roots) -> list:
         return [abs(((x + a) * x + b) * x + c) for x in roots]
@@ -133,9 +138,9 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         "input": echo,
         "method": args.method,
         "cubic": {"a": a, "b": b, "c": c},
-        "p": float(d.p),
-        "q": float(d.q),
-        "shift": float(delta),
+        "p": _float_of(d.p),
+        "q": _float_of(d.q),
+        "shift": shift,
         "case": pair.case.value,
         "r": _cjson(pair.r) if pair.r is not None else None,
         "s": _cjson(pair.s) if pair.s is not None else None,
@@ -143,7 +148,7 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
     }
     if args.method == "both":
         rec["cardano_roots"] = [_cjson(x) for x in cardano_lifted.roots]
-        rec["max_matched_distance"] = match_root_sets(depressed.roots, cardano_depressed.roots)
+        rec["max_matched_distance"] = match_root_sets(lifted.roots, cardano_lifted.roots)
         rec["residuals"] = residuals(lifted.roots)
         rec["cardano_residuals"] = residuals(cardano_lifted.roots)
     else:
@@ -162,7 +167,8 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
             else None
         )
     if args.verify:
-        report = verify_roots(d, depressed)
+        # The printed roots, moved onto the depressed cubic: y = x + delta.
+        report = verify_roots(d, RootTriple(tuple(x + shift for x in lifted.roots), pair.case))
         rec["verification"] = {
             "pass": report.passed,
             "residuals": list(report.residuals),

@@ -29,7 +29,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .numerics import _band, _exponent
+from .numerics import _band, _exponent, _ratio
 from .reduction import Coefficient, DepressedCubic, _record
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
@@ -75,11 +75,6 @@ def integer_discriminant(d: DepressedCubic) -> tuple[int, int]:
 def rs_quadratic(d: DepressedCubic) -> tuple[Coefficient, Coefficient]:
     """Coefficients (B, C) of the monic quadratic t^2 + Bt + C with roots r, s."""
     return 3 * d.q / d.p, -d.p / 3
-
-
-def _ratio(n: int, m: int, e: int) -> float:
-    """n * 2^e / m for integers n and m != 0, rounded once."""
-    return (n << e) / m if e >= 0 else n / (m << -e)
 
 
 def compute_rs(d: DepressedCubic) -> RsPair:

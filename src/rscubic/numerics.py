@@ -51,6 +51,23 @@ def _exponent(x) -> int:
     return e + (n >= d << e if e >= 0 else n << -e >= d)
 
 
+def _ratio(n: int, m: int, e: int) -> float:
+    """n * 2^e / m for integers n and m != 0, rounded once."""
+    return (n << e) / m if e >= 0 else n / (m << -e)
+
+
+def _float_of(x, e: int = 0) -> float:
+    """x * 2^e rounded once: ldexp for a float; for an exact x one integer true
+    division, which rounds correctly, so at e = 0 it is bit-equal to float(x)
+    without numbers.Rational.__float__'s dispatch, and at e != 0 it needs no
+    Fraction product."""
+    if type(x) is float:
+        return math.ldexp(x, e) if e else x
+    if not e:
+        return x.numerator / x.denominator
+    return _ratio(x.numerator, x.denominator, e)
+
+
 def _band(k: int) -> int:
     """The scale exponent applied: 0 inside |k| <= 100, where no double of the formulas overflows."""
     return k if k > 100 or k < -100 else 0
@@ -64,8 +81,14 @@ def _shift(x, e: int):
 def _root(x, n: int) -> float:
     """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
     of a float or exact x, as root(x 2^-nk) 2^k."""
-    k = _band(-(-_exponent(x) // n))
-    y = float(_shift(x, -n * k)) if k else float(x)
+    if type(x) is float:
+        k = -(-math.frexp(x)[1] // n)
+        if -100 <= k <= 100:  # _band gives 0: no scale
+            return math.sqrt(x) if n == 2 else math.copysign(abs(x) ** (1.0 / 3.0), x)
+        y = math.ldexp(x, -n * k)
+    else:
+        k = _band(-(-_exponent(x) // n))
+        y = _float_of(x, -n * k)
     return math.ldexp(math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y), k)
 
 

