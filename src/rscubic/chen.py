@@ -19,10 +19,9 @@ roots of the ratio r/s:
 
 p = 0 or q = 0 fall outside the decomposition and are solved directly.
 
-solve and solve_depressed read only one root off these forms, the one
-whose f' is largest, lift it (x = y - a/3), refine it with one Newton
-step on the original cubic and take the other two from the quadratic left
-by deflation (Kahan, "To Solve a Real Cubic Equation", 1986; Flocke, ACM
+solve and solve_depressed read only one real root off these forms, lift
+it (x = y - a/3), refine it with one Newton step on the original cubic and
+take the other two from the quadratic left by deflation (Kahan, "To Solve a Real Cubic Equation", 1986; Flocke, ACM
 TOMS Alg. 954, 2015). Lifting all three roots in doubles would lose any
 root far below the shift a/3. A rational pair r = s keeps its exact roots.
 """
@@ -34,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
+from .numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
 from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -43,8 +42,8 @@ _SQRT3 = math.sqrt(3.0)
 _REAL_DISTINCT, _CONJUGATE_PAIR = CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR
 # Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
 _NEWTON_CAP = 2.0**-45
-# Magnitudes whose binary exponent lies outside _band's |k| <= 100.
-_BAND_TOP, _BAND_BOTTOM = 2.0**100, 2.0**-101
+# Magnitudes whose binary exponent k lies inside _band's |k| <= _BAND: [2^-(_BAND + 1), 2^_BAND).
+_BAND_TOP, _BAND_BOTTOM = 2.0**_BAND, 2.0 ** -(_BAND + 1)
 
 # Trial divisors tried by _square_free_split before the rest is kept whole.
 _SQUARE_FREE_TRIAL_CAP = 10**6
@@ -299,8 +298,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         if slope:
             step = (((x + a) * x + b) * x + c) / slope
             # An exact cubic's closed form is within a few ulps, since p, q and the
-            # discriminant were rounded once; a larger step is the rounding of a, b, c
-            # speaking, as next to a cluster of roots far from 0.
+            # discriminant were rounded once; a larger step comes from rounding
+            # a, b, c, as next to a cluster of roots far from 0.
             if not exact or abs(step) <= _NEWTON_CAP * abs(x):
                 x -= step
     else:
@@ -313,8 +312,11 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     disc = S * S - 4.0 * P
 
     mult = () if case is not CaseTag.EQUAL else ((0, 2),) if r.real < 0 else ((1, 2),)
-    if exact and c and case is _CONJUGATE_PAIR and (S * S + 4.0 * abs(P)) > 8.0 * math.sqrt(max(disc, 0.0)) * (
-        abs(amp) + abs(delta)
+    if (
+        exact
+        and c
+        and case is _CONJUGATE_PAIR
+        and S * S + 4.0 * abs(P) > 8.0 * math.sqrt(max(disc, 0.0)) * (abs(amp) + abs(delta))
     ):
         # Rounding S and P moves the deflated roots by about eps (S^2 + 4|P|) / (4 sqrt(disc)),
         # the lifted cosines by about 2 eps (|amplitude| + |delta|): a pair clustered next
