@@ -33,17 +33,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
+from .numerics import OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
 from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
-# Bound once: the float path compares a tag with them on every call.
-_REAL_DISTINCT, _CONJUGATE_PAIR = CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR
 # Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
 _NEWTON_CAP = 2.0**-45
-# Magnitudes whose binary exponent k lies inside _band's |k| <= _BAND: [2^-(_BAND + 1), 2^_BAND).
-_BAND_TOP, _BAND_BOTTOM = 2.0**_BAND, 2.0 ** -(_BAND + 1)
+# A float equal tag's deflated discriminant within this share of S^2 + 4|P| is rounding noise.
+_DOUBLE_NOISE = 2.0**-48
 
 # Trial divisors tried by _square_free_split before the rest is kept whole.
 _SQUARE_FREE_TRIAL_CAP = 10**6
@@ -220,9 +218,13 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     those of x^2 - Sx + P with P = -c/x and S = (b - P)/x while x dominates
     (x^2 >= |P|), else S = -a - x: the larger real root is
     (S + sign(S) sqrt(S^2 - 4P))/2 and the other is P over it, or, when
-    S^2 < 4P, the pair is S/2 +- i sqrt(4P - S^2)/2: the quadratic decides,
-    whatever the tag. For c = 0 the root x is 0 exactly and the
-    quadratic is x^2 + ax + b. The work runs at the scale 2^k of the largest
+    S^2 < 4P, the pair is S/2 +- i sqrt(4P - S^2)/2: for a float cubic the
+    quadratic decides, whatever the tag. A float equal tag keeps its double
+    root S/2, and its multiplicity, only where S^2 - 4P is rounding noise.
+    An exact cubic's tag is right, and a pair too close to tell apart from
+    the rounded S and P keeps its closed form (the lifted cosines, or
+    -y/2 - delta +- i sqrt(3)|uv(u-v)|/2). For c = 0 the root x is 0 exactly
+    and the quadratic is x^2 + ax + b. The work runs at the scale 2^k of the largest
     root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k and delta 2^-k are taken
     exactly before they are rounded, and the roots are multiplied back by 2^k.
     """
@@ -232,55 +234,38 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
             return lift_roots(_solve_degenerate(d, pair), delta)
     elif case is CaseTag.EQUAL:
         return _solve_equal_exact(pair, delta)
+    # The roots are within a small factor of |r| + |s| or of delta.
+    e = math.frexp(abs(r) + abs(s))[1]
+    if delta:
+        e_delta = _exponent(delta)
+        if e_delta > e:
+            e = e_delta
+    k = _band(e)
+    exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
+    if exact or k:
+        a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
+
     trig = None
-    if case is _REAL_DISTINCT:
+    if case is CaseTag.REAL_DISTINCT:
         u, v = _root(r.real, 3), _root(s.real, 3)
         m = u * v
-        y = -m * (u + v)
-        im = abs(m * (u - v)) * _SQRT3 / 2.0
-        size = abs(y) + im
-    elif case is _CONJUGATE_PAIR:
-        theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
-        amplitude = -2.0 * abs(r)
-        size = -amplitude
-        # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
-        t = theta / 3.0
-        trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
-    else:
-        size = 2.0 * abs(r.real)
-    exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
-    if exact:
-        try:
-            shift = _float_of(delta)
-        except OverflowError:
-            shift = math.inf
-    else:
-        shift = delta
-    top = abs(shift)
-    if size > top:
-        top = size
-    if _BAND_BOTTOM <= top < _BAND_TOP:  # _band's k = 0
-        k = 0
-    else:
-        e = math.frexp(size)[1]
-        if delta:
-            e_delta = _exponent(delta)
-            e = e_delta if e_delta > e else e
-        k = _band(e)
-    if exact or k:
-        a, b, c = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k)
-        delta = _float_of(delta, -k) if k else shift
-
-    if case is _REAL_DISTINCT:
+        y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
         if k:
             y, im = math.ldexp(y, -k), math.ldexp(im, -k)
+        size = abs(y) + im
         x = y - delta
         re = -0.5 * y - delta
         modulus2 = re * re + im * im
         if x * x < modulus2:
             x = -c / modulus2
-    elif case is _CONJUGATE_PAIR:
+    elif case is CaseTag.CONJUGATE_PAIR:
+        theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
+        amplitude = -2.0 * abs(r)
+        # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
+        t = theta / 3.0
+        trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
         amp = math.ldexp(amplitude, -k) if k else amplitude
+        size = -amp
         lo = amp * math.cos(t) - delta
         mid = amp * math.cos(t + 2.0 * _TWO_PI_3) - delta
         hi = amp * math.cos(t + _TWO_PI_3) - delta
@@ -311,26 +296,28 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         S, P = -a, b
     disc = S * S - 4.0 * P
 
-    mult = () if case is not CaseTag.EQUAL else ((0, 2),) if r.real < 0 else ((1, 2),)
-    if (
-        exact
-        and c
-        and case is _CONJUGATE_PAIR
-        and S * S + 4.0 * abs(P) > 8.0 * math.sqrt(max(disc, 0.0)) * (abs(amp) + abs(delta))
-    ):
-        # Rounding S and P moves the deflated roots by about eps (S^2 + 4|P|) / (4 sqrt(disc)),
-        # the lifted cosines by about 2 eps (|amplitude| + |delta|): a pair clustered next
-        # to each other or to x keeps its cosines, as exact p, q tell it apart.
+    # Rounding S and P moves the deflated roots by about eps (S^2 + 4|P|) / (4 sqrt|disc|).
+    closed = double = False
+    if exact:
+        # Exact p, q tell a close pair apart, and its closed form is off by about
+        # 2 eps (size + |delta|): the closed pair stays where deflation would do worse.
+        # (An exact tag here is real_distinct, or conjugate_pair with trig set.)
+        spread = -disc if trig is None else disc
+        closed = c and S * S + 4.0 * abs(P) > 8.0 * math.sqrt(max(spread, 0.0)) * (size + abs(delta))
+    elif case is CaseTag.EQUAL:
+        # A float equal tag is a double root only where the quadratic cannot tell its two
+        # roots apart; elsewhere, as beside a large root, the quadratic's shape stands.
+        double = abs(disc) <= _DOUBLE_NOISE * (S * S + 4.0 * abs(P))
+    if closed and trig is not None:
         x1, x2 = mid, other
-    elif disc < 0:
-        # The quadratic decides, not the tag: a float tag read off a cancelling
-        # discriminant can call a large real root beside a small pair three real roots.
-        re, im = 0.5 * S, 0.5 * math.sqrt(-disc)
+    elif closed or disc < 0 and not double:
+        if not closed:
+            re, im = 0.5 * S, 0.5 * math.sqrt(-disc)
         if k:
             x, re, im = math.ldexp(x, k), math.ldexp(re, k), math.ldexp(im, k)
         re += 0.0  # no -0.0 in the output
-        return RootTriple((complex(x + 0.0, 0.0), complex(re, -im), complex(re, im)), case, mult, None, trig, pair)
-    elif disc > 0:
+        return RootTriple((complex(x + 0.0, 0.0), complex(re, -im), complex(re, im)), case, (), None, trig, pair)
+    elif disc > 0 and not double:
         x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
         x2 = P / x1
     else:
@@ -341,6 +328,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         x, x1 = x1, x
         if x1 > x2:
             x1, x2 = x2, x1
+    mult = (((0, 2),) if x == x1 else ((1, 2),)) if double else ()
     if k:
         x, x1, x2 = math.ldexp(x, k), math.ldexp(x1, k), math.ldexp(x2, k)
     roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))

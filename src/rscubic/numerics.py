@@ -68,13 +68,9 @@ def _float_of(x, e: int = 0) -> float:
     return _ratio(x.numerator, x.denominator, e)
 
 
-# Scale exponents |k| <= _BAND are not applied: no double of the formulas overflows there.
-_BAND = 100
-
-
 def _band(k: int) -> int:
-    """The scale exponent applied: 0 inside |k| <= _BAND."""
-    return k if k > _BAND or k < -_BAND else 0
+    """The scale exponent applied: 0 inside |k| <= 100, where no double of the formulas overflows."""
+    return k if k > 100 or k < -100 else 0
 
 
 def _shift(x, e: int):
@@ -86,14 +82,13 @@ def _root(x, n: int) -> float:
     """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
     of a float or exact x, as root(x 2^-nk) 2^k."""
     if type(x) is float:
-        k = -(-math.frexp(x)[1] // n)
-        if -_BAND <= k <= _BAND:  # no scale, and no call: the float solve takes two of these
-            return math.sqrt(x) if n == 2 else math.copysign(abs(x) ** (1.0 / 3.0), x)
-        y = math.ldexp(x, -n * k)
+        k = _band(-(-math.frexp(x)[1] // n))
+        y = math.ldexp(x, -n * k) if k else x
     else:
         k = _band(-(-_exponent(x) // n))
         y = _float_of(x, -n * k)
-    return math.ldexp(math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y), k)
+    y = math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y)
+    return math.ldexp(y, k) if k else y
 
 
 def cube_roots_all(z: complex) -> tuple[complex, complex, complex]:

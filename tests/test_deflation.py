@@ -170,3 +170,47 @@ def test_wide_magnitude_roots_match_mpmath(values, pair, exact):
     roots = solve(cubic).roots
     for z in want:
         assert min(abs(x - z) for x in roots) <= 1e-10 * abs(z), (roots, want)
+
+
+@pytest.mark.parametrize("im2", [Fraction(1, 10**18), Fraction(1, 10**10)], ids=["im 1e-9", "im 1e-5"])
+def test_exact_near_double_pair_keeps_its_imaginary_part(im2):
+    # (x - 1)((x - 2)^2 + im^2): the rounded S^2 - 4P cancels to about eps, so
+    # deflation would read im to sqrt(eps) or call the pair a real double root.
+    a, b, c = Fraction(-5), 8 + im2, -(4 + im2)
+    triple = solve(GeneralCubic(a, b, c))
+    assert triple.case is CaseTag.REAL_DISTINCT
+    want = oracle(a, b, c)
+    for z in want:
+        assert min(abs(x - z) for x in triple.roots) <= 4e-16 * abs(z), (triple.roots, want)
+
+
+def named_roots_agree(triple):
+    return all(triple.roots[i + j] == triple.roots[i] for i, count in triple.multiplicity for j in range(count))
+
+
+def test_float_equal_tag_beside_a_large_root_keeps_its_pair_and_names_no_double():
+    # The depressed discriminant cancels to 0, so the tag reads equal; the
+    # roots are -3.79e7 and the pair -2.99e-6 +- 3.01e-6i.
+    a, b, c = 37914431.98111624, 227.09623455672488, 0.0006828256916087546
+    triple = solve(GeneralCubic(a, b, c))
+    assert triple.case is CaseTag.EQUAL
+    assert triple.multiplicity == ()
+    assert_forward_error(triple.roots, oracle(a, b, c), 1e-12)
+
+
+@pytest.mark.parametrize("r, t", [(1, -2), (-1, 2), (0.25, -0.5), (7, -14), (100, 1), (1024, 1e6)])
+def test_float_double_root_is_reported_twice(r, t):
+    triple = solve(from_roots(float(r), float(r), float(t)))
+    assert triple.case is CaseTag.EQUAL
+    assert triple.multiplicity == (((0, 2),) if r < t else ((1, 2),))
+    assert named_roots_agree(triple)
+    assert sorted(z.real for z in triple.roots) == pytest.approx(sorted([r, r, t]), rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude(), magnitude(), st.booleans())
+def test_multiplicity_names_equal_roots(r, t, exact):
+    if exact:
+        r, t = Fraction(r), Fraction(t)
+    triple = solve(from_roots(r, r, t))
+    assert named_roots_agree(triple), (triple.roots, triple.multiplicity)
