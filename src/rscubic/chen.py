@@ -38,6 +38,9 @@ from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tupl
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
+# The tags the solve step tests, bound once: in Python 3.11 reading an Enum
+# member off its class takes about 40 ns, a module global about 6.
+_REAL_DISTINCT, _CONJUGATE_PAIR, _EQUAL = CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR, CaseTag.EQUAL
 # Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
 _NEWTON_CAP = 2.0**-45
 # A float equal tag's deflated discriminant within this share of S^2 + 4|P| is rounding noise.
@@ -232,40 +235,41 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     if exact_r is None:
         if r is None:
             return lift_roots(_solve_degenerate(d, pair), delta)
-    elif case is CaseTag.EQUAL:
+    elif case is _EQUAL:
         return _solve_equal_exact(pair, delta)
-    # The roots are within a small factor of |r| + |s| or of delta.
-    e = math.frexp(abs(r) + abs(s))[1]
-    if delta:
-        e_delta = _exponent(delta)
-        if e_delta > e:
-            e = e_delta
-    k = _band(e)
+    # Every root is within a small factor of |r| + |s| + |delta|.
     exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
+    if exact:
+        e = math.frexp(abs(r) + abs(s))[1]
+        if delta:
+            e_delta = _exponent(delta)
+            if e_delta > e:
+                e = e_delta
+    else:
+        e = math.frexp(abs(r) + abs(s) + abs(delta))[1]
+    k = _band(e)
     if exact or k:
         a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
     trig = None
-    if case is CaseTag.REAL_DISTINCT:
+    if case is _REAL_DISTINCT:
         u, v = _root(r.real, 3), _root(s.real, 3)
         m = u * v
         y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
         if k:
             y, im = math.ldexp(y, -k), math.ldexp(im, -k)
-        size = abs(y) + im
         x = y - delta
         re = -0.5 * y - delta
         modulus2 = re * re + im * im
         if x * x < modulus2:
             x = -c / modulus2
-    elif case is CaseTag.CONJUGATE_PAIR:
+    elif case is _CONJUGATE_PAIR:
         theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
         amplitude = -2.0 * abs(r)
         # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
         t = theta / 3.0
         trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
         amp = math.ldexp(amplitude, -k) if k else amplitude
-        size = -amp
         lo = amp * math.cos(t) - delta
         mid = amp * math.cos(t + 2.0 * _TWO_PI_3) - delta
         hi = amp * math.cos(t + _TWO_PI_3) - delta
@@ -302,9 +306,9 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         # Exact p, q tell a close pair apart, and its closed form is off by about
         # 2 eps (size + |delta|): the closed pair stays where deflation would do worse.
         # (An exact tag here is real_distinct, or conjugate_pair with trig set.)
-        spread = -disc if trig is None else disc
+        spread, size = (-disc, abs(y) + im) if trig is None else (disc, -amp)
         closed = c and S * S + 4.0 * abs(P) > 8.0 * math.sqrt(max(spread, 0.0)) * (size + abs(delta))
-    elif case is CaseTag.EQUAL:
+    elif case is _EQUAL:
         # A float equal tag is a double root only where the quadratic cannot tell its two
         # roots apart; elsewhere, as beside a large root, the quadratic's shape stands.
         double = abs(disc) <= _DOUBLE_NOISE * (S * S + 4.0 * abs(P))
