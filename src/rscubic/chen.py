@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
+from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
 from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -43,6 +43,7 @@ _SQRT3 = math.sqrt(3.0)
 _REAL_DISTINCT, _CONJUGATE_PAIR, _EQUAL = CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR, CaseTag.EQUAL
 # Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
 _NEWTON_CAP = 2.0**-45
+_EPS = 2.0**-52
 # A float equal tag's deflated discriminant within this share of S^2 + 4|P| is rounding noise.
 _DOUBLE_NOISE = 2.0**-48
 
@@ -245,15 +246,20 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
             e_delta = _exponent(delta)
             if e_delta > e:
                 e = e_delta
+        k = _band(e)
     else:
-        e = math.frexp(abs(r) + abs(s) + abs(delta))[1]
-    k = _band(e)
+        top = abs(r) + abs(s) + abs(delta)
+        k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
     if exact or k:
         a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
     trig = None
     if case is _REAL_DISTINCT:
-        u, v = _root(r.real, 3), _root(s.real, 3)
+        u, v = r.real, s.real
+        if exact:
+            u, v = _root(u, 3), _root(v, 3)
+        else:  # unscaled: the rounded exponent 1/3 costs under 2e-14, which the Newton step removes
+            u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
         m = u * v
         y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
         if k:
@@ -300,14 +306,16 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         S, P = -a, b
     disc = S * S - 4.0 * P
 
-    # Rounding S and P moves the deflated roots by about eps (S^2 + 4|P|) / (4 sqrt|disc|).
+    # Rounding S and P moves the deflated roots by about eps N / (4 sqrt|disc|), N = S^2 + 4|P|,
+    # and by no more than about sqrt(eps N) / 4, once |disc| is down to its own rounding eps N.
     closed = double = False
     if exact:
         # Exact p, q tell a close pair apart, and its closed form is off by about
         # 2 eps (size + |delta|): the closed pair stays where deflation would do worse.
         # (An exact tag here is real_distinct, or conjugate_pair with trig set.)
         spread, size = (-disc, abs(y) + im) if trig is None else (disc, -amp)
-        closed = c and S * S + 4.0 * abs(P) > 8.0 * math.sqrt(max(spread, 0.0)) * (size + abs(delta))
+        noise = S * S + 4.0 * abs(P)
+        closed = c and noise > 8.0 * math.sqrt(max(spread, _EPS * noise)) * (size + abs(delta))
     elif case is _EQUAL:
         # A float equal tag is a double root only where the quadratic cannot tell its two
         # roots apart; elsewhere, as beside a large root, the quadratic's shape stands.
@@ -315,8 +323,11 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     if closed and trig is not None:
         x1, x2 = mid, other
     elif closed or disc < 0 and not double:
+        # The pair's center is S/2 either way: the closed one, -y/2 - delta, cancels
+        # when the pair is small beside delta.
+        re = 0.5 * S
         if not closed:
-            re, im = 0.5 * S, 0.5 * math.sqrt(-disc)
+            im = 0.5 * math.sqrt(-disc)
         if k:
             x, re, im = math.ldexp(x, k), math.ldexp(re, k), math.ldexp(im, k)
         re += 0.0  # no -0.0 in the output

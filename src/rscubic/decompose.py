@@ -91,12 +91,13 @@ def compute_rs(d: DepressedCubic) -> RsPair:
         return RsPair(None, None, CaseTag.DEGENERATE_P0)
     if q == 0:
         return RsPair(None, None, CaseTag.DEGENERATE_Q0)
-    ep, eq = _exponent(p), _exponent(q)
+    # denest's cubic can hold a float p beside an exact q beyond the double range.
+    ep, eq = (math.frexp(p)[1], math.frexp(q)[1]) if type(p) is type(q) is float else (_exponent(p), _exponent(q))
     if 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
         return RsPair(None, None, CaseTag.DEGENERATE_P0)
     k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
     k = _band(kq if kq > k else k)
-    if d.exact:
+    if type(p) is not float:  # d.exact
         return _compute_rs_exact(d, k)
     if k:
         p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)

@@ -68,9 +68,15 @@ def _float_of(x, e: int = 0) -> float:
     return _ratio(x.numerator, x.denominator, e)
 
 
+# Scale exponents |k| <= _BAND are not applied: no double of the formulas overflows there.
+_BAND = 100
+# The floats m whose binary exponent (frexp's) is in band: _BAND_LOW <= m < _BAND_HIGH.
+_BAND_LOW, _BAND_HIGH = 2.0 ** -(_BAND + 1), 2.0**_BAND
+
+
 def _band(k: int) -> int:
-    """The scale exponent applied: 0 inside |k| <= 100, where no double of the formulas overflows."""
-    return k if k > 100 or k < -100 else 0
+    """The scale exponent applied: 0 inside |k| <= _BAND."""
+    return k if k > _BAND or k < -_BAND else 0
 
 
 def _shift(x, e: int):

@@ -214,3 +214,15 @@ def test_multiplicity_names_equal_roots(r, t, exact):
         r, t = Fraction(r), Fraction(t)
     triple = solve(from_roots(r, r, t))
     assert named_roots_agree(triple), (triple.roots, triple.multiplicity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude(), st.floats(1e-3, 1e3), st.integers(0, 15), st.floats(1, 10))
+def test_exact_near_double_pair_beside_its_real_root(re, ratio, j, m):
+    # Exact x0 = ratio * re and a pair re +- i im with im = m |re| 10^-j: the closed
+    # form keeps im where the rounded S^2 - 4P cannot see it.
+    x0, re = Fraction(ratio) * Fraction(re), Fraction(re)
+    im = abs(re) * Fraction(m) / 10**j
+    roots = solve(from_real_and_pair(x0, re, im)).roots
+    for z in (complex(x0), complex(re, im), complex(re, -im)):
+        assert min(abs(x - z) for x in roots) <= 1e-10 * abs(z), (roots, x0, re, im)
