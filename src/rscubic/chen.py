@@ -226,9 +226,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     quadratic decides, whatever the tag. A float equal tag keeps its double
     root S/2, and its multiplicity, only where S^2 - 4P is rounding noise.
     An exact cubic's tag is right, and a pair too close to tell apart from
-    the rounded S and P keeps its closed form (the lifted cosines, or
-    -y/2 - delta +- i sqrt(3)|uv(u-v)|/2). For c = 0 the root x is 0 exactly
-    and the quadratic is x^2 + ax + b. The work runs at the scale 2^k of the largest
+    the rounded S and P keeps its closed form: the lifted cosines, or the
+    imaginary part sqrt(3)|uv(u-v)|/2 about the center S/2. For c = 0 the
+    root x is 0 exactly and the quadratic is x^2 + ax + b. The work runs at
+    the scale 2^k of the largest
     root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k and delta 2^-k are taken
     exactly before they are rounded, and the roots are multiplied back by 2^k.
     """

@@ -87,12 +87,8 @@ def _shift(x, e: int):
 def _root(x, n: int) -> float:
     """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
     of a float or exact x, as root(x 2^-nk) 2^k."""
-    if type(x) is float:
-        k = _band(-(-math.frexp(x)[1] // n))
-        y = math.ldexp(x, -n * k) if k else x
-    else:
-        k = _band(-(-_exponent(x) // n))
-        y = _float_of(x, -n * k)
+    k = _band(-(-_exponent(x) // n))
+    y = _float_of(x, -n * k)
     y = math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y)
     return math.ldexp(y, k) if k else y
 
