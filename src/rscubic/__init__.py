@@ -14,8 +14,6 @@ from .chen import (
     InvalidCaseError,
     RootTriple,
     TrigForm,
-    lift_roots,
-    newton_polish,
     solve,
     solve_depressed,
     solve_moebius,
@@ -49,9 +47,7 @@ __all__ = [
     "compute_rs",
     "denest",
     "depress",
-    "lift_roots",
     "match_root_sets",
-    "newton_polish",
     "parse_coefficient",
     "parse_cubic",
     "solve",

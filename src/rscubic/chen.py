@@ -17,13 +17,15 @@ roots of the ratio r/s:
                    r and v of s, and so does the Moebius map
                    x = (r - su)/(1 - u) over the cube roots u of r/s.
 
-p = 0 or q = 0 fall outside the decomposition and are solved directly.
+p = 0 or q = 0 fall outside the decomposition, and their roots are read
+off the cubic: the cube roots of -q, or 0 and +-sqrt(-p).
 
 solve and solve_depressed read only one real root off these forms, lift
 it (x = y - a/3), refine it with one Newton step on the original cubic and
-take the other two from the quadratic left by deflation (Kahan, "To Solve a Real Cubic Equation", 1986; Flocke, ACM
-TOMS Alg. 954, 2015). Lifting all three roots in doubles would lose any
-root far below the shift a/3. A rational pair r = s keeps its exact roots.
+take the other two from the quadratic left by deflation (Kahan, "To Solve
+a Real Cubic Equation", 1986; Flocke, ACM TOMS Alg. 954, 2015), for every
+case tag alike. Lifting all three roots in doubles would lose any root far
+below the shift a/3. A rational pair r = s keeps its exact roots.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional
 
 from .decompose import CaseTag, RsPair, compute_rs
 from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
-from .reduction import Coefficient, DepressedCubic, GeneralCubic, _record, _tuple_new, depress
+from .reduction import DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -44,6 +46,8 @@ _REAL_DISTINCT, _CONJUGATE_PAIR, _EQUAL = CaseTag.REAL_DISTINCT, CaseTag.CONJUGA
 # Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
 _NEWTON_CAP = 2.0**-45
 _EPS = 2.0**-52
+# solve_depressed's a and delta for an exact cubic: an exact root built against delta stays a Fraction.
+_ZERO = Fraction(0)
 # A float equal tag's deflated discriminant within this share of S^2 + 4|P| is rounding noise.
 _DOUBLE_NOISE = 2.0**-48
 
@@ -128,9 +132,6 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
     def as_fraction(self) -> Optional[Fraction]:
         return self.rational if self.is_rational else None
 
-    def shift(self, dr: Fraction) -> "ExactValue":
-        return ExactValue(self.rational + dr, self.surd_coef, self.radicand)
-
     def __neg__(self) -> "ExactValue":
         return ExactValue(-self.rational, -self.surd_coef, self.radicand)
 
@@ -200,22 +201,26 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     """The one solve step of x^3 + ax^2 + bx + c, given its depressed cubic d,
     delta = a/3 and compute_rs's pair for d.
 
-    The degenerate tags take the direct formulas on d and the shift, and a
-    rational equal pair keeps its exact triple. Every other cubic is solved
-    from one real root x, read off (r, s) in the depressed variable and
+    A rational equal pair keeps its exact triple, and p = q = 0 is the triple
+    root -delta. Every other cubic is solved from one real root x, read off
+    (r, s), or off d for a degenerate tag, in the depressed variable and
     lifted, x = y - delta:
 
-    * real_distinct: y = -uv(u+v) from the real cube roots u, v of r and s;
-      when the lifted pair z = -y/2 - delta +- i sqrt(3)|uv(u-v)|/2 has the
-      larger modulus, the real root is the product of the roots over |z|^2,
-      x = -c/|z|^2, since y - delta would cancel;
-    * conjugate_pair: of the smallest root amplitude*cos(theta/3) and the
-      largest amplitude*cos(theta/3 + 2pi/3), the one farther from the
-      middle root amplitude*cos(theta/3 + 4pi/3), where f' is largest (at a
-      double root it vanishes): three cosines, no sort; when the lift would
-      cancel, 1/|x| > 1/|middle| + 1/|other|, x = -c / (other * middle);
-    * equal: the simple root -2r - delta, or -c/(r - delta)^2 when it is
-      under half the double root; at the double root f' vanishes, and a
+    * one real root y and a pair about -y/2 (real_distinct: y = -uv(u+v)
+      from the real cube roots u, v of r and s, the pair's imaginary part
+      sqrt(3)|uv(u-v)|/2; p = 0 or negligible: y = cbrt(-q), the pair y omega,
+      y omega^2; q = 0 < p: y = 0, the pair +-i sqrt(p)): x = y - delta, or,
+      when the lifted pair z = -y/2 - delta +- i im has the larger modulus,
+      the product of the roots over |z|^2, x = -c/|z|^2, since y - delta
+      would cancel;
+    * three real roots lo < mid < hi (conjugate_pair: amplitude*cos(theta/3),
+      amplitude*cos(theta/3 + 4pi/3), amplitude*cos(theta/3 + 2pi/3);
+      q = 0 > p: -sqrt(-p), 0, sqrt(-p)): of lo and hi, the one farther from
+      the middle root, where f' is largest (at a double root it vanishes),
+      with no sort; when the lift would cancel, 1/|x| > 1/|middle| +
+      1/|other|, x = -c / (other * middle);
+    * float equal: the simple root -2r - delta, or -c/(r - delta)^2 when it
+      is under half the double root; at the double root f' vanishes, and a
       Newton step there would divide by rounding noise.
 
     One Newton step on the original cubic refines x. The other two roots are
@@ -226,43 +231,82 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     quadratic decides, whatever the tag. A float equal tag keeps its double
     root S/2, and its multiplicity, only where S^2 - 4P is rounding noise.
     An exact cubic's tag is right, and a pair too close to tell apart from
-    the rounded S and P keeps its closed form: the lifted cosines, or the
-    imaginary part sqrt(3)|uv(u-v)|/2 about the center S/2. For c = 0 the
-    root x is 0 exactly and the quadratic is x^2 + ax + b. The work runs at
-    the scale 2^k of the largest
-    root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k and delta 2^-k are taken
-    exactly before they are rounded, and the roots are multiplied back by 2^k.
+    the rounded S and P keeps its closed form: the lifted middle and other
+    root, or the imaginary part im about the center S/2. For c = 0 the root
+    x is 0 exactly and the quadratic is x^2 + ax + b. The work runs at the
+    scale 2^k of the largest root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k
+    and delta 2^-k are taken exactly before they are rounded, and the roots
+    are multiplied back by 2^k. An exact degenerate cubic reports the roots
+    it knows exactly, in output order: cbrt(-q) - delta for p = 0 and a
+    rational cube root; -sqrt(-p) - delta, -delta, sqrt(-p) - delta for
+    q = 0 > p; -delta for q = 0 < p. A rational one among them is reported
+    as its value rounded once.
     """
     r, s, case, exact_r = pair[:4]
-    if exact_r is None:
-        if r is None:
-            return lift_roots(_solve_degenerate(d, pair), delta)
-    elif case is _EQUAL:
-        return _solve_equal_exact(pair, delta)
-    # Every root is within a small factor of |r| + |s| + |delta|.
     exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
+    trig = channel = None
+    shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
+    if r is None:
+        p, q = d
+        shape = _REAL_DISTINCT
+        if q:  # p = 0 or negligible: y^3 = -q
+            q = -q
+            y = _root(q, 3)
+            size = abs(y)
+            im = size * _SQRT3 / 2.0
+            root = fraction_cbrt(q) if exact and not p else None
+            if root is not None:
+                channel = (ExactValue(root - delta), None, None)
+        elif p:  # q = 0
+            size = _root(abs(p), 2)
+            if p > 0:
+                y, im = 0.0, size
+                if exact:
+                    channel = (ExactValue(-delta), None, None)
+            else:
+                shape, amplitude, cos0, cos1, cos2 = _CONJUGATE_PAIR, size, -1.0, 0.0, 1.0
+                if exact:
+                    w, coef, m = ExactValue.sqrt_of(-p)
+                    center = -delta
+                    channel = (ExactValue(center - w, -coef, m), ExactValue(center), ExactValue(center + w, coef, m))
+        else:
+            x = complex(0.0 - _float_of(delta), 0.0)
+            channel = (ExactValue(-delta),) * 3 if exact else None
+            return RootTriple((x, x, x), case, ((0, 3),), channel, None, pair)
+    elif exact_r is not None and case is _EQUAL:
+        return _solve_equal_exact(pair, delta)
+    else:
+        size = abs(r) + abs(s)
+        if case is _REAL_DISTINCT:
+            u, v = r.real, s.real
+            if exact:
+                u, v = _root(u, 3), _root(v, 3)
+            else:  # unscaled: the rounded exponent 1/3 costs under 2e-14, which the Newton step removes
+                u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
+            m = u * v
+            y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
+        elif case is _CONJUGATE_PAIR:
+            theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
+            amplitude = -2.0 * abs(r)
+            # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
+            t = theta / 3.0
+            trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
+            cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
+    # Every root is within a small factor of size + |delta|.
     if exact:
-        e = math.frexp(abs(r) + abs(s))[1]
+        e = math.frexp(size)[1]
         if delta:
             e_delta = _exponent(delta)
             if e_delta > e:
                 e = e_delta
         k = _band(e)
     else:
-        top = abs(r) + abs(s) + abs(delta)
+        top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
     if exact or k:
         a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
-    trig = None
-    if case is _REAL_DISTINCT:
-        u, v = r.real, s.real
-        if exact:
-            u, v = _root(u, 3), _root(v, 3)
-        else:  # unscaled: the rounded exponent 1/3 costs under 2e-14, which the Newton step removes
-            u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
-        m = u * v
-        y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
+    if shape is _REAL_DISTINCT:
         if k:
             y, im = math.ldexp(y, -k), math.ldexp(im, -k)
         x = y - delta
@@ -270,16 +314,9 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         modulus2 = re * re + im * im
         if x * x < modulus2:
             x = -c / modulus2
-    elif case is _CONJUGATE_PAIR:
-        theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
-        amplitude = -2.0 * abs(r)
-        # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
-        t = theta / 3.0
-        trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
+    elif shape is _CONJUGATE_PAIR:
         amp = math.ldexp(amplitude, -k) if k else amplitude
-        lo = amp * math.cos(t) - delta
-        mid = amp * math.cos(t + 2.0 * _TWO_PI_3) - delta
-        hi = amp * math.cos(t + _TWO_PI_3) - delta
+        lo, mid, hi = amp * cos0 - delta, amp * cos1 - delta, amp * cos2 - delta
         x, other = (hi, lo) if hi - mid >= mid - lo else (lo, hi)
         if abs(x) * (abs(mid) + abs(other)) < abs(mid * other):
             x = -c / (other * mid)
@@ -292,11 +329,17 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     if c:
         slope = (3.0 * x + 2.0 * a) * x + b
         if slope:
-            step = (((x + a) * x + b) * x + c) / slope
+            f = ((x + a) * x + b) * x + c
+            step = f / slope
             # An exact cubic's closed form is within a few ulps, since p, q and the
             # discriminant were rounded once; a larger step comes from rounding
-            # a, b, c, as next to a cluster of roots far from 0.
-            if not exact or abs(step) <= _NEWTON_CAP * abs(x):
+            # a, b, c, as next to a cluster of roots far from 0. A degenerate
+            # anchor is one rounded cbrt(-q) or sqrt(-p): beside such a cluster,
+            # as (x + 17)^3 + 2, a step that f(x)'s own rounding explains would cost
+            # it up to 1e-14, so it is taken only where f(x) is above that rounding.
+            if (not exact or abs(step) <= _NEWTON_CAP * abs(x)) and (
+                r is not None or abs(f) > _EPS * (((abs(x) + abs(a)) * abs(x) + abs(b)) * abs(x) + abs(c))
+            ):
                 x -= step
     else:
         x = 0.0
@@ -313,15 +356,15 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     if exact:
         # Exact p, q tell a close pair apart, and its closed form is off by about
         # 2 eps (size + |delta|): the closed pair stays where deflation would do worse.
-        # (An exact tag here is real_distinct, or conjugate_pair with trig set.)
-        spread, size = (-disc, abs(y) + im) if trig is None else (disc, -amp)
+        # (An exact cubic here takes real_distinct's or conjugate_pair's anchor.)
+        spread, size = (-disc, abs(y) + im) if shape is _REAL_DISTINCT else (disc, abs(amp))
         noise = S * S + 4.0 * abs(P)
         closed = c and noise > 8.0 * math.sqrt(max(spread, _EPS * noise)) * (size + abs(delta))
     elif case is _EQUAL:
         # A float equal tag is a double root only where the quadratic cannot tell its two
         # roots apart; elsewhere, as beside a large root, the quadratic's shape stands.
         double = abs(disc) <= _DOUBLE_NOISE * (S * S + 4.0 * abs(P))
-    if closed and trig is not None:
+    if closed and shape is _CONJUGATE_PAIR:
         x1, x2 = mid, other
     elif closed or disc < 0 and not double:
         # The pair's center is S/2 either way: the closed one, -y/2 - delta, cancels
@@ -332,7 +375,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         if k:
             x, re, im = math.ldexp(x, k), math.ldexp(re, k), math.ldexp(im, k)
         re += 0.0  # no -0.0 in the output
-        return RootTriple((complex(x + 0.0, 0.0), complex(re, -im), complex(re, im)), case, (), None, trig, pair)
+        roots = (complex(x + 0.0, 0.0), complex(re, -im), complex(re, im))
+        if channel is not None:
+            roots = _rounded_once(roots, channel)
+        return RootTriple(roots, case, (), channel, trig, pair)
     elif disc > 0 and not double:
         x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
         x2 = P / x1
@@ -348,7 +394,14 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     if k:
         x, x1, x2 = math.ldexp(x, k), math.ldexp(x1, k), math.ldexp(x2, k)
     roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
-    return RootTriple(roots, case, mult, None, trig, pair)
+    if channel is not None:
+        roots = _rounded_once(roots, channel)
+    return RootTriple(roots, case, mult, channel, trig, pair)
+
+
+def _rounded_once(roots, channel):
+    """The roots, each one whose exact value is rational replaced by that value rounded once."""
+    return tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
 
 
 def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
@@ -366,14 +419,14 @@ def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
     )
 
 
-def _finalize(raw, case: CaseTag, p: float, q: float) -> RootTriple:
+def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
     """Order raw roots canonically and restore the real/conjugate shape of the case.
 
     Real coefficients force the roots to be all real or one real plus a
     conjugate pair; residual imaginary noise from complex cube roots is
     folded back into that structure. Multiplicity follows from the case:
     the double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0,
-    and p = q = 0 is a triple root.
+    and p = q = 0 is a triple root; only those tags read p and q.
     """
     three_real = (
         case in (CaseTag.EQUAL, CaseTag.CONJUGATE_PAIR)
@@ -400,8 +453,8 @@ def solve_moebius(r: complex, s: complex) -> RootTriple:
     """Roots x = (r - su)/(1 - u) over the three cube roots u of r/s.
 
     Needs s != 0 and no cube root u equal to 1, where the map blows up:
-    that is r = s, or an r/s that rounds to 1. The case is compute_rs's
-    for p = -3rs and q = rs(r+s).
+    that is r = s, or an r/s that rounds to 1. The case is read off the
+    pair's shape: real_distinct for real r and s, else conjugate_pair.
     """
     r = complex(r)
     s = complex(s)
@@ -411,40 +464,7 @@ def solve_moebius(r: complex, s: complex) -> RootTriple:
     if 1 in us:
         raise InvalidCaseError("Moebius form degenerates when r = s (a cube root of r/s is 1)")
     raw = tuple((r - s * u) / (1.0 - u) for u in us)
-    rs = r * s
-    p = (-3.0 * rs).real
-    q = (rs * (r + s)).real
-    return _finalize(raw, compute_rs(DepressedCubic(p, q)).case, p, q)
-
-
-def _solve_degenerate(d: DepressedCubic, pair: RsPair) -> RootTriple:
-    """p = 0 (or negligible) or q = 0: solved directly, no decomposition involved.
-
-    q = 0: x(x^2 + p) -> {0, +-sqrt(-p)};  p = 0: the cube roots of -q, exact
-    only if p is exactly 0. Roots go through one power-of-two scale.
-    """
-    p, q = d.p, d.q
-    if p == 0 and q == 0:
-        zero = ExactValue(Fraction(0))
-        return RootTriple(
-            (0j, 0j, 0j), CaseTag.DEGENERATE_P0, multiplicity=((0, 3),), exact=(zero, zero, zero), pair=pair
-        )
-    if q == 0:
-        w = _root(abs(p), 2)
-        if p < 0:
-            roots = (complex(-w, 0.0), complex(0.0, 0.0), complex(w, 0.0))
-            sv = ExactValue.sqrt_of(-p) if d.exact else None
-            exact = (-sv, ExactValue(Fraction(0)), sv) if sv is not None else None
-        else:
-            roots = (complex(0.0, 0.0), complex(0.0, -w), complex(0.0, w))
-            exact = (ExactValue(Fraction(0)), None, None) if d.exact else None
-        return RootTriple(roots, CaseTag.DEGENERATE_Q0, exact=exact, pair=pair)
-    c = _root(-q, 3)
-    re, im = -c / 2.0, abs(c) * _SQRT3 / 2.0
-    roots = (complex(c, 0.0), complex(re, -im), complex(re, im))
-    cr = fraction_cbrt(-q) if d.exact and p == 0 else None
-    exact = (ExactValue(cr), None, None) if cr is not None else None
-    return RootTriple(roots, CaseTag.DEGENERATE_P0, exact=exact, pair=pair)
+    return _finalize(raw, CaseTag.REAL_DISTINCT if r.imag == s.imag == 0 else CaseTag.CONJUGATE_PAIR)
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:
@@ -454,41 +474,8 @@ def solve_depressed(d: DepressedCubic) -> RootTriple:
     roots for real r, s; the cosine form for a conjugate pair), and exact
     and trig annotations are carried.
     """
-    zero = 0 if d.exact else 0.0
+    zero = _ZERO if d.exact else 0.0
     return _solve_cubic(zero, d.p, d.q, d, zero, compute_rs(d))
-
-
-def lift_roots(triple: RootTriple, delta: Coefficient) -> RootTriple:
-    """Undo the depression shift on a root triple: x = y - delta.
-
-    Case tag, multiplicity, and the trig annotation ride along unchanged
-    (the trig form keeps describing the depressed roots); exact values are
-    shifted exactly by an exact shift and dropped by a float one.
-    """
-    if delta == 0:
-        return triple
-    d = complex(delta)
-    roots = tuple(x - d for x in triple.roots)
-    exact = None
-    if triple.exact is not None and not isinstance(delta, float):
-        dr = -Fraction(delta)
-        exact = tuple(e.shift(dr) if e is not None else None for e in triple.exact)
-    return RootTriple(roots, triple.case, triple.multiplicity, exact, triple.trig, triple.pair)
-
-
-def newton_polish(triple: RootTriple, cubic: GeneralCubic) -> RootTriple:
-    """One Newton step per root against the original monic cubic."""
-    a = complex(float(cubic.a))
-    b = complex(float(cubic.b))
-    c = complex(float(cubic.c))
-    polished = []
-    for x in triple.roots:
-        fp = (3.0 * x + 2.0 * a) * x + b
-        if abs(fp) > 1e-300:
-            f = ((x + a) * x + b) * x + c
-            x = x - f / fp
-        polished.append(x)
-    return RootTriple(tuple(polished), triple.case, triple.multiplicity, triple.exact, triple.trig, triple.pair)
 
 
 def solve(cubic: GeneralCubic) -> RootTriple:

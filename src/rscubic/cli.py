@@ -21,12 +21,12 @@ import sys
 from typing import Optional
 
 from .cardano import _cardano, match_root_sets
-from .chen import InvalidCaseError, RootTriple, _solve_cubic, lift_roots, newton_polish, solve_moebius
+from .chen import InvalidCaseError, RootTriple, _solve_cubic, solve_moebius
 from .decompose import compute_rs
 from .denest import NestedRadical, denest
 from .numerics import _float_of
 from .parsing import ParseError, parse_coefficient, parse_cubic
-from .reduction import Coefficient, GeneralCubic, InvalidInputError, depress
+from .reduction import GeneralCubic, InvalidInputError, depress
 from .verify import verify_roots
 
 
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=["chen", "cardano", "moebius", "both"], default="chen")
     solve.add_argument("--format", choices=["text", "json", "trig", "exact"], default="text")
     solve.add_argument("--precision", type=_precision, default=12, help="significant digits in text output")
-    solve.add_argument("--polish", action="store_true", help="one Newton step per root")
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
     den = sub.add_parser("denest", help="denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b))")
@@ -97,39 +96,36 @@ def _check_finite(values) -> None:
             raise NumericFailure("non-finite intermediate or result")
 
 
-def _lift(depressed: RootTriple, delta: Coefficient, cubic: GeneralCubic, polish: bool) -> RootTriple:
-    lifted = lift_roots(depressed, delta)
-    return newton_polish(lifted, cubic) if polish else lifted
-
-
 def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
     """One pass per cubic: depress, decompose once, solve, then record.
 
     The pair gives the case and the (r, s) reported for every method. The
     r,s roots are solve's, from the library's one step; Cardano replaces
     them, and so does Moebius when the pair has an r (a degenerate case
-    keeps the direct roots). The baselines are lifted as they are.
+    keeps the step's roots). The baselines' depressed roots are lifted as
+    they are, x = y - shift, in doubles.
     """
     d, delta = depress(cubic)
     pair = compute_rs(d)
+    shift = _float_of(delta)
     if args.method == "cardano":
-        lifted = _lift(_cardano(d, pair.case)[0], delta, cubic, args.polish)
+        triple = _cardano(d, pair.case)[0]
+        roots = tuple(x - shift for x in triple.roots)
     elif args.method == "moebius" and pair.r is not None:
-        lifted = _lift(solve_moebius(pair.r, pair.s), delta, cubic, args.polish)
+        triple = solve_moebius(pair.r, pair.s)
+        roots = tuple(x - shift for x in triple.roots)
     else:
-        lifted = _solve_cubic(cubic.a, cubic.b, cubic.c, d, delta, pair)
-        if args.polish:
-            lifted = newton_polish(lifted, cubic)
-    checked = lifted.roots
+        triple = _solve_cubic(cubic.a, cubic.b, cubic.c, d, delta, pair)
+        roots = triple.roots
+    checked = roots
     if args.method == "both":
-        cardano_lifted = _lift(_cardano(d, pair.case)[0], delta, cubic, args.polish)
-        checked += cardano_lifted.roots
+        cardano_roots = tuple(x - shift for x in _cardano(d, pair.case)[0].roots)
+        checked += cardano_roots
     _check_finite(checked)
 
     # Each coefficient is rounded once; the residuals use GeneralCubic.__call__'s
     # complex Horner form, so their bits are the same.
     a, b, c = _float_of(cubic.a), _float_of(cubic.b), _float_of(cubic.c)
-    shift = _float_of(delta)
 
     def residuals(roots) -> list:
         return [abs(((x + a) * x + b) * x + c) for x in roots]
@@ -144,31 +140,31 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         "case": pair.case.value,
         "r": _cjson(pair.r) if pair.r is not None else None,
         "s": _cjson(pair.s) if pair.s is not None else None,
-        "roots": [_cjson(x) for x in lifted.roots],
+        "roots": [_cjson(x) for x in roots],
     }
     if args.method == "both":
-        rec["cardano_roots"] = [_cjson(x) for x in cardano_lifted.roots]
-        rec["max_matched_distance"] = match_root_sets(lifted.roots, cardano_lifted.roots)
-        rec["residuals"] = residuals(lifted.roots)
-        rec["cardano_residuals"] = residuals(cardano_lifted.roots)
+        rec["cardano_roots"] = [_cjson(x) for x in cardano_roots]
+        rec["max_matched_distance"] = match_root_sets(roots, cardano_roots)
+        rec["residuals"] = residuals(roots)
+        rec["cardano_residuals"] = residuals(cardano_roots)
     else:
-        rec["residuals"] = residuals(lifted.roots)
-        rec["multiplicity"] = [list(m) for m in lifted.multiplicity]
+        rec["residuals"] = residuals(roots)
+        rec["multiplicity"] = [list(m) for m in triple.multiplicity]
         rec["exact"] = (
-            [str(e) if e is not None else None for e in lifted.exact] if lifted.exact is not None else None
+            [str(e) if e is not None else None for e in triple.exact] if triple.exact is not None else None
         )
         rec["trig"] = (
             {
-                "amplitude": lifted.trig.amplitude,
-                "theta": lifted.trig.theta,
-                "offsets": list(lifted.trig.offsets),
+                "amplitude": triple.trig.amplitude,
+                "theta": triple.trig.theta,
+                "offsets": list(triple.trig.offsets),
             }
-            if lifted.trig is not None
+            if triple.trig is not None
             else None
         )
     if args.verify:
         # The printed roots, moved onto the depressed cubic: y = x + delta.
-        report = verify_roots(d, RootTriple(tuple(x + shift for x in lifted.roots), pair.case))
+        report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), pair.case))
         rec["verification"] = {
             "pass": report.passed,
             "residuals": list(report.residuals),

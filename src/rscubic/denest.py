@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chen import fraction_cbrt
-from .numerics import _band, _exponent, _root, _shift
+from .numerics import _band, _exponent, _float_of, _root
 from .reduction import DepressedCubic, InvalidInputError, _beyond_double, _coerce, _record, _tuple_new
 
 
@@ -73,11 +73,9 @@ def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
         return 0.0  # the two cube roots cancel exactly
     ka, kb = -(-_exponent(a) // 3), -(-_exponent(b) // 6)  # ceil(e_a / 3), ceil(e_b / 6)
     k = _band(kb if kb > ka else ka)
-    if k:
-        a, b, p = _shift(a, -3 * k), _shift(b, -6 * k), _shift(p, -2 * k)
-    a = float(a)
-    u = _root(a + math.copysign(_root(b, 2), a), 3)
-    return math.ldexp(u - float(p) / (3.0 * u), k)
+    a, b, p = _float_of(a, -3 * k), _float_of(b, -6 * k), _float_of(p, -2 * k)
+    u = _root(a + math.copysign(math.sqrt(b), a), 3)
+    return math.ldexp(u - p / (3.0 * u), k)
 
 
 def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:

@@ -79,11 +79,6 @@ def _band(k: int) -> int:
     return k if k > _BAND or k < -_BAND else 0
 
 
-def _shift(x, e: int):
-    """x * 2^e, exactly: ldexp for a float, a Fraction product for an exact x."""
-    return math.ldexp(x, e) if isinstance(x, float) else x * 2**e if e >= 0 else x / 2**-e
-
-
 def _root(x, n: int) -> float:
     """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
     of a float or exact x, as root(x 2^-nk) 2^k."""

@@ -8,7 +8,6 @@ from rscubic import (
     DepressedCubic,
     cardano_solve,
     depress,
-    lift_roots,
     match_root_sets,
     parse_cubic,
     solve_depressed,
@@ -167,7 +166,7 @@ def test_exact_discriminant_keeps_small_root():
     # (q/2)^2 and (p/3)^3 nearly cancel here; formed in doubles they left
     # the small root at 0.0031675963.
     d, delta = depress(parse_cubic("x^3+903310x^2-995557x + 3151"))
-    roots = lift_roots(cardano_solve(d)[0], delta).roots
+    roots = [x - float(delta) for x in cardano_solve(d)[0].roots]
     small = min(roots, key=abs)
     assert small.imag == 0
     assert abs(small.real - 0.0031742043560985796) <= 1e-7 * 0.0031742043560985796

@@ -23,7 +23,6 @@ from rscubic import (
     denest,
     depress,
     match_root_sets,
-    newton_polish,
     solve,
     solve_depressed,
     solve_moebius,
@@ -180,6 +179,17 @@ class TestSolveMoebius:
         with pytest.raises(InvalidCaseError):
             solve_moebius(complex(1), complex(0))
 
+    def test_case_is_read_off_the_pair(self):
+        # Rebuilt from the rounded p = -3rs and q = rs(r+s), this pair read
+        # real_distinct, and the roots were paired as one real root and a pair.
+        d, _ = depress(GeneralCubic(26272.208026953303, 4.432644133166125, -1.8873010082364522e-06))
+        pair = compute_rs(d)
+        triple = solve_moebius(pair.r, pair.s)
+        assert triple.case is pair.case is CaseTag.CONJUGATE_PAIR
+        reference = solve_depressed(d).roots
+        assert match_root_sets(triple.roots, reference) <= 1e-7 * max(abs(z) for z in reference)
+        assert solve_moebius(2, -1).case is CaseTag.REAL_DISTINCT
+
     def test_ratio_rounding_to_one_rejected(self):
         # r != s, but r/s rounds to 1: the cube root u = 1 would divide by 1 - u = 0.
         d, _ = depress(GeneralCubic(43951145.871853314, 38670.97222551304, -0.0005494343777076591))
@@ -283,18 +293,6 @@ class TestSolvePipeline:
             if others:
                 assert others[0] == others[1].conjugate()
 
-    def test_polish_flag(self):
-        cubic = GeneralCubic(0, -6, -9)
-        raw = solve(cubic)
-        polished = newton_polish(solve(cubic), cubic)
-        assert max(abs(cubic(x)) for x in polished.roots) <= max(abs(cubic(x)) for x in raw.roots) + 1e-15
-
-    def test_polish_keeps_triple_shape(self):
-        cubic = GeneralCubic(0, -12, 16)
-        polished = newton_polish(solve(cubic), cubic)
-        assert polished.case is CaseTag.EQUAL
-        assert polished.multiplicity == ((1, 2),)
-
     @pytest.mark.parametrize(
         "planted",
         [
@@ -316,12 +314,12 @@ class TestSolvePipeline:
         for x, want in zip(triple.roots, sorted(planted)):
             assert abs(x - float(want)) <= 1e-8 * abs(float(want))
 
-    def test_pair_rides_through_lift_and_polish(self):
+    def test_pair_rides_through_the_lift(self):
         cubic = GeneralCubic(1, -10, 8)  # roots -4, 1, 2
         d, _ = depress(cubic)
         expected = compute_rs(d)
         assert solve_depressed(d).pair == expected
-        assert newton_polish(solve(cubic), cubic).pair == expected
+        assert solve(cubic).pair == expected
         assert solve_moebius(expected.r, expected.s).pair is None
 
 
@@ -438,7 +436,7 @@ class TestExactValue:
         assert all(m % (d * d) for d in range(2, math.isqrt(m) + 1))
 
     def test_shift_and_negate(self):
-        v = ExactValue.sqrt_of(Fraction(2)).shift(Fraction(-1))
+        v = ExactValue(Fraction(-1), Fraction(1), 2)
         assert str(v) == "-1 + sqrt(2)"
         assert str(-v) == "1 - sqrt(2)"
         assert float(v) == pytest.approx(SQRT2 - 1)
@@ -491,7 +489,6 @@ def records_of(p, q):
     # x = y - 1 shifts the cubic, so solve lifts the roots by a nonzero delta.
     shifted = GeneralCubic(3, 3 + p, 1 + p + q)
     triples = [solve(shifted), solve_depressed(d), cardano_solve(d)[0], brute_force_roots(d)]
-    triples.append(newton_polish(triples[0], shifted))
     if pair.r is not None and pair.r != pair.s:
         triples.append(solve_moebius(pair.r, pair.s))
     nested = [t.pair for t in triples if t.pair is not None] + [t.trig for t in triples if t.trig is not None]

@@ -93,10 +93,11 @@ class TestSolveFlags:
         assert max(rec["residuals"][1:]) < 1e-3
 
     def test_polish_flag(self, capsys):
-        code, out, _ = run(capsys, "solve", "--expr", "x^3-6x-9", "--polish", "--format", "json")
-        assert code == 0
-        rec = json.loads(out)
-        assert max(rec["residuals"]) <= 1e-12
+        # The solve step already refines its roots; --polish is no flag any more.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--expr", "x^3-6x-9", "--polish"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --polish" in capsys.readouterr().err
 
     def test_verify_flag_passes(self, capsys):
         code, out, _ = run(capsys, "solve", "--p=-12", "--q=16", "--verify", "--format", "json")

@@ -226,3 +226,61 @@ def test_exact_near_double_pair_beside_its_real_root(re, ratio, j, m):
     roots = solve(from_real_and_pair(x0, re, im)).roots
     for z in (complex(x0), complex(re, im), complex(re, -im)):
         assert min(abs(x - z) for x in roots) <= 1e-10 * abs(z), (roots, x0, re, im)
+
+
+T = Fraction(1, 10**20)
+
+
+@pytest.mark.parametrize(
+    "abc",
+    [
+        (-3, 2 + 2 * T - T * T, T * T - 2 * T),  # roots 10^-20, 1, 2 - 10^-20
+        (-3, 3, -T),  # (x - 1)^3 + 1 - 10^-20: a real root 3.3e-21 and a pair
+        (-3.0, 3.0, -1e-20),
+        (-8, Fraction(43, 3), Fraction(-8, 27)),  # 8/3 and 8/3 +- sqrt(7)
+    ],
+    ids=["q0 exact", "p0 exact", "p0 float", "q0 surd"],
+)
+def test_degenerate_tags_match_mpmath(abc):
+    # Lifting the depressed roots by -a/3 in doubles read the small root as 0, or 1.3e-14 off.
+    triple = solve(GeneralCubic(*abc))
+    assert triple.case in (CaseTag.DEGENERATE_P0, CaseTag.DEGENERATE_Q0)
+    want = oracle(*abc)
+    for z in want:
+        assert min(abs(x - z) for x in triple.roots) <= 4e-16 * abs(z), (triple.roots, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(10, 40000),
+    st.floats(1, 4.6),
+    st.integers(-30, 30),
+    st.sampled_from([-1, 1]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_shifted_degenerate_cubics_match_mpmath(n, spread, e, sign, cube, exact):
+    # A cluster of radius w about -d, |d| = n 2^e = 10^(1..4.6) w: the progression
+    # (x + d)((x + d)^2 - w^2) (q = 0) or the shifted cube (x + d)^3 + w^3 (p = 0).
+    # Integers under 2^53 times powers of two: the float cubic is the exact one,
+    # and float depress finds p or q exactly 0.
+    d, m = sign * n * Fraction(2) ** e, max(1.0, n / 10**spread)
+    if cube:
+        v = round(m**3) * Fraction(2) ** (3 * e)
+        coeffs = (3 * d, 3 * d * d, d**3 + v)
+    else:
+        w2 = max(2, round(m * m)) * Fraction(4) ** e
+        coeffs = (3 * d, 3 * d * d - w2, d * (d * d - w2))
+    triple = solve(GeneralCubic(*(Fraction(v) if exact else float(v) for v in coeffs)))
+    assert triple.case is (CaseTag.DEGENERATE_P0 if cube else CaseTag.DEGENERATE_Q0)
+    with mpmath.workdps(50):
+        center = -mpmath.mpf(d.numerator) / d.denominator
+        if cube:
+            y = -mpmath.cbrt(mpmath.mpf(v.numerator) / v.denominator)
+            want = [center + y * mpmath.expjpi(mpmath.mpf(2 * j) / 3) for j in range(3)]
+        else:
+            w = mpmath.sqrt(mpmath.mpf(w2.numerator) / w2.denominator)
+            want = [center - w, center, center + w]
+        want = [complex(z) for z in want]
+    for z in want:
+        assert min(abs(x - z) for x in triple.roots) <= 1e-10 * abs(z), (triple.roots, want)

@@ -1,10 +1,12 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import rscubic
+from rscubic.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -29,9 +31,7 @@ PUBLIC = {
     "compute_rs",
     "denest",
     "depress",
-    "lift_roots",
     "match_root_sets",
-    "newton_polish",
     "parse_coefficient",
     "parse_cubic",
     "solve",
@@ -43,7 +43,7 @@ PUBLIC = {
 
 
 def test_all_is_the_pinned_surface():
-    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 29
+    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 27
     assert set(rscubic.__all__) == PUBLIC
 
 
@@ -63,6 +63,16 @@ def test_readme_documents_every_export():
     text = README.read_text(encoding="utf-8")
     undocumented = [name for name in rscubic.__all__ if f"`{name}`" not in text]
     assert undocumented == []
+
+
+def test_readme_lists_every_solve_flag():
+    # The bullets after "Flags of `solve`:" each open with the flags they describe.
+    text = README.read_text(encoding="utf-8").split("Flags of `solve`:", 1)[1].lstrip("\n")
+    bullets = text.split("\n\n", 1)[0].split("\n* ")
+    listed = {flag for bullet in bullets for flag in re.findall(r"--[a-z]+", bullet.split(" — ", 1)[0])}
+    solve = next(a for a in build_parser()._subparsers._group_actions if a.choices)._name_parser_map["solve"]
+    flags = {s for action in solve._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
+    assert listed == flags
 
 
 def test_runtime_imports_only_the_standard_library():

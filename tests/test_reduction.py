@@ -13,10 +13,8 @@ from rscubic import (
     GeneralCubic,
     InvalidInputError,
     NestedRadical,
-    RootTriple,
     denest,
     depress,
-    lift_roots,
     solve,
     solve_depressed,
 )
@@ -78,26 +76,26 @@ def test_non_finite_rejected(bad):
         DepressedCubic(0, bad)
 
 
-def _triple(values, case=CaseTag.REAL_DISTINCT):
-    return RootTriple(tuple(complex(v) for v in values), case)
+def _shifted(depressed_roots, delta):
+    """The cubic whose roots are the depressed roots y minus delta, x = y - delta."""
+    x0, x1, x2 = (Fraction(y) - delta for y in depressed_roots)
+    return GeneralCubic(-(x0 + x1 + x2), x0 * x1 + x0 * x2 + x1 * x2, -x0 * x1 * x2)
 
 
 def test_lift_examples():
-    lifted = lift_roots(_triple([0, 1, -1]), Fraction(-2))
-    assert [z.real for z in lifted.roots] == [2, 3, 1]
-
-    untouched = _triple([1, 2, 3])
-    assert lift_roots(untouched, Fraction(0)) is untouched
-
-    lifted = lift_roots(_triple([2, 2, -4]), Fraction(1))
-    assert [z.real for z in lifted.roots] == [1, 1, -5]
+    triple = solve(_shifted([0, 1, -1], Fraction(-2)))
+    assert [z.real for z in triple.roots] == [1, 2, 3]
+    assert solve(_shifted([1, 2, -3], Fraction(0))).roots == solve_depressed(DepressedCubic(-7, 6)).roots
+    triple = solve(_shifted([2, 2, -4], Fraction(1)))
+    assert [z.real for z in triple.roots] == [-5, 1, 1]
 
 
 def test_lift_preserves_case_and_multiplicity():
-    triple = RootTriple((complex(2), complex(2), complex(-4)), CaseTag.EQUAL, multiplicity=((0, 2),))
-    lifted = lift_roots(triple, Fraction(3))
-    assert lifted.case is CaseTag.EQUAL
-    assert lifted.multiplicity == ((0, 2),)
+    depressed = solve_depressed(DepressedCubic(-12, -16))  # roots -2, -2, 4
+    triple = solve(_shifted([-2, -2, 4], Fraction(3)))
+    assert triple.case is depressed.case is CaseTag.EQUAL
+    assert triple.multiplicity == depressed.multiplicity == ((0, 2),)
+    assert [z.real for z in triple.roots] == [-5, -5, 1]
 
 
 @given(finite, finite, finite)
@@ -177,10 +175,18 @@ def test_a_float_coefficient_drops_the_exact_channel():
     assert repr(GeneralCubic(0, -2, 0.0)) == repr(GeneralCubic(0.0, -2.0, 0.0))
 
 
+def test_a_float_triple_root_has_no_exact_channel():
+    for triple in (solve(GeneralCubic(0.0, 0.0, 0.0)), solve_depressed(DepressedCubic(0.0, 0.0))):
+        assert triple.roots == (0j, 0j, 0j) and triple.multiplicity == ((0, 3),)
+        assert triple.exact is None
+    triple = solve(GeneralCubic(-3, 3, -1))  # (x - 1)^3
+    assert triple.roots == (1 + 0j,) * 3 and [str(e) for e in triple.exact] == ["1"] * 3
+
+
 def test_a_float_shift_drops_the_exact_channel():
-    triple = solve(GeneralCubic(0, -4, 0))  # roots -2, 0, 2
-    assert lift_roots(triple, Fraction(1, 2)).exact is not None
-    assert lift_roots(triple, 0.5).exact is None
+    cubic = _shifted([-2, 0, 2], Fraction(1, 2))  # roots -5/2, -1/2, 3/2
+    assert [str(e) for e in solve(cubic).exact] == ["-5/2", "-1/2", "3/2"]
+    assert solve(GeneralCubic(float(cubic.a), cubic.b, cubic.c)).exact is None
 
 
 @pytest.mark.parametrize(
