@@ -93,7 +93,7 @@ class TestSolveFlags:
         assert max(rec["residuals"][1:]) < 1e-3
 
     def test_polish_flag(self, capsys):
-        # The solve step already refines its roots; --polish is no flag any more.
+        # The solve step refines its own roots, so there is no --polish flag.
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--expr", "x^3-6x-9", "--polish"])
         assert exc.value.code == 2

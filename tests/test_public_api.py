@@ -70,7 +70,7 @@ def test_readme_lists_every_solve_flag():
     text = README.read_text(encoding="utf-8").split("Flags of `solve`:", 1)[1].lstrip("\n")
     bullets = text.split("\n\n", 1)[0].split("\n* ")
     listed = {flag for bullet in bullets for flag in re.findall(r"--[a-z]+", bullet.split(" — ", 1)[0])}
-    solve = next(a for a in build_parser()._subparsers._group_actions if a.choices)._name_parser_map["solve"]
+    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
     flags = {s for action in solve._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
     assert listed == flags
 
