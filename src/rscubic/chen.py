@@ -25,7 +25,9 @@ it (x = y - a/3), refine it with one Newton step on the original cubic and
 take the other two from the quadratic left by deflation (Kahan, "To Solve
 a Real Cubic Equation", 1986; Flocke, ACM TOMS Alg. 954, 2015), for every
 case tag alike. Lifting all three roots in doubles would lose any root far
-below the shift a/3. A rational pair r = s keeps its exact roots.
+below the shift a/3. An exact cubic whose three roots are rational (a
+rational pair r = s, p = q = 0, or q = 0 > p with a rational sqrt(-p))
+skips all of this and reports each root as its exact value rounded once.
 """
 
 from __future__ import annotations
@@ -181,30 +183,18 @@ class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair"
     __slots__ = ()
 
 
-def _solve_equal_exact(pair: RsPair, delta) -> RootTriple:
-    """Roots r - delta (double) and -2r - delta of (x-r)^2 (x+2r) for a rational r, shifted
-    exactly; each float is its exact value rounded once.
-
-    Stated with r itself rather than sqrt(rs): for r < 0, sqrt(rs) = |r|
-    would flip the sign, while (x-r)^2 (x+2r) pins the repeated root at r,
-    first in ascending order when r < 0.
-    """
-    r = pair.exact_r
-    double, simple = ExactValue(r - delta), ExactValue(-2 * r - delta)
-    d, s = complex(float(double)), complex(float(simple))
-    if r < 0:
-        return RootTriple((d, d, s), CaseTag.EQUAL, ((0, 2),), (double, double, simple), pair=pair)
-    return RootTriple((s, d, d), CaseTag.EQUAL, ((1, 2),), (simple, double, double), pair=pair)
-
-
 def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     """The one solve step of x^3 + ax^2 + bx + c, given its depressed cubic d,
     delta = a/3 and compute_rs's pair for d.
 
-    A rational equal pair keeps its exact triple, and p = q = 0 is the triple
-    root -delta. Every other cubic is solved from one real root x, read off
-    (r, s), or off d for a degenerate tag, in the depressed variable and
-    lifted, x = y - delta:
+    The step has three exits. An exact cubic whose three roots are rational
+    (a rational equal pair, p = q = 0, or q = 0 > p with a rational
+    sqrt(-p)) leaves first, before any float work: each root is its exact
+    value rounded once, and the multiplicity is read off the exact values,
+    since two distinct ones can round to one double. A float p = q = 0 is
+    the triple root -delta. Every other cubic is solved from one real root
+    x, read off (r, s), or off d for a degenerate tag, in the depressed
+    variable and lifted, x = y - delta:
 
     * one real root y and a pair about -y/2 (real_distinct: y = -uv(u+v)
       from the real cube roots u, v of r and s, the pair's imaginary part
@@ -226,9 +216,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     One Newton step on the original cubic refines x. The other two roots are
     those of x^2 - Sx + P with P = -c/x and S = (b - P)/x while x dominates
     (x^2 >= |P|), else S = -a - x: the larger real root is
-    (S + sign(S) sqrt(S^2 - 4P))/2 and the other is P over it, or, when
-    S^2 < 4P, the pair is S/2 +- i sqrt(4P - S^2)/2: for a float cubic the
-    quadratic decides, whatever the tag. A float equal tag keeps its double
+    (S + sign(S) sqrt(S^2 - 4P))/2 and the other is P over it (its negative
+    for S = 0, so +-sqrt(-P) come out symmetric), or, when S^2 < 4P, the
+    pair is S/2 +- i sqrt(4P - S^2)/2: for a float cubic the quadratic
+    decides, whatever the tag. A float equal tag keeps its double
     root S/2, and its multiplicity, only where S^2 - 4P is rounding noise.
     An exact cubic's tag is right, and a pair too close to tell apart from
     the rounded S and P keeps its closed form: the lifted middle and other
@@ -236,15 +227,16 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     x is 0 exactly and the quadratic is x^2 + ax + b. The work runs at the
     scale 2^k of the largest root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k
     and delta 2^-k are taken exactly before they are rounded, and the roots
-    are multiplied back by 2^k. An exact degenerate cubic reports the roots
+    are multiplied back by 2^k. Both the pair and the three real roots leave
+    through the third exit, where an exact degenerate cubic reports the roots
     it knows exactly, in output order: cbrt(-q) - delta for p = 0 and a
     rational cube root; -sqrt(-p) - delta, -delta, sqrt(-p) - delta for
-    q = 0 > p; -delta for q = 0 < p. A rational one among them is reported
-    as its value rounded once.
+    q = 0 > p; -delta for q = 0 < p. A rational one among them replaces its
+    float root, as its value rounded once.
     """
     r, s, case, exact_r = pair[:4]
     exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
-    trig = channel = None
+    trig = channel = mult = None  # mult is set here only when all three roots are rational
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
     if r is None:
         p, q = d
@@ -269,12 +261,17 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
                     w, coef, m = ExactValue.sqrt_of(-p)
                     center = -delta
                     channel = (ExactValue(center - w, -coef, m), ExactValue(center), ExactValue(center + w, coef, m))
+                    if not coef:
+                        mult = ()
+        elif exact:
+            channel, mult = (ExactValue(-delta),) * 3, ((0, 3),)
         else:
-            x = complex(0.0 - _float_of(delta), 0.0)
-            channel = (ExactValue(-delta),) * 3 if exact else None
-            return RootTriple((x, x, x), case, ((0, 3),), channel, None, pair)
+            x = complex(0.0 - delta, 0.0)
+            return RootTriple((x, x, x), case, ((0, 3),), None, None, pair)
     elif exact_r is not None and case is _EQUAL:
-        return _solve_equal_exact(pair, delta)
+        # (x-r)^2 (x+2r): stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
+        double, simple = ExactValue(exact_r - delta), ExactValue(-2 * exact_r - delta)
+        channel, mult = ((double, double, simple), ((0, 2),)) if exact_r < 0 else ((simple, double, double), ((1, 2),))
     else:
         size = abs(r) + abs(s)
         if case is _REAL_DISTINCT:
@@ -292,6 +289,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
             t = theta / 3.0
             trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
             cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
+    if mult is not None:
+        # Three rational roots: each is its value rounded once, and the multiplicity comes
+        # from the exact values, since two distinct ones can round to one double.
+        return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, None, pair)
     # Every root is within a small factor of size + |delta|.
     if exact:
         e = math.frexp(size)[1]
@@ -364,9 +365,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         # A float equal tag is a double root only where the quadratic cannot tell its two
         # roots apart; elsewhere, as beside a large root, the quadratic's shape stands.
         double = abs(disc) <= _DOUBLE_NOISE * (S * S + 4.0 * abs(P))
-    if closed and shape is _CONJUGATE_PAIR:
-        x1, x2 = mid, other
-    elif closed or disc < 0 and not double:
+    mult = ()
+    if closed and shape is _REAL_DISTINCT or disc < 0 and not (closed or double):
         # The pair's center is S/2 either way: the closed one, -y/2 - delta, cancels
         # when the pair is small beside delta.
         re = 0.5 * S
@@ -376,32 +376,28 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
             x, re, im = math.ldexp(x, k), math.ldexp(re, k), math.ldexp(im, k)
         re += 0.0  # no -0.0 in the output
         roots = (complex(x + 0.0, 0.0), complex(re, -im), complex(re, im))
-        if channel is not None:
-            roots = _rounded_once(roots, channel)
-        return RootTriple(roots, case, (), channel, trig, pair)
-    elif disc > 0 and not double:
-        x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
-        x2 = P / x1
     else:
-        x1 = x2 = 0.5 * S
-    if x1 > x2:
-        x1, x2 = x2, x1
-    if x > x1:
-        x, x1 = x1, x
+        if closed:
+            x1, x2 = mid, other
+        elif disc > 0 and not double:
+            x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
+            x2 = P / x1 if S else -x1  # S = 0: the roots are +-sqrt(-P), symmetric to the bit
+        else:
+            x1 = x2 = 0.5 * S
         if x1 > x2:
             x1, x2 = x2, x1
-    mult = (((0, 2),) if x == x1 else ((1, 2),)) if double else ()
-    if k:
-        x, x1, x2 = math.ldexp(x, k), math.ldexp(x1, k), math.ldexp(x2, k)
-    roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
-    if channel is not None:
-        roots = _rounded_once(roots, channel)
+        if x > x1:
+            x, x1 = x1, x
+            if x1 > x2:
+                x1, x2 = x2, x1
+        if double:
+            mult = ((0, 2),) if x == x1 else ((1, 2),)
+        if k:
+            x, x1, x2 = math.ldexp(x, k), math.ldexp(x1, k), math.ldexp(x2, k)
+        roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
+    if channel is not None:  # a rational root known exactly is reported as its value rounded once
+        roots = tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
     return RootTriple(roots, case, mult, channel, trig, pair)
-
-
-def _rounded_once(roots, channel):
-    """The roots, each one whose exact value is rational replaced by that value rounded once."""
-    return tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
 
 
 def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:

@@ -216,13 +216,6 @@ def _render_text(rec: dict, precision: int) -> str:
                 note += f"   [multiplicity {mult[i]}]"
             lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
     lines.append("residuals: " + ", ".join(_fmt(r, 3) for r in rec["residuals"]))
-    if "verification" in rec:
-        v = rec["verification"]
-        lines.append(
-            f"verification: {'PASS' if v['pass'] else 'FAIL'} "
-            f"(max residual {_fmt(max(v['residuals']), 3)}, "
-            f"max vieta error {_fmt(max(v['vieta_errors']), 3)}, tol {v['tol']:g})"
-        )
     return "\n".join(lines)
 
 
@@ -262,13 +255,23 @@ def _render_exact(rec: dict, precision: int) -> str:
 
 
 def _render(rec: dict, fmt: str, precision: int) -> str:
+    """The record as one JSON line, or as text that ends with the --verify report in every text format."""
     if fmt == "json":
         return json.dumps(rec)
     if fmt == "trig" and rec["method"] != "both":
-        return _render_trig(rec, precision)
-    if fmt == "exact" and rec["method"] != "both":
-        return _render_exact(rec, precision)
-    return _render_text(rec, precision)
+        text = _render_trig(rec, precision)
+    elif fmt == "exact" and rec["method"] != "both":
+        text = _render_exact(rec, precision)
+    else:
+        text = _render_text(rec, precision)
+    if "verification" in rec:
+        v = rec["verification"]
+        text += (
+            f"\nverification: {'PASS' if v['pass'] else 'FAIL'} "
+            f"(max residual {_fmt(max(v['residuals']), 3)}, "
+            f"max vieta error {_fmt(max(v['vieta_errors']), 3)}, tol {v['tol']:g})"
+        )
+    return text
 
 
 def cmd_solve(args) -> int:

@@ -106,6 +106,13 @@ class TestSolveFlags:
         assert rec["verification"]["pass"] is True
         assert max(rec["verification"]["vieta_errors"]) == 0.0
 
+    @pytest.mark.parametrize("fmt", ["text", "trig", "exact"])
+    def test_verify_report_in_every_text_format(self, capsys, fmt):
+        code, out, _ = run(capsys, "solve", "--expr", "x^3-6x^2+11x-6", "--format", fmt, "--verify")
+        assert code == 0
+        assert out.count("verification: PASS") == 1
+        assert out.rstrip().splitlines()[-1].startswith("verification: PASS")
+
     def test_precision_flag(self, capsys):
         _, out4, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "4")
         _, out15, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "15")
@@ -233,6 +240,15 @@ class TestBatch:
         first, second = (json.loads(line) for line in lines)
         assert first["case"] == "equal"
         assert second["case"] == "real_distinct"
+
+    def test_batch_symmetric_roots_are_symmetric(self, capsys, tmp_path):
+        # x^3 - 1021x: the deflated quadratic x^2 - 1021 gives +-sqrt(1021) to the bit.
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-1021x\n")
+        code, out, _ = run(capsys, "solve", "--batch", str(batch))
+        assert code == 0
+        w = math.sqrt(1021)
+        assert json.loads(out)["roots"] == [{"re": -w, "im": 0.0}, {"re": 0.0, "im": 0.0}, {"re": w, "im": 0.0}]
 
     def test_batch_reports_and_skips_bad_lines(self, capsys, tmp_path):
         batch = tmp_path / "cubics.txt"

@@ -98,6 +98,15 @@ def test_zero_constant_three_real_roots(kind):
     assert triple.roots == (0j, complex(1), complex(3))
 
 
+@pytest.mark.parametrize("b", [-2, -3, -1021])
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_symmetric_roots_come_out_symmetric(b, kind):
+    # x^3 + bx: the deflated quadratic x^2 + b has S = 0, and P / x1 read sqrt(2) one ulp low.
+    w = math.sqrt(-b)
+    for triple in (solve_depressed(DepressedCubic(kind(b), kind(0))), solve(GeneralCubic(0, kind(b), 0))):
+        assert triple.roots == (complex(-w), 0j, complex(w))
+
+
 @pytest.mark.parametrize(
     "abc",
     [(-55, 1322, 0), (-4, 3, 0), (1, 0, 0), (0, -1, 0), (-2, 1, 0), (3, 3, 1), (0, 3, 0), (-1e-300, 0.0, 0.0)],
@@ -226,6 +235,43 @@ def test_exact_near_double_pair_beside_its_real_root(re, ratio, j, m):
     roots = solve(from_real_and_pair(x0, re, im)).roots
     for z in (complex(x0), complex(re, im), complex(re, -im)):
         assert min(abs(x - z) for x in roots) <= 1e-10 * abs(z), (roots, x0, re, im)
+
+
+def rational():
+    return st.builds(
+        lambda n, d, e, sign: sign * Fraction(n, d) * Fraction(10) ** e,
+        st.integers(1, 999),
+        st.integers(1, 999),
+        st.integers(-37, 37),
+        st.sampled_from([-1, 1]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["double", "triple", "surd"]), rational(), rational(), st.integers(0, 80), st.booleans())
+def test_three_rational_roots_are_rounded_once(family, u, v, j, depressed):
+    # (x - r)^2 (x - s), (x - m)^3 and (x - m)((x - m)^2 - w^2) over 80 decades, with s
+    # as close as 2^-80 |r| to r, or w as small as 2^-80 |m|: distinct values that round
+    # to one double are still no multiple root. Depressed (m = 0, s = -2r) through
+    # solve_depressed.
+    if family == "double":
+        r = u
+        s = -2 * r if depressed else r * (1 + Fraction(1, 2**j)) if j else v
+        planted = (r, r, s)
+        mult = ((0, 3),) if r == s else ((0, 2),) if r < s else ((1, 2),)
+    else:
+        m = 0 if depressed else u
+        if family == "triple":
+            planted, mult = (m, m, m), ((0, 3),)
+        else:
+            w = abs(u) / 2**j if j and not depressed else v
+            planted, mult = (m - w, m, m + w), ()
+    cubic = from_roots(*planted)
+    triple = solve_depressed(DepressedCubic(cubic.b, cubic.c)) if depressed else solve(cubic)
+    want = sorted(planted)
+    assert [e.as_fraction() for e in triple.exact] == want
+    assert triple.roots == tuple(complex(float(x)) for x in want)
+    assert triple.multiplicity == mult
 
 
 T = Fraction(1, 10**20)
