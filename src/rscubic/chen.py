@@ -224,7 +224,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     An exact cubic's tag is right, and a pair too close to tell apart from
     the rounded S and P keeps its closed form: the lifted middle and other
     root, or the imaginary part im about the center S/2. For c = 0 the root
-    x is 0 exactly and the quadratic is x^2 + ax + b. The work runs at the
+    x is 0 exactly and the quadratic is x^2 + ax + b, whose discriminant an
+    exact cubic takes from its exact a and b. The work runs at the
     scale 2^k of the largest root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k
     and delta 2^-k are taken exactly before they are rounded, and the roots
     are multiplied back by 2^k. Both the pair and the three real roots leave
@@ -304,6 +305,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     else:
         top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
+    # For an exact c = 0 the quotient x^2 + ax + b is exact, and so is its discriminant.
+    quotient_disc = _float_of(a * a - 4 * b, -2 * k) if exact and not c else None
     if exact or k:
         a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
@@ -349,7 +352,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         S = (b - P) / x if x * x >= abs(P) else -a - x
     else:
         S, P = -a, b
-    disc = S * S - 4.0 * P
+    disc = S * S - 4.0 * P if quotient_disc is None else quotient_disc
 
     # Rounding S and P moves the deflated roots by about eps N / (4 sqrt|disc|), N = S^2 + 4|P|,
     # and by no more than about sqrt(eps N) / 4, once |disc| is down to its own rounding eps N.

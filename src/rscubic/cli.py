@@ -3,13 +3,13 @@
 Two subcommands:
 
 * ``solve``  -- solve one cubic (``--expr``, ``--p/--q``, or ``--a/--b/--c``)
-  or a batch file of expressions, with ``--method {chen,cardano,moebius,both}``
-  and ``--format {text,json,trig,exact}``;
+  or a batch file of expressions, with ``--method {chen,both}`` (``both`` adds
+  Cardano's roots beside the r,s roots) and ``--format {text,json}``;
 * ``denest`` -- evaluate and denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b)).
 
 Exit codes: 0 success, 2 parse/usage error, 3 numeric failure (non-finite
-result, method not applicable, or a failed ``--verify``). A batch run skips
-a failing line and exits with the lowest nonzero code it met.
+result or a failed ``--verify``). A batch run skips a failing line and
+exits with the lowest nonzero code it met.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from .cardano import _cardano, match_root_sets
-from .chen import InvalidCaseError, RootTriple, _solve_cubic, solve_moebius
+from .chen import RootTriple, _solve_cubic
 from .decompose import compute_rs
 from .denest import NestedRadical, denest
 from .numerics import _float_of
@@ -38,7 +38,6 @@ class NumericFailure(RuntimeError):
 _FAILURES = {
     ParseError: (2, ""),
     InvalidInputError: (2, ""),
-    InvalidCaseError: (3, ""),
     NumericFailure: (3, "numeric failure: "),
     OverflowError: (3, "numeric failure: "),
 }
@@ -72,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--c", type=parse_coefficient, help="c of x^3+ax^2+bx+c")
     solve.add_argument("--lead", type=parse_coefficient, default=None, help="leading coefficient (default 1)")
     solve.add_argument("--batch", metavar="FILE", help="file with one equation per line; emits JSON lines")
-    solve.add_argument("--method", choices=["chen", "cardano", "moebius", "both"], default="chen")
-    solve.add_argument("--format", choices=["text", "json", "trig", "exact"], default="text")
+    solve.add_argument("--method", choices=["chen", "both"], default="chen")
+    solve.add_argument("--format", choices=["text", "json"], default="text")
     solve.add_argument("--precision", type=_precision, default=12, help="significant digits in text output")
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
@@ -99,25 +98,15 @@ def _check_finite(values) -> None:
 def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
     """One pass per cubic: depress, decompose once, solve, then record.
 
-    The pair gives the case and the (r, s) reported for every method. The
-    r,s roots are solve's, from the library's one step; Cardano replaces
-    them, and so does Moebius when the pair has an r (a degenerate case
-    keeps the step's roots). The baselines' depressed roots are lifted as
-    they are, x = y - shift, in doubles.
+    The pair gives the case and the (r, s) of the record, and the roots are
+    solve's, from the library's one step. --method both adds Cardano's roots
+    for the same case, lifted as they are, x = y - shift, in doubles.
     """
     d, delta = depress(cubic)
     pair = compute_rs(d)
     shift = _float_of(delta)
-    if args.method == "cardano":
-        triple = _cardano(d, pair.case)[0]
-        roots = tuple(x - shift for x in triple.roots)
-    elif args.method == "moebius" and pair.r is not None:
-        triple = solve_moebius(pair.r, pair.s)
-        roots = tuple(x - shift for x in triple.roots)
-    else:
-        triple = _solve_cubic(cubic.a, cubic.b, cubic.c, d, delta, pair)
-        roots = triple.roots
-    checked = roots
+    triple = _solve_cubic(cubic.a, cubic.b, cubic.c, d, delta, pair)
+    roots = checked = triple.roots
     if args.method == "both":
         cardano_roots = tuple(x - shift for x in _cardano(d, pair.case)[0].roots)
         checked += cardano_roots
@@ -153,15 +142,7 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         rec["exact"] = (
             [str(e) if e is not None else None for e in triple.exact] if triple.exact is not None else None
         )
-        rec["trig"] = (
-            {
-                "amplitude": triple.trig.amplitude,
-                "theta": triple.trig.theta,
-                "offsets": list(triple.trig.offsets),
-            }
-            if triple.trig is not None
-            else None
-        )
+        rec["trig"] = triple.trig._asdict() if triple.trig is not None else None
     if args.verify:
         # The printed roots, moved onto the depressed cubic: y = x + delta.
         report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), pair.case))
@@ -188,90 +169,46 @@ def _fmt_complex(z: dict, precision: int) -> str:
 
 
 def _render_text(rec: dict, precision: int) -> str:
+    """The record as text: the roots with their exact values and multiplicities,
+    the cosine form when there is one, Cardano's roots under --method both, the
+    residuals and, last, the --verify report."""
     lines = [f"input: {rec['input']}"]
     lines.append(f"method: {rec['method']}   case: {rec['case']}")
+    shift = _fmt(rec["shift"], precision)
     lines.append(f"depressed: p = {_fmt(rec['p'], precision)}, q = {_fmt(rec['q'], precision)}"
-                 f"   (shift delta = {_fmt(rec['shift'], precision)})")
+                 f"   (shift delta = {shift})")
     if rec["r"] is not None:
         lines.append(f"r = {_fmt_complex(rec['r'], precision)}, s = {_fmt_complex(rec['s'], precision)}")
-    if rec["method"] == "both":
-        lines.append("r,s-method roots:")
-        for i, z in enumerate(rec["roots"]):
-            lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
+    exact = rec.get("exact") or (None, None, None)
+    mult = dict(rec.get("multiplicity") or ())
+    lines.append("roots:")
+    for i, z in enumerate(rec["roots"]):
+        note = f"   (exact: {exact[i]})" if exact[i] is not None else ""
+        if i in mult:
+            note += f"   [multiplicity {mult[i]}]"
+        lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
+    trig = rec.get("trig")
+    if trig is not None:
+        shift_part = f" - ({shift})" if rec["shift"] != 0 else ""
+        lines.append(
+            f"cosine form: x[i] = {_fmt(trig['amplitude'], precision)} * cos(offset[i]){shift_part}, "
+            f"theta = {_fmt(trig['theta'], precision)}"
+        )
+        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in trig["offsets"]))
+    if "cardano_roots" in rec:
         lines.append("cardano roots:")
         for i, z in enumerate(rec["cardano_roots"]):
             lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
         lines.append(f"max matched distance = {_fmt(rec['max_matched_distance'], 3)}")
-    else:
-        exact = rec.get("exact")
-        mult = dict()
-        for i, c in rec.get("multiplicity") or []:
-            mult[i] = c
-        lines.append("roots:")
-        for i, z in enumerate(rec["roots"]):
-            note = ""
-            if exact and exact[i] is not None:
-                note += f"   (exact: {exact[i]})"
-            if i in mult:
-                note += f"   [multiplicity {mult[i]}]"
-            lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
     lines.append("residuals: " + ", ".join(_fmt(r, 3) for r in rec["residuals"]))
-    return "\n".join(lines)
-
-
-def _render_trig(rec: dict, precision: int) -> str:
-    lines = [f"input: {rec['input']}"]
-    trig = rec.get("trig")
-    if trig is None:
-        lines.append(f"no trigonometric form (case: {rec['case']}); decimal roots:")
-        for i, z in enumerate(rec["roots"]):
-            lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
-        return "\n".join(lines)
-    amp, theta = trig["amplitude"], trig["theta"]
-    delta = rec["shift"]
-    shift_part = f" - ({_fmt(delta, precision)})" if delta != 0 else ""
-    lines.append(
-        f"three real roots: x = {_fmt(amp, precision)} * cos(theta/3 + 2k*pi/3){shift_part}, "
-        f"theta = {_fmt(theta, precision)}"
-    )
-    for i, (off, z) in enumerate(zip(trig["offsets"], rec["roots"])):
-        lines.append(
-            f"  x[{i}] = {_fmt(amp, precision)} * cos({_fmt(off, precision)}){shift_part}"
-            f"  [offset = {_fmt(off / math.pi, precision)}*pi]"
-            f"  = {_fmt_complex(z, precision)}"
-        )
-    return "\n".join(lines)
-
-
-def _render_exact(rec: dict, precision: int) -> str:
-    lines = [f"input: {rec['input']}", f"case: {rec['case']}"]
-    exact = rec.get("exact")
-    for i, z in enumerate(rec["roots"]):
-        if exact and exact[i] is not None:
-            lines.append(f"  x[{i}] = {exact[i]}   (exact)")
-        else:
-            lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}   (exact: none)")
-    return "\n".join(lines)
-
-
-def _render(rec: dict, fmt: str, precision: int) -> str:
-    """The record as one JSON line, or as text that ends with the --verify report in every text format."""
-    if fmt == "json":
-        return json.dumps(rec)
-    if fmt == "trig" and rec["method"] != "both":
-        text = _render_trig(rec, precision)
-    elif fmt == "exact" and rec["method"] != "both":
-        text = _render_exact(rec, precision)
-    else:
-        text = _render_text(rec, precision)
     if "verification" in rec:
         v = rec["verification"]
-        text += (
-            f"\nverification: {'PASS' if v['pass'] else 'FAIL'} "
+        lines.append(
+            f"verification: {'PASS' if v['pass'] else 'FAIL'} "
             f"(max residual {_fmt(max(v['residuals']), 3)}, "
             f"max vieta error {_fmt(max(v['vieta_errors']), 3)}, tol {v['tol']:g})"
         )
-    return text
+    return "\n".join(lines)
 
 
 def cmd_solve(args) -> int:
@@ -309,7 +246,7 @@ def cmd_solve(args) -> int:
         echo = str(cubic)
 
     rec = _solve_record(cubic, echo, args)
-    print(_render(rec, args.format, args.precision))
+    print(json.dumps(rec) if args.format == "json" else _render_text(rec, args.precision))
     if args.verify and not rec["verification"]["pass"]:
         return 3
     return 0

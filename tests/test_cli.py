@@ -11,6 +11,14 @@ from rscubic import GeneralCubic, solve
 from rscubic.cli import main
 
 SQRT3 = math.sqrt(3.0)
+OVERFLOWING = "x^3+1" + "0" * 400 + "x+1"
+
+
+@pytest.fixture
+def failing_verify(monkeypatch):
+    """verify_roots as the CLI calls it, with every report failed."""
+    verify_roots = rscubic.cli.verify_roots
+    monkeypatch.setattr(rscubic.cli, "verify_roots", lambda d, t: verify_roots(d, t)._replace(passed=False))
 
 
 def run(capsys, *argv):
@@ -53,19 +61,24 @@ class TestSolveFlags:
         assert [z["re"] for z in rec["roots"]] == pytest.approx([1, 2, 3])
 
     def test_rational_flags_hit_exact_pipeline(self, capsys):
-        code, out, _ = run(capsys, "solve", "--p=-12", "--q=16", "--format", "exact")
+        code, out, _ = run(capsys, "solve", "--p=-12", "--q=16")
         assert code == 0
-        assert out.count("(exact)") == 3
+        assert "  x[0] = -4   (exact: -4)\n" in out
+        assert "  x[1] = 2   (exact: 2)   [multiplicity 2]\n" in out
+        assert out.count("(exact: ") == 3
 
     def test_trig_format(self, capsys):
-        code, out, _ = run(capsys, "solve", "--expr", "x^3-0.75x+0.125", "--format", "trig")
+        # Three real roots: the text adds the cosine form, amplitude, theta and each root's offset.
+        code, out, _ = run(capsys, "solve", "--expr", "x^3-0.75x+0.125")
         assert code == 0
-        assert "cos" in out and "*pi" in out
+        assert "cosine form: x[i] = -1 * cos(offset[i]), theta = 1.0471975512\n" in out
+        assert "  offsets: 0.111111111111*pi, 1.44444444444*pi, 0.777777777778*pi\n" in out
 
     def test_trig_format_falls_back(self, capsys):
-        code, out, _ = run(capsys, "solve", "--p=1", "--q=1", "--format", "trig")
+        # One real root and a pair: no cosine form, only the roots.
+        code, out, _ = run(capsys, "solve", "--p=1", "--q=1")
         assert code == 0
-        assert "no trigonometric form" in out
+        assert "roots:" in out and "cos" not in out
 
     def test_both_method(self, capsys):
         code, out, _ = run(capsys, "solve", "--p=-6", "--q=-9", "--method", "both", "--format", "json")
@@ -74,23 +87,21 @@ class TestSolveFlags:
         assert rec["max_matched_distance"] <= 1e-10
         assert len(rec["cardano_roots"]) == 3
 
-    def test_moebius_method(self, capsys):
-        code, out, _ = run(capsys, "solve", "--p=-6", "--q=-9", "--method", "moebius", "--format", "json")
+    def test_both_method_text(self, capsys):
+        code, out, _ = run(capsys, "solve", "--p=-6", "--q=-9", "--method", "both")
         assert code == 0
-        rec = json.loads(out)
-        assert any(abs(z["re"] - 3) < 1e-9 and abs(z["im"]) < 1e-9 for z in rec["roots"])
+        assert "roots:\n  x[0] = 3\n" in out
+        assert "cardano roots:\n  x[0] = 3\n" in out
+        assert "max matched distance = " in out
 
-    def test_moebius_keeps_the_complex_pair(self, capsys):
-        # The pair is -0.4795 +- 0.1385i, not a double real root.
-        code, out, _ = run(
-            capsys, "solve", "--expr", "x^3+964519x^2 + 924916x+240245", "--method", "moebius", "--format", "json"
-        )
-        assert code == 0
-        rec = json.loads(out)
-        assert rec["case"] == "real_distinct" and rec["multiplicity"] == []
-        assert rec["roots"][2]["re"] == pytest.approx(-0.47947, abs=1e-5)
-        assert rec["roots"][2]["im"] == pytest.approx(0.13853, abs=1e-5)
-        assert max(rec["residuals"][1:]) < 1e-3
+    @pytest.mark.parametrize("flag, value", [("--method", "cardano"), ("--method", "moebius"),
+                                             ("--format", "trig"), ("--format", "exact")])
+    def test_dropped_option_values_are_usage_errors(self, capsys, flag, value):
+        # The library keeps cardano_solve and solve_moebius; the CLI prints solve's roots.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--p=-6", "--q=-9", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice: '{value}'" in capsys.readouterr().err
 
     def test_polish_flag(self, capsys):
         # The solve step refines its own roots, so there is no --polish flag.
@@ -106,12 +117,30 @@ class TestSolveFlags:
         assert rec["verification"]["pass"] is True
         assert max(rec["verification"]["vieta_errors"]) == 0.0
 
-    @pytest.mark.parametrize("fmt", ["text", "trig", "exact"])
-    def test_verify_report_in_every_text_format(self, capsys, fmt):
-        code, out, _ = run(capsys, "solve", "--expr", "x^3-6x^2+11x-6", "--format", fmt, "--verify")
+    # One text renderer: the report comes last after the plain roots, after the cosine
+    # form and after the exact notes, which --format trig and exact once printed alone.
+    @pytest.mark.parametrize(
+        "expr, shown",
+        [("x^3+x+1", "roots:"), ("x^3-0.75x+0.125", "cosine form:"), ("x^3-6x^2+11x-6", "(exact: 3)")],
+        ids=["text", "trig", "exact"],
+    )
+    def test_verify_report_in_every_text_format(self, capsys, expr, shown):
+        code, out, _ = run(capsys, "solve", "--expr", expr, "--verify")
         assert code == 0
+        assert shown in out
         assert out.count("verification: PASS") == 1
         assert out.rstrip().splitlines()[-1].startswith("verification: PASS")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_verify_is_3(self, capsys, failing_verify, fmt):
+        # The printed roots go out with the failed report, then the run exits 3.
+        code, out, _ = run(capsys, "solve", "--p=-12", "--q=16", "--verify", "--format", fmt)
+        assert code == 3
+        if fmt == "json":
+            assert json.loads(out)["verification"]["pass"] is False
+        else:
+            assert "x[0] = -4   (exact: -4)" in out
+            assert out.rstrip().splitlines()[-1].startswith("verification: FAIL (max residual 0, ")
 
     def test_precision_flag(self, capsys):
         _, out4, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "4")
@@ -128,9 +157,9 @@ class TestSolveFlags:
         assert rec["r"] is None and rec["s"] is None
 
     def test_negligible_p_claims_no_exact_root(self, capsys):
-        code, out, _ = run(capsys, "solve", "--expr", "x^3 + 1/1000000000000000000000000000000x + 8", "--format", "exact")
+        code, out, _ = run(capsys, "solve", "--expr", "x^3 + 1/1000000000000000000000000000000x + 8")
         assert code == 0
-        assert "degenerate_p0" in out and "(exact)" not in out
+        assert "degenerate_p0" in out and "(exact" not in out
 
 
     def test_small_root_of_a_wide_cubic(self, capsys):
@@ -199,10 +228,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--p=1")
         assert code == 2
 
-    def test_moebius_on_equal_case_is_3(self, capsys):
-        code, _, err = run(capsys, "solve", "--p=-12", "--q=16", "--method", "moebius")
-        assert code == 3
-        assert "degenerates" in err
+    def test_missing_coefficient_is_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--a=1", "--c=2")
+        assert code == 2
+        assert out == "" and err == "error: missing --b\n"
 
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
@@ -259,20 +288,29 @@ class TestBatch:
         assert "line 2" in err
 
     def test_batch_numeric_failure_is_3(self, capsys, tmp_path):
-        # x^3-12x+16 has r = s, where the Moebius form raises, as with --expr.
+        # A 10^400 coefficient overflows its double in the record, as with --expr.
         batch = tmp_path / "cubics.txt"
-        batch.write_text("x^3-6x-9\nx^3-12x+16\nx^3+x+1\n")
-        code, out, err = run(capsys, "solve", "--batch", str(batch), "--method", "moebius")
+        batch.write_text(f"x^3-6x-9\n{OVERFLOWING}\nx^3+x+1\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch))
         assert code == 3
         assert len(out.strip().splitlines()) == 2
-        assert "line 2" in err
+        assert err == "line 2: integer division result too large for a float\n"
 
     def test_batch_usage_error_outranks_numeric_failure(self, capsys, tmp_path):
         batch = tmp_path / "cubics.txt"
-        batch.write_text("x^3-12x+16\nnot a cubic!!\n")
-        code, _, err = run(capsys, "solve", "--batch", str(batch), "--method", "moebius")
+        batch.write_text(f"{OVERFLOWING}\nnot a cubic!!\n")
+        code, _, err = run(capsys, "solve", "--batch", str(batch))
         assert code == 2
         assert "line 1" in err and "line 2" in err
+
+    def test_batch_failed_verify_is_3(self, capsys, tmp_path, failing_verify):
+        # A line whose report fails is still printed; the run then exits 3.
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-12x+16\nx^3-6x-9\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch), "--verify")
+        assert code == 3 and err == ""
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert [rec["verification"]["pass"] for rec in recs] == [False, False]
 
     def test_batch_preserves_input_order(self, capsys, tmp_path):
         batch = tmp_path / "cubics.txt"

@@ -107,6 +107,15 @@ def test_symmetric_roots_come_out_symmetric(b, kind):
         assert triple.roots == (complex(-w), 0j, complex(w))
 
 
+def test_exact_zero_constant_keeps_a_near_double_pair():
+    # x (x^2 - 2x + 1 + 10^-18): roots 0 and 1 +- 10^-9 i. Rounded, b is 1.0 and S^2 - 4P
+    # reads 0; the exact quotient's discriminant, -4e-18, keeps the pair.
+    triple = solve(GeneralCubic(-2, 1 + Fraction(1, 10**18), 0))
+    assert triple.case is CaseTag.REAL_DISTINCT
+    assert triple.roots == (0j, complex(1, -1e-9), complex(1, 1e-9))
+    assert triple.multiplicity == ()
+
+
 @pytest.mark.parametrize(
     "abc",
     [(-55, 1322, 0), (-4, 3, 0), (1, 0, 0), (0, -1, 0), (-2, 1, 0), (3, 3, 1), (0, 3, 0), (-1e-300, 0.0, 0.0)],

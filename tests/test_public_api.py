@@ -75,6 +75,17 @@ def test_readme_lists_every_solve_flag():
     assert listed == flags
 
 
+def test_readme_lists_every_solve_choice():
+    # The `--method {...}` and `--format {...}` bullets name exactly the parser's choices.
+    text = README.read_text(encoding="utf-8").split("Flags of `solve`:", 1)[1]
+    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
+    choices = {action.option_strings[0]: action.choices for action in solve._actions if action.choices}
+    assert set(choices) == {"--method", "--format"}
+    for flag, values in choices.items():
+        (listed,) = re.findall(rf"^\* `{flag} \{{([a-z,]+)\}}`", text, re.MULTILINE)
+        assert listed.split(",") == values
+
+
 def test_runtime_imports_only_the_standard_library():
     outside = []
     for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
