@@ -46,7 +46,7 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> tuple[RootTriple, CardanoInter
     if d.exact:
         # (q/2)^2 + (p/3)^3 = (4p^3 + 27q^2) / 108, rounded once: formed
         # in doubles it cancels when the two terms nearly balance.
-        n, m = integer_discriminant(d)
+        n, m = integer_discriminant(d.p.numerator, d.p.denominator, d.q.numerator, d.q.denominator)
         disc = n / (108 * m)
     else:
         disc = (q / 2.0) ** 2 + (p / 3.0) ** 3

@@ -32,12 +32,14 @@ skips all of this and reports each root as its exact value rounded once.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _exponent, _float_of, _root, cube_roots_all
+from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _float_of, _ratio, _ratio_exponent, _root, cube_roots_all
 from .reduction import DepressedCubic, GeneralCubic, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -53,19 +55,31 @@ _ZERO = Fraction(0)
 # A float equal tag's deflated discriminant within this share of S^2 + 4|P| is rounding noise.
 _DOUBLE_NOISE = 2.0**-48
 
-# Trial divisors tried by _square_free_split before the rest is kept whole.
-_SQUARE_FREE_TRIAL_CAP = 10**6
+_SQUARE_FREE_TRIAL_CAP = 2**17
 
 
 class InvalidCaseError(ValueError):
     """Raised when a solver is applied outside its case (e.g. Moebius with r = s)."""
 
 
+@functools.cache
+def _trial_primes() -> Sequence[int]:
+    """The primes up to _SQUARE_FREE_TRIAL_CAP in 4-byte slots (48 KB), sieved once, on first use."""
+    import array  # here, not at import time: most processes never split a radicand
+    sieve = bytearray([0, 0]) + bytearray([1]) * (_SQUARE_FREE_TRIAL_CAP - 1)
+    for d in range(2, math.isqrt(_SQUARE_FREE_TRIAL_CAP) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, len(sieve), d)))
+    return array.array("I", itertools.compress(range(len(sieve)), sieve))
+
+
 def _square_free_split(n: int) -> tuple[int, int]:
-    """Write n = k^2 * m with m square-free (exact for n <= 10^18, best effort above)."""
+    """Write n = k^2 * m by trial division by the primes up to _SQUARE_FREE_TRIAL_CAP = 2^17: m is square-free
+    below 2^51 = (2^17)^3, and keeps a square only where a prime above the cap divides the rest twice (p^2 q)."""
     k, m = 1, 1
-    d = 2
-    while d * d * d <= n and d <= _SQUARE_FREE_TRIAL_CAP:
+    for d in _trial_primes():
+        if d * d * d > n:
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -74,8 +88,7 @@ def _square_free_split(n: int) -> tuple[int, int]:
             k *= d ** (e // 2)
             if e % 2:
                 m *= d
-        d += 1 if d == 2 else 2
-    # Once d^3 > n, n has at most two prime factors, all >= d: square-free unless a square.
+    # Every prime left in n is above the last d: once d^3 > n, n is square-free unless a square.
     root = math.isqrt(n)
     return (k * root, m) if root * root == n else (k, m * n)
 
@@ -237,7 +250,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     """
     r, s, case, exact_r = pair[:4]
     exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
-    trig = channel = mult = None  # mult is set here only when all three roots are rational
+    trig = channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
     if r is None:
         p, q = d
@@ -277,9 +290,9 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         size = abs(r) + abs(s)
         if case is _REAL_DISTINCT:
             u, v = r.real, s.real
-            if exact:
+            if exact and not (_BAND_LOW <= abs(u) < _BAND_HIGH and _BAND_LOW <= abs(v) < _BAND_HIGH):
                 u, v = _root(u, 3), _root(v, 3)
-            else:  # unscaled: the rounded exponent 1/3 costs under 2e-14, which the Newton step removes
+            else:  # _root's bits in band; a float's unscaled cbrt costs under 2e-14, which Newton removes
                 u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
             m = u * v
             y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
@@ -295,20 +308,19 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         # from the exact values, since two distinct ones can round to one double.
         return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, None, pair)
     # Every root is within a small factor of size + |delta|.
-    if exact:
+    if exact:  # a, b, c and delta as integer pairs, read once; each is rounded once, as an int / int
+        an, ad, bn, bd, cn, cd = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
+        dn, dd = delta.numerator, delta.denominator
         e = math.frexp(size)[1]
-        if delta:
-            e_delta = _exponent(delta)
-            if e_delta > e:
-                e = e_delta
-        k = _band(e)
+        k = _band(max(e, _ratio_exponent(dn, dd)) if dn else e)
+        if not cn:  # the quotient x^2 + ax + b is exact, and so is its discriminant
+            quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
+        a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(dn, dd, -k)
     else:
         top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
-    # For an exact c = 0 the quotient x^2 + ax + b is exact, and so is its discriminant.
-    quotient_disc = _float_of(a * a - 4 * b, -2 * k) if exact and not c else None
-    if exact or k:
-        a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
+        if k:  # denest's cubic can hold an exact c = q beside its float b = p
+            a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
     if shape is _REAL_DISTINCT:
         if k:

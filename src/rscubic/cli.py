@@ -34,6 +34,7 @@ class NumericFailure(RuntimeError):
     """A non-finite value escaped the computation."""
 
 
+_encode = json.JSONEncoder(check_circular=False).encode  # json.dumps's bytes, less its set-up per call
 # Exit code and message prefix of each failure, for single and batch runs alike.
 _FAILURES = {
     ParseError: (2, ""),
@@ -72,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lead", type=parse_coefficient, default=None, help="leading coefficient (default 1)")
     solve.add_argument("--batch", metavar="FILE", help="file with one equation per line; emits JSON lines")
     solve.add_argument("--method", choices=["chen", "both"], default="chen")
-    solve.add_argument("--format", choices=["text", "json"], default="text")
-    solve.add_argument("--precision", type=_precision, default=12, help="significant digits in text output")
+    solve.add_argument("--format", choices=["text", "json"], help="output format (default text; --batch: json)")
+    solve.add_argument("--precision", type=_precision, help="significant digits in text output (default 12)")
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
     den = sub.add_parser("denest", help="denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b))")
@@ -226,6 +227,9 @@ def cmd_solve(args) -> int:
         return 2
 
     if args.batch is not None:
+        if args.format == "text" or args.precision is not None:
+            print("error: --batch writes JSON lines; --format text and --precision do not apply", file=sys.stderr)
+            return 2
         return _run_batch(args)
 
     if args.expr is not None:
@@ -246,7 +250,7 @@ def cmd_solve(args) -> int:
         echo = str(cubic)
 
     rec = _solve_record(cubic, echo, args)
-    print(json.dumps(rec) if args.format == "json" else _render_text(rec, args.precision))
+    print(_encode(rec) if args.format == "json" else _render_text(rec, 12 if args.precision is None else args.precision))
     if args.verify and not rec["verification"]["pass"]:
         return 3
     return 0
@@ -271,7 +275,7 @@ def _run_batch(args) -> int:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             codes.add(_failure(exc)[0])
             continue
-        print(json.dumps(rec))
+        print(_encode(rec))
         if args.verify and not rec["verification"]["pass"]:
             codes.add(3)
     # A usage error (2) outranks a numeric failure (3).

@@ -14,11 +14,11 @@ Note the quadratic above: r + s = -3q/p and r*s = -p/3, which is what the
 worked examples satisfy (p = -12, q = 16 gives t^2 - 4t + 4).
 
 compute_rs is the one place that decides the case, from the plain sign
-of 4p^3 + 27q^2: equal only when it is exactly 0. Exact inputs are worked
-on as integers: with p = P/dp and q = Q/dq the sign, the perfect-square
-test and every float come from integer expressions
-(integer_discriminant), not from Fraction arithmetic. Float inputs take
-the sign in doubles, on the 2^k-scaled p and q. The formulas
+of 4p^3 + 27q^2: equal only when it is exactly 0. An exact p = P/dp and
+q = Q/dq are read once, and the zero tests, the exponents, the sign
+(integer_discriminant), the square test and every float come from those four
+integers; only an exact r, s is built as a Fraction. Float inputs take the
+sign in doubles, on the 2^k-scaled p and q. The formulas
 discriminant and rs_quadratic are the reference both paths are tested
 against.
 """
@@ -29,7 +29,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .numerics import _band, _exponent, _ratio
+from .numerics import _band, _exponent, _ratio, _ratio_exponent
 from .reduction import Coefficient, DepressedCubic, _record
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
@@ -61,13 +61,12 @@ def discriminant(d: DepressedCubic) -> Coefficient:
     return 4 * d.p**3 + 27 * d.q**2
 
 
-def integer_discriminant(d: DepressedCubic) -> tuple[int, int]:
+def integer_discriminant(P: int, dp: int, Q: int, dq: int) -> tuple[int, int]:
     """4p^3 + 27q^2 of an exact cubic as a quotient n / m of integers, m > 0.
 
     With p = P/dp and q = Q/dq in lowest terms, n = 4 P^3 dq^2 + 27 Q^2 dp^3
     and m = dp^3 dq^2: no Fraction arithmetic, so no gcd per operation.
     """
-    P, dp, Q, dq = d.p.numerator, d.p.denominator, d.q.numerator, d.q.denominator
     dp3, dq2 = dp * dp * dp, dq * dq
     return 4 * P * P * P * dq2 + 27 * Q * Q * dp3, dp3 * dq2
 
@@ -87,18 +86,21 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     k = 0. Exact r, s come back when the quadratic discriminant is a square.
     """
     p, q = d.p, d.q
+    if type(p) is float:  # denest's cubic can hold a float p beside an exact q beyond the double range
+        ep, eq = math.frexp(p)[1], (math.frexp(q)[1] if type(q) is float else _exponent(q))
+    else:  # exact: p = P/dp and q = Q/dq, read once; the integers P and Q stand for p and q from here
+        P, dp, Q, dq = p.numerator, p.denominator, q.numerator, q.denominator
+        p, q, ep, eq = P, Q, _ratio_exponent(P, dp), _ratio_exponent(Q, dq)
     if p == 0:
         return RsPair(None, None, CaseTag.DEGENERATE_P0)
     if q == 0:
         return RsPair(None, None, CaseTag.DEGENERATE_Q0)
-    # denest's cubic can hold a float p beside an exact q beyond the double range.
-    ep, eq = (math.frexp(p)[1], math.frexp(q)[1]) if type(p) is type(q) is float else (_exponent(p), _exponent(q))
     if 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
         return RsPair(None, None, CaseTag.DEGENERATE_P0)
     k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
     k = _band(kq if kq > k else k)
-    if type(p) is not float:  # d.exact
-        return _compute_rs_exact(d, k)
+    if type(p) is not float:
+        return _compute_rs_exact(P, dp, Q, dq, k)
     if k:
         p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
     delta = 4 * p**3 + 27 * q**2
@@ -110,8 +112,8 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
 
-def _compute_rs_exact(d: DepressedCubic, k: int) -> RsPair:
-    """compute_rs on integers: with p = P/dp and q = Q/dq,
+def _compute_rs_exact(P: int, dp: int, Q: int, dq: int, k: int) -> RsPair:
+    """compute_rs on integers: with p = P/dp and q = Q/dq in lowest terms,
 
         B = 3q/p = 3 Q dp / (dq P),   C = -p/3 = -P / (3 dp),
         B^2 - 4C = n / (3 P^2 dp dq^2)   (n from integer_discriminant),
@@ -121,8 +123,7 @@ def _compute_rs_exact(d: DepressedCubic, k: int) -> RsPair:
     float is one correctly rounded int / int division at scale 2^-k,
     bit-equal to the float of the Fraction it stands for when k = 0.
     """
-    P, dp, Q, dq = d.p.numerator, d.p.denominator, d.q.numerator, d.q.denominator
-    n = integer_discriminant(d)[0]
+    n = integer_discriminant(P, dp, Q, dq)[0]
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
         half = Fraction(-b_num, 2 * b_den)

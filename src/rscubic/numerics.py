@@ -44,11 +44,13 @@ def principal_cube_root(z: complex) -> complex:
 
 def _exponent(x) -> int:
     """frexp's exponent e, 2^(e-1) <= |x| < 2^e (x != 0), for a float and for an exact x alike."""
-    if isinstance(x, float):
-        return math.frexp(x)[1]
-    n, d = abs(x.numerator), x.denominator
-    e = n.bit_length() - d.bit_length()
-    return e + (n >= d << e if e >= 0 else n << -e >= d)
+    return math.frexp(x)[1] if isinstance(x, float) else _ratio_exponent(x.numerator, x.denominator)
+
+
+def _ratio_exponent(n: int, d: int) -> int:
+    """_exponent of n / d for integers n != 0 and d > 0 (finite, and meaningless, at n = 0)."""
+    e = n.bit_length() - d.bit_length()  # bit_length ignores the sign
+    return e + (abs(n) >= d << e if e >= 0 else abs(n) << -e >= d)
 
 
 def _ratio(n: int, m: int, e: int) -> float:

@@ -11,12 +11,12 @@ Grammar (whitespace-insensitive, locale-independent, '.' decimal point):
 One compiled regex reads a whole term from its start position; every
 token of the grammar is an optional group in it, so a malformed term
 still matches and the groups it lacks name the error and its position.
-Integers, rationals a/b, and decimals parse to exact values (decimals
-exactly: "0.75" -> 3/4), carried as integer numerator/denominator pairs
-until each power's coefficient is summed, which then becomes one
-Fraction. sqrt(m) stays exact for perfect squares and falls back to a
-float otherwise, which makes the whole cubic float. A term needs a coefficient or an x-part, powers may not
-exceed 3, and the x^3 coefficient must be nonzero.
+Integers, rationals a/b, and decimals parse to exact values ("0.75" -> 3/4),
+summed per power as integer numerator/denominator pairs; an exact cubic's only
+Fractions are its monic coefficients, one Fraction(n ld, d ln) each over the
+lead ln/ld. sqrt(m) stays exact for perfect squares and falls back to a float
+otherwise, which makes the whole cubic float. A term needs a coefficient or an
+x-part, powers may not exceed 3, and the x^3 coefficient must be nonzero.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .reduction import GeneralCubic
+from .reduction import GeneralCubic, _tuple_new
 
 _WS = re.compile(r"\s*")
 
@@ -36,11 +36,12 @@ def _sqrt_pattern(i: int) -> str:
     return rf"(?P<s{i}>sqrt)(?:\s*(?P<o{i}>\()(?:\s*(?P<n{i}>\d+)(?:\s*(?P<c{i}>\)))?)?)?"
 
 
+# 19 groups: CPython 3.11 keeps up to 2000 freed 20-tuples that it never reuses (400 KB).
 _TERM = re.compile(
     r"(?P<sign>[+-]?)\s*"
     # coefficient: a sqrt literal, or a number with an optional '* sqrtlit' factor
     r"(?:" + _sqrt_pattern(1) + r"|"
-    r"(?:(?P<dec>(?=\.?\d)(?P<ip>\d*)\.(?P<fp>\d*))|(?P<num>\d+)(?:\s*(?P<slash>/)(?:\s*(?P<den>\d+))?)?)"
+    r"(?:(?=\.?\d)(?P<ip>\d*)\.(?P<fp>\d*)|(?P<num>\d+)(?:\s*(?P<slash>/)(?:\s*(?P<den>\d+))?)?)"
     r"(?:\s*(?P<star2>\*)\s*" + _sqrt_pattern(2) + r")?"
     r")?"
     r"\s*(?P<star>\*)?(?:\s*(?P<x>[xX])(?:\s*(?P<caret>\^)(?:\s*(?P<pow>\d+))?)?)?\s*"
@@ -85,29 +86,29 @@ def _sqrt_value(m: re.Match, i: int, save: int) -> Union[int, float]:
     return root if root * root == n else math.sqrt(n)
 
 
-def _coefficient(m: re.Match) -> Optional[_Value]:
-    """The coefficient a term or literal match holds, or None if it has none."""
-    if m["s1"] is not None:
+def _coefficient(m: re.Match, g: tuple) -> Optional[_Value]:
+    """The coefficient a term or literal match holds, or None if it has none; g is m.groups()."""
+    _, s1, _, _, _, ip, fp, digits, slash, den, _, s2 = g[:12]
+    if s1 is not None:
         root = _sqrt_value(m, 1, m.end("sign"))
         return (root, 1) if isinstance(root, int) else root
     text = m.string
-    if m["dec"] is not None:
-        ip, fp = m["ip"], m["fp"]
+    if ip is not None:  # a decimal
         n, d = int(ip or "0"), 1
         if fp:
             d = 10 ** len(fp)
             n = n * d + int(fp)
-    elif (digits := m["num"]) is not None:
+    elif digits is not None:
         n, d = int(digits), 1
-        if m["slash"] is not None:
-            if m["den"] is None:
+        if slash is not None:
+            if den is None:
                 raise ParseError("expected an integer denominator after '/'", _skip_ws(text, m.end("slash")), text)
-            d = int(m["den"])
+            d = int(den)
             if d == 0:
                 raise ParseError("zero denominator", m.end("num") + 1, text)
     else:
         return None
-    if m["s2"] is None:
+    if s2 is None:
         return (n, d)
     root = _sqrt_value(m, 2, m.end("star2"))
     return (n * root, d) if isinstance(root, int) else n / d * root
@@ -130,26 +131,28 @@ def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
                 raise ParseError("unexpected input after '= 0'", pos, text)
             return
         m = _TERM.match(text, pos)
-        if not m["sign"] and not first:
+        g = m.groups()
+        sign, (star, x, caret, digits) = g[0], g[15:]
+        if not sign and not first:
             raise ParseError("expected '+', '-' or '=' between terms", pos, text)
-        coefficient = _coefficient(m)
+        coefficient = _coefficient(m, g)
         if coefficient is None:
-            if m["x"] is None or m["star"] is not None:
-                at = m.start("star") if m["star"] is not None else _skip_ws(text, m.end("sign"))
+            if x is None or star is not None:
+                at = m.start("star") if star is not None else _skip_ws(text, m.end("sign"))
                 raise ParseError("expected a coefficient or 'x'", at, text)
             coefficient = (1, 1)
         power = 0
-        if m["x"] is not None:
+        if x is not None:
             power = 1
-            if m["caret"] is not None:
-                if m["pow"] is None:
+            if caret is not None:
+                if digits is None:
                     raise ParseError("expected an integer exponent after '^'", _skip_ws(text, m.end("caret")), text)
-                power = int(m["pow"])
+                power = int(digits)
                 if power > 3:
                     raise ParseError(f"power {power} exceeds 3 (cubics only)", pos, text)
-        elif m["star"] is not None:
+        elif star is not None:
             raise ParseError("expected 'x' after '*'", _skip_ws(text, m.end("star")), text)
-        yield (-1 if m["sign"] == "-" else 1), coefficient, power
+        yield (-1 if sign == "-" else 1), coefficient, power
         first = False
         pos = m.end()
 
@@ -173,16 +176,19 @@ def parse_cubic(text: str) -> GeneralCubic:
             acc = acc[0] / acc[1] if isinstance(acc, tuple) else acc
             term = sign * value[0] / value[1] if isinstance(value, tuple) else sign * value
             sums[power] = acc + term
-    a, b, c, lead = (_as_number(s) for s in (sums[2], sums[1], sums[0], sums[3]))
-    if lead == 0:
+    c, b, a, lead = sums
+    if not (lead[0] if type(lead) is tuple else lead):
         raise ParseError("not a cubic: the x^3 coefficient is zero", 0, text)
-    return GeneralCubic(a, b, c, lead=lead)
+    if type(a) is type(b) is type(c) is type(lead) is tuple:  # exact: v / lead = (n ld) / (d ln)
+        (an, ad), (bn, bd), (cn, cd), (ln, ld) = a, b, c, lead
+        return _tuple_new(GeneralCubic, (Fraction(an * ld, ad * ln), Fraction(bn * ld, bd * ln), Fraction(cn * ld, cd * ln)))
+    return GeneralCubic(_as_number(a), _as_number(b), _as_number(c), lead=_as_number(lead))
 
 
 def parse_coefficient(text: str) -> Union[Fraction, float]:
     """Parse a standalone coefficient literal: '9/2', '-0.5', '64*sqrt(2)', 'sqrt(3)'."""
     m = _TERM.match(text, _skip_ws(text, 0))
-    value = _coefficient(m)
+    value = _coefficient(m, m.groups())
     if value is None:
         raise ParseError("expected a number", _skip_ws(text, m.end("sign")), text)
     # A '*' or an x-part after the literal is trailing input here.

@@ -4,8 +4,8 @@ A cubic is exact (integers of any kind and other rationals, promoted to
 Fraction so ``a / 3`` stays exact) or float: a float anywhere, the lead
 included, rounds every exact value once at construction (InvalidInputError
 for an exact value beyond the double range). Exact inputs stay rational
-through the substitution, which is what lets whole-number examples come out
-exact.
+through the substitution (depress builds p and q from integers, one Fraction
+each, stored without a second coercion), so whole-number examples come out exact.
 
 The cubics, and every other record the package returns, are built on
 _record: immutable namedtuples that compare and hash by value.
@@ -177,5 +177,5 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
     ad2 = ad * ad
     p = Fraction(3 * bn * ad2 - an * an * bd, 3 * ad2 * bd)
     q = Fraction((2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd)
-    return DepressedCubic(p, q), Fraction(an, 3 * ad)
+    return _tuple_new(DepressedCubic, (p, q)), Fraction(an, 3 * ad)  # Fractions already: no re-coercion
 

@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from rscubic import (
     unified_roots,
     verify_roots,
 )
-from rscubic.chen import fraction_cbrt
+from rscubic.chen import _square_free_split, fraction_cbrt
 from rscubic.numerics import cube_roots_all, principal_cube_root
 
 SQRT2 = math.sqrt(2.0)
@@ -434,6 +435,28 @@ class TestExactValue:
         k, m = (v.rational, 1) if v.is_rational else (v.surd_coef, v.radicand)
         assert k * k * m == n
         assert all(m % (d * d) for d in range(2, math.isqrt(m) + 1))
+
+    def test_sqrt_of_a_semiprime_is_quick(self):
+        # 999999929 * 999999937 has no prime factor up to its cube root: trial division
+        # stops at 2^17 and keeps the rest, which is not a square, whole. The prime table
+        # is built once per process (about 2 ms); the bound is on the call itself.
+        n = 999999929 * 999999937
+        _square_free_split(2)
+        start = time.perf_counter()
+        triple = solve(GeneralCubic(0, -n, 0))
+        elapsed = time.perf_counter() - start
+        k, m = _square_free_split(n)
+        assert (k, m) == (1, n) and k * k * m == n
+        assert [str(e) for e in triple.exact] == [f"-sqrt({n})", "0", f"sqrt({n})"]
+        w = math.sqrt(n)
+        assert triple.roots == (complex(-w), 0j, complex(w))
+        assert elapsed <= 5e-3
+
+    def test_square_above_the_trial_cap_stays_in_the_radicand(self):
+        # p^2 q with primes p, q > 2^17: the documented case where m keeps a square.
+        p, q = 131101, 131111
+        assert _square_free_split(7 * p * p * q) == (1, 7 * p * p * q)
+        assert _square_free_split(4 * p * p) == (2 * p, 1)
 
     def test_shift_and_negate(self):
         v = ExactValue(Fraction(-1), Fraction(1), 2)

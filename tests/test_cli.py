@@ -252,6 +252,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--precision: must be a nonnegative integer" in err and "_precision" not in err
 
+    @pytest.mark.parametrize("flags", [["--format", "text"], ["--precision", "4"]], ids=["format text", "precision"])
+    def test_batch_refuses_text_flags_is_2(self, capsys, tmp_path, flags):
+        # Batch output is JSON lines: a text-only flag given with --batch is an error, not dropped.
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-12x+16\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch), *flags)
+        assert code == 2 and out == ""
+        assert err == "error: --batch writes JSON lines; --format text and --precision do not apply\n"
+
     def test_denest_a_beyond_double_range_is_0(self, capsys):
         code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2")
         assert code == 0
@@ -334,6 +343,28 @@ class TestBatch:
     def test_missing_batch_file_is_2(self, capsys):
         code, _, err = run(capsys, "solve", "--batch", "/nonexistent/file.txt")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], "golden_batch.jsonl"), (["--method", "both", "--verify"], "golden_batch_both_verify.jsonl")],
+    ids=["chen", "both verify"],
+)
+def test_batch_output_is_golden(capfdbinary, flags, golden):
+    """The batch JSON of 100 committed lines, byte for byte.
+
+    tests/data/golden_batch.txt holds 58 random cubics and 7 of each planted
+    kind (three rational roots, a rational root times an irreducible quadratic,
+    a double root, p = 0, q = 0 and a sqrt literal), drawn with
+    perfbench/corpus.py's batch_plain generator (_batch_item, rng
+    "golden-batch:3"). The .jsonl files are the output of the solver before
+    the exact path moved to integer numerators and denominators, which must
+    not change a byte.
+    """
+    data = Path(__file__).parent / "data"
+    code = main(["solve", "--batch", str(data / "golden_batch.txt"), *flags, "--format", "json"])
+    assert code == 0
+    assert capfdbinary.readouterr().out == (data / golden).read_bytes()
 
 
 class TestDenestCommand:

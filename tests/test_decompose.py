@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from rscubic import (
     CaseTag,
@@ -13,6 +13,7 @@ from rscubic import (
     cardano_solve,
     compute_rs,
     depress,
+    parse_cubic,
     solve,
 )
 from rscubic.decompose import discriminant, rs_quadratic
@@ -254,6 +255,86 @@ class TestIntegerPathMatchesFractionFormulas:
         assert bits(pair.r) == bits(r) and bits(pair.s) == bits(s)
         assert pair.exact_r == exact_r and pair.exact_s == exact_s
         assert cardano_solve(d)[1].disc == float(discriminant(d) / 108)
+
+
+@st.composite
+def literal(draw, big=True):
+    """An unsigned exact coefficient literal and its value: an integer, a decimal or a/b."""
+    kind = draw(st.sampled_from(["integer", "decimal", "ratio"]))
+    top = 10**300 if big else 10**6
+    ints = st.integers(0, top) | st.integers(top // 10**60, top) if big else st.integers(0, top)
+    if kind == "integer":
+        n = draw(ints)
+        return str(n), Fraction(n)
+    if kind == "decimal":
+        whole = draw(st.sampled_from(["", "0"]) | ints.map(str))
+        frac = draw(st.text("0123456789", max_size=12))
+        if not whole and not frac:
+            frac = "5"
+        return f"{whole}.{frac}", Fraction(int(whole + frac or "0"), 10 ** len(frac))
+    n, d = draw(ints), draw(ints.filter(bool))
+    return f"{n}/{d}", Fraction(n, d)
+
+
+@st.composite
+def exact_line(draw):
+    """A cubic's text and its coefficient sums (c, b, a, lead): repeated powers, zero
+    coefficients, bare x-parts, optional '*', spaces and '= 0'; the lead is nonzero."""
+    terms = [(3, draw(literal(big=False).filter(lambda lit: lit[1] != 0)))]
+    for _ in range(draw(st.integers(0, 6))):
+        power = draw(st.integers(0, 3))
+        bare = power and draw(st.booleans())
+        terms.append((power, ("", Fraction(1)) if bare else draw(literal())))
+    terms = draw(st.permutations(terms))
+    sums, text = [Fraction(0)] * 4, ""
+    for i, (power, (digits, value)) in enumerate(terms):
+        negative = draw(st.booleans())
+        sums[power] += -value if negative else value
+        sign = "-" if negative else "+" if i or draw(st.booleans()) else ""
+        star = "*" if digits and power and draw(st.booleans()) else ""
+        x = ["", "x", "x^2", "x^3"][power]
+        if power == 1 and draw(st.booleans()):
+            x = "x^1"
+        space = draw(st.sampled_from(["", " "]))
+        text += f"{space}{sign}{space}{digits}{star}{x}"
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["=0", " = 0"]))
+    return text, sums
+
+
+class TestParsedIntegerPath:
+    """parse_cubic -> depress -> compute_rs on exact lines against plain Fraction arithmetic."""
+
+    @given(exact_line())
+    @example(("-3x^3 + 6x^2 + 0x - 1/2 = 0", [Fraction(-1, 2), Fraction(0), Fraction(6), Fraction(-3)]))
+    @example(("x^3 + x^3 - 12x + 16 - 0.5x^3", [Fraction(16), Fraction(-12), Fraction(0), Fraction(3, 2)]))
+    @example(("2/3x^3 - 2x", [Fraction(0), Fraction(-2), Fraction(0), Fraction(2, 3)]))
+    @example(("x^3-6x-9=0", [Fraction(-9), Fraction(-6), Fraction(0), Fraction(1)]))  # exact r, s = -1/2, -4
+    @example(("-x^3 + 12x - 16", [Fraction(-16), Fraction(12), Fraction(0), Fraction(-1)]))  # equal, r = s = 2
+    def test_parse_depress_and_rs_match_fraction_formulas(self, line):
+        text, (c, b, a, lead) = line
+        assume(lead != 0)
+        cubic = parse_cubic(text)
+        assert cubic == GeneralCubic(a, b, c, lead=lead)
+        assert all(type(v) is Fraction for v in cubic)
+        d = depress(cubic)[0]
+        try:
+            pair = compute_rs(d)
+        except OverflowError:  # only a float r or s beyond the double range may overflow
+            B, C = rs_quadratic(d)
+            assert abs(B) > 2**1000 or abs(C) > 2**2000
+            return
+        if d.p == 0 or d.q == 0 or 2 * exponent(d.q) - 3 * exponent(d.p) > 199:
+            assert pair.case is (CaseTag.DEGENERATE_Q0 if d.p and not d.q else CaseTag.DEGENERATE_P0)
+            assert pair.exact_r is None and pair.exact_s is None
+            return
+        delta = discriminant(d)
+        assert pair.case is (CaseTag.EQUAL if delta == 0 else CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR)
+        B, C = rs_quadratic(d)
+        quad = B * B - 4 * C
+        root = Fraction(math.isqrt(quad.numerator), math.isqrt(quad.denominator)) if quad >= 0 else None
+        exact = ((-B + root) / 2, (-B - root) / 2) if root is not None and root * root == quad else (None, None)
+        assert (pair.exact_r, pair.exact_s) == exact
 
 
 @pytest.mark.parametrize("p", [15 * 10**307, -15 * 10**307], ids=["positive", "negative"])
