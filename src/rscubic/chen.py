@@ -182,15 +182,16 @@ class TrigForm(_record("TrigForm", "amplitude theta offsets")):
     __slots__ = ()
 
 
-class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair", ((), None, None, None))):
+class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair depressed shift", ((),) + (None,) * 5)):
     """Three complex roots in canonical order: reals first ascending, then
     the non-real pair by ascending imaginary part; case is the CaseTag.
 
     multiplicity lists (index, count) for repeated roots only. exact holds
     per-root ExactValues (or None) when the input arithmetic allowed it.
     trig is the TrigForm of the conjugate-pair case. pair is the RsPair the
-    case dispatch ran on (set by solve and solve_depressed; None from the
-    other solvers).
+    case dispatch ran on, taken from the DepressedCubic depressed, and shift
+    the delta of x = y - delta: (depressed, shift) is depress(cubic) for solve
+    and (d, 0 of d's kind) for solve_depressed(d). Other solvers leave all three None.
     """
 
     __slots__ = ()
@@ -249,6 +250,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     float root, as its value rounded once.
     """
     r, s, case, exact_r = pair[:4]
+    shift = delta  # the result's delta: the step rescales delta below
     exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
     trig = channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
@@ -281,7 +283,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
             channel, mult = (ExactValue(-delta),) * 3, ((0, 3),)
         else:
             x = complex(0.0 - delta, 0.0)
-            return RootTriple((x, x, x), case, ((0, 3),), None, None, pair)
+            return RootTriple((x, x, x), case, ((0, 3),), None, None, pair, d, shift)
     elif exact_r is not None and case is _EQUAL:
         # (x-r)^2 (x+2r): stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
         double, simple = ExactValue(exact_r - delta), ExactValue(-2 * exact_r - delta)
@@ -306,7 +308,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes
         # from the exact values, since two distinct ones can round to one double.
-        return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, None, pair)
+        return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, None, pair, d, shift)
     # Every root is within a small factor of size + |delta|.
     if exact:  # a, b, c and delta as integer pairs, read once; each is rounded once, as an int / int
         an, ad, bn, bd, cn, cd = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
@@ -412,7 +414,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
     if channel is not None:  # a rational root known exactly is reported as its value rounded once
         roots = tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
-    return RootTriple(roots, case, mult, channel, trig, pair)
+    return RootTriple(roots, case, mult, channel, trig, pair, d, shift)
 
 
 def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:

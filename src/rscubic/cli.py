@@ -21,12 +21,11 @@ import sys
 from typing import Optional
 
 from .cardano import _cardano, match_root_sets
-from .chen import RootTriple, _solve_cubic
-from .decompose import compute_rs
+from .chen import RootTriple, solve
 from .denest import NestedRadical, denest
 from .numerics import _float_of
 from .parsing import ParseError, parse_coefficient, parse_cubic
-from .reduction import GeneralCubic, InvalidInputError, depress
+from .reduction import GeneralCubic, InvalidInputError
 from .verify import verify_roots
 
 
@@ -97,19 +96,17 @@ def _check_finite(values) -> None:
 
 
 def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
-    """One pass per cubic: depress, decompose once, solve, then record.
-
-    The pair gives the case and the (r, s) of the record, and the roots are
-    solve's, from the library's one step. --method both adds Cardano's roots
-    for the same case, lifted as they are, x = y - shift, in doubles.
+    """The record of one solve call, read off its RootTriple: p, q, shift, case,
+    (r, s), roots, exact values and cosine form. --method both adds Cardano's
+    roots of the same depressed cubic and case, lifted as they are,
+    x = y - shift, in doubles; --verify checks the printed roots on that cubic.
     """
-    d, delta = depress(cubic)
-    pair = compute_rs(d)
-    shift = _float_of(delta)
-    triple = _solve_cubic(cubic.a, cubic.b, cubic.c, d, delta, pair)
+    triple = solve(cubic)
+    d, pair, case = triple.depressed, triple.pair, triple.case
+    shift = _float_of(triple.shift)
     roots = checked = triple.roots
     if args.method == "both":
-        cardano_roots = tuple(x - shift for x in _cardano(d, pair.case)[0].roots)
+        cardano_roots = tuple(x - shift for x in _cardano(d, case)[0].roots)
         checked += cardano_roots
     _check_finite(checked)
 
@@ -127,7 +124,7 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         "p": _float_of(d.p),
         "q": _float_of(d.q),
         "shift": shift,
-        "case": pair.case.value,
+        "case": case.value,
         "r": _cjson(pair.r) if pair.r is not None else None,
         "s": _cjson(pair.s) if pair.s is not None else None,
         "roots": [_cjson(x) for x in roots],
@@ -146,7 +143,7 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         rec["trig"] = triple.trig._asdict() if triple.trig is not None else None
     if args.verify:
         # The printed roots, moved onto the depressed cubic: y = x + delta.
-        report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), pair.case))
+        report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), case))
         rec["verification"] = {
             "pass": report.passed,
             "residuals": list(report.residuals),
@@ -260,7 +257,7 @@ def _run_batch(args) -> int:
     try:
         with open(args.batch, encoding="utf-8") as fh:
             batch_lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read batch file: {exc}", file=sys.stderr)
         return 2
     codes = set()

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rscubic import (
-    CardanoIntermediates,
     CaseTag,
     DepressedCubic,
     ExactValue,
     GeneralCubic,
     InvalidCaseError,
     NestedRadical,
+    VerificationReport,
     brute_force_roots,
     cardano_solve,
     compute_rs,
@@ -558,8 +558,45 @@ def test_records_stay_frozen_values(case, exact):
     assert GeneralCubic(*values) != ExactValue(*values)
     assert DepressedCubic(1, 2) != NestedRadical(1, 2)
     triple = solve_depressed(DepressedCubic(-3, 1))
-    assert triple != CardanoIntermediates(*triple)
+    assert VerificationReport(*triple.pair) != triple.pair
     # denest's cubic keeps a float p beside an exact q that no double holds; copies keep it as it is.
     mixed = denest(NestedRadical(10**400, 10**800 - 2)).cubic
     assert type(mixed.p) is float and mixed.q == -2 * 10**400
     assert copy.deepcopy(mixed) == mixed and pickle.loads(pickle.dumps(mixed)) == mixed
+
+
+# One cubic for each exit of the solve step, and for each case the deflation exit takes in either kind.
+STAGED = {
+    "rational first exit": (GeneralCubic(-6, 11, -6), CaseTag.DEGENERATE_Q0),
+    "float triple root": (GeneralCubic(3.0, 3.0, 1.0), CaseTag.DEGENERATE_P0),
+    "real_distinct exact": (GeneralCubic(3, 4, 5), CaseTag.REAL_DISTINCT),
+    "real_distinct float": (GeneralCubic(3.0, 4.0, 5.0), CaseTag.REAL_DISTINCT),
+    "conjugate_pair exact": (GeneralCubic(3, 0, -1), CaseTag.CONJUGATE_PAIR),
+    "conjugate_pair float": (GeneralCubic(3.0, 0.0, -1.0), CaseTag.CONJUGATE_PAIR),
+}
+
+
+@pytest.mark.parametrize("cubic, case", list(STAGED.values()), ids=list(STAGED))
+def test_solve_carries_the_depressed_cubic_and_shift(cubic, case):
+    triple = solve(cubic)
+    assert triple.case is case
+    d, delta = depress(cubic)
+    assert (triple.depressed, triple.shift) == (d, delta)
+    assert [type(v) for v in (*triple.depressed, triple.shift)] == [type(v) for v in (*d, delta)]
+    assert triple.pair == compute_rs(d)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_solve_depressed_carries_its_input_and_a_zero_shift(exact):
+    for p, q in CASE_INPUTS.values():
+        d = DepressedCubic(p, q) if exact else DepressedCubic(float(p), float(q))
+        triple = solve_depressed(d)
+        assert triple.depressed is d
+        assert triple.shift == 0 and type(triple.shift) is (Fraction if exact else float)
+
+
+def test_other_solvers_leave_the_stages_unset():
+    d = DepressedCubic(-6, -9)
+    pair = compute_rs(d)
+    for triple in (cardano_solve(d)[0], solve_moebius(pair.r, pair.s), brute_force_roots(d)):
+        assert triple.pair is triple.depressed is triple.shift is None

@@ -199,6 +199,33 @@ def test_both_verify_decides_the_case_once_per_line(capsys, tmp_path, monkeypatc
     assert len(calls) == len(lines)
 
 
+def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
+    # solve looks its stages up in rscubic.chen; the CLI adds only Cardano and the verify report.
+    import rscubic.chen
+
+    calls = {}
+
+    def count(module, name):
+        stage = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return stage(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("depress", "compute_rs", "_solve_cubic"):
+        count(rscubic.chen, name)
+    for name in ("_cardano", "verify_roots"):
+        count(rscubic.cli, name)
+    lines = ["x^3-6x^2+11x-6", "x^3+3x^2-1", "2x^3+x+5"]
+    batch = tmp_path / "cubics.txt"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "solve", "--batch", str(batch), "--method", "both", "--verify", "--format", "json")
+    assert code == 0 and len(out.strip().splitlines()) == len(lines)
+    assert calls == dict.fromkeys(["depress", "compute_rs", "_solve_cubic", "_cardano", "verify_roots"], len(lines))
+
+
 def test_both_compares_the_printed_root_sets(capsys):
     # max_matched_distance pairs the original-cubic roots of both methods, as printed.
     code, out, _ = run(capsys, "solve", "--expr", "x^3-719919180x^2-205527342x+966976506", "--method", "both", "--format", "json")
@@ -344,6 +371,13 @@ class TestBatch:
         code, _, err = run(capsys, "solve", "--batch", "/nonexistent/file.txt")
         assert code == 2
 
+    def test_undecodable_batch_file_is_2(self, capsys, tmp_path):
+        batch = tmp_path / "cubics.txt"
+        batch.write_bytes(b"x^3-12x+16\n\xff\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read batch file:") and "0xff" in err
+
 
 @pytest.mark.parametrize(
     "flags, golden",
@@ -393,9 +427,9 @@ class TestDenestCommand:
 
 
 def test_cli_imports_no_private_library_name():
-    # The CLI renders a library result. The only private names it may import are
-    # the steps the library runs itself (solve's step, Cardano on a decided case)
-    # and the exact rounding; any other private step here would be a second pipeline.
+    # The CLI renders a library result: solve runs the pipeline, and the only private
+    # names the CLI may import are Cardano on solve's case and the exact rounding.
+    # Any other private step here (solve's own step) would be a second pipeline.
     tree = ast.parse(Path(rscubic.cli.__file__).read_text(encoding="utf-8"))
     private = [
         (node.module, alias.name)
@@ -404,4 +438,4 @@ def test_cli_imports_no_private_library_name():
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert sorted(private) == [("cardano", "_cardano"), ("chen", "_solve_cubic"), ("numerics", "_float_of")]
+    assert sorted(private) == [("cardano", "_cardano"), ("numerics", "_float_of")]

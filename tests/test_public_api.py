@@ -1,4 +1,5 @@
 import ast
+import doctest
 import os
 import re
 import subprocess
@@ -63,6 +64,23 @@ def test_readme_documents_every_export():
     text = README.read_text(encoding="utf-8")
     undocumented = [name for name in rscubic.__all__ if f"`{name}`" not in text]
     assert undocumented == []
+
+
+def test_package_docstring_example_passes():
+    (test,) = doctest.DocTestFinder(recurse=False).find(rscubic)
+    assert test.examples and doctest.DocTestRunner().run(test).failed == 0
+
+
+def test_readme_library_block_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    # An expression line's comment is its repr, unless the comment elides part of it.
+    for line in block.splitlines():
+        code, _, shown = line.partition("  #")
+        if shown and "..." not in shown and isinstance(ast.parse(code.strip()).body[0], ast.Expr):
+            assert repr(eval(code, namespace)) == shown.strip(), line
 
 
 def test_readme_lists_every_solve_flag():
