@@ -215,6 +215,7 @@ def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for name in ("depress", "compute_rs", "_solve_cubic"):
+        assert not hasattr(rscubic.cli, name)  # only solve runs the stages
         count(rscubic.chen, name)
     for name in ("_cardano", "verify_roots"):
         count(rscubic.cli, name)
