@@ -2,9 +2,9 @@
 
 Two subcommands:
 
-* ``solve``  -- solve one cubic (``--expr``, ``--p/--q``, or ``--a/--b/--c``)
-  or a batch file of expressions, with ``--method {chen,both}`` (``both`` adds
-  Cardano's roots beside the r,s roots) and ``--format {text,json}``;
+* ``solve``  -- solve one cubic (``--expr`` or ``--p/--q``) or a batch file
+  of expressions, with ``--method {chen,both}`` (``both`` adds Cardano's
+  roots beside the r,s roots) and ``--format {text,json}``;
 * ``denest`` -- evaluate and denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b)).
 
 Exit codes: 0 success, 2 parse/usage error, 3 numeric failure (non-finite
@@ -51,7 +51,10 @@ def _precision(text: str) -> int:
     """A --precision value: a nonnegative digit count, else a usage error (exit 2)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {len(text)} digits") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,12 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a cubic equation")
     solve.add_argument("--expr", help='equation text, e.g. "x^3-12x+16=0"')
-    solve.add_argument("--p", type=parse_coefficient, help="p of x^3+px+q (accepts 9/2, 1.5, 64*sqrt(2))")
-    solve.add_argument("--q", type=parse_coefficient, help="q of x^3+px+q")
-    solve.add_argument("--a", type=parse_coefficient, help="a of x^3+ax^2+bx+c")
-    solve.add_argument("--b", type=parse_coefficient, help="b of x^3+ax^2+bx+c")
-    solve.add_argument("--c", type=parse_coefficient, help="c of x^3+ax^2+bx+c")
-    solve.add_argument("--lead", type=parse_coefficient, default=None, help="leading coefficient (default 1)")
+    # Coefficient flags are parsed by the command, so a ParseError keeps its text.
+    solve.add_argument("--p", help="p of x^3+px+q (accepts 9/2, 1.5, 64*sqrt(2))")
+    solve.add_argument("--q", help="q of x^3+px+q")
     solve.add_argument("--batch", metavar="FILE", help="file with one equation per line; emits JSON lines")
     solve.add_argument("--method", choices=["chen", "both"], default="chen")
     solve.add_argument("--format", choices=["text", "json"], help="output format (default text; --batch: json)")
@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
     den = sub.add_parser("denest", help="denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b))")
-    den.add_argument("--a", type=parse_coefficient, required=True)
-    den.add_argument("--b", type=parse_coefficient, required=True)
+    den.add_argument("--a", required=True)
+    den.add_argument("--b", required=True)
     den.add_argument("--format", choices=["text", "json"], default="text")
     den.add_argument("--precision", type=_precision, default=12)
     return parser
@@ -210,17 +210,9 @@ def _render_text(rec: dict, precision: int) -> str:
 
 
 def cmd_solve(args) -> int:
-    modes = [
-        args.expr is not None,
-        args.p is not None or args.q is not None,
-        any(v is not None for v in (args.a, args.b, args.c, args.lead)),
-        args.batch is not None,
-    ]
+    modes = [args.expr is not None, args.p is not None or args.q is not None, args.batch is not None]
     if sum(modes) != 1:
-        print(
-            "error: give exactly one of --expr, --p/--q, --a/--b/--c, or --batch",
-            file=sys.stderr,
-        )
+        print("error: give exactly one of --expr, --p/--q, or --batch", file=sys.stderr)
         return 2
 
     if args.batch is not None:
@@ -232,19 +224,13 @@ def cmd_solve(args) -> int:
     if args.expr is not None:
         cubic = parse_cubic(args.expr)
         echo = args.expr
-    elif args.p is not None or args.q is not None:
-        if args.p is None or args.q is None:
-            print("error: --p and --q must be given together", file=sys.stderr)
-            return 2
-        cubic = GeneralCubic(0, args.p, args.q)
-        echo = f"x^3 + ({args.p})x + ({args.q})"
+    elif args.p is None or args.q is None:
+        print("error: --p and --q must be given together", file=sys.stderr)
+        return 2
     else:
-        missing = [n for n, v in (("--a", args.a), ("--b", args.b), ("--c", args.c)) if v is None]
-        if missing:
-            print(f"error: missing {', '.join(missing)}", file=sys.stderr)
-            return 2
-        cubic = GeneralCubic(args.a, args.b, args.c, lead=args.lead if args.lead is not None else 1)
-        echo = str(cubic)
+        p, q = parse_coefficient(args.p), parse_coefficient(args.q)
+        cubic = GeneralCubic(0, p, q)
+        echo = f"x^3 + ({p})x + ({q})"
 
     rec = _solve_record(cubic, echo, args)
     print(_encode(rec) if args.format == "json" else _render_text(rec, 12 if args.precision is None else args.precision))
@@ -280,7 +266,7 @@ def _run_batch(args) -> int:
 
 
 def cmd_denest(args) -> int:
-    radical = NestedRadical(args.a, args.b)
+    radical = NestedRadical(parse_coefficient(args.a), parse_coefficient(args.b))
     result = denest(radical)
     _check_finite([complex(result.value)])
     if args.format == "json":

@@ -16,7 +16,8 @@ summed per power as integer numerator/denominator pairs; an exact cubic's only
 Fractions are its monic coefficients, one Fraction(n ld, d ln) each over the
 lead ln/ld. sqrt(m) stays exact for perfect squares and falls back to a float
 otherwise, which makes the whole cubic float. A term needs a coefficient or an
-x-part, powers may not exceed 3, and the x^3 coefficient must be nonzero.
+x-part, powers may not exceed 3, and the x^3 coefficient must be nonzero. A
+digit string longer than int() converts (4300 digits by default) is an error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ _TERM = re.compile(
 # or a float (a product with an irrational sqrt literal).
 _Value = Union[tuple[int, int], float]
 
+# int() refuses a digit string longer than sys.get_int_max_str_digits().
+_TOO_LONG = "number has too many digits"
+
 
 class ParseError(ValueError):
     """Syntax or degree error, annotated with the offending position."""
@@ -81,7 +85,10 @@ def _sqrt_value(m: re.Match, i: int, save: int) -> Union[int, float]:
         raise ParseError("expected a nonnegative integer inside sqrt()", _skip_ws(text, m.end(f"o{i}")), text)
     if m[f"c{i}"] is None:
         raise ParseError("expected ')'", _skip_ws(text, m.end(f"n{i}")), text)
-    n = int(m[f"n{i}"])
+    try:
+        n = int(m[f"n{i}"])
+    except ValueError:
+        raise ParseError(_TOO_LONG, m.start(f"n{i}"), text) from None
     root = math.isqrt(n)
     return root if root * root == n else math.sqrt(n)
 
@@ -93,21 +100,20 @@ def _coefficient(m: re.Match, g: tuple) -> Optional[_Value]:
         root = _sqrt_value(m, 1, m.end("sign"))
         return (root, 1) if isinstance(root, int) else root
     text = m.string
-    if ip is not None:  # a decimal
-        n, d = int(ip or "0"), 1
-        if fp:
-            d = 10 ** len(fp)
-            n = n * d + int(fp)
-    elif digits is not None:
-        n, d = int(digits), 1
-        if slash is not None:
-            if den is None:
-                raise ParseError("expected an integer denominator after '/'", _skip_ws(text, m.end("slash")), text)
-            d = int(den)
-            if d == 0:
-                raise ParseError("zero denominator", m.end("num") + 1, text)
-    else:
-        return None
+    try:
+        if ip is not None:  # a decimal: "1.50" is 150/100
+            n, d = int(ip + fp), 10 ** len(fp)
+        elif digits is not None:
+            n, d = int(digits), 1 if den is None else int(den)
+        else:
+            return None
+    except ValueError:
+        raise ParseError(_TOO_LONG, m.start("num" if ip is None else "ip"), text) from None
+    if slash is not None:
+        if den is None:
+            raise ParseError("expected an integer denominator after '/'", _skip_ws(text, m.end("slash")), text)
+        if d == 0:
+            raise ParseError("zero denominator", m.end("num") + 1, text)
     if s2 is None:
         return (n, d)
     root = _sqrt_value(m, 2, m.end("star2"))
@@ -147,7 +153,10 @@ def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
             if caret is not None:
                 if digits is None:
                     raise ParseError("expected an integer exponent after '^'", _skip_ws(text, m.end("caret")), text)
-                power = int(digits)
+                try:
+                    power = int(digits)
+                except ValueError:
+                    raise ParseError(_TOO_LONG, m.start("pow"), text) from None
                 if power > 3:
                     raise ParseError(f"power {power} exceeds 3 (cubics only)", pos, text)
         elif star is not None:

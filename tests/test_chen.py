@@ -424,6 +424,14 @@ class TestExactValue:
         v = ExactValue.sqrt_of(Fraction(8, 9))
         assert float(v) == pytest.approx(math.sqrt(8 / 9))
 
+    def test_sqrt_of_zero_and_negative(self):
+        assert ExactValue.sqrt_of(Fraction(0)) == ExactValue(Fraction(0))
+        with pytest.raises(ValueError):
+            ExactValue.sqrt_of(Fraction(-1, 4))
+
+    def test_float_of_a_rational(self):
+        assert float(ExactValue(Fraction(1, 3))) == 1 / 3
+
     def test_sqrt_of_large_square_part(self):
         # 10^7 + 19 is prime: its square is found after trial division stops at the cube root.
         assert str(ExactValue.sqrt_of(Fraction(3 * (10**7 + 19) ** 2))) == "10000019*sqrt(3)"

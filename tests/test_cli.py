@@ -21,6 +21,17 @@ def failing_verify(monkeypatch):
     monkeypatch.setattr(rscubic.cli, "verify_roots", lambda d, t: verify_roots(d, t)._replace(passed=False))
 
 
+@pytest.fixture
+def infinite_root(monkeypatch):
+    """solve as the CLI calls it, with x[0] made infinite for cubics whose c is -9."""
+
+    def fake(cubic):
+        triple = solve(cubic)
+        return triple._replace(roots=(math.inf,) + triple.roots[1:]) if cubic.c == -9 else triple
+
+    monkeypatch.setattr(rscubic.cli, "solve", fake)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -55,7 +66,7 @@ class TestSolveFlags:
         assert rec["q"] == -64 * math.sqrt(2.0)
 
     def test_general_coefficients(self, capsys):
-        code, out, _ = run(capsys, "solve", "--a=-6", "--b=11", "--c=-6", "--format", "json")
+        code, out, _ = run(capsys, "solve", "--expr", "x^3-6x^2+11x-6", "--format", "json")
         assert code == 0
         rec = json.loads(out)
         assert [z["re"] for z in rec["roots"]] == pytest.approx([1, 2, 3])
@@ -256,22 +267,35 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--p=1")
         assert code == 2
 
-    def test_missing_coefficient_is_2(self, capsys):
-        code, out, err = run(capsys, "solve", "--a=1", "--c=2")
-        assert code == 2
-        assert out == "" and err == "error: missing --b\n"
+    def test_general_coefficient_flags_are_gone_is_2(self, capsys):
+        # x^3+ax^2+bx+c is given as --expr; argparse refuses the old --a/--b/--c spelling
+        # (--b=2 reads as an abbreviation of --batch, so only --a and --c are named).
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--a=1", "--b=2", "--c=3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --a=1 --c=3" in capsys.readouterr().err
+
+    def test_non_finite_root_is_3(self, capsys, infinite_root):
+        code, out, err = run(capsys, "solve", "--p=-6", "--q=-9")
+        assert code == 3 and out == ""
+        assert err == "error: numeric failure: non-finite intermediate or result\n"
 
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
         assert code == 3
 
     def test_unparseable_flag_value_is_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["solve", "--p", "abc", "--q", "1"])
-        assert info.value.code == 2
-        capsys.readouterr()
+        # A coefficient flag's ParseError reaches the user as it reads, as --expr's does.
+        for argv, message in [
+            (["solve", "--p", "abc", "--q", "1"], "expected a number (at position 0)"),
+            (["solve", "--p=1/0", "--q=1"], "zero denominator (at position 2)"),
+            (["denest", "--a=1/0", "--b=1"], "zero denominator (at position 2)"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {message}\n"), argv
 
-    @pytest.mark.parametrize("value", ["-1", "abc"])
+    @pytest.mark.parametrize("value", ["-1", "abc", pytest.param("9" * 5000, id="5000 digits")])
     @pytest.mark.parametrize("argv", [["solve", "--p=-6", "--q=-9"], ["denest", "--a", "2", "--b", "3"]])
     def test_bad_precision_is_2(self, capsys, argv, value):
         with pytest.raises(SystemExit) as info:
@@ -332,6 +356,23 @@ class TestBatch:
         assert code == 3
         assert len(out.strip().splitlines()) == 2
         assert err == "line 2: integer division result too large for a float\n"
+
+    def test_batch_overlong_number_is_2(self, capsys, tmp_path):
+        # int() refuses more than 4300 digits: the line is a parse error and the run goes on.
+        batch = tmp_path / "cubics.txt"
+        batch.write_text(f"x^3-12x+16\nx^3+{'1' * 5000}\nx^3+x+1\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch))
+        assert code == 2
+        assert [json.loads(line)["input"] for line in out.splitlines()] == ["x^3-12x+16", "x^3+x+1"]
+        assert err.startswith("line 2: number has too many digits (at position 4)\n")
+
+    def test_batch_non_finite_root_is_3(self, capsys, tmp_path, infinite_root):
+        batch = tmp_path / "cubics.txt"
+        batch.write_text("x^3-12x+16\nx^3-6x-9\nx^3+x+1\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch))
+        assert code == 3
+        assert [json.loads(line)["input"] for line in out.splitlines()] == ["x^3-12x+16", "x^3+x+1"]
+        assert err == "line 2: non-finite intermediate or result\n"
 
     def test_batch_usage_error_outranks_numeric_failure(self, capsys, tmp_path):
         batch = tmp_path / "cubics.txt"

@@ -207,3 +207,23 @@ def test_error_position_and_message(parser, text, position, message):
         parser(text)
     assert info.value.position == position
     assert str(info.value).startswith(f"{message} (at position {position})")
+
+
+@pytest.mark.parametrize(
+    "parser,template,position",
+    [
+        (parse_cubic, "x^3+{}", 4),  # a coefficient
+        (parse_cubic, "x^3 + 1/{}x", 6),  # a denominator: the error points at the literal
+        (parse_cubic, "x^3+0.{}", 4),  # decimal digits
+        (parse_cubic, "x^{}", 2),  # a power
+        (parse_cubic, "x^3+sqrt({})", 9),  # a radicand
+        (parse_cubic, "x^3+2*sqrt( {})", 12),  # a radicand in a product
+        (parse_coefficient, "-{}", 1),
+    ],
+)
+def test_overlong_number_is_a_parse_error(parser, template, position):
+    # int() refuses a digit string over sys.get_int_max_str_digits() (4300) with a plain ValueError.
+    with pytest.raises(ParseError) as info:
+        parser(template.format("1" * 5000))
+    assert info.value.position == position
+    assert str(info.value).startswith(f"number has too many digits (at position {position})")

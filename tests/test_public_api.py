@@ -2,12 +2,13 @@ import ast
 import doctest
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import rscubic
-from rscubic.cli import build_parser
+from rscubic.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -81,6 +82,21 @@ def test_readme_library_block_runs():
         code, _, shown = line.partition("  #")
         if shown and "..." not in shown and isinstance(ast.parse(code.strip()).body[0], ast.Expr):
             assert repr(eval(code, namespace)) == shown.strip(), line
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # Each line of the ## CLI block exits 0; a double-quoted string in its comment is in its output.
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+    (tmp_path / "cubics.txt").write_text("x^3-12x+16\nx^3-6x-9\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "rscubic" and main(argv) == 0, line
+        out = capsys.readouterr().out
+        for shown in re.findall(r'"([^"]*)"', comment):
+            assert shown in out, line
 
 
 def test_readme_lists_every_solve_flag():

@@ -132,6 +132,11 @@ def test_evaluation_is_exact_for_rational_points():
     assert d(Fraction(1)) == d.p + d.q + 1
 
 
+def test_str_writes_the_monic_cubic():
+    assert str(GeneralCubic(-6, 11, -6)) == "x^3 + (-6)x^2 + (11)x + (-6)"
+    assert str(GeneralCubic(2, 4, 6, lead=4)) == "x^3 + (1/2)x^2 + (1)x + (3/2)"
+
+
 exact_value = st.one_of(st.integers(-(10**6), 10**6), st.fractions(-1000, 1000, max_denominator=10**4))
 
 
