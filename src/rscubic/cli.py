@@ -48,13 +48,24 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def _precision(text: str) -> int:
-    """A --precision value: a nonnegative digit count, else a usage error (exit 2)."""
+    """A --precision value: 0 to 2**31 - 1, the most a format spec takes, else a usage error (exit 2)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     try:
-        return int(text)
+        value = int(text)
     except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {len(text)} digits") from None
+    if value > 2**31 - 1:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer up to {2**31 - 1}, got {text}")
+    return value
+
+
+def _str(value) -> str:
+    """str(value); an integer past int-to-str's digit limit (4300 by default) is a numeric failure."""
+    try:
+        return str(value)
+    except ValueError:
+        raise NumericFailure("an exact value has too many digits to print") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +149,7 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         rec["residuals"] = residuals(roots)
         rec["multiplicity"] = [list(m) for m in triple.multiplicity]
         rec["exact"] = (
-            [str(e) if e is not None else None for e in triple.exact] if triple.exact is not None else None
+            [_str(e) if e is not None else None for e in triple.exact] if triple.exact is not None else None
         )
         rec["trig"] = triple.trig._asdict() if triple.trig is not None else None
     if args.verify:
@@ -230,7 +241,7 @@ def cmd_solve(args) -> int:
     else:
         p, q = parse_coefficient(args.p), parse_coefficient(args.q)
         cubic = GeneralCubic(0, p, q)
-        echo = f"x^3 + ({p})x + ({q})"
+        echo = f"x^3 + ({_str(p)})x + ({_str(q)})"
 
     rec = _solve_record(cubic, echo, args)
     print(_encode(rec) if args.format == "json" else _render_text(rec, 12 if args.precision is None else args.precision))

@@ -12,12 +12,14 @@ One compiled regex reads a whole term from its start position; every
 token of the grammar is an optional group in it, so a malformed term
 still matches and the groups it lacks name the error and its position.
 Integers, rationals a/b, and decimals parse to exact values ("0.75" -> 3/4),
-summed per power as integer numerator/denominator pairs; an exact cubic's only
-Fractions are its monic coefficients, one Fraction(n ld, d ln) each over the
-lead ln/ld. sqrt(m) stays exact for perfect squares and falls back to a float
-otherwise, which makes the whole cubic float. A term needs a coefficient or an
-x-part, powers may not exceed 3, and the x^3 coefficient must be nonzero. A
-digit string longer than int() converts (4300 digits by default) is an error.
+summed per power as integer numerator/denominator pairs. sqrt(m) stays exact
+for perfect squares and falls back to a float otherwise, which makes the whole
+cubic float. parse_cubic divides the lead ln/ld out: an exact cubic's only
+Fractions are its monic coefficients, one Fraction(n ld, d ln) each, and a float
+cubic rounds each sum once and divides it by the rounded lead. A term needs a
+coefficient or an x-part, powers may not exceed 3, and the x^3 coefficient
+must be nonzero. A digit string longer than int() converts (4300 digits by
+default) is an error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .reduction import GeneralCubic, _tuple_new
+from .reduction import GeneralCubic, _beyond_double, _coerce, _tuple_new
 
 _WS = re.compile(r"\s*")
 
@@ -166,10 +168,6 @@ def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
         pos = m.end()
 
 
-def _as_number(value: _Value) -> Union[Fraction, float]:
-    return Fraction(*value) if isinstance(value, tuple) else value
-
-
 def parse_cubic(text: str) -> GeneralCubic:
     """Parse an equation string into a (monic-normalized) general cubic."""
     # Per power: an exact (numerator, denominator) sum, or a float once an
@@ -191,7 +189,13 @@ def parse_cubic(text: str) -> GeneralCubic:
     if type(a) is type(b) is type(c) is type(lead) is tuple:  # exact: v / lead = (n ld) / (d ln)
         (an, ad), (bn, bd), (cn, cd), (ln, ld) = a, b, c, lead
         return _tuple_new(GeneralCubic, (Fraction(an * ld, ad * ln), Fraction(bn * ld, bd * ln), Fraction(cn * ld, cd * ln)))
-    return GeneralCubic(_as_number(a), _as_number(b), _as_number(c), lead=_as_number(lead))
+    # A non-finite float sum is refused before any rounding, the lead's first.
+    lead, a, b, c = (v if type(v) is tuple else _coerce(v) for v in (lead, a, b, c))
+    try:  # n / d has the bits of float(Fraction(n, d)), and x / 1.0 is x
+        lead, a, b, c = (v[0] / v[1] if type(v) is tuple else v for v in (lead, a, b, c))
+        return GeneralCubic(a / lead, b / lead, c / lead)
+    except (OverflowError, ZeroDivisionError):  # a sum beyond the double range, or a lead rounded to 0.0
+        raise _beyond_double() from None
 
 
 def parse_coefficient(text: str) -> Union[Fraction, float]:
@@ -205,4 +209,4 @@ def parse_coefficient(text: str) -> Union[Fraction, float]:
     if end < len(text):
         raise ParseError("unexpected trailing input", end, text)
     sign = -1 if m["sign"] == "-" else 1
-    return sign * _as_number(value)
+    return sign * (Fraction(*value) if isinstance(value, tuple) else value)

@@ -1,11 +1,12 @@
 """Cubic input forms and the quadratic-term elimination x -> x - a/3.
 
-A cubic is exact (integers of any kind and other rationals, promoted to
-Fraction so ``a / 3`` stays exact) or float: a float anywhere, the lead
-included, rounds every exact value once at construction (InvalidInputError
-for an exact value beyond the double range). Exact inputs stay rational
-through the substitution (depress builds p and q from integers, one Fraction
-each, stored without a second coercion), so whole-number examples come out exact.
+A cubic is monic, x^3 + ax^2 + bx + c (parsing.parse_cubic divides a written
+x^3 coefficient out), and exact (integers of any kind and other rationals,
+promoted to Fraction so ``a / 3`` stays exact) or float: a float anywhere
+rounds every exact value once at construction (InvalidInputError for an exact
+value beyond the double range). Exact inputs stay rational through the
+substitution (depress builds p and q from integers, one Fraction each, stored
+without a second coercion), so whole-number examples come out exact.
 
 The cubics, and every other record the package returns, are built on
 _record: immutable namedtuples that compare and hash by value.
@@ -82,38 +83,17 @@ def _beyond_double() -> InvalidInputError:
 
 
 class GeneralCubic(_record("GeneralCubic", "a b c")):
-    """Monic cubic x^3 + a*x^2 + b*x + c, exact or float (see the module docstring).
-
-    A non-unit leading coefficient may be passed via ``lead``; the stored
-    form is always monic (coefficients divided through).
-    """
+    """Monic cubic x^3 + a*x^2 + b*x + c, exact or float; a float a, b or c rounds all three."""
 
     __slots__ = ()
 
-    def __new__(cls, a, b, c, lead=1):
-        if type(lead) is int and lead == 1:  # the default: nothing to coerce or divide by
-            unit = True
-        else:
-            lead = _coerce(lead)
-            if lead == 0:
-                raise InvalidInputError("leading coefficient must be nonzero")
-            unit = lead == 1
+    def __new__(cls, a, b, c):
         a, b, c = _coerce(a), _coerce(b), _coerce(c)
-        # A float anywhere rounds every value once, so a mixed cubic is
-        # bit-identical to its all-float twin; x / 1.0 is x. An exact lead
-        # ln/ld divides as one Fraction(n ld, d ln), not a Fraction division.
-        if isinstance(a, float) or isinstance(b, float) or isinstance(c, float) or isinstance(lead, float):
+        if isinstance(a, float) or isinstance(b, float) or isinstance(c, float):
             try:
                 a, b, c = float(a), float(b), float(c)
-                if not unit:
-                    lead = float(lead)  # an exact lead below the double range rounds to 0.0
-                    # A tiny lead can overflow a quotient: _coerce rejects it here, not in depress.
-                    a, b, c = _coerce(a / lead), _coerce(b / lead), _coerce(c / lead)
-            except (OverflowError, ZeroDivisionError):
+            except OverflowError:
                 raise _beyond_double() from None
-        elif not unit:
-            ln, ld = lead.numerator, lead.denominator
-            a, b, c = (Fraction(v.numerator * ld, v.denominator * ln) for v in (a, b, c))
         return _tuple_new(cls, (a, b, c))
 
     @property

@@ -12,6 +12,9 @@ from rscubic.cli import main
 
 SQRT3 = math.sqrt(3.0)
 OVERFLOWING = "x^3+1" + "0" * 400 + "x+1"
+# Roots +-sqrt(N/D) whose exact string holds the radicand N*D, about 6000 digits:
+# more than int-to-str converts (4300 by default).
+TOO_LONG_TO_PRINT = f"{10**2999 + 3}x^3-{10**2999 + 7}x"
 
 
 @pytest.fixture
@@ -157,6 +160,9 @@ class TestSolveFlags:
         _, out4, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "4")
         _, out15, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "15")
         assert len(out15) > len(out4)
+        # The largest precision a format spec takes (formatting it reserves about 2 GB of address space).
+        args = rscubic.cli.build_parser().parse_args(["solve", "--p=1", "--q=1", "--precision", "2147483647"])
+        assert args.precision == 2**31 - 1
 
     def test_negligible_p_case_matches_library(self, capsys):
         # p is below double resolution next to q, so the solve runs on x^3 + q.
@@ -280,6 +286,19 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "error: numeric failure: non-finite intermediate or result\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--expr", TOO_LONG_TO_PRINT, "--format", "json"],
+            [f"--p={'9' * 4000}*sqrt(1{'0' * 4000})", "--q=1"],  # the echo of p, 6000 digits
+        ],
+        ids=["exact roots", "p echo"],
+    )
+    def test_exact_value_too_long_to_print_is_3(self, capsys, argv):
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 3 and out == ""
+        assert err == "error: numeric failure: an exact value has too many digits to print\n"
+
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
         assert code == 3
@@ -295,7 +314,7 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err.startswith(f"error: {message}\n"), argv
 
-    @pytest.mark.parametrize("value", ["-1", "abc", pytest.param("9" * 5000, id="5000 digits")])
+    @pytest.mark.parametrize("value", ["-1", "abc", "2147483648", "9" * 20, pytest.param("9" * 5000, id="5000 digits")])
     @pytest.mark.parametrize("argv", [["solve", "--p=-6", "--q=-9"], ["denest", "--a", "2", "--b", "3"]])
     def test_bad_precision_is_2(self, capsys, argv, value):
         with pytest.raises(SystemExit) as info:
@@ -365,6 +384,14 @@ class TestBatch:
         assert code == 2
         assert [json.loads(line)["input"] for line in out.splitlines()] == ["x^3-12x+16", "x^3+x+1"]
         assert err.startswith("line 2: number has too many digits (at position 4)\n")
+
+    def test_batch_exact_value_too_long_to_print_is_3(self, capsys, tmp_path):
+        batch = tmp_path / "cubics.txt"
+        batch.write_text(f"x^3-12x+16\n{TOO_LONG_TO_PRINT}\nx^3+x+1\n")
+        code, out, err = run(capsys, "solve", "--batch", str(batch))
+        assert code == 3
+        assert [json.loads(line)["input"] for line in out.splitlines()] == ["x^3-12x+16", "x^3+x+1"]
+        assert err == "line 2: an exact value has too many digits to print\n"
 
     def test_batch_non_finite_root_is_3(self, capsys, tmp_path, infinite_root):
         batch = tmp_path / "cubics.txt"

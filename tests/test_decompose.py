@@ -9,6 +9,8 @@ from rscubic import (
     CaseTag,
     DepressedCubic,
     GeneralCubic,
+    InvalidInputError,
+    ParseError,
     RsPair,
     cardano_solve,
     compute_rs,
@@ -303,7 +305,38 @@ def exact_line(draw):
 
 
 class TestParsedIntegerPath:
-    """parse_cubic -> depress -> compute_rs on exact lines against plain Fraction arithmetic."""
+    """parse_cubic -> depress -> compute_rs on exact lines against plain Fraction arithmetic,
+    and parse_cubic on float lines against per-sum rounding."""
+
+    @given(
+        exact_line(),
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(2, 10**12).filter(lambda m: math.isqrt(m) ** 2 != m),
+    )
+    @example(("2x^3 - 3x + 1", [1, -3, 0, 2]), 2, False, 2)  # 2x^3 + sqrt(2)x^2 - 3x + 1
+    @example(("-1.4142135623730951x^3 + x", [0, 1, 0, Fraction(-14142135623730951, 10**16)]), 3, False, 2)  # lead 0.0
+    @example((f"1/1{'0' * 330}x^3 + x", [0, 1, 0, Fraction(1, 10**330)]), 0, True, 3)  # the lead rounds to 0.0
+    @example((f"1/1{'0' * 310}x^3 + x", [0, 1, 0, Fraction(1, 10**310)]), 0, False, 3)  # b / lead overflows
+    def test_float_lines_round_each_sum_once_then_divide_by_the_lead(self, line, power, negative, m):
+        # A sqrt(m) term written last at its power: the parser rounds that power's
+        # exact sum once and adds the root, as it rounds every other sum once.
+        text, sums = line
+        head, eq, tail = text.partition("=")
+        text = f"{head}{'-' if negative else '+'}sqrt({m}){['', 'x', 'x^2', 'x^3'][power]}{eq}{tail}"
+        rounded = [float(v) for v in sums]
+        rounded[power] += -math.sqrt(m) if negative else math.sqrt(m)
+        c, b, a, lead = rounded
+        if lead == 0:  # no x^3 term, or an exact lead that rounds to 0.0
+            with pytest.raises(ParseError if sums[3] == 0 or power == 3 else InvalidInputError):
+                parse_cubic(text)
+            return
+        expected = a / lead, b / lead, c / lead
+        if not all(map(math.isfinite, expected)):
+            with pytest.raises(InvalidInputError):
+                parse_cubic(text)
+            return
+        assert repr(tuple(parse_cubic(text))) == repr(expected)
 
     @given(exact_line())
     @example(("-3x^3 + 6x^2 + 0x - 1/2 = 0", [Fraction(-1, 2), Fraction(0), Fraction(6), Fraction(-3)]))
@@ -315,7 +348,7 @@ class TestParsedIntegerPath:
         text, (c, b, a, lead) = line
         assume(lead != 0)
         cubic = parse_cubic(text)
-        assert cubic == GeneralCubic(a, b, c, lead=lead)
+        assert cubic == GeneralCubic(a / lead, b / lead, c / lead)
         assert all(type(v) is Fraction for v in cubic)
         d = depress(cubic)[0]
         try:

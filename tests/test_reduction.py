@@ -13,8 +13,10 @@ from rscubic import (
     GeneralCubic,
     InvalidInputError,
     NestedRadical,
+    ParseError,
     denest,
     depress,
+    parse_cubic,
     solve,
     solve_depressed,
 )
@@ -59,13 +61,20 @@ def test_float_coefficients_give_float_pq():
 
 
 def test_non_monic_is_normalized():
-    cubic = GeneralCubic(4, -2, 6, lead=2)
-    assert (cubic.a, cubic.b, cubic.c) == (2, -1, 3)
+    # GeneralCubic is monic; parse_cubic divides a written x^3 coefficient out.
+    assert parse_cubic("2x^3 + 4x^2 - 2x + 6") == GeneralCubic(2, -1, 3)
+    root2 = math.sqrt(2)
+    assert repr(parse_cubic("2x^3+sqrt(2)x^2-3x+1")) == repr(GeneralCubic(root2 / 2, -1.5, 0.5))
+    assert repr(parse_cubic("-0.5x^3 + sqrt(2)")) == repr(GeneralCubic(-0.0, -0.0, root2 / -0.5))
 
 
 def test_zero_lead_rejected():
-    with pytest.raises(InvalidInputError):
-        GeneralCubic(1, 2, 3, lead=0)
+    for lead in (2, 0):
+        with pytest.raises(TypeError):
+            GeneralCubic(1, 2, 3, lead=lead)
+    for text in ("0x^3 + 2x^2 + 3x + 1", "0*sqrt(2)x^3 + sqrt(2)x", "sqrt(2)x^3 - 1.4142135623730951x^3 + x"):
+        with pytest.raises(ParseError, match="not a cubic"):
+            parse_cubic(text)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -134,7 +143,7 @@ def test_evaluation_is_exact_for_rational_points():
 
 def test_str_writes_the_monic_cubic():
     assert str(GeneralCubic(-6, 11, -6)) == "x^3 + (-6)x^2 + (11)x + (-6)"
-    assert str(GeneralCubic(2, 4, 6, lead=4)) == "x^3 + (1/2)x^2 + (1)x + (3/2)"
+    assert str(parse_cubic("4x^3 + 2x^2 + 4x + 6")) == "x^3 + (1/2)x^2 + (1)x + (3/2)"
 
 
 exact_value = st.one_of(st.integers(-(10**6), 10**6), st.fractions(-1000, 1000, max_denominator=10**4))
@@ -144,14 +153,13 @@ def _floats_at(values, picks):
     return [float(v) if i in picks else v for i, v in enumerate(values)]
 
 
-@given(exact_value, exact_value, exact_value, exact_value.filter(bool), st.sets(st.integers(0, 3), min_size=1))
-@example(0, -2, 0, 1, {2})  # the exact channel used to follow which coefficient was a float
-@example(0, Fraction(-25, 2), Fraction(65, 4), 1, {1, 2})
-@example(Fraction(1, 3), 5, 7, 3, {0})
-def test_mixed_cubic_is_its_float_twin(a, b, c, lead, picks):
-    *mixed, mixed_lead = _floats_at((a, b, c, lead), picks)
-    cubic = GeneralCubic(*mixed, lead=mixed_lead)
-    twin = GeneralCubic(float(a), float(b), float(c), lead=float(lead))
+@given(exact_value, exact_value, exact_value, st.sets(st.integers(0, 2), min_size=1))
+@example(0, -2, 0, {2})  # the exact channel used to follow which coefficient was a float
+@example(0, Fraction(-25, 2), Fraction(65, 4), {1, 2})
+@example(Fraction(1, 3), 5, 7, {0})
+def test_mixed_cubic_is_its_float_twin(a, b, c, picks):
+    cubic = GeneralCubic(*_floats_at((a, b, c), picks))
+    twin = GeneralCubic(float(a), float(b), float(c))
     assert repr(cubic) == repr(twin) and not cubic.exact
     assert repr(solve(cubic)) == repr(solve(twin))
 
@@ -199,7 +207,7 @@ def test_a_float_shift_drops_the_exact_channel():
     [
         lambda: DepressedCubic(-3 * 10**400, 0.5),
         lambda: GeneralCubic(0, 10**400, 1.5),
-        lambda: GeneralCubic(1.0, 1, 1, lead=Fraction(1, 10**400)),  # the lead rounds to 0.0
+        lambda: parse_cubic("0." + "0" * 399 + "1x^3 + sqrt(2)x"),  # the lead rounds to 0.0
         lambda: NestedRadical(10**400, 2.0),
     ],
 )
@@ -209,13 +217,30 @@ def test_a_float_form_rejects_an_exact_value_without_a_double(build):
 
 
 def test_a_float_lead_that_overflows_a_coefficient_is_rejected():
+    tiny = "0." + "0" * 299 + "1x^3"  # 1e-300
     with pytest.raises(InvalidInputError, match=re.escape("non-finite coefficient: inf")):
-        GeneralCubic(1e300, 1.0, 1.0, lead=1e-300)
+        parse_cubic(f"{tiny} + 1{'0' * 300}x^2 + x + sqrt(2)")
     with pytest.raises(InvalidInputError, match=re.escape("non-finite coefficient: -inf")):
-        GeneralCubic(1, 10**300, 1, lead=-1e-300)
+        parse_cubic(f"-{tiny} + x^2 + 1{'0' * 300}x + sqrt(2)")
 
 
-BEYOND = "an exact value beyond the double range cannot be rounded into a float form"
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("-x^3 + {inf}x^2 + x", "inf"),  # as summed, not divided by the lead -1
+        ("x^3 + {inf}x^2 - {inf}x^2", "nan"),
+        ("{huge}x^3 + {inf}x", "inf"),  # before the exact lead fails to round
+        ("x^3 + {huge}x^2 + x + {inf}", "inf"),
+    ],
+)
+def test_a_non_finite_float_sum_is_reported_as_summed(text, value):
+    # 1.5e308 * sqrt(3) overflows to inf; 10^400 has no double.
+    text = text.format(inf="15" + "0" * 307 + "*sqrt(3)", huge="1" + "0" * 400)
+    with pytest.raises(InvalidInputError, match=re.escape(f"non-finite coefficient: {value}")):
+        parse_cubic(text)
+
+
+BEYOND ="an exact value beyond the double range cannot be rounded into a float form"
 
 
 def reference_coerce(value):
@@ -235,8 +260,8 @@ def test_numpy_integers_are_exact():
     big = GeneralCubic(numpy.int64(2**62 + 1), numpy.uint64(2**64 - 1), numpy.int8(-3))
     assert tuple(big) == (2**62 + 1, 2**64 - 1, -3)
     assert all(type(v) is Fraction and type(v.numerator) is int for v in big)
-    # A numpy numerator would wrap at 2^63 when the lead 1/4 is divided out.
-    assert GeneralCubic(numpy.int64(2**62), 0, 0, lead=Fraction(1, 4)).a == 2**64
+    # A numpy numerator would wrap at 2^63 in the arithmetic that follows.
+    assert 4 * GeneralCubic(numpy.int64(2**62), 0, 0).a == 2**64
     assert DepressedCubic(numpy.int32(-3), numpy.int64(1)).exact
     exact = solve(GeneralCubic(*map(numpy.int64, (-6, 11, -6)))).exact
     assert exact is not None and exact == solve(GeneralCubic(-6, 11, -6)).exact
@@ -267,23 +292,6 @@ def reference_rounded(*values):
             values = [float(v) for v in values]
         except OverflowError:
             raise InvalidInputError(BEYOND) from None
-    return values
-
-
-def reference_general(a, b, c, lead):
-    lead = reference_coerce(lead)
-    if lead == 0:
-        raise InvalidInputError("leading coefficient must be nonzero")
-    values = [reference_coerce(v) for v in (a, b, c)]
-    if isinstance(lead, float) or any(isinstance(v, float) for v in values):
-        try:
-            values = [float(v) for v in values]
-            if lead != 1:
-                values = [reference_coerce(v / float(lead)) for v in values]
-        except (OverflowError, ZeroDivisionError):
-            raise InvalidInputError(BEYOND) from None
-    elif lead != 1:
-        values = [v / lead for v in values]
     return values
 
 
@@ -318,13 +326,6 @@ raw_value = st.one_of(
     ]
     + ([finite_float.map(numpy.float64), st.integers(-(2**62), 2**62).map(numpy.int64)] if numpy is not None else [])
 )
-leads = st.sampled_from([1, 1.0, True, Fraction(1), 2, -0.5, 1e-300, 0])
-
-
-def general_cubic(a, b, c, lead):
-    return GeneralCubic(a, b, c, lead=lead)
-
-
 def assert_built_like(build, reference, fields, *args):
     """build(*args) stores reference(*args) (same types and reprs), or both raise alike."""
     try:
@@ -339,14 +340,13 @@ def assert_built_like(build, reference, fields, *args):
     assert repr(got) == repr(expected)
 
 
-@given(raw_value, raw_value, raw_value, leads)
-@example(True, Int(3), Decimal("0.5"), 1)
-@example("12", 2, Fraction(1, 3), True)
-@example(1e300, 1.0, 1.0, 1e-300)
-@example(float("nan"), 1, 1, 0)  # the zero lead is reported first
-@example(1.5, float("-inf"), 2.0, 1)  # two floats, one of them not finite
-@example(float("nan"), 0.5, 0.5, 1.0)
-def test_coercion_keeps_the_isinstance_rules(a, b, c, lead):
-    assert_built_like(general_cubic, reference_general, "abc", a, b, c, lead)
+@given(raw_value, raw_value, raw_value)
+@example(True, Int(3), Decimal("0.5"))
+@example("12", 2, Fraction(1, 3))
+@example(1.5, float("-inf"), 2.0)  # two floats, one of them not finite
+@example(float("nan"), 0.5, 0.5)
+@example(10**400, 1, 0.5)  # an exact value beyond the double range beside a float
+def test_coercion_keeps_the_isinstance_rules(a, b, c):
+    assert_built_like(GeneralCubic, reference_rounded, "abc", a, b, c)
     assert_built_like(DepressedCubic, reference_rounded, "pq", a, b)
     assert_built_like(NestedRadical, reference_radical, "ab", b, c)
