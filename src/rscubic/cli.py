@@ -103,13 +103,13 @@ def _check_finite(values) -> None:
             raise NumericFailure("non-finite intermediate or result")
 
 
-def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
-    """The record of one solve call, read off its RootTriple: p, q, shift, case,
-    (r, s), roots, exact values and cosine form. --method both adds Cardano's
-    roots of the same depressed cubic and case, lifted as they are,
-    x = y - shift, in doubles; --verify checks the printed roots on that cubic.
+def _solve_record(triple: RootTriple, echo: str, args) -> dict:
+    """The JSON record of one solve result, holding only what cannot be derived
+    from its fields: p, q, case, r and the roots; under chen the multiplicities
+    and exact values; under both, Cardano's roots of the same depressed cubic and
+    case, lifted as they are, x = y - shift, in doubles, and the matched distance
+    of the two root sets; --verify checks the printed roots on the depressed cubic.
     """
-    triple = solve(cubic)
     d, pair, case = triple.depressed, triple.pair, triple.case
     shift = _float_of(triple.shift)
     roots = checked = triple.roots
@@ -118,37 +118,23 @@ def _solve_record(cubic: GeneralCubic, echo: str, args) -> dict:
         checked += cardano_roots
     _check_finite(checked)
 
-    # Each coefficient is rounded once; the residuals use GeneralCubic.__call__'s
-    # complex Horner form, so their bits are the same.
-    a, b, c = _float_of(cubic.a), _float_of(cubic.b), _float_of(cubic.c)
-
-    def residuals(roots) -> list:
-        return [abs(((x + a) * x + b) * x + c) for x in roots]
-
     rec = {
         "input": echo,
         "method": args.method,
-        "cubic": {"a": a, "b": b, "c": c},
         "p": _float_of(d.p),
         "q": _float_of(d.q),
-        "shift": shift,
         "case": case.value,
         "r": _cjson(pair.r) if pair.r is not None else None,
-        "s": _cjson(pair.s) if pair.s is not None else None,
         "roots": [_cjson(x) for x in roots],
     }
     if args.method == "both":
         rec["cardano_roots"] = [_cjson(x) for x in cardano_roots]
         rec["max_matched_distance"] = match_root_sets(roots, cardano_roots)
-        rec["residuals"] = residuals(roots)
-        rec["cardano_residuals"] = residuals(cardano_roots)
     else:
-        rec["residuals"] = residuals(roots)
         rec["multiplicity"] = [list(m) for m in triple.multiplicity]
         rec["exact"] = (
             [_str(e) if e is not None else None for e in triple.exact] if triple.exact is not None else None
         )
-        rec["trig"] = triple.trig._asdict() if triple.trig is not None else None
     if args.verify:
         # The printed roots, moved onto the depressed cubic: y = x + delta.
         report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), case))
@@ -174,17 +160,20 @@ def _fmt_complex(z: dict, precision: int) -> str:
     return f"{_fmt(re, precision)} {sign} {_fmt(abs(im), precision)}i"
 
 
-def _render_text(rec: dict, precision: int) -> str:
+def _render_text(rec: dict, triple: RootTriple, cubic: GeneralCubic, precision: int) -> str:
     """The record as text: the roots with their exact values and multiplicities,
-    the cosine form when there is one, Cardano's roots under --method both, the
-    residuals and, last, the --verify report."""
+    the cosine form when chen has one, Cardano's roots under --method both, the
+    residuals and, last, the --verify report. The shift, s, the cosine form and
+    the residuals |f(x)| of the roots, which the record leaves out, are read off
+    the solve result and the cubic."""
     lines = [f"input: {rec['input']}"]
     lines.append(f"method: {rec['method']}   case: {rec['case']}")
-    shift = _fmt(rec["shift"], precision)
+    delta = _float_of(triple.shift)
+    shift = _fmt(delta, precision)
     lines.append(f"depressed: p = {_fmt(rec['p'], precision)}, q = {_fmt(rec['q'], precision)}"
                  f"   (shift delta = {shift})")
     if rec["r"] is not None:
-        lines.append(f"r = {_fmt_complex(rec['r'], precision)}, s = {_fmt_complex(rec['s'], precision)}")
+        lines.append(f"r = {_fmt_complex(rec['r'], precision)}, s = {_fmt_complex(_cjson(triple.pair.s), precision)}")
     exact = rec.get("exact") or (None, None, None)
     mult = dict(rec.get("multiplicity") or ())
     lines.append("roots:")
@@ -193,20 +182,21 @@ def _render_text(rec: dict, precision: int) -> str:
         if i in mult:
             note += f"   [multiplicity {mult[i]}]"
         lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
-    trig = rec.get("trig")
-    if trig is not None:
-        shift_part = f" - ({shift})" if rec["shift"] != 0 else ""
+    trig = triple.trig
+    if trig is not None and rec["method"] == "chen":
+        shift_part = f" - ({shift})" if delta != 0 else ""
         lines.append(
-            f"cosine form: x[i] = {_fmt(trig['amplitude'], precision)} * cos(offset[i]){shift_part}, "
-            f"theta = {_fmt(trig['theta'], precision)}"
+            f"cosine form: x[i] = {_fmt(trig.amplitude, precision)} * cos(offset[i]){shift_part}, "
+            f"theta = {_fmt(trig.theta, precision)}"
         )
-        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in trig["offsets"]))
+        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in trig.offsets))
     if "cardano_roots" in rec:
         lines.append("cardano roots:")
         for i, z in enumerate(rec["cardano_roots"]):
             lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
         lines.append(f"max matched distance = {_fmt(rec['max_matched_distance'], 3)}")
-    lines.append("residuals: " + ", ".join(_fmt(r, 3) for r in rec["residuals"]))
+    # GeneralCubic.__call__'s complex Horner form on the coefficients rounded to doubles.
+    lines.append("residuals: " + ", ".join(_fmt(abs(cubic(x)), 3) for x in triple.roots))
     if "verification" in rec:
         v = rec["verification"]
         lines.append(
@@ -240,8 +230,12 @@ def cmd_solve(args) -> int:
         cubic = GeneralCubic(0, p, q)
         echo = f"x^3 + ({_str(p)})x + ({_str(q)})"
 
-    rec = _solve_record(cubic, echo, args)
-    print(_encode(rec) if args.format == "json" else _render_text(rec, 12 if args.precision is None else args.precision))
+    triple = solve(cubic)
+    rec = _solve_record(triple, echo, args)
+    if args.format == "json":
+        print(_encode(rec))
+    else:
+        print(_render_text(rec, triple, cubic, 12 if args.precision is None else args.precision))
     if args.verify and not rec["verification"]["pass"]:
         return 3
     return 0
@@ -260,8 +254,7 @@ def _run_batch(args) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            cubic = parse_cubic(line)
-            rec = _solve_record(cubic, line, args)
+            rec = _solve_record(solve(parse_cubic(line)), line, args)
         except tuple(_FAILURES) as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             codes.add(_failure(exc)[0])
@@ -285,9 +278,8 @@ def cmd_denest(args) -> int:
             "exact": str(result.exact) if result.exact is not None else None,
             "p": float(result.cubic.p),
             "q": float(result.cubic.q),
-            "note": result.note,
         }
-        print(json.dumps(rec))
+        print(_encode(rec))
         return 0
     if result.exact is not None:
         print(f"value = {result.exact} (exact)")

@@ -74,6 +74,14 @@ def _skip_ws(text: str, pos: int) -> int:
     return _WS.match(text, pos).end()
 
 
+def _ratio_float(n: int, d: int) -> float:
+    """n / d rounded once, for a float sum; beyond the double range it is an InvalidInputError."""
+    try:
+        return n / d
+    except OverflowError:
+        raise _beyond_double() from None
+
+
 def _sqrt_value(m: re.Match, i: int, save: int) -> Union[int, float]:
     """The sqrt literal of group suffix i: an int root when exact, else a float.
 
@@ -119,7 +127,7 @@ def _coefficient(m: re.Match, g: tuple) -> Optional[_Value]:
     if s2 is None:
         return (n, d)
     root = _sqrt_value(m, 2, m.end("star2"))
-    return (n * root, d) if isinstance(root, int) else n / d * root
+    return (n * root, d) if isinstance(root, int) else _ratio_float(n, d) * root
 
 
 def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
@@ -180,8 +188,8 @@ def parse_cubic(text: str) -> GeneralCubic:
             (n, d), (vn, vd) = acc, value
             sums[power] = (n * vd + sign * vn * d, d * vd)
         else:
-            acc = acc[0] / acc[1] if isinstance(acc, tuple) else acc
-            term = sign * value[0] / value[1] if isinstance(value, tuple) else sign * value
+            acc = _ratio_float(*acc) if isinstance(acc, tuple) else acc
+            term = _ratio_float(sign * value[0], value[1]) if isinstance(value, tuple) else sign * value
             sums[power] = acc + term
     c, b, a, lead = sums
     if not (lead[0] if type(lead) is tuple else lead):

@@ -15,6 +15,10 @@ OVERFLOWING = "x^3+1" + "0" * 400 + "x+1"
 # Roots +-sqrt(N/D) whose exact string holds the radicand N*D, about 6000 digits:
 # more than int-to-str converts (4300 by default).
 TOO_LONG_TO_PRINT = f"{10**2999 + 3}x^3-{10**2999 + 7}x"
+# 10^400 beside an irrational sqrt term: the parser must round it into a float cubic.
+BEYOND_DOUBLE = "1" + "0" * 400
+# The keys every solve record starts with, in order.
+SOLVE_KEYS = ["input", "method", "p", "q", "case", "r", "roots"]
 
 
 @pytest.fixture
@@ -54,7 +58,8 @@ class TestSolveFlags:
         assert roots[0]["re"] == pytest.approx(-1.5)
         assert roots[2]["im"] == pytest.approx(SQRT3 / 2)
         assert rec["r"]["re"] == pytest.approx(-0.5)
-        assert rec["s"]["re"] == pytest.approx(-4.0)
+        # The record leaves s out; solve's pair holds it.
+        assert solve(GeneralCubic(0, -6, -9)).pair.s.real == pytest.approx(-4.0)
 
     def test_space_separated_negative_values(self, capsys):
         code, out, _ = run(capsys, "solve", "--p", "-6", "--q", "-9", "--format", "json")
@@ -171,7 +176,7 @@ class TestSolveFlags:
         assert code == 0
         rec = json.loads(out)
         assert rec["case"] == solve(GeneralCubic(0, 1, q)).case.value == "degenerate_p0"
-        assert rec["r"] is None and rec["s"] is None
+        assert rec["r"] is None and solve(GeneralCubic(0, 1, q)).pair.s is None
 
     def test_negligible_p_claims_no_exact_root(self, capsys):
         code, out, _ = run(capsys, "solve", "--expr", "x^3 + 1/1000000000000000000000000000000x + 8")
@@ -298,6 +303,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "solve", *argv)
         assert code == 3 and out == ""
         assert err == "error: numeric failure: an exact value has too many digits to print\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--expr", f"x^3 + {BEYOND_DOUBLE}*sqrt(2)x"],
+            ["--expr", f"x^3 + {BEYOND_DOUBLE}x + sqrt(2)x"],
+            ["--expr", f"x^3 + sqrt(2)x + {BEYOND_DOUBLE}x"],
+            ["--expr", f"x^3 + sqrt(2)x + {BEYOND_DOUBLE}"],
+            [f"--p={BEYOND_DOUBLE}*sqrt(2)", "--q=1"],
+        ],
+        ids=["product", "exact sum first", "exact sum last", "constant", "p flag"],
+    )
+    def test_exact_value_beyond_double_in_a_float_cubic_is_2(self, capsys, argv):
+        # The parser cannot round 10^400 into the float cubic a sqrt term makes: invalid input.
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: an exact value beyond the double range cannot be rounded into a float form\n"
 
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
@@ -462,12 +484,52 @@ def test_batch_output_is_golden(capfdbinary, flags, golden):
     perfbench/corpus.py's batch_plain generator (_batch_item, rng
     "golden-batch:3"). The .jsonl files are the output of the solver before
     the exact path moved to integer numerators and denominators, which must
-    not change a byte.
+    not change a byte, projected onto the record's fields: each line was
+    json.loads'ed, stripped of cubic, shift, s, residuals, cardano_residuals
+    and trig, which the record no longer holds, and json.dumps'ed.
     """
     data = Path(__file__).parent / "data"
     code = main(["solve", "--batch", str(data / "golden_batch.txt"), *flags, "--format", "json"])
     assert code == 0
     assert capfdbinary.readouterr().out == (data / golden).read_bytes()
+
+
+def test_text_output_is_golden(capsys):
+    """solve --expr's text for each line of golden_batch.txt, with the default flags
+    and then with --method both --verify, byte for byte.
+
+    tests/data/golden_text.txt is the output of the solver whose JSON record
+    still held the shift, s, the residuals and the cosine form; the text prints
+    them from the solve result and the cubic, and must not change a byte.
+    """
+    data = Path(__file__).parent / "data"
+    out = []
+    for flags in ([], ["--method", "both", "--verify"]):
+        for line in (data / "golden_batch.txt").read_text().splitlines():
+            assert main(["solve", "--expr", line, *flags]) == 0
+            out.append(capsys.readouterr().out)
+    assert "".join(out).encode() == (data / "golden_text.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["solve", "--p=-6", "--q=-9"], SOLVE_KEYS + ["multiplicity", "exact"]),
+        (["solve", "--p=-6", "--q=-9", "--verify"], SOLVE_KEYS + ["multiplicity", "exact", "verification"]),
+        (["solve", "--p=-6", "--q=-9", "--method", "both"], SOLVE_KEYS + ["cardano_roots", "max_matched_distance"]),
+        (
+            ["solve", "--p=-6", "--q=-9", "--method", "both", "--verify"],
+            SOLVE_KEYS + ["cardano_roots", "max_matched_distance", "verification"],
+        ),
+        (["denest", "--a", "2", "--b", "5"], ["a", "b", "value", "exact", "p", "q"]),
+    ],
+    ids=["chen", "chen verify", "both", "both verify", "denest"],
+)
+def test_json_record_keys(capsys, argv, keys):
+    # A record holds only what cannot be derived from its other fields (README, "JSON record").
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == keys
 
 
 class TestDenestCommand:

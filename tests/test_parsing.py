@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rscubic import ParseError, parse_coefficient, parse_cubic
+from rscubic import InvalidInputError, ParseError, parse_coefficient, parse_cubic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -227,3 +227,19 @@ def test_overlong_number_is_a_parse_error(parser, template, position):
         parser(template.format("1" * 5000))
     assert info.value.position == position
     assert str(info.value).startswith(f"number has too many digits (at position {position})")
+
+
+@pytest.mark.parametrize(
+    "parser,template",
+    [
+        (parse_cubic, "x^3 + {}*sqrt(2)x"),  # a product with an irrational root
+        (parse_cubic, "x^3 + {}x + sqrt(2)x"),  # an exact sum a float term joins
+        (parse_cubic, "x^3 + sqrt(2)x + {}x"),  # an exact term joining a float sum
+        (parse_cubic, "x^3 + sqrt(2)x + {}"),  # an exact sum rounded with the others
+        (parse_coefficient, "{}*sqrt(2)"),
+    ],
+)
+def test_exact_value_beyond_double_range_in_a_float_cubic(parser, template):
+    # 10^400 cannot be rounded into the float a sqrt literal makes of its sum: invalid input, not OverflowError.
+    with pytest.raises(InvalidInputError, match="beyond the double range"):
+        parser(template.format(10**400))
