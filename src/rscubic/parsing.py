@@ -19,7 +19,7 @@ Fractions are its monic coefficients, one Fraction(n ld, d ln) each, and a float
 cubic rounds each sum once and divides it by the rounded lead. A term needs a
 coefficient or an x-part, powers may not exceed 3, and the x^3 coefficient
 must be nonzero. A digit string longer than int() converts (4300 digits by
-default) is an error.
+default) is an error, as is an exact value too large to round into a float.
 """
 
 from __future__ import annotations
