@@ -38,9 +38,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .decompose import CaseTag, RsPair, compute_rs
+from .decompose import CaseTag, RsPair, _compute_rs_exact, compute_rs
 from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _float_of, _ratio, _ratio_exponent, _root, cube_roots_all
-from .reduction import DepressedCubic, GeneralCubic, _record, _tuple_new, depress
+from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -197,9 +197,11 @@ class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair 
     __slots__ = ()
 
 
-def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
+def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> RootTriple:
     """The one solve step of x^3 + ax^2 + bx + c, given its depressed cubic d,
-    delta = a/3 and compute_rs's pair for d.
+    delta = a/3 and compute_rs's pair for d; for an exact cubic, ints holds a,
+    b and c as integer pairs (an, ad, bn, bd, cn, cd), denominators positive,
+    and a, b, c are not read.
 
     The step has three exits. An exact cubic whose three roots are rational
     (a rational equal pair, p = q = 0, or q = 0 > p with a rational
@@ -251,7 +253,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
     """
     r, s, case, exact_r = pair[:4]
     shift = delta  # the result's delta: the step rescales delta below
-    exact = type(delta) is not float  # an exact cubic: a, b, c are exact too
+    exact = ints is not None
     trig = channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
     if r is None:
@@ -310,14 +312,13 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair) -> RootTriple:
         # from the exact values, since two distinct ones can round to one double.
         return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, None, pair, d, shift)
     # Every root is within a small factor of size + |delta|.
-    if exact:  # a, b, c and delta as integer pairs, read once; each is rounded once, as an int / int
-        an, ad, bn, bd, cn, cd = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
-        dn, dd = delta.numerator, delta.denominator
+    if exact:  # a, b, c and delta = an / (3 ad) from their integers, each rounded once, as an int / int
+        an, ad, bn, bd, cn, cd = ints
         e = math.frexp(size)[1]
-        k = _band(max(e, _ratio_exponent(dn, dd)) if dn else e)
+        k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
         if not cn:  # the quotient x^2 + ax + b is exact, and so is its discriminant
             quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
-        a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(dn, dd, -k)
+        a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k)
     else:
         top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
@@ -487,12 +488,23 @@ def solve_depressed(d: DepressedCubic) -> RootTriple:
     roots for real r, s; the cosine form for a conjugate pair), and exact
     and trig annotations are carried.
     """
-    zero = _ZERO if d.exact else 0.0
-    return _solve_cubic(zero, d.p, d.q, d, zero, compute_rs(d))
+    p, q = d
+    if not d.exact:
+        return _solve_cubic(0.0, p, q, d, 0.0, compute_rs(d))
+    P, dp, Q, dq = p.numerator, p.denominator, q.numerator, q.denominator
+    return _solve_cubic(_ZERO, p, q, d, _ZERO, _compute_rs_exact(P, dp, Q, dq), (0, 1, P, dp, Q, dq))
 
 
 def solve(cubic: GeneralCubic) -> RootTriple:
-    """Full pipeline: depress, decompose into (r, s), take one dominant root, deflate."""
-    d, delta = depress(cubic)
+    """Full pipeline: depress, decompose into (r, s), take one dominant root, deflate.
+
+    An exact cubic's six integers are read once: the depressed cubic's integers
+    go to compute_rs's exact branch, and a, b and c's to the step's roundings.
+    """
     a, b, c = cubic
-    return _solve_cubic(a, b, c, d, delta, compute_rs(d))
+    if type(a) is float:
+        d, delta = depress(cubic)
+        return _solve_cubic(a, b, c, d, delta, compute_rs(d))
+    ints = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
+    d, delta, P, dp, Q, dq = _depress_exact(*ints)
+    return _solve_cubic(a, b, c, d, delta, _compute_rs_exact(P, dp, Q, dq), ints)

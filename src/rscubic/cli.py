@@ -15,9 +15,10 @@ exits with the lowest nonzero code it met.
 from __future__ import annotations
 
 import argparse
-import json
+import cmath
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _jstr
 from typing import Optional
 
 from .cardano import _cardano, match_root_sets
@@ -33,7 +34,7 @@ class NumericFailure(RuntimeError):
     """A non-finite value escaped the computation."""
 
 
-_encode = json.JSONEncoder(check_circular=False).encode  # json.dumps's bytes, less its set-up per call
+_repr = float.__repr__
 # Exit code and message prefix of each failure, for single and batch runs alike.
 _FAILURES = {
     ParseError: (2, ""),
@@ -92,117 +93,132 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cjson(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _check_finite(values) -> None:
-    for z in values:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NumericFailure("non-finite intermediate or result")
+    if not all(map(cmath.isfinite, values)):
+        raise NumericFailure("non-finite intermediate or result")
 
 
-def _solve_record(triple: RootTriple, echo: str, args) -> dict:
-    """The JSON record of one solve result, holding only what cannot be derived
-    from its fields: p, q, case, r and the roots; under chen the multiplicities
-    and exact values; under both, Cardano's roots of the same depressed cubic and
-    case, lifted as they are, x = y - shift, in doubles, and the matched distance
-    of the two root sets; --verify checks the printed roots on the depressed cubic.
-    """
-    d, pair, case = triple.depressed, triple.pair, triple.case
-    shift = _float_of(triple.shift)
-    roots = checked = triple.roots
+def _jnum(x: float) -> str:
+    """x as json.dumps writes a float: float.__repr__, or NaN, Infinity and -Infinity."""
+    if x - x == 0.0:
+        return _repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _jnums(xs) -> str:
+    return "[" + ", ".join(map(_jnum, xs)) + "]"
+
+
+def _jroots(roots) -> str:
+    # Printed roots are checked finite first, so float.__repr__ alone is json's spelling.
+    return "[" + ", ".join([f'{{"re": {z.real!r}, "im": {z.imag!r}}}' for z in roots]) + "]"
+
+
+def _solve_values(triple: RootTriple, args) -> tuple:
+    """What a solve result is printed with beside its own fields, for the JSON line
+    and the text alike: p, q and the shift as doubles; under both, Cardano's roots of
+    the same depressed cubic and case, lifted as they are, x = y - shift, in doubles,
+    and the matched distance of the two root sets; under chen, the strings of the
+    exact values; under --verify, the report on the printed roots, moved onto the
+    depressed cubic (y = x + shift). Failures raise in that order, but for the
+    check that every printed root is finite, which comes before p and q."""
+    roots, case, _, exact_values, _, _, d, shift = triple
+    shift = _float_of(shift)
+    cardano = distance = exact = report = None
     if args.method == "both":
-        cardano_roots = tuple(x - shift for x in _cardano(d, case)[0].roots)
-        checked += cardano_roots
-    _check_finite(checked)
-
-    rec = {
-        "input": echo,
-        "method": args.method,
-        "p": _float_of(d.p),
-        "q": _float_of(d.q),
-        "case": case.value,
-        "r": _cjson(pair.r) if pair.r is not None else None,
-        "roots": [_cjson(x) for x in roots],
-    }
-    if args.method == "both":
-        rec["cardano_roots"] = [_cjson(x) for x in cardano_roots]
-        rec["max_matched_distance"] = match_root_sets(roots, cardano_roots)
+        cardano = tuple(x - shift for x in _cardano(d, case)[0].roots)
+        _check_finite(roots + cardano)
     else:
-        rec["multiplicity"] = [list(m) for m in triple.multiplicity]
-        rec["exact"] = (
-            [_str(e) if e is not None else None for e in triple.exact] if triple.exact is not None else None
-        )
+        _check_finite(roots)
+    p, q = _float_of(d.p), _float_of(d.q)
+    if cardano is not None:
+        distance = match_root_sets(roots, cardano)
+    elif exact_values is not None:
+        exact = [_str(e) if e is not None else None for e in exact_values]
     if args.verify:
-        # The printed roots, moved onto the depressed cubic: y = x + delta.
         report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), case))
-        rec["verification"] = {
-            "pass": report.passed,
-            "residuals": list(report.residuals),
-            "vieta_errors": list(report.vieta_errors),
-            "tol": report.tol,
-            "scale": report.scale,
-        }
-    return rec
+    return p, q, shift, cardano, distance, exact, report
+
+
+def _solve_json(triple: RootTriple, echo: str, args, values: tuple) -> str:
+    """The JSON line of one solve result, byte for byte json.dumps of the record
+    README's "JSON record" documents: input, method, p, q, case, r and the roots;
+    then the multiplicities and exact values under chen, or Cardano's roots and the
+    matched distance under both; then the --verify report."""
+    p, q, _, cardano, distance, exact, report = values
+    r = triple.pair.r
+    rj = "null" if r is None else f'{{"re": {_jnum(r.real)}, "im": {_jnum(r.imag)}}}'
+    line = (
+        f'{{"input": {_jstr(echo)}, "method": "{args.method}", "p": {_jnum(p)}, "q": {_jnum(q)}, '
+        f'"case": "{triple.case.value}", "r": {rj}, "roots": {_jroots(triple.roots)}'
+    )
+    if cardano is not None:
+        line += f', "cardano_roots": {_jroots(cardano)}, "max_matched_distance": {_jnum(distance)}'
+    else:
+        mult = ", ".join([f"[{i}, {n}]" for i, n in triple.multiplicity])
+        ej = "null" if exact is None else "[" + ", ".join([_jstr(e) if e is not None else "null" for e in exact]) + "]"
+        line += f', "multiplicity": [{mult}], "exact": {ej}'
+    if report is not None:
+        line += (
+            f', "verification": {{"pass": {"true" if report.passed else "false"}, '
+            f'"residuals": {_jnums(report.residuals)}, "vieta_errors": {_jnums(report.vieta_errors)}, '
+            f'"tol": {_jnum(report.tol)}, "scale": {_jnum(report.scale)}}}'
+        )
+    return line + "}\n"
 
 
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _fmt_complex(z: dict, precision: int) -> str:
-    re, im = z["re"], z["im"]
+def _fmt_complex(z: complex, precision: int) -> str:
+    re, im = z.real, z.imag
     if im == 0:
         return _fmt(re, precision)
     sign = "+" if im >= 0 else "-"
     return f"{_fmt(re, precision)} {sign} {_fmt(abs(im), precision)}i"
 
 
-def _render_text(rec: dict, triple: RootTriple, cubic: GeneralCubic, precision: int) -> str:
-    """The record as text: the roots with their exact values and multiplicities,
+def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: GeneralCubic, precision: int) -> str:
+    """The result as text: the roots with their exact values and multiplicities,
     the cosine form when chen has one, Cardano's roots under --method both, the
-    residuals and, last, the --verify report. The shift, s, the cosine form and
-    the residuals |f(x)| of the roots, which the record leaves out, are read off
-    the solve result and the cubic."""
-    lines = [f"input: {rec['input']}"]
-    lines.append(f"method: {rec['method']}   case: {rec['case']}")
-    delta = _float_of(triple.shift)
+    residuals |f(x)| of the roots and, last, the --verify report."""
+    p, q, delta, cardano, distance, exact, report = values
+    pair = triple.pair
+    lines = [f"input: {echo}"]
+    lines.append(f"method: {args.method}   case: {triple.case.value}")
     shift = _fmt(delta, precision)
-    lines.append(f"depressed: p = {_fmt(rec['p'], precision)}, q = {_fmt(rec['q'], precision)}"
-                 f"   (shift delta = {shift})")
-    if rec["r"] is not None:
-        lines.append(f"r = {_fmt_complex(rec['r'], precision)}, s = {_fmt_complex(_cjson(triple.pair.s), precision)}")
-    exact = rec.get("exact") or (None, None, None)
-    mult = dict(rec.get("multiplicity") or ())
+    lines.append(f"depressed: p = {_fmt(p, precision)}, q = {_fmt(q, precision)}   (shift delta = {shift})")
+    if pair.r is not None:
+        lines.append(f"r = {_fmt_complex(pair.r, precision)}, s = {_fmt_complex(pair.s, precision)}")
+    exact = exact or (None, None, None)
+    mult = dict(triple.multiplicity) if cardano is None else {}
     lines.append("roots:")
-    for i, z in enumerate(rec["roots"]):
+    for i, z in enumerate(triple.roots):
         note = f"   (exact: {exact[i]})" if exact[i] is not None else ""
         if i in mult:
             note += f"   [multiplicity {mult[i]}]"
         lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
     trig = triple.trig
-    if trig is not None and rec["method"] == "chen":
+    if trig is not None and args.method == "chen":
         shift_part = f" - ({shift})" if delta != 0 else ""
         lines.append(
             f"cosine form: x[i] = {_fmt(trig.amplitude, precision)} * cos(offset[i]){shift_part}, "
             f"theta = {_fmt(trig.theta, precision)}"
         )
         lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in trig.offsets))
-    if "cardano_roots" in rec:
+    if cardano is not None:
         lines.append("cardano roots:")
-        for i, z in enumerate(rec["cardano_roots"]):
+        for i, z in enumerate(cardano):
             lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
-        lines.append(f"max matched distance = {_fmt(rec['max_matched_distance'], 3)}")
+        lines.append(f"max matched distance = {_fmt(distance, 3)}")
     # GeneralCubic.__call__'s complex Horner form on the coefficients rounded to doubles.
     lines.append("residuals: " + ", ".join(_fmt(abs(cubic(x)), 3) for x in triple.roots))
-    if "verification" in rec:
-        v = rec["verification"]
+    if report is not None:
         lines.append(
-            f"verification: {'PASS' if v['pass'] else 'FAIL'} "
-            f"(max residual {_fmt(max(v['residuals']), 3)}, "
-            f"max vieta error {_fmt(max(v['vieta_errors']), 3)}, tol {v['tol']:g})"
+            f"verification: {'PASS' if report.passed else 'FAIL'} "
+            f"(max residual {_fmt(max(report.residuals), 3)}, "
+            f"max vieta error {_fmt(max(report.vieta_errors), 3)}, tol {report.tol:g})"
         )
     return "\n".join(lines)
 
@@ -231,14 +247,12 @@ def cmd_solve(args) -> int:
         echo = f"x^3 + ({_str(p)})x + ({_str(q)})"
 
     triple = solve(cubic)
-    rec = _solve_record(triple, echo, args)
+    values = _solve_values(triple, args)
     if args.format == "json":
-        print(_encode(rec))
+        sys.stdout.write(_solve_json(triple, echo, args, values))
     else:
-        print(_render_text(rec, triple, cubic, 12 if args.precision is None else args.precision))
-    if args.verify and not rec["verification"]["pass"]:
-        return 3
-    return 0
+        print(_render_text(triple, echo, args, values, cubic, 12 if args.precision is None else args.precision))
+    return 3 if args.verify and not values[-1].passed else 0
 
 
 def _run_batch(args) -> int:
@@ -249,18 +263,20 @@ def _run_batch(args) -> int:
         print(f"error: cannot read batch file: {exc}", file=sys.stderr)
         return 2
     codes = set()
+    write = sys.stdout.write
     for lineno, line in enumerate(batch_lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            rec = _solve_record(solve(parse_cubic(line)), line, args)
+            triple = solve(parse_cubic(line))
+            values = _solve_values(triple, args)
         except tuple(_FAILURES) as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             codes.add(_failure(exc)[0])
             continue
-        print(_encode(rec))
-        if args.verify and not rec["verification"]["pass"]:
+        write(_solve_json(triple, line, args, values))  # one write a line
+        if args.verify and not values[-1].passed:
             codes.add(3)
     # A usage error (2) outranks a numeric failure (3).
     return min(codes, default=0)
@@ -271,15 +287,12 @@ def cmd_denest(args) -> int:
     result = denest(radical)
     _check_finite([complex(result.value)])
     if args.format == "json":
-        rec = {
-            "a": float(radical.a),
-            "b": float(radical.b),
-            "value": result.value,
-            "exact": str(result.exact) if result.exact is not None else None,
-            "p": float(result.cubic.p),
-            "q": float(result.cubic.q),
-        }
-        print(_encode(rec))
+        a, b, p, q = float(radical.a), float(radical.b), float(result.cubic.p), float(result.cubic.q)
+        exact = "null" if result.exact is None else _jstr(str(result.exact))
+        sys.stdout.write(
+            f'{{"a": {_jnum(a)}, "b": {_jnum(b)}, "value": {_jnum(result.value)}, "exact": {exact}, '
+            f'"p": {_jnum(p)}, "q": {_jnum(q)}}}\n'
+        )
         return 0
     if result.exact is not None:
         print(f"value = {result.exact} (exact)")

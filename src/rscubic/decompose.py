@@ -17,8 +17,9 @@ compute_rs is the one place that decides the case, from the plain sign
 of 4p^3 + 27q^2: equal only when it is exactly 0. An exact p = P/dp and
 q = Q/dq are read once, and the zero tests, the exponents, the sign
 (integer_discriminant), the square test and every float come from those four
-integers; only an exact r, s is built as a Fraction. Float inputs take the
-sign in doubles, on the 2^k-scaled p and q. The formulas
+integers (solve hands an exact cubic's four straight to that branch,
+_compute_rs_exact); only an exact r, s is built as a Fraction. Float inputs
+take the sign in doubles, on the 2^k-scaled p and q. The formulas
 discriminant and rs_quadratic are the reference both paths are tested
 against.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from typing import Optional
 
 from .numerics import _band, _exponent, _ratio, _ratio_exponent
 from .reduction import Coefficient, DepressedCubic, _record
@@ -86,21 +88,12 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     k = 0. Exact r, s come back when the quadratic discriminant is a square.
     """
     p, q = d.p, d.q
-    if type(p) is float:  # denest's cubic can hold a float p beside an exact q beyond the double range
-        ep, eq = math.frexp(p)[1], (math.frexp(q)[1] if type(q) is float else _exponent(q))
-    else:  # exact: p = P/dp and q = Q/dq, read once; the integers P and Q stand for p and q from here
-        P, dp, Q, dq = p.numerator, p.denominator, q.numerator, q.denominator
-        p, q, ep, eq = P, Q, _ratio_exponent(P, dp), _ratio_exponent(Q, dq)
-    if p == 0:
-        return RsPair(None, None, CaseTag.DEGENERATE_P0)
-    if q == 0:
-        return RsPair(None, None, CaseTag.DEGENERATE_Q0)
-    if 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
-        return RsPair(None, None, CaseTag.DEGENERATE_P0)
-    k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
-    k = _band(kq if kq > k else k)
     if type(p) is not float:
-        return _compute_rs_exact(P, dp, Q, dq, k)
+        return _compute_rs_exact(p.numerator, p.denominator, q.numerator, q.denominator)
+    # denest's cubic can hold a float p beside an exact q beyond the double range
+    tag, k = _triage(p, q, math.frexp(p)[1], math.frexp(q)[1] if type(q) is float else _exponent(q))
+    if tag is not None:
+        return RsPair(None, None, tag)
     if k:
         p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
     delta = 4 * p**3 + 27 * q**2
@@ -112,7 +105,19 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
 
-def _compute_rs_exact(P: int, dp: int, Q: int, dq: int, k: int) -> RsPair:
+def _triage(p, q, ep: int, eq: int) -> tuple[Optional[CaseTag], int]:
+    """compute_rs's first decision, on p and q (or their numerators) and their
+    binary exponents: the degenerate tag of p = 0, q = 0 or a negligible p with
+    k = 0, or None and the scale exponent k."""
+    if p == 0 or q != 0 and 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
+        return CaseTag.DEGENERATE_P0, 0
+    if q == 0:
+        return CaseTag.DEGENERATE_Q0, 0
+    k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
+    return None, _band(kq if kq > k else k)
+
+
+def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
     """compute_rs on integers: with p = P/dp and q = Q/dq in lowest terms,
 
         B = 3q/p = 3 Q dp / (dq P),   C = -p/3 = -P / (3 dp),
@@ -123,6 +128,9 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int, k: int) -> RsPair:
     float is one correctly rounded int / int division at scale 2^-k,
     bit-equal to the float of the Fraction it stands for when k = 0.
     """
+    tag, k = _triage(P, Q, _ratio_exponent(P, dp), _ratio_exponent(Q, dq))
+    if tag is not None:
+        return RsPair(None, None, tag)
     n = integer_discriminant(P, dp, Q, dq)[0]
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:

@@ -67,12 +67,15 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
 def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
     """u = cbrt(a + sign(a) sqrt(b)) plus the other cube root, cbrt(a^2 - b) / u = -p / (3u):
     p = -3 cbrt(a^2 - b) of the radical's cubic is formed from an exact a^2 - b, so b ~ a^2 does not cancel.
-    Formed on (a 8^-k, b 64^-k, p 4^-k), which scales the value by 2^-k; k = 0 in band."""
+    Formed on (a 8^-k, b 64^-k, p 4^-k), which scales the value by 2^-k; k = 0 in band.
+    b = 0 has no exponent, so k is then a's alone."""
     a, b, p = radical.a, radical.b, cubic.p
     if not a:
         return 0.0  # the two cube roots cancel exactly
-    ka, kb = -(-_exponent(a) // 3), -(-_exponent(b) // 6)  # ceil(e_a / 3), ceil(e_b / 6)
-    k = _band(kb if kb > ka else ka)
+    k = -(-_exponent(a) // 3)  # ceil(e_a / 3)
+    if b:
+        k = max(k, -(-_exponent(b) // 6))  # ceil(e_b / 6)
+    k = _band(k)
     a, b, p = _float_of(a, -3 * k), _float_of(b, -6 * k), _float_of(p, -2 * k)
     u = _root(a + math.copysign(math.sqrt(b), a), 3)
     return math.ldexp(u - p / (3.0 * u), k)

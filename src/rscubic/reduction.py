@@ -142,20 +142,27 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
     """Substitute x -> x - a/3, giving x^3 + px + q and the shift delta = a/3.
 
     original_root = depressed_root - delta. p = -a^2/3 + b and
-    q = 2a^3/27 - ab/3 + c; exact when the input is.
-    Exact p and q are summed as integers over the common denominators
-    3*da^2*db and 27*da^3*db*dc, one Fraction each.
+    q = 2a^3/27 - ab/3 + c; exact when the input is (see _depress_exact).
     """
-    a, b, c = cubic.a, cubic.b, cubic.c
-    if not cubic.exact:
+    a, b, c = cubic
+    if type(a) is float:
         p = b - a * a / 3
         q = 2 * a**3 / 27 - a * b / 3 + c
         return DepressedCubic(p, q), a / 3
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
-    cn, cd = c.numerator, c.denominator
-    ad2 = ad * ad
-    p = Fraction(3 * bn * ad2 - an * an * bd, 3 * ad2 * bd)
-    q = Fraction((2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd)
-    return _tuple_new(DepressedCubic, (p, q)), Fraction(an, 3 * ad)  # Fractions already: no re-coercion
+    return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)[:2]
 
+
+def _depress_exact(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> tuple:
+    """depress on integers, for a = an/ad, b = bn/bd and c = cn/cd with positive denominators.
+
+    p and q are summed as integers over the common denominators 3 ad^2 bd
+    and 27 ad^3 bd cd, one Fraction each. Returns the DepressedCubic of p and
+    q, delta = a/3, and p = P/dp and q = Q/dq in lowest terms, read off the
+    Fractions: a cubic of common-denominator roots keeps its integers small.
+    """
+    ad2 = ad * ad
+    P, dp = 3 * bn * ad2 - an * an * bd, 3 * ad2 * bd
+    Q, dq = (2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd
+    p, q = Fraction(P, dp), Fraction(Q, dq)
+    d = _tuple_new(DepressedCubic, (p, q))  # Fractions already: no re-coercion
+    return d, Fraction(an, 3 * ad), p.numerator, p.denominator, q.numerator, q.denominator

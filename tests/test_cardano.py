@@ -170,3 +170,18 @@ def test_exact_discriminant_keeps_small_root():
     small = min(roots, key=abs)
     assert small.imag == 0
     assert abs(small.real - 0.0031742043560985796) <= 1e-7 * 0.0031742043560985796
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(-3e-120, 1e-181), (1.0, 1e200)],
+    ids=["three tiny real roots", "q beyond the cube of the double range"],
+)
+def test_out_of_band_cubic_is_solved_on_the_scale_of_its_roots(p, q):
+    # Unscaled, the first reported a double root at 1.84e-61 (the roots are
+    # -1.748e-60, 3.33e-62 and 1.715e-60) and the second overflowed in (p/3)^3.
+    d = DepressedCubic(p, q)
+    expected = sorted(solve_depressed(d).roots, key=lambda z: (z.imag, z.real))
+    got = sorted(cardano_solve(d)[0].roots, key=lambda z: (z.imag, z.real))
+    for x, y in zip(got, expected):
+        assert abs(x - y) <= 1e-14 * abs(y)

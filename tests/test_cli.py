@@ -1,10 +1,14 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rscubic.cli
 from rscubic import GeneralCubic, solve
@@ -202,18 +206,25 @@ class TestSolveFlags:
 
 
 def test_both_verify_decides_the_case_once_per_line(capsys, tmp_path, monkeypatch):
+    # The case is decided by compute_rs, or for an exact cubic by its integer entry,
+    # which solve calls directly; compute_rs's own call of that entry is not counted.
     import rscubic.decompose
 
-    calls, compute_rs = [], rscubic.decompose.compute_rs
+    calls = []
 
-    def counted(d):
-        calls.append(d)
-        return compute_rs(d)
+    def counted(stage):
+        def call(*args):
+            calls.append(args)
+            return stage(*args)
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("rscubic")]:
-        if getattr(module, "compute_rs", None) is compute_rs:
-            monkeypatch.setattr(module, "compute_rs", counted)
-    lines = ["x^3-12x+16", "x^3-6x-9", "x^3-3x+1", "x^3+8", "x^3-4x", "x^3-6x^2+11x-6"]
+        return call
+
+    for name in ("compute_rs", "_compute_rs_exact"):
+        stage = getattr(rscubic.decompose, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("rscubic") and m is not rscubic.decompose]:
+            if getattr(module, name, None) is stage:
+                monkeypatch.setattr(module, name, counted(stage))
+    lines = ["x^3-12x+16", "x^3-6x-9", "x^3-3x+1", "x^3+8", "x^3-4x", "x^3-6x^2+11x-6", "x^3+sqrt(2)x+1"]
     batch = tmp_path / "cubics.txt"
     batch.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "solve", "--batch", str(batch), "--method", "both", "--verify", "--format", "json")
@@ -222,7 +233,9 @@ def test_both_verify_decides_the_case_once_per_line(capsys, tmp_path, monkeypatc
 
 
 def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
-    # solve looks its stages up in rscubic.chen; the CLI adds only Cardano and the verify report.
+    # solve looks its stages up in rscubic.chen: depress and compute_rs for a float
+    # cubic, their integer entries for an exact one, whose integers it reads once.
+    # The CLI adds only Cardano and the verify report.
     import rscubic.chen
 
     calls = {}
@@ -236,17 +249,23 @@ def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("depress", "compute_rs", "_solve_cubic"):
+    for name in ("depress", "compute_rs", "_depress_exact", "_compute_rs_exact", "_solve_cubic"):
         assert not hasattr(rscubic.cli, name)  # only solve runs the stages
         count(rscubic.chen, name)
     for name in ("_cardano", "verify_roots"):
         count(rscubic.cli, name)
-    lines = ["x^3-6x^2+11x-6", "x^3+3x^2-1", "2x^3+x+5"]
+    exact_lines = ["x^3-6x^2+11x-6", "x^3+3x^2-1", "2x^3+x+5"]
+    float_lines = ["x^3+sqrt(2)x^2-x+1"]
     batch = tmp_path / "cubics.txt"
-    batch.write_text("\n".join(lines) + "\n")
+    batch.write_text("\n".join(exact_lines + float_lines) + "\n")
     code, out, _ = run(capsys, "solve", "--batch", str(batch), "--method", "both", "--verify", "--format", "json")
-    assert code == 0 and len(out.strip().splitlines()) == len(lines)
-    assert calls == dict.fromkeys(["depress", "compute_rs", "_solve_cubic", "_cardano", "verify_roots"], len(lines))
+    n = len(exact_lines) + len(float_lines)
+    assert code == 0 and len(out.strip().splitlines()) == n
+    assert calls == {
+        **dict.fromkeys(["_depress_exact", "_compute_rs_exact"], len(exact_lines)),
+        **dict.fromkeys(["depress", "compute_rs"], len(float_lines)),
+        **dict.fromkeys(["_solve_cubic", "_cardano", "verify_roots"], n),
+    }
 
 
 def test_both_compares_the_printed_root_sets(capsys):
@@ -556,6 +575,12 @@ class TestDenestCommand:
         assert code == 2
         assert "nonnegative" in err
 
+    def test_tiny_a_with_b_zero(self, capsys):
+        # 2 cbrt(10^-400): the value is a double although a is not.
+        code, out, _ = run(capsys, "denest", "--a", f"1/{10**400}", "--b", "0")
+        assert code == 0
+        assert out.startswith("value = 9.28317766723e-134\n")
+
 
 def test_cli_imports_no_private_library_name():
     # The CLI renders a library result: solve runs the pipeline, and the only private
@@ -570,3 +595,102 @@ def test_cli_imports_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert sorted(private) == [("cardano", "_cardano"), ("numerics", "_float_of")]
+
+
+BATCH_FLAGS = [[], ["--method", "both", "--verify"]]
+
+
+def _is_json_dumps(line: str) -> bool:
+    return json.dumps(json.loads(line)) == line
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
+def test_float_writer_spells_floats_as_json(x):
+    assert rscubic.cli._jnum(x) == json.dumps(x)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p=-6", "--q=-9", "--format", "json"],
+        ["solve", "--p=-48", "--q=-64*sqrt(2)", "--method", "both", "--verify", "--format", "json"],
+        ["denest", "--a", "2", "--b", "5", "--format", "json"],
+        ["denest", "--a", "1", "--b", "2", "--format", "json"],
+    ],
+    ids=["p q", "p q both verify", "denest exact", "denest inexact"],
+)
+def test_json_line_is_json_dumps(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n") and out.count("\n") == 1
+    assert _is_json_dumps(out[:-1])
+
+
+@pytest.mark.parametrize("golden", ["golden_batch.jsonl", "golden_batch_both_verify.jsonl"])
+def test_golden_lines_are_json_dumps(golden):
+    lines = (Path(__file__).parent / "data" / golden).read_text().splitlines()
+    assert lines and all(_is_json_dumps(line) for line in lines)
+
+
+@pytest.mark.parametrize("flags, golden", zip(BATCH_FLAGS, ["golden_batch.jsonl", "golden_batch_both_verify.jsonl"]))
+def test_single_run_prints_the_batch_line(capsys, flags, golden):
+    # One writer serves both: solve --expr L --format json prints L's batch line.
+    data = Path(__file__).parent / "data"
+    expected = (data / golden).read_text().splitlines(keepends=True)
+    lines = (data / "golden_batch.txt").read_text().splitlines()
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        code, out, _ = run(capsys, "solve", "--expr", line, *flags, "--format", "json")
+        assert code == 0 and out == want
+
+
+_SIGN = st.sampled_from(["+", "-"])
+# Positive literals of each kind: integer, decimal, rational, a sqrt product (a float cubic).
+_POSITIVE = st.one_of(
+    st.integers(1, 10**6).map(str),
+    st.tuples(st.integers(1, 999), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]:03d}"),
+    st.tuples(st.integers(1, 999), st.integers(1, 999)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(1, 99), st.integers(2, 99)).map(lambda t: f"{t[0]}*sqrt({t[1]})"),
+)
+_LITERAL = st.one_of(st.just("0"), _POSITIVE)
+_SMALL = st.integers(-999, 999)
+
+
+def _from_roots(r0: int, r1: int, r2: int) -> str:
+    a, b, c = -(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2
+    return f"x^3{a:+d}x^2{b:+d}x{c:+d}"
+
+
+@st.composite
+def _batches(draw):
+    """One line of each case tag, and one of random literals."""
+    r = draw(_SMALL)
+    s = draw(_SMALL.filter(lambda v: v != r))
+    roots = draw(st.lists(_SMALL, min_size=3, max_size=3, unique=True))
+    signs = [draw(_SIGN) for _ in range(4)]
+    return [
+        _from_roots(r, r, s),  # equal
+        _from_roots(*roots),  # three real roots: conjugate_pair
+        f"x^3 + {draw(_POSITIVE)}x {signs[0]} {draw(_POSITIVE)}",  # p > 0, q != 0: real_distinct
+        f"x^3 {signs[1]} {draw(_POSITIVE)}",  # degenerate_p0
+        f"x^3 {signs[2]} {draw(_POSITIVE)}x",  # degenerate_q0
+        f"x^3 {signs[3]} {draw(_LITERAL)}x^2 {draw(_SIGN)} {draw(_LITERAL)}x {draw(_SIGN)} {draw(_LITERAL)}",
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batches())
+def test_batch_lines_are_json_dumps(batch):
+    # Every batch line is byte for byte json.dumps of its record, under both flag sets.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cubics.txt"
+        path.write_text("\n".join(batch) + "\n")
+        for flags in BATCH_FLAGS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["solve", "--batch", str(path), *flags, "--format", "json"])
+            lines = out.getvalue().splitlines()
+            assert len(lines) == len(batch)
+            assert all(_is_json_dumps(line) for line in lines)
+            assert {"equal", "conjugate_pair", "real_distinct", "degenerate_p0", "degenerate_q0"} <= {
+                json.loads(line)["case"] for line in lines
+            }

@@ -235,6 +235,7 @@ class TestIntegerPathMatchesFractionFormulas:
     @example(0, 0, 5)
     @example(3, 3, 0)
     @example(0, 1, 2**100)  # negligible p
+    @example(2195635245840476761639769790216, 0, 1)  # k = 101: out of band
     def test_depress_classify_and_rs(self, a, b, c):
         cubic = GeneralCubic(a, b, c)
         d, delta = depress(cubic)
@@ -256,7 +257,10 @@ class TestIntegerPathMatchesFractionFormulas:
         assert pair.case is case
         assert bits(pair.r) == bits(r) and bits(pair.s) == bits(s)
         assert pair.exact_r == exact_r and pair.exact_s == exact_s
-        assert cardano_solve(d)[1].disc == float(discriminant(d) / 108)
+        # Cardano's disc is that of the cubic on compute_rs's scale 2^k, k = 0 in band.
+        k = max(-(-exponent(d.p) // 2), -(-exponent(d.q) // 3))
+        k = k if abs(k) > 100 else 0
+        assert cardano_solve(d)[1].disc == float(discriminant(d) / 108 / Fraction(64) ** k)
 
 
 @st.composite

@@ -137,6 +137,13 @@ class TestDenest:
         assert solve_depressed(result.cubic).roots[0] == pytest.approx(result.value, rel=1e-14)
 
 
+    def test_tiny_a_with_b_zero(self):
+        # b = 0 has no exponent: the scale is a's, so a = 10^-400 does not round to 0.0.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = 2 * mpmath.cbrt(mpmath.mpf(10) ** -400)
+            assert abs(denest(NestedRadical(Fraction(1, 10**400), 0)).value - want) <= 1e-15 * want
+
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))
