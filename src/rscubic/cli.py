@@ -275,7 +275,7 @@ def _run_batch(args) -> int:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             codes.add(_failure(exc)[0])
             continue
-        write(_solve_json(triple, line, args, values))  # one write a line
+        write(_solve_json(triple, line, args, values))
         if args.verify and not values[-1].passed:
             codes.add(3)
     # A usage error (2) outranks a numeric failure (3).
