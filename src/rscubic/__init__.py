@@ -8,17 +8,8 @@ Typical use:
     ((-4+0j), (2+0j), (2+0j))
 """
 
-from .cardano import CardanoIntermediates, cardano_solve, match_root_sets
-from .chen import (
-    ExactValue,
-    InvalidCaseError,
-    RootTriple,
-    TrigForm,
-    solve,
-    solve_depressed,
-    solve_moebius,
-    unified_roots,
-)
+from .cardano import cardano_solve, match_root_sets, solve_moebius
+from .chen import ExactValue, RootTriple, TrigForm, solve, solve_depressed
 from .decompose import CaseTag, RsPair, compute_rs
 from .denest import DenestResult, NestedRadical, denest
 from .parsing import ParseError, parse_coefficient, parse_cubic
@@ -28,13 +19,11 @@ from .verify import VerificationReport, brute_force_roots, verify_roots
 __version__ = "0.1.0"
 
 __all__ = [
-    "CardanoIntermediates",
     "CaseTag",
     "DenestResult",
     "DepressedCubic",
     "ExactValue",
     "GeneralCubic",
-    "InvalidCaseError",
     "InvalidInputError",
     "NestedRadical",
     "ParseError",
@@ -53,6 +42,5 @@ __all__ = [
     "solve",
     "solve_depressed",
     "solve_moebius",
-    "unified_roots",
     "verify_roots",
 ]

@@ -1,15 +1,18 @@
-"""Cardano baseline: x = cbrt(A) + cbrt(B) and its omega-twisted companions.
+"""The closed-form baselines beside the r,s step: Cardano's formula and the Moebius map.
 
-A = -q/2 + sqrt((q/2)^2 + (p/3)^3), B the conjugate choice. The one sharp
+cardano_solve: x = cbrt(A) + cbrt(B) and its omega-twisted companions, with
+A = -q/2 + sqrt((q/2)^2 + (p/3)^3) and B the conjugate choice. The one sharp
 edge is branch pairing: cbrt(A) and cbrt(B) must be chosen so that their
 product is -p/3, otherwise cbrt(A) + cbrt(B) silently stops being a root
 once the discriminant goes negative. We therefore take one cube root and
 derive the other as (-p/3) / cbrt(A).
 
-The roots are kept independent of the r,s path so the two can
-cross-check each other: they stay raw Cardano values, only ordered and
-folded to the real/conjugate shape of the case. The case tag itself is
-compute_rs's, so every solver reports the same one.
+solve_moebius: x = (r - su)/(1 - u) over the three cube roots u of r/s.
+
+The roots are kept independent of the r,s step so the two can
+cross-check each other: they stay raw closed-form values, only ordered and
+folded to the real/conjugate shape of the case. Cardano's case tag is
+compute_rs's, so it reports the same one as the step.
 """
 
 from __future__ import annotations
@@ -17,32 +20,22 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
-from .chen import RootTriple, _finalize
+from .chen import RootTriple
 from .decompose import CaseTag, compute_rs, integer_discriminant
-from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, principal_cube_root
-from .reduction import DepressedCubic, _record
+from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, cube_roots_all, principal_cube_root
+from .reduction import DepressedCubic, InvalidInputError
+
+# solve_moebius's roots are off by about eps/|1 - u|: below this gap from a
+# cube root u of r/s to 1 that error can pass 1e-6, so the map refuses.
+_MOEBIUS_GAP = 2.0**-32
 
 
-class CardanoIntermediates(_record("CardanoIntermediates", "A B disc sqrt_disc cbrt_a cbrt_b")):
-    """The raw quantities a by-hand application would write down.
-
-    The float disc = (q/2)^2 + (p/3)^3; the complex sqrt_disc is its principal
-    square root (+i sqrt|disc| when negative). All four of the complex A, B,
-    cbrt_a, cbrt_b stay exactly real (zero imaginary part) whenever disc >= 0.
-    Out of band (k != 0, see _cardano) they are those of the scaled cubic
-    (p 4^-k, q 8^-k): A, B and sqrt_disc are 8^-k, disc 64^-k, and cbrt_a,
-    cbrt_b 2^-k times the values of (p, q), which a double may not hold.
-    """
-
-    __slots__ = ()
-
-
-def cardano_solve(d: DepressedCubic) -> tuple[RootTriple, CardanoIntermediates]:
+def cardano_solve(d: DepressedCubic) -> RootTriple:
     """Solve x^3 + px + q by Cardano's formula (all p, q accepted)."""
     return _cardano(d, compute_rs(d).case)
 
 
-def _cardano(d: DepressedCubic, case: CaseTag) -> tuple[RootTriple, CardanoIntermediates]:
+def _cardano(d: DepressedCubic, case: CaseTag) -> RootTriple:
     """cardano_solve for a cubic whose case compute_rs has already decided.
 
     Range: the roots scale by 2^k under (p, q) -> (p 4^k, q 8^k), so the
@@ -78,17 +71,12 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> tuple[RootTriple, CardanoInter
         else:
             b_val = -q / 2.0 - w
             a_val = -((p / 3.0) ** 3) / b_val if b_val != 0.0 else -q / 2.0 + w
-        ca = _root(a_val, 3)
-        cb = (-p / 3.0) / ca if ca != 0.0 else _root(b_val, 3)
-        A, B = complex(a_val, 0.0), complex(b_val, 0.0)
-        sqrt_disc = complex(w, 0.0)
-        cbrt_a, cbrt_b = complex(ca, 0.0), complex(cb, 0.0)
+        cbrt_a = _root(a_val, 3)
+        cbrt_b = (-p / 3.0) / cbrt_a if cbrt_a != 0.0 else _root(b_val, 3)
     else:
-        sqrt_disc = complex(0.0, math.sqrt(-disc))
-        A = -q / 2.0 + sqrt_disc
-        B = -q / 2.0 - sqrt_disc
-        cbrt_a = principal_cube_root(A)
-        cbrt_b = (-p / 3.0) / cbrt_a if cbrt_a != 0 else principal_cube_root(B)
+        # A = -q/2 + i sqrt(-disc) is off the real axis, so cbrt(A) != 0.
+        cbrt_a = principal_cube_root(complex(-q / 2.0, math.sqrt(-disc)))
+        cbrt_b = (-p / 3.0) / cbrt_a
     raw = (
         cbrt_a + cbrt_b,
         OMEGA * cbrt_a + OMEGA2 * cbrt_b,
@@ -96,8 +84,56 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> tuple[RootTriple, CardanoInter
     )
     if k:
         raw = tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in raw)
-    triple = _finalize(raw, case, p, q)
-    return triple, CardanoIntermediates(A, B, disc, sqrt_disc, cbrt_a, cbrt_b)
+    return _finalize(raw, case, p, q)
+
+
+def solve_moebius(r: complex, s: complex) -> RootTriple:
+    """Roots x = (r - su)/(1 - u) over the three cube roots u of r/s.
+
+    Needs s != 0 and every cube root u at least 2^-32 from 1, where the
+    map blows up: that refuses r = s, and an r/s so close to 1 that the
+    roots would be wrong. The case is read off the pair's shape:
+    real_distinct for real r and s, else conjugate_pair.
+    """
+    r = complex(r)
+    s = complex(s)
+    if s == 0:
+        raise InvalidInputError("Moebius form needs s != 0")
+    us = cube_roots_all(r / s)
+    if min(abs(1.0 - u) for u in us) < _MOEBIUS_GAP:
+        raise InvalidInputError("Moebius form degenerates when a cube root of r/s is within 2^-32 of 1")
+    raw = tuple((r - s * u) / (1.0 - u) for u in us)
+    return _finalize(raw, CaseTag.REAL_DISTINCT if r.imag == s.imag == 0 else CaseTag.CONJUGATE_PAIR)
+
+
+def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
+    """Order raw roots canonically and restore the real/conjugate shape of the case.
+
+    Real coefficients force the roots to be all real or one real plus a
+    conjugate pair; residual imaginary noise from complex cube roots is
+    folded back into that structure. Multiplicity follows from the case:
+    the double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0,
+    and p = q = 0 is a triple root; only those tags read p and q.
+    """
+    three_real = (
+        case in (CaseTag.EQUAL, CaseTag.CONJUGATE_PAIR)
+        or (case is CaseTag.DEGENERATE_Q0 and p < 0)
+        or (case is CaseTag.DEGENERATE_P0 and q == 0)
+    )
+    if three_real:
+        values = sorted(x.real for x in raw)
+        roots = tuple(complex(v, 0.0) for v in values)
+        if case is CaseTag.EQUAL:
+            mult = ((0, 2),) if q < 0 else ((1, 2),)
+        else:
+            mult = ((0, 3),) if case is CaseTag.DEGENERATE_P0 else ()
+        return RootTriple(roots, case, multiplicity=mult)
+    k = min(range(3), key=lambda i: abs(raw[i].imag))
+    z1, z2 = (raw[i] for i in range(3) if i != k)
+    re = 0.5 * (z1.real + z2.real)
+    im = 0.5 * (abs(z1.imag) + abs(z2.imag))
+    roots = (complex(raw[k].real, 0.0), complex(re, -im), complex(re, im))
+    return RootTriple(roots, case)
 
 
 def match_root_sets(a, b) -> float:

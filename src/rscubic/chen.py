@@ -14,8 +14,9 @@ roots of the ratio r/s:
                    theta = Arg(r) -- no complex intermediates at all;
 * any cube roots:  the uniform product form -uv(omega^j u + omega^-j v)
                    gives the same set for every choice of cube roots u of
-                   r and v of s, and so does the Moebius map
-                   x = (r - su)/(1 - u) over the cube roots u of r/s.
+                   r and v of s (checked in the tests), and so does the
+                   Moebius map x = (r - su)/(1 - u) over the cube roots u
+                   of r/s (the baseline cardano.solve_moebius).
 
 p = 0 or q = 0 fall outside the decomposition, and their roots are read
 off the cubic: the cube roots of -q, or 0 and +-sqrt(-p).
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import CaseTag, RsPair, _compute_rs_exact, compute_rs
-from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _float_of, _ratio, _ratio_exponent, _root, cube_roots_all
+from .numerics import _BAND_HIGH, _BAND_LOW, _band, _float_of, _ratio, _ratio_exponent, _root
 from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -56,10 +57,6 @@ _ZERO = Fraction(0)
 _DOUBLE_NOISE = 2.0**-48
 
 _SQUARE_FREE_TRIAL_CAP = 2**17
-
-
-class InvalidCaseError(ValueError):
-    """Raised when a solver is applied outside its case (e.g. Moebius with r = s)."""
 
 
 @functools.cache
@@ -416,69 +413,6 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     if channel is not None:  # a rational root known exactly is reported as its value rounded once
         roots = tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
     return RootTriple(roots, case, mult, channel, trig, pair, d, shift)
-
-
-def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
-    """The raw product-form roots -uv(omega^j u + omega^-j v), j = 0, 1, 2.
-
-    For any cube roots u of r and v of s these are the roots of
-    x^3 - 3rsx + rs(r+s): replacing u by omega^a u and v by omega^b v
-    permutes the three j-values, so all nine choices give the same set.
-    """
-    m = u * v
-    return (
-        -m * (u + v),
-        -m * (OMEGA * u + OMEGA2 * v),
-        -m * (OMEGA2 * u + OMEGA * v),
-    )
-
-
-def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
-    """Order raw roots canonically and restore the real/conjugate shape of the case.
-
-    Real coefficients force the roots to be all real or one real plus a
-    conjugate pair; residual imaginary noise from complex cube roots is
-    folded back into that structure. Multiplicity follows from the case:
-    the double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0,
-    and p = q = 0 is a triple root; only those tags read p and q.
-    """
-    three_real = (
-        case in (CaseTag.EQUAL, CaseTag.CONJUGATE_PAIR)
-        or (case is CaseTag.DEGENERATE_Q0 and p < 0)
-        or (case is CaseTag.DEGENERATE_P0 and q == 0)
-    )
-    if three_real:
-        values = sorted(x.real for x in raw)
-        roots = tuple(complex(v, 0.0) for v in values)
-        if case is CaseTag.EQUAL:
-            mult = ((0, 2),) if q < 0 else ((1, 2),)
-        else:
-            mult = ((0, 3),) if case is CaseTag.DEGENERATE_P0 else ()
-        return RootTriple(roots, case, multiplicity=mult)
-    k = min(range(3), key=lambda i: abs(raw[i].imag))
-    z1, z2 = (raw[i] for i in range(3) if i != k)
-    re = 0.5 * (z1.real + z2.real)
-    im = 0.5 * (abs(z1.imag) + abs(z2.imag))
-    roots = (complex(raw[k].real, 0.0), complex(re, -im), complex(re, im))
-    return RootTriple(roots, case)
-
-
-def solve_moebius(r: complex, s: complex) -> RootTriple:
-    """Roots x = (r - su)/(1 - u) over the three cube roots u of r/s.
-
-    Needs s != 0 and no cube root u equal to 1, where the map blows up:
-    that is r = s, or an r/s that rounds to 1. The case is read off the
-    pair's shape: real_distinct for real r and s, else conjugate_pair.
-    """
-    r = complex(r)
-    s = complex(s)
-    if s == 0:
-        raise InvalidCaseError("Moebius form needs s != 0")
-    us = cube_roots_all(r / s)
-    if 1 in us:
-        raise InvalidCaseError("Moebius form degenerates when r = s (a cube root of r/s is 1)")
-    raw = tuple((r - s * u) / (1.0 - u) for u in us)
-    return _finalize(raw, CaseTag.REAL_DISTINCT if r.imag == s.imag == 0 else CaseTag.CONJUGATE_PAIR)
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:

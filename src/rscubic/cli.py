@@ -126,7 +126,7 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     shift = _float_of(shift)
     cardano = distance = exact = report = None
     if args.method == "both":
-        cardano = tuple(x - shift for x in _cardano(d, case)[0].roots)
+        cardano = tuple(x - shift for x in _cardano(d, case).roots)
         _check_finite(roots + cardano)
     else:
         _check_finite(roots)

@@ -6,6 +6,11 @@ The decomposition identity, for r != s:
 
 and the ratio condition ((x-r)/(x-s))^3 = r/s it gives at every root.
 
+The uniform product form: for any cube roots u of r and v of s, the
+roots of that cubic are -uv(omega^j u + omega^-j v), j = 0, 1, 2.
+Replacing u by omega^a u and v by omega^b v permutes the three j-values,
+so all nine choices give the same set.
+
 The trig identities are the ones the three-real-root cosine form forces
 through Vieta's relations, with c_k = cos(theta/3 + 2k pi/3):
 
@@ -21,6 +26,8 @@ theta and from A^3+B^3+C^3 = 3ABC when A+B+C = 0; theta = 0 (c = 1, -1/2,
 
 import math
 
+from rscubic.numerics import OMEGA, OMEGA2
+
 
 def decomposition_identity_residual(r: complex, s: complex, x: complex) -> float:
     """|x^3 - 3rsx + rs(r+s)  -  [s/(s-r) (x-r)^3 + r/(r-s) (x-s)^3]| for r != s."""
@@ -34,6 +41,16 @@ def ratio_cube_residual(r: complex, s: complex, x: complex) -> float:
     """|((x-r)/(x-s))^3 - r/s|: every root turns the split form into this ratio condition."""
     r, s, x = complex(r), complex(s), complex(x)
     return abs(((x - r) / (x - s)) ** 3 - r / s)
+
+
+def unified_roots(u: complex, v: complex) -> tuple[complex, complex, complex]:
+    """The raw product-form roots -uv(omega^j u + omega^-j v), j = 0, 1, 2."""
+    m = u * v
+    return (
+        -m * (u + v),
+        -m * (OMEGA * u + OMEGA2 * v),
+        -m * (OMEGA2 * u + OMEGA * v),
+    )
 
 
 def trig_identity_residuals(theta: float) -> tuple[float, float, float, float]:

@@ -26,11 +26,11 @@ from rscubic import (
     solve,
     solve_depressed,
     solve_moebius,
-    unified_roots,
 )
+from rscubic.decompose import discriminant
 from rscubic.numerics import cube_roots_all, principal_cube_root
 
-from paper_identities import decomposition_identity_residual, trig_identity_residuals
+from paper_identities import decomposition_identity_residual, trig_identity_residuals, unified_roots
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -99,7 +99,7 @@ def test_criterion_2_property_suite():
             pair = compute_rs(d)
             triples = {
                 "rs": solve_depressed(d),
-                "cardano": cardano_solve(d)[0],
+                "cardano": cardano_solve(d),
                 "moebius": solve_moebius(pair.r, pair.s),
                 "brute": brute_force_roots(d),
             }
@@ -207,12 +207,12 @@ def test_criterion_6_errata_detection():
         assert abs(prod + 0.25) > 0.4
         assert max(trig_identity_residuals(0.0)) <= 1e-15
 
-        # Cardano on x^3 - 6x - 9: (q/2)^2 + (p/3)^3 = 49/4, not 113/4.
-        _, inter = cardano_solve(DepressedCubic(-6, -9))
-        assert inter.disc == 12.25
-        assert inter.disc != 113 / 4
-        assert inter.sqrt_disc == complex(3.5, 0.0)
-        assert (inter.A, inter.B) == (complex(8), complex(1))
+        # Cardano on x^3 - 6x - 9: (q/2)^2 + (p/3)^3 = (4p^3 + 27q^2)/108 = 49/4, not
+        # 113/4, so A, B = 9/2 +- 7/2 = 8, 1 and the real root is cbrt(8) + cbrt(1) = 3.
+        d = DepressedCubic(-6, -9)
+        assert discriminant(d) / 108 == Fraction(49, 4)
+        assert discriminant(d) / 108 != Fraction(113, 4)
+        assert cardano_solve(d).roots[0] == 3.0
 
 
 def test_criterion_7_simplification_gap_is_operationalized():

@@ -26,83 +26,34 @@ def log_uniform_pq(rng):
 class TestWorkedExamples:
     def test_real_distinct(self):
         # (q/2)^2 + (p/3)^3 = 81/4 - 8 = 49/4, sqrt = 7/2, A = 8, B = 1
-        triple, inter = cardano_solve(DepressedCubic(-6, -9))
-        assert inter.disc == pytest.approx(12.25)
-        assert inter.sqrt_disc == complex(3.5, 0.0)
-        assert inter.A == complex(8.0, 0.0)
-        assert inter.B == complex(1.0, 0.0)
-        assert inter.cbrt_a == complex(2.0, 0.0)
-        assert inter.cbrt_b == complex(1.0, 0.0)
+        triple = cardano_solve(DepressedCubic(-6, -9))
         expected = (complex(3), complex(-1.5, -SQRT3 / 2), complex(-1.5, SQRT3 / 2))
         assert match_root_sets(triple.roots, expected) <= 1e-12
 
     def test_double_root(self):
         # disc = 64 - 64 = 0, A = B = -8; pairing forces cbrt(A) = -2
-        triple, inter = cardano_solve(DepressedCubic(-12, 16))
-        assert inter.disc == 0.0
-        assert inter.A == inter.B == complex(-8.0, 0.0)
-        assert inter.cbrt_a == complex(-2.0, 0.0)
+        triple = cardano_solve(DepressedCubic(-12, 16))
         assert triple.roots == (complex(-4), complex(2), complex(2))
 
     @pytest.mark.parametrize("p,q,mult", [(-12, 16, ((1, 2),)), (-12, -16, ((0, 2),)), (0, 0, ((0, 3),))])
     def test_multiplicity_follows_the_case(self, p, q, mult):
         # The double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0.
-        assert cardano_solve(DepressedCubic(p, q))[0].multiplicity == mult
+        assert cardano_solve(DepressedCubic(p, q)).multiplicity == mult
 
     def test_pure_cube(self):
-        triple, inter = cardano_solve(DepressedCubic(0, -8))
-        assert inter.A == complex(8.0, 0.0)
-        assert inter.B == complex(0.0, 0.0)
+        # A = 8, B = 0
+        triple = cardano_solve(DepressedCubic(0, -8))
         expected = (complex(2), complex(-1, SQRT3), complex(-1, -SQRT3))
         assert match_root_sets(triple.roots, expected) <= 1e-12
 
-    def test_casus_irreducibilis_goes_complex(self):
-        _, inter = cardano_solve(DepressedCubic(-48.0, -64.0 * SQRT2))
-        assert inter.disc < 0
-        assert inter.sqrt_disc.real == 0.0 and inter.sqrt_disc.imag > 0
-        assert inter.A.imag != 0
-
 
 class TestInvariants:
-    def test_pairing_constraint(self):
-        rng = random.Random(61)
-        for _ in range(2000):
-            p, q = log_uniform_pq(rng)
-            _, inter = cardano_solve(DepressedCubic(p, q))
-            assert abs(inter.cbrt_a * inter.cbrt_b + p / 3) <= 1e-10 * max(1.0, abs(p))
-
-    def test_sum_and_product_of_A_B(self):
-        # The sum bound must include |A|: A and B are faithfully-rounded
-        # doubles, so A+B carries eps*|A| of absolute noise whenever the
-        # discriminant term dwarfs q (at the worked-example scales the
-        # bound reduces to 1e-12*max(1,|q|)).
-        rng = random.Random(67)
-        for _ in range(2000):
-            p, q = log_uniform_pq(rng)
-            _, inter = cardano_solve(DepressedCubic(p, q))
-            scale_sum = max(1.0, abs(q), abs(inter.A), abs(inter.B))
-            assert abs(inter.A + inter.B + q) <= 1e-12 * scale_sum
-            scale_prod = max(1.0, abs(p / 3) ** 3)
-            assert abs(inter.A * inter.B + (p / 3) ** 3) <= 1e-12 * scale_prod
-
-    def test_nonnegative_disc_keeps_everything_real(self):
-        rng = random.Random(71)
-        seen = 0
-        while seen < 500:
-            p, q = log_uniform_pq(rng)
-            _, inter = cardano_solve(DepressedCubic(p, q))
-            if inter.disc < 0:
-                continue
-            seen += 1
-            for z in (inter.A, inter.B, inter.cbrt_a, inter.cbrt_b):
-                assert z.imag == 0.0
-
     def test_residuals(self):
         rng = random.Random(73)
         for _ in range(2000):
             p, q = log_uniform_pq(rng)
             d = DepressedCubic(p, q)
-            triple, _ = cardano_solve(d)
+            triple = cardano_solve(d)
             scale = max(1.0, abs(p), abs(q)) ** 1.5
             for x in triple.roots:
                 assert abs(d(x)) <= 1e-10 * scale
@@ -119,13 +70,13 @@ class TestCompareMethods:
     )
     def test_example_agreement(self, p, q, tol):
         d = DepressedCubic(p, q)
-        cardano, _ = cardano_solve(d)
+        cardano = cardano_solve(d)
         assert match_root_sets(solve_depressed(d).roots, cardano.roots) <= tol
 
     def test_report_contents(self):
         d = DepressedCubic(-6, -9)
         rs = solve_depressed(d)
-        cardano, _ = cardano_solve(d)
+        cardano = cardano_solve(d)
         rs_residuals = tuple(abs(d(x)) for x in rs.roots)
         cardano_residuals = tuple(abs(d(x)) for x in cardano.roots)
         assert rs.case is CaseTag.REAL_DISTINCT
@@ -139,14 +90,14 @@ class TestCompareMethods:
             p, q = log_uniform_pq(rng)
             d = DepressedCubic(p, q)
             rs = solve_depressed(d)
-            cardano, _ = cardano_solve(d)
+            cardano = cardano_solve(d)
             roots_scale = max(1.0, max(abs(x) for x in rs.roots))
             assert match_root_sets(rs.roots, cardano.roots) <= 1e-8 * roots_scale
 
     def test_degenerate_inputs_accepted(self):
         for p, q in [(0.0, 0.0), (0.0, 5.0), (-4.0, 0.0), (4.0, 0.0)]:
             d = DepressedCubic(p, q)
-            cardano, _ = cardano_solve(d)
+            cardano = cardano_solve(d)
             assert match_root_sets(solve_depressed(d).roots, cardano.roots) <= 1e-10
 
 
@@ -157,7 +108,7 @@ class TestAgainstCaseSolver:
             p, q = log_uniform_pq(rng)
             d = DepressedCubic(p, q)
             a = solve_depressed(d)
-            b, _ = cardano_solve(d)
+            b = cardano_solve(d)
             scale = max(1.0, max(abs(x) for x in a.roots))
             assert match_root_sets(a.roots, b.roots) <= 1e-9 * scale
 
@@ -166,7 +117,7 @@ def test_exact_discriminant_keeps_small_root():
     # (q/2)^2 and (p/3)^3 nearly cancel here; formed in doubles they left
     # the small root at 0.0031675963.
     d, delta = depress(parse_cubic("x^3+903310x^2-995557x + 3151"))
-    roots = [x - float(delta) for x in cardano_solve(d)[0].roots]
+    roots = [x - float(delta) for x in cardano_solve(d).roots]
     small = min(roots, key=abs)
     assert small.imag == 0
     assert abs(small.real - 0.0031742043560985796) <= 1e-7 * 0.0031742043560985796
@@ -182,6 +133,6 @@ def test_out_of_band_cubic_is_solved_on_the_scale_of_its_roots(p, q):
     # -1.748e-60, 3.33e-62 and 1.715e-60) and the second overflowed in (p/3)^3.
     d = DepressedCubic(p, q)
     expected = sorted(solve_depressed(d).roots, key=lambda z: (z.imag, z.real))
-    got = sorted(cardano_solve(d)[0].roots, key=lambda z: (z.imag, z.real))
+    got = sorted(cardano_solve(d).roots, key=lambda z: (z.imag, z.real))
     for x, y in zip(got, expected):
         assert abs(x - y) <= 1e-14 * abs(y)

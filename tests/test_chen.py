@@ -15,7 +15,7 @@ from rscubic import (
     DepressedCubic,
     ExactValue,
     GeneralCubic,
-    InvalidCaseError,
+    InvalidInputError,
     NestedRadical,
     VerificationReport,
     brute_force_roots,
@@ -27,11 +27,12 @@ from rscubic import (
     solve,
     solve_depressed,
     solve_moebius,
-    unified_roots,
     verify_roots,
 )
 from rscubic.chen import _square_free_split, fraction_cbrt
 from rscubic.numerics import cube_roots_all, principal_cube_root
+
+from paper_identities import unified_roots
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -173,11 +174,11 @@ class TestSolveMoebius:
         assert_root_sets_close(triple.roots, reference.roots, 1e-9)
 
     def test_equal_pair_rejected(self):
-        with pytest.raises(InvalidCaseError):
+        with pytest.raises(InvalidInputError):
             solve_moebius(complex(2), complex(2))
 
     def test_zero_s_rejected(self):
-        with pytest.raises(InvalidCaseError):
+        with pytest.raises(InvalidInputError):
             solve_moebius(complex(1), complex(0))
 
     def test_case_is_read_off_the_pair(self):
@@ -196,8 +197,15 @@ class TestSolveMoebius:
         d, _ = depress(GeneralCubic(43951145.871853314, 38670.97222551304, -0.0005494343777076591))
         pair = compute_rs(d)
         assert pair.r != pair.s
-        with pytest.raises(InvalidCaseError, match="degenerates"):
+        with pytest.raises(InvalidInputError, match="degenerates"):
             solve_moebius(pair.r, pair.s)
+
+    @pytest.mark.parametrize("r", [1 + 4 * 2**-52, 1 + 2**-40], ids=["4 ulps", "2^-40"])
+    def test_ratio_near_one_rejected(self, r):
+        # The roots are off by about eps/|1 - u|: for the pair (r, 1), r = 1 + 4 ulps gave -3
+        # for the root -2, and r = 1 + 2^-40 gave -2.00073 for -2.0000000000009.
+        with pytest.raises(InvalidInputError, match="degenerates"):
+            solve_moebius(r, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -207,7 +215,7 @@ class TestSolveMoebius:
 def test_every_solver_reports_the_case_of_compute_rs(p, q):
     d = DepressedCubic(p, q)
     pair = compute_rs(d)
-    assert cardano_solve(d)[0].case is pair.case
+    assert cardano_solve(d).case is pair.case
     assert brute_force_roots(d).case is pair.case
     if pair.r is not None and pair.r != pair.s:
         assert solve_moebius(pair.r, pair.s).case is pair.case
@@ -519,14 +527,14 @@ def records_of(p, q):
     pair = compute_rs(d)
     # x = y - 1 shifts the cubic, so solve lifts the roots by a nonzero delta.
     shifted = GeneralCubic(3, 3 + p, 1 + p + q)
-    triples = [solve(shifted), solve_depressed(d), cardano_solve(d)[0], brute_force_roots(d)]
+    triples = [solve(shifted), solve_depressed(d), cardano_solve(d), brute_force_roots(d)]
     if pair.r is not None and pair.r != pair.s:
         triples.append(solve_moebius(pair.r, pair.s))
     nested = [t.pair for t in triples if t.pair is not None] + [t.trig for t in triples if t.trig is not None]
     nested += [e for t in triples for e in t.exact or () if e is not None]
     radical = NestedRadical(q, p * p)
     inputs = [d, shifted, radical]
-    return [pair] + triples + nested + inputs + [cardano_solve(d)[1], verify_roots(d, triples[1]), denest(radical)]
+    return [pair] + triples + nested + inputs + [verify_roots(d, triples[1]), denest(radical)]
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -606,5 +614,5 @@ def test_solve_depressed_carries_its_input_and_a_zero_shift(exact):
 def test_other_solvers_leave_the_stages_unset():
     d = DepressedCubic(-6, -9)
     pair = compute_rs(d)
-    for triple in (cardano_solve(d)[0], solve_moebius(pair.r, pair.s), brute_force_roots(d)):
+    for triple in (cardano_solve(d), solve_moebius(pair.r, pair.s), brute_force_roots(d)):
         assert triple.pair is triple.depressed is triple.shift is None

@@ -12,7 +12,6 @@ from rscubic import (
     InvalidInputError,
     ParseError,
     RsPair,
-    cardano_solve,
     compute_rs,
     depress,
     parse_cubic,
@@ -257,10 +256,6 @@ class TestIntegerPathMatchesFractionFormulas:
         assert pair.case is case
         assert bits(pair.r) == bits(r) and bits(pair.s) == bits(s)
         assert pair.exact_r == exact_r and pair.exact_s == exact_s
-        # Cardano's disc is that of the cubic on compute_rs's scale 2^k, k = 0 in band.
-        k = max(-(-exponent(d.p) // 2), -(-exponent(d.q) // 3))
-        k = k if abs(k) > 100 else 0
-        assert cardano_solve(d)[1].disc == float(discriminant(d) / 108 / Fraction(64) ** k)
 
 
 @st.composite

@@ -14,13 +14,11 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 PUBLIC = {
-    "CardanoIntermediates",
     "CaseTag",
     "DenestResult",
     "DepressedCubic",
     "ExactValue",
     "GeneralCubic",
-    "InvalidCaseError",
     "InvalidInputError",
     "NestedRadical",
     "ParseError",
@@ -39,13 +37,12 @@ PUBLIC = {
     "solve",
     "solve_depressed",
     "solve_moebius",
-    "unified_roots",
     "verify_roots",
 }
 
 
 def test_all_is_the_pinned_surface():
-    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 27
+    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 24
     assert set(rscubic.__all__) == PUBLIC
 
 
@@ -65,6 +62,16 @@ def test_readme_documents_every_export():
     text = README.read_text(encoding="utf-8")
     undocumented = [name for name in rscubic.__all__ if f"`{name}`" not in text]
     assert undocumented == []
+
+
+def test_readme_public_api_list_is_all():
+    # The section's opening sentence gives the count, and its bullets name exactly __all__.
+    section = README.read_text(encoding="utf-8").split("\n### Public API\n", 1)[1].lstrip("\n")
+    opening, bullets = section.split("\n\n", 2)[:2]
+    (count,) = re.findall(r"exactly these (\d+) names", opening)
+    listed = re.findall(r"`(\w+)`", bullets)
+    assert len(listed) == len(set(listed)) == int(count) == len(rscubic.__all__)
+    assert set(listed) == set(rscubic.__all__)
 
 
 def test_package_docstring_example_passes():
@@ -132,6 +139,16 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_a_private_name_from_chen():
+    # chen is the r,s solve step alone: what another module needs of it is public.
+    private = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("chen", "rscubic.chen"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_cold_start_skips_dataclasses_and_inspect():

@@ -58,7 +58,7 @@ class TestVerifyRoots:
             p, q = log_uniform_pq(rng)
             d = DepressedCubic(p, q)
             assert verify_roots(d, solve_depressed(d)).passed
-            assert verify_roots(d, cardano_solve(d)[0]).passed
+            assert verify_roots(d, cardano_solve(d)).passed
 
 
 class TestTrigIdentities:
@@ -143,7 +143,7 @@ class TestBruteForce:
             oracle = brute_force_roots(d)
             scale = max(1.0, max(abs(x) for x in oracle.roots))
             assert match_root_sets(oracle.roots, solve_depressed(d).roots) <= 1e-8 * scale
-            assert match_root_sets(oracle.roots, cardano_solve(d)[0].roots) <= 1e-8 * scale
+            assert match_root_sets(oracle.roots, cardano_solve(d).roots) <= 1e-8 * scale
 
     def test_high_accuracy_on_simple_roots(self):
         rng = random.Random(109)
