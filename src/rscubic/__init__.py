@@ -9,7 +9,7 @@ Typical use:
 """
 
 from .cardano import cardano_solve, match_root_sets, solve_moebius
-from .chen import ExactValue, RootTriple, TrigForm, solve, solve_depressed
+from .chen import ExactValue, RootTriple, solve, solve_depressed
 from .decompose import CaseTag, RsPair, compute_rs
 from .denest import DenestResult, NestedRadical, denest
 from .parsing import ParseError, parse_coefficient, parse_cubic
@@ -29,7 +29,6 @@ __all__ = [
     "ParseError",
     "RootTriple",
     "RsPair",
-    "TrigForm",
     "VerificationReport",
     "brute_force_roots",
     "cardano_solve",

@@ -11,7 +11,7 @@ roots of the ratio r/s:
 * r, s real:       one real root -r^(1/3) s^(1/3) (r^(1/3) + s^(1/3)) plus
                    an omega-twisted conjugate pair (real cube roots);
 * s = conj(r):     three real roots -2|r| cos(theta/3 + 2k pi/3) with
-                   theta = Arg(r) -- no complex intermediates at all;
+                   theta = Arg(r), read off r -- no complex intermediates;
 * any cube roots:  the uniform product form -uv(omega^j u + omega^-j v)
                    gives the same set for every choice of cube roots u of
                    r and v of s (checked in the tests), and so does the
@@ -137,23 +137,13 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
         k, m = _square_free_split(value.numerator * value.denominator)
         return cls(Fraction(0), Fraction(k, value.denominator), m)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.surd_coef == 0
-
-    def as_fraction(self) -> Optional[Fraction]:
-        return self.rational if self.is_rational else None
-
-    def __neg__(self) -> "ExactValue":
-        return ExactValue(-self.rational, -self.surd_coef, self.radicand)
-
     def __float__(self) -> float:
         if not self.surd_coef:
             return _float_of(self.rational)
         return _float_of(self.rational) + _float_of(self.surd_coef) * math.sqrt(self.radicand)
 
     def __str__(self) -> str:
-        if self.is_rational:
+        if not self.surd_coef:
             return str(self.rational)
         coef = self.surd_coef
         if abs(coef) == 1:
@@ -166,29 +156,17 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
         return f"{self.rational}{joiner}{surd}"
 
 
-class TrigForm(_record("TrigForm", "amplitude theta offsets")):
-    """Cosine form of the three-real-root case: the closed form of root k is
-    amplitude * cos(offsets[k]) - delta (delta = a/3); the root reported
-    refines it.
-
-    amplitude = -2*sqrt(rs) = -2|r| and theta = Arg(r) in (0, pi] are
-    floats; the offsets are theta/3, theta/3 + 4pi/3 and theta/3 + 2pi/3,
-    whose cosines ascend with the roots, so no sort is needed.
-    """
-
-    __slots__ = ()
-
-
-class RootTriple(_record("RootTriple", "roots case multiplicity exact trig pair depressed shift", ((),) + (None,) * 5)):
+class RootTriple(_record("RootTriple", "roots case multiplicity exact pair depressed shift", ((),) + (None,) * 4)):
     """Three complex roots in canonical order: reals first ascending, then
     the non-real pair by ascending imaginary part; case is the CaseTag.
 
     multiplicity lists (index, count) for repeated roots only. exact holds
     per-root ExactValues (or None) when the input arithmetic allowed it.
-    trig is the TrigForm of the conjugate-pair case. pair is the RsPair the
-    case dispatch ran on, taken from the DepressedCubic depressed, and shift
-    the delta of x = y - delta: (depressed, shift) is depress(cubic) for solve
-    and (d, 0 of d's kind) for solve_depressed(d). Other solvers leave all three None.
+    pair is the RsPair the case dispatch ran on, taken from the DepressedCubic
+    depressed, and shift the delta of x = y - delta: (depressed, shift) is
+    depress(cubic) for solve and (d, 0 of d's kind) for solve_depressed(d).
+    Other solvers leave all three None. A conjugate pair's cosine form is read
+    off pair.r: root k is near -2|r| cos(Arg(r)/3 + (0, 4pi/3, 2pi/3)[k]) - delta.
     """
 
     __slots__ = ()
@@ -248,10 +226,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     q = 0 > p; -delta for q = 0 < p. A rational one among them replaces its
     float root, as its value rounded once.
     """
-    r, s, case, exact_r = pair[:4]
+    r, s, case, exact_r = pair
     shift = delta  # the result's delta: the step rescales delta below
     exact = ints is not None
-    trig = channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
+    channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
     if r is None:
         p, q = d
@@ -282,7 +260,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             channel, mult = (ExactValue(-delta),) * 3, ((0, 3),)
         else:
             x = complex(0.0 - delta, 0.0)
-            return RootTriple((x, x, x), case, ((0, 3),), None, None, pair, d, shift)
+            return RootTriple((x, x, x), case, ((0, 3),), None, pair, d, shift)
     elif exact_r is not None and case is _EQUAL:
         # (x-r)^2 (x+2r): stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
         double, simple = ExactValue(exact_r - delta), ExactValue(-2 * exact_r - delta)
@@ -298,16 +276,13 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             m = u * v
             y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
         elif case is _CONJUGATE_PAIR:
-            theta = math.atan2(r.imag, r.real)  # Im r > 0: theta in (0, pi]
-            amplitude = -2.0 * abs(r)
-            # The cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
-            t = theta / 3.0
-            trig = TrigForm(amplitude, theta, (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3))
+            # theta = Arg r in (0, pi] (Im r > 0); the cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
+            t, amplitude = math.atan2(r.imag, r.real) / 3.0, -2.0 * abs(r)
             cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes
         # from the exact values, since two distinct ones can round to one double.
-        return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, None, pair, d, shift)
+        return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, pair, d, shift)
     # Every root is within a small factor of size + |delta|.
     if exact:  # a, b, c and delta = an / (3 ad) from their integers, each rounded once, as an int / int
         an, ad, bn, bd, cn, cd = ints
@@ -412,15 +387,15 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
     if channel is not None:  # a rational root known exactly is reported as its value rounded once
         roots = tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
-    return RootTriple(roots, case, mult, channel, trig, pair, d, shift)
+    return RootTriple(roots, case, mult, channel, pair, d, shift)
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:
     """Roots of x^3 + px + q: solve's step with a = 0 and delta = 0.
 
     Every intermediate stays real where the case allows it (real cube
-    roots for real r, s; the cosine form for a conjugate pair), and exact
-    and trig annotations are carried.
+    roots for real r, s; the cosine form for a conjugate pair), and the
+    exact values are carried.
     """
     p, q = d
     if not d.exact:

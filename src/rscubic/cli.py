@@ -18,11 +18,13 @@ import argparse
 import cmath
 import math
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _jstr
 from typing import Optional
 
 from .cardano import _cardano, match_root_sets
 from .chen import RootTriple, solve
+from .decompose import CaseTag
 from .denest import NestedRadical, denest
 from .numerics import _float_of
 from .parsing import ParseError, parse_coefficient, parse_cubic
@@ -35,6 +37,7 @@ class NumericFailure(RuntimeError):
 
 
 _repr = float.__repr__
+_TWO_PI_3 = 2.0 * math.pi / 3.0  # as chen defines it: the cosine form's offsets are the solve step's bits
 # Exit code and message prefix of each failure, for single and batch runs alike.
 _FAILURES = {
     ParseError: (2, ""),
@@ -122,7 +125,7 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     exact values; under --verify, the report on the printed roots, moved onto the
     depressed cubic (y = x + shift). Failures raise in that order, but for the
     check that every printed root is finite, which comes before p and q."""
-    roots, case, _, exact_values, _, _, d, shift = triple
+    roots, case, _, exact_values, _, d, shift = triple
     shift = _float_of(shift)
     cardano = distance = exact = report = None
     if args.method == "both":
@@ -179,6 +182,20 @@ def _fmt_complex(z: complex, precision: int) -> str:
     return f"{_fmt(re, precision)} {sign} {_fmt(abs(im), precision)}i"
 
 
+def _exact_residual(cubic: GeneralCubic, z: complex) -> float:
+    """|f(z)| at z's two doubles, computed exactly and rounded once (inf beyond the double range)."""
+    x, y, re, im = Fraction(z.real), Fraction(z.imag), 1, 0
+    for coef in cubic:  # Horner's form in rationals: a double is one too
+        re, im = re * x - im * y + Fraction(coef), re * y + im * x
+    n, m = (re * re + im * im).as_integer_ratio()
+    j = max(0, 116 - n.bit_length() + m.bit_length()) // 2  # sqrt(n 4^j / m) to 57 bits or more
+    root = math.isqrt((n << 2 * j) // m)
+    try:  # with a sticky last bit, the int / int division is the one rounding
+        return (2 * root + (root * root * m != n << 2 * j)) / (2 << j)
+    except OverflowError:
+        return math.inf
+
+
 def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: GeneralCubic, precision: int) -> str:
     """The result as text: the roots with their exact values and multiplicities,
     the cosine form when chen has one, Cardano's roots under --method both, the
@@ -199,21 +216,29 @@ def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: Gene
         if i in mult:
             note += f"   [multiplicity {mult[i]}]"
         lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
-    trig = triple.trig
-    if trig is not None and args.method == "chen":
+    r = pair.r
+    if triple.case is CaseTag.CONJUGATE_PAIR and r is not None and args.method == "chen":
+        theta, amplitude = math.atan2(r.imag, r.real), -2.0 * abs(r)  # the solve step's own expressions
+        t = theta / 3.0
         shift_part = f" - ({shift})" if delta != 0 else ""
         lines.append(
-            f"cosine form: x[i] = {_fmt(trig.amplitude, precision)} * cos(offset[i]){shift_part}, "
-            f"theta = {_fmt(trig.theta, precision)}"
+            f"cosine form: x[i] = {_fmt(amplitude, precision)} * cos(offset[i]){shift_part}, "
+            f"theta = {_fmt(theta, precision)}"
         )
-        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in trig.offsets))
+        offsets = (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3)
+        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in offsets))
     if cardano is not None:
         lines.append("cardano roots:")
         for i, z in enumerate(cardano):
             lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
         lines.append(f"max matched distance = {_fmt(distance, 3)}")
-    # GeneralCubic.__call__'s complex Horner form on the coefficients rounded to doubles.
-    lines.append("residuals: " + ", ".join(_fmt(abs(cubic(x)), 3) for x in triple.roots))
+    # GeneralCubic.__call__'s complex Horner form on the coefficients rounded to doubles,
+    # or f(x) computed exactly where that overflows, as for a coefficient with no double.
+    try:
+        residuals = [abs(cubic(x)) for x in triple.roots]
+    except OverflowError:
+        residuals = [_exact_residual(cubic, x) for x in triple.roots]
+    lines.append("residuals: " + ", ".join(_fmt(v, 3) for v in residuals))
     if report is not None:
         lines.append(
             f"verification: {'PASS' if report.passed else 'FAIL'} "

@@ -18,7 +18,7 @@ of 4p^3 + 27q^2: equal only when it is exactly 0. An exact p = P/dp and
 q = Q/dq are read once, and the zero tests, the exponents, the sign
 (integer_discriminant), the square test and every float come from those four
 integers (solve hands an exact cubic's four straight to that branch,
-_compute_rs_exact); only an exact r, s is built as a Fraction. Float inputs
+_compute_rs_exact); only an exact r is built as a Fraction. Float inputs
 take the sign in doubles, on the 2^k-scaled p and q. The formulas
 discriminant and rs_quadratic are the reference both paths are tested
 against.
@@ -46,13 +46,13 @@ class CaseTag(Enum):
     DEGENERATE_Q0 = "degenerate_q0"
 
 
-class RsPair(_record("RsPair", "r s case exact_r exact_s", (None, None))):
+class RsPair(_record("RsPair", "r s case exact_r", (None,))):
     """The decomposition pair: complex r and s (None for the degenerate tags) and the CaseTag.
 
     Canonical orientation: r >= s when both are real, Im(r) > 0 for a
-    conjugate pair (with s = conj(r) bit-exactly). The Fractions
-    exact_r/exact_s are set when the quadratic could be solved in rational
-    arithmetic.
+    conjugate pair (with s = conj(r) bit-exactly). The Fraction exact_r is
+    set when the quadratic could be solved in rational arithmetic; the exact
+    s is then exact_r in the equal case and -p/(3 exact_r) otherwise.
     """
 
     __slots__ = ()
@@ -135,7 +135,7 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
         half = Fraction(-b_num, 2 * b_den)
-        return RsPair(complex(half), complex(half), CaseTag.EQUAL, half, half)
+        return RsPair(complex(half), complex(half), CaseTag.EQUAL, half)
 
     case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
     disc_den = 3 * P * P * dp * dq * dq
@@ -146,8 +146,7 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
             # sqrt(B^2 - 4C) = root / disc_den; r, s = (-B +- sqrt) / 2.
             den = 2 * b_den * disc_den
             r = Fraction(root * b_den - b_num * disc_den, den)
-            s = Fraction(-root * b_den - b_num * disc_den, den)
-            return RsPair(complex(r), complex(s), case, r, s)
+            return RsPair(complex(r), complex((-root * b_den - b_num * disc_den) / den), case, r)
 
     # The exact discriminant is rounded once: B*B - 4C in doubles cancels
     # when B^2 ~ 4|C| and can even flip sign.

@@ -63,7 +63,7 @@ def test_criterion_1_regression_suite():
 
         triple = solve(GeneralCubic(0, -12, 16))
         assert triple.roots == (complex(-4), complex(2), complex(2))
-        assert [e.as_fraction() for e in triple.exact] == [-4, 2, 2]
+        assert [e.rational for e in triple.exact if not e.surd_coef] == [-4, 2, 2]
 
         triple = solve(GeneralCubic(0, -6, -9))
         expected = (complex(3), complex(-1.5, -SQRT3 / 2), complex(-1.5, SQRT3 / 2))

@@ -5,10 +5,11 @@ import json
 import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rscubic.cli
 from rscubic import GeneralCubic, solve
@@ -344,6 +345,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
         assert code == 3
 
+    @pytest.mark.parametrize("root", [10**200, 10**110, 2**700], ids=["10^200", "10^110", "2^700"])
+    def test_text_residuals_of_a_coefficient_without_a_double(self, capsys, root):
+        # (x + root)^3 written out: c (and b, but for 10^110) has no double. Text prints where
+        # JSON does, each residual |f(x)| taken exactly at the rounded root and rounded once.
+        expr = f"x^3+{3 * root}x^2+{3 * root * root}x+{root**3}"
+        assert run(capsys, "solve", "--expr", expr, "--format", "json")[0] == 0
+        code, out, err = run(capsys, "solve", "--expr", expr)
+        assert code == 0 and err == ""
+        cube = abs(int(float(root)) - root) ** 3  # f(x) = (x + root)^3 at x = -float(root)
+        residual = f"{float(cube):.3g}" if cube < 2**1023 else "inf"
+        assert f"residuals: {residual}, {residual}, {residual}\n" in out
+
     def test_unparseable_flag_value_is_2(self, capsys):
         # A coefficient flag's ParseError reaches the user as it reads, as --expr's does.
         for argv, message in [
@@ -604,6 +617,29 @@ def _is_json_dumps(line: str) -> bool:
     return json.dumps(json.loads(line)) == line
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**400), 10**400), min_size=3, max_size=3),
+    st.floats(-1e150, 1e150),
+    st.one_of(st.just(0.0), st.floats(-1e150, 1e150)),
+)
+@example([0, 2, 2**53 + 1], 0.0, 1.0)  # f(i) = 2^53 + 1 + i: |f| is just above a midpoint, so 2^53 + 2
+def test_exact_residual_is_the_nearest_double(abc, re, im):
+    got = rscubic.cli._exact_residual(GeneralCubic(*abc), complex(re, im))
+    f_re, f_im, x, y = 1, 0, Fraction(re), Fraction(im)
+    for coef in abc:
+        f_re, f_im = f_re * x - f_im * y + coef, f_re * y + f_im * x
+    square = f_re * f_re + f_im * f_im  # |f|^2, exactly
+    # got is the nearest double to |f|: |f| lies between the midpoints to its neighbours.
+    top = Fraction(2**1024 - 2**970)  # where rounding reaches inf
+    if got == math.inf:
+        assert square >= top * top
+        return
+    down, up = math.nextafter(got, 0.0), math.nextafter(got, math.inf)
+    low, high = (Fraction(got) + Fraction(down)) / 2, top if up == math.inf else (Fraction(got) + Fraction(up)) / 2
+    assert low * low <= square <= high * high
+
+
 @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
 def test_float_writer_spells_floats_as_json(x):
     assert rscubic.cli._jnum(x) == json.dumps(x)
@@ -665,7 +701,8 @@ def _batches(draw):
     """One line of each case tag, and one of random literals."""
     r = draw(_SMALL)
     s = draw(_SMALL.filter(lambda v: v != r))
-    roots = draw(st.lists(_SMALL, min_size=3, max_size=3, unique=True))
+    # No root may be the mean of the three: a progression such as -1, 0, 1 has q = 0, degenerate_q0.
+    roots = draw(st.lists(_SMALL, min_size=3, max_size=3, unique=True).filter(lambda t: all(3 * v != sum(t) for v in t)))
     signs = [draw(_SIGN) for _ in range(4)]
     return [
         _from_roots(r, r, s),  # equal

@@ -78,7 +78,7 @@ def test_exact_double_root_keeps_a_far_smaller_simple_root():
     triple = solve(GeneralCubic(-(2 * r + t), r * r + 2 * r * t, -r * r * t))
     assert triple.case is CaseTag.EQUAL
     assert triple.roots == (complex(3), complex(1e20), complex(1e20))
-    assert [e.as_fraction() for e in triple.exact] == [3, r, r]
+    assert [e.rational for e in triple.exact if not e.surd_coef] == [3, r, r]
     assert triple.multiplicity == ((1, 2),)
 
 
@@ -131,12 +131,13 @@ def test_no_root_has_a_negative_zero(abc, kind):
 @pytest.mark.parametrize("p, q", [(-3, 1), (-7.0, 6.0), (-13, -12), (Fraction(-3, 4), Fraction(1, 8))])
 def test_trig_offsets_follow_the_roots_without_a_sort(p, q):
     triple = solve_depressed(DepressedCubic(p, q))
-    trig = triple.trig
-    t = trig.theta / 3
-    assert 0 < trig.theta <= math.pi
-    assert trig.offsets == (t, t + 4 * math.pi / 3, t + 2 * math.pi / 3)
-    for root, offset in zip(triple.roots, trig.offsets):
-        assert trig.amplitude * math.cos(offset) == pytest.approx(root.real, rel=1e-14, abs=1e-14)
+    # The cosine form, read off r: root k is amplitude * cos(offset k), with no sort.
+    r = triple.pair.r
+    theta, amplitude = math.atan2(r.imag, r.real), -2.0 * abs(r)
+    t = theta / 3
+    assert 0 < theta <= math.pi
+    for root, offset in zip(triple.roots, (t, t + 4 * math.pi / 3, t + 2 * math.pi / 3)):
+        assert amplitude * math.cos(offset) == pytest.approx(root.real, rel=1e-14, abs=1e-14)
 
 
 def test_exact_cluster_far_from_zero_keeps_every_digit():
@@ -278,7 +279,7 @@ def test_three_rational_roots_are_rounded_once(family, u, v, j, depressed):
     cubic = from_roots(*planted)
     triple = solve_depressed(DepressedCubic(cubic.b, cubic.c)) if depressed else solve(cubic)
     want = sorted(planted)
-    assert [e.as_fraction() for e in triple.exact] == want
+    assert [e.rational for e in triple.exact if not e.surd_coef] == want
     assert triple.roots == tuple(complex(float(x)) for x in want)
     assert triple.multiplicity == mult
 

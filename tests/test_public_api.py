@@ -24,7 +24,6 @@ PUBLIC = {
     "ParseError",
     "RootTriple",
     "RsPair",
-    "TrigForm",
     "VerificationReport",
     "brute_force_roots",
     "cardano_solve",
@@ -42,8 +41,14 @@ PUBLIC = {
 
 
 def test_all_is_the_pinned_surface():
-    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 24
+    assert len(rscubic.__all__) == len(set(rscubic.__all__)) == 23
     assert set(rscubic.__all__) == PUBLIC
+
+
+def test_result_records_hold_only_what_they_cannot_derive():
+    # The cosine form is read off pair.r, and the exact s off exact_r: neither is a field.
+    assert rscubic.RootTriple._fields == ("roots", "case", "multiplicity", "exact", "pair", "depressed", "shift")
+    assert rscubic.RsPair._fields == ("r", "s", "case", "exact_r")
 
 
 def test_every_name_resolves():
