@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .decompose import CaseTag, RsPair, _compute_rs_exact, compute_rs
+from .decompose import CaseTag, RsPair, compute_rs
 from .numerics import _BAND_HIGH, _BAND_LOW, _band, _float_of, _ratio, _ratio_exponent, _root
 from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _record, _tuple_new, depress
 
@@ -400,20 +400,20 @@ def solve_depressed(d: DepressedCubic) -> RootTriple:
     p, q = d
     if not d.exact:
         return _solve_cubic(0.0, p, q, d, 0.0, compute_rs(d))
-    P, dp, Q, dq = p.numerator, p.denominator, q.numerator, q.denominator
-    return _solve_cubic(_ZERO, p, q, d, _ZERO, _compute_rs_exact(P, dp, Q, dq), (0, 1, P, dp, Q, dq))
+    return _solve_cubic(_ZERO, p, q, d, _ZERO, compute_rs(d), (0, 1, p.numerator, p.denominator, q.numerator, q.denominator))
 
 
 def solve(cubic: GeneralCubic) -> RootTriple:
     """Full pipeline: depress, decompose into (r, s), take one dominant root, deflate.
 
-    An exact cubic's six integers are read once: the depressed cubic's integers
-    go to compute_rs's exact branch, and a, b and c's to the step's roundings.
+    An exact cubic's a, b and c are read as integers once, for the depress
+    stage and the step's roundings; compute_rs reads p and q's integers off
+    the depressed cubic, as it does for any exact DepressedCubic.
     """
     a, b, c = cubic
     if type(a) is float:
         d, delta = depress(cubic)
         return _solve_cubic(a, b, c, d, delta, compute_rs(d))
     ints = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
-    d, delta, P, dp, Q, dq = _depress_exact(*ints)
-    return _solve_cubic(a, b, c, d, delta, _compute_rs_exact(P, dp, Q, dq), ints)
+    d, delta = _depress_exact(*ints)
+    return _solve_cubic(a, b, c, d, delta, compute_rs(d), ints)

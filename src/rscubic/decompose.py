@@ -17,9 +17,9 @@ compute_rs is the one place that decides the case, from the plain sign
 of 4p^3 + 27q^2: equal only when it is exactly 0. An exact p = P/dp and
 q = Q/dq are read once, and the zero tests, the exponents, the sign
 (integer_discriminant), the square test and every float come from those four
-integers (solve hands an exact cubic's four straight to that branch,
-_compute_rs_exact); only an exact r is built as a Fraction. Float inputs
-take the sign in doubles, on the 2^k-scaled p and q. The formulas
+integers in _compute_rs_exact, which only compute_rs calls: every stage
+hands it a DepressedCubic. Only an exact r is built as a Fraction. Float
+inputs take the sign in doubles, on the 2^k-scaled p and q. The formulas
 discriminant and rs_quadratic are the reference both paths are tested
 against.
 """
@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import _band, _exponent, _ratio, _ratio_exponent
+from .numerics import _band, _exponent, _float_of, _ratio, _ratio_exponent
 from .reduction import Coefficient, DepressedCubic, _record
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
@@ -87,7 +87,7 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     and the float r, s are multiplied by 2^k, exactly; in band (|k| <= 100)
     k = 0. Exact r, s come back when the quadratic discriminant is a square.
     """
-    p, q = d.p, d.q
+    p, q = d
     if type(p) is not float:
         return _compute_rs_exact(p.numerator, p.denominator, q.numerator, q.denominator)
     # denest's cubic can hold a float p beside an exact q beyond the double range
@@ -95,7 +95,7 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     if tag is not None:
         return RsPair(None, None, tag)
     if k:
-        p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
+        p, q = math.ldexp(p, -2 * k), _float_of(q, -3 * k)
     delta = 4 * p**3 + 27 * q**2
     B, C = 3 * q / p, -p / 3
     if delta == 0:

@@ -53,29 +53,48 @@ class DenestResult(_record("DenestResult", "value exact cubic note", (None,))):
 
 def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     """The depressed cubic the radical's value satisfies: p = -3 cbrt(a^2-b), q = -2a.
-    Float unless a^2 - b is a rational cube; an exact -2a that no double holds stays exact."""
-    a, b = radical.a, radical.b
-    t = a * a - b
-    cr = None if isinstance(t, float) else fraction_cbrt(t)
-    p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
+    Float unless a^2 - b is a rational cube. A float a^2 - b is formed on the
+    radical's scale, as (a 8^-k)^2 - b 64^-k, so it neither over- nor underflows.
+    A -2a that no double holds stays exact."""
+    a, b = radical
+    q = -2 * a
+    if type(a) is float:
+        k = _scale(a, b)
+        fa = _float_of(a, -3 * k)
+        p = math.ldexp(-3.0 * _root(fa * fa - _float_of(b, -6 * k), 3), 2 * k)
+        if math.isinf(q):
+            q = -2 * Fraction(a)
+    else:
+        t = a * a - b
+        cr = fraction_cbrt(t)
+        p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
     try:
-        return DepressedCubic(p, -2 * a)
-    except InvalidInputError:  # p is a float here; solve_depressed still solves the cubic
-        return _tuple_new(DepressedCubic, (p, -2 * a))
+        return DepressedCubic(p, q)
+    except InvalidInputError:
+        if not math.isfinite(p):
+            raise
+        # The mixed cubic: a float p beside an exact q beyond the double range, which solve_depressed solves.
+        return _tuple_new(DepressedCubic, (p, q))
+
+
+def _scale(a, b) -> int:
+    """The radical's scale exponent k = max(ceil(e_a / 3), ceil(e_b / 6)), 0 in band: a^2 - b
+    is formed as (a 8^-k)^2 - b 64^-k, and the value scales by 2^-k. b = 0 has no exponent,
+    so k is then a's alone; a = 0 gives 0 on its side."""
+    k = -(-_exponent(a) // 3)
+    if b:
+        k = max(k, -(-_exponent(b) // 6))
+    return _band(k)
 
 
 def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
     """u = cbrt(a + sign(a) sqrt(b)) plus the other cube root, cbrt(a^2 - b) / u = -p / (3u):
-    p = -3 cbrt(a^2 - b) of the radical's cubic is formed from an exact a^2 - b, so b ~ a^2 does not cancel.
-    Formed on (a 8^-k, b 64^-k, p 4^-k), which scales the value by 2^-k; k = 0 in band.
-    b = 0 has no exponent, so k is then a's alone."""
+    an exact radical's p = -3 cbrt(a^2 - b) is formed from an exact a^2 - b, so b ~ a^2 does not cancel.
+    Formed on (a 8^-k, b 64^-k, p 4^-k), which scales the value by 2^-k; k = 0 in band."""
     a, b, p = radical.a, radical.b, cubic.p
     if not a:
         return 0.0  # the two cube roots cancel exactly
-    k = -(-_exponent(a) // 3)  # ceil(e_a / 3)
-    if b:
-        k = max(k, -(-_exponent(b) // 6))  # ceil(e_b / 6)
-    k = _band(k)
+    k = _scale(a, b)
     a, b, p = _float_of(a, -3 * k), _float_of(b, -6 * k), _float_of(p, -2 * k)
     u = _root(a + math.copysign(math.sqrt(b), a), 3)
     return math.ldexp(u - p / (3.0 * u), k)

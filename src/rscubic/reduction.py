@@ -149,20 +149,19 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
         p = b - a * a / 3
         q = 2 * a**3 / 27 - a * b / 3 + c
         return DepressedCubic(p, q), a / 3
-    return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)[:2]
+    return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
 
 
-def _depress_exact(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> tuple:
+def _depress_exact(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> tuple[DepressedCubic, Fraction]:
     """depress on integers, for a = an/ad, b = bn/bd and c = cn/cd with positive denominators.
 
     p and q are summed as integers over the common denominators 3 ad^2 bd
-    and 27 ad^3 bd cd, one Fraction each. Returns the DepressedCubic of p and
-    q, delta = a/3, and p = P/dp and q = Q/dq in lowest terms, read off the
-    Fractions: a cubic of common-denominator roots keeps its integers small.
+    and 27 ad^3 bd cd, one Fraction each, which reduces them to lowest terms:
+    a cubic of common-denominator roots keeps its integers small. Returns
+    what depress returns, the DepressedCubic of p and q and delta = a/3.
     """
     ad2 = ad * ad
     P, dp = 3 * bn * ad2 - an * an * bd, 3 * ad2 * bd
     Q, dq = (2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd
-    p, q = Fraction(P, dp), Fraction(Q, dq)
-    d = _tuple_new(DepressedCubic, (p, q))  # Fractions already: no re-coercion
-    return d, Fraction(an, 3 * ad), p.numerator, p.denominator, q.numerator, q.denominator
+    d = _tuple_new(DepressedCubic, (Fraction(P, dp), Fraction(Q, dq)))  # Fractions already: no re-coercion
+    return d, Fraction(an, 3 * ad)

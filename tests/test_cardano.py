@@ -6,7 +6,9 @@ import pytest
 from rscubic import (
     CaseTag,
     DepressedCubic,
+    NestedRadical,
     cardano_solve,
+    denest,
     depress,
     match_root_sets,
     parse_cubic,
@@ -136,3 +138,20 @@ def test_out_of_band_cubic_is_solved_on_the_scale_of_its_roots(p, q):
     got = sorted(cardano_solve(d).roots, key=lambda z: (z.imag, z.real))
     for x, y in zip(got, expected):
         assert abs(x - y) <= 1e-14 * abs(y)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        DepressedCubic(10**400, 1),
+        DepressedCubic(-3, 10**400),
+        denest(NestedRadical(10**400, 10**799)).cubic,  # the mixed cubic: a float p, an exact q = -2 * 10^400
+    ],
+    ids=["p beyond the double range", "q beyond the double range", "mixed cubic"],
+)
+def test_p_or_q_without_a_double_is_solved_on_the_scale_of_its_roots(d):
+    # No double holds p or q here, so the band test cannot run on their floats.
+    roots = cardano_solve(d).roots
+    expected = solve_depressed(d).roots
+    assert all(math.isfinite(abs(z)) for z in roots)
+    assert match_root_sets(roots, expected) <= 1e-12 * max(abs(z) for z in expected)

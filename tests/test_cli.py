@@ -207,24 +207,20 @@ class TestSolveFlags:
 
 
 def test_both_verify_decides_the_case_once_per_line(capsys, tmp_path, monkeypatch):
-    # The case is decided by compute_rs, or for an exact cubic by its integer entry,
-    # which solve calls directly; compute_rs's own call of that entry is not counted.
+    # The case is decided by compute_rs, the one entry to the r,s stage for exact and
+    # float cubics alike; Cardano and the verify report reuse solve's case.
     import rscubic.decompose
 
     calls = []
+    stage = rscubic.decompose.compute_rs
 
-    def counted(stage):
-        def call(*args):
-            calls.append(args)
-            return stage(*args)
+    def counted(*args):
+        calls.append(args)
+        return stage(*args)
 
-        return call
-
-    for name in ("compute_rs", "_compute_rs_exact"):
-        stage = getattr(rscubic.decompose, name)
-        for module in [m for n, m in sys.modules.items() if n.startswith("rscubic") and m is not rscubic.decompose]:
-            if getattr(module, name, None) is stage:
-                monkeypatch.setattr(module, name, counted(stage))
+    for module in [m for n, m in sys.modules.items() if n.startswith("rscubic") and m is not rscubic.decompose]:
+        if getattr(module, "compute_rs", None) is stage:
+            monkeypatch.setattr(module, "compute_rs", counted)
     lines = ["x^3-12x+16", "x^3-6x-9", "x^3-3x+1", "x^3+8", "x^3-4x", "x^3-6x^2+11x-6", "x^3+sqrt(2)x+1"]
     batch = tmp_path / "cubics.txt"
     batch.write_text("\n".join(lines) + "\n")
@@ -234,8 +230,8 @@ def test_both_verify_decides_the_case_once_per_line(capsys, tmp_path, monkeypatc
 
 
 def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
-    # solve looks its stages up in rscubic.chen: depress and compute_rs for a float
-    # cubic, their integer entries for an exact one, whose integers it reads once.
+    # solve looks its stages up in rscubic.chen: depress for a float cubic, its integer
+    # entry for an exact one, whose integers it reads once, and compute_rs for both.
     # The CLI adds only Cardano and the verify report.
     import rscubic.chen
 
@@ -250,7 +246,7 @@ def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("depress", "compute_rs", "_depress_exact", "_compute_rs_exact", "_solve_cubic"):
+    for name in ("depress", "_depress_exact", "compute_rs", "_solve_cubic"):
         assert not hasattr(rscubic.cli, name)  # only solve runs the stages
         count(rscubic.chen, name)
     for name in ("_cardano", "verify_roots"):
@@ -263,9 +259,9 @@ def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
     n = len(exact_lines) + len(float_lines)
     assert code == 0 and len(out.strip().splitlines()) == n
     assert calls == {
-        **dict.fromkeys(["_depress_exact", "_compute_rs_exact"], len(exact_lines)),
-        **dict.fromkeys(["depress", "compute_rs"], len(float_lines)),
-        **dict.fromkeys(["_solve_cubic", "_cardano", "verify_roots"], n),
+        "_depress_exact": len(exact_lines),
+        "depress": len(float_lines),
+        **dict.fromkeys(["compute_rs", "_solve_cubic", "_cardano", "verify_roots"], n),
     }
 
 
@@ -593,6 +589,17 @@ class TestDenestCommand:
         code, out, _ = run(capsys, "denest", "--a", f"1/{10**400}", "--b", "0")
         assert code == 0
         assert out.startswith("value = 9.28317766723e-134\n")
+
+    @pytest.mark.parametrize(
+        "a, value",
+        [(f"1/{10**200}*sqrt(2)", "4.83654235024e-67"), (f"{10**200}*sqrt(2)", "1.04200146192e+67")],
+        ids=["a^2 underflows", "a^2 overflows"],
+    )
+    def test_float_a_whose_square_has_no_double(self, capsys, a, value):
+        # Formed in doubles, a^2 - b gave half the value (2.41827117512e-67) or an infinite one (exit 3).
+        code, out, _ = run(capsys, "denest", "--a", a, "--b", "0")
+        assert code == 0
+        assert out.startswith(f"value = {value}\n")
 
 
 def test_cli_imports_no_private_library_name():

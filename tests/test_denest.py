@@ -144,6 +144,70 @@ class TestDenest:
             want = 2 * mpmath.cbrt(mpmath.mpf(10) ** -400)
             assert abs(denest(NestedRadical(Fraction(1, 10**400), 0)).value - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("a, want", [(1e-200, 4.3088693800637675e-67), (1e200, 9.283177667225558e66)])
+    def test_float_a_whose_square_has_no_double(self, a, want):
+        # a^2 under- or overflows in doubles: formed unscaled, p was -0.0 (value 2.154e-67,
+        # half the true one) or -inf (value inf). a^2 - b is formed on the radical's scale.
+        mpmath = pytest.importorskip("mpmath")
+        result = denest(NestedRadical(a, 0.0))
+        assert result.value == pytest.approx(want, rel=1e-15)
+        with mpmath.workdps(30):
+            assert abs(result.cubic.p + 3 * mpmath.cbrt(mpmath.mpf(a)) ** 2) <= 1e-15 * abs(result.cubic.p)
+        assert abs(result.cubic(result.value)) <= 1e-15 * abs(result.cubic.q)
+
+    def test_float_a_whose_double_has_no_double(self):
+        # q = -2a is beyond the double range, so it stays exact, as for an exact a.
+        mpmath = pytest.importorskip("mpmath")
+        result = denest(NestedRadical(1.7e308, 0.0))
+        assert result.cubic.q == -2 * Fraction(1.7e308) and math.isfinite(result.cubic.p)
+        with mpmath.workdps(30):
+            assert abs(result.value - 2 * mpmath.cbrt(mpmath.mpf(1.7e308))) <= 1e-15 * result.value
+        assert max(z.real for z in solve_depressed(result.cubic).roots) == pytest.approx(result.value, rel=1e-14)
+
+
+def _real_cbrt(mpmath, x):
+    return mpmath.sign(x) * mpmath.cbrt(abs(x))
+
+
+@st.composite
+def float_radicals(draw):
+    """A float a = +-m 2^e, 1 <= m < 2, e from -1000 to 1000, with b = 0; or, where
+    b = m^2 (1 + t) 4^e has a double, b near a^2 (2^-16 <= |t| <= 2^-4) or b
+    random below it (t from -1 to -2^-4). Nearer a^2, a^2 - b cancels in doubles."""
+    m = draw(st.floats(1.0, 2.0, exclude_max=True))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["zero", "near", "random"]))
+    e = draw(st.integers(-1000, 1000) if kind == "zero" else st.integers(-500, 510))
+    a = sign * math.ldexp(m, e)
+    if kind == "zero":
+        return a, 0.0
+    if kind == "near":
+        t = draw(st.floats(2.0**-16, 2.0**-4)) * draw(st.sampled_from([1.0, -1.0]))
+    else:
+        t = draw(st.floats(-1.0, -(2.0**-4)))
+    return a, math.ldexp(m * m * (1.0 + t), 2 * e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_radicals())
+@example((1e-200, 0.0))
+@example((-1e200, 0.0))
+@example((1e150, 1e300 * (1 - 2.0**-16)))
+def test_float_radical_across_the_double_range(radical):
+    # The value against mpmath, and the cubic: a finite p, with the value as its root.
+    mpmath = pytest.importorskip("mpmath")
+    a, b = radical
+    result = denest(NestedRadical(a, b))
+    with mpmath.workdps(60):
+        w = mpmath.sqrt(mpmath.mpf(b))
+        want = _real_cbrt(mpmath, a + w) + _real_cbrt(mpmath, a - w)
+        assert abs(result.value - want) <= 1e-12 * abs(want)
+    p, q = result.cubic
+    assert math.isfinite(p) and q == -2 * a
+    x, p, q = Fraction(result.value), Fraction(p), Fraction(q)
+    assert abs((x * x + p) * x + q) <= 1e-12 * (abs(x) ** 3 + abs(p * x) + abs(q))
+
+
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))

@@ -156,6 +156,17 @@ def test_no_module_imports_a_private_name_from_chen():
     assert private == []
 
 
+def test_only_decompose_names_the_exact_rs_entry():
+    # compute_rs is the one entry to the r,s stage: every other module hands it a DepressedCubic.
+    names = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name's id, an Attribute's attr, an import alias's or a def's name
+            if "_compute_rs_exact" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                names.append(path.name)
+    assert names and set(names) == {"decompose.py"}
+
+
 def test_cold_start_skips_dataclasses_and_inspect():
     # -S: no site-packages .pth file can import either module first and mask the result.
     code = "import sys, rscubic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

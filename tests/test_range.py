@@ -11,9 +11,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from rscubic import CaseTag, DepressedCubic, GeneralCubic, compute_rs, solve, solve_depressed
+from rscubic import CaseTag, DepressedCubic, GeneralCubic, NestedRadical, compute_rs, denest, solve, solve_depressed
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -137,3 +137,25 @@ def test_out_of_band_real_distinct_cube_roots_keep_accuracy(p, q):
     triple = solve_depressed(DepressedCubic(p, q))
     assert triple.case is CaseTag.REAL_DISTINCT
     assert_roots_match(triple.roots, p, q, rel=1e-15)
+
+
+@st.composite
+def mixed_radicals(draw):
+    """An exact a = +-m 10^e with 10^308 <= |a| <= 10^450, whose -2a has no double, and a b
+    that is 0, below a^2, or a^2 - n for a small n (a negligible p)."""
+    a = draw(st.integers(1, 10**6)) * 10 ** draw(st.integers(308, 444)) * draw(st.sampled_from([1, -1]))
+    b = draw(st.one_of(st.just(0), st.integers(0, a * a), st.integers(-1000, 1000).map(lambda n: a * a - n)))
+    return a, max(b, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_radicals())
+@example((10**400, 10**799))
+def test_mixed_cubic_solves(radical):
+    # Unless a^2 - b is a rational cube, denest's cubic is mixed: a float p beside an exact
+    # q = -2a beyond the double range, which compute_rs reads on its 2^k scale.
+    result = denest(NestedRadical(*radical))
+    assume(not result.cubic.exact)
+    roots = solve_depressed(result.cubic).roots
+    assert all(math.isfinite(abs(z)) for z in roots)
+    assert min(abs(z - result.value) for z in roots if z.imag == 0) <= 1e-12 * abs(result.value)
