@@ -6,12 +6,13 @@ i.e. it is a root of x^3 + px + q with
     p = -3 * cbrt(a^2 - b),    q = -2a,
 
 where the cube root is the real, sign-preserving one (a^2 - b is often
-negative). When a and b are rational and a^2 - b is a perfect rational
-cube, the cubic is exact and a rational-root search can replace the nested
-radical by a plain number -- no by-hand simplification step. The search
-needs no factoring: scaled to a monic integer cubic, a rational root near
-the radical's float value is an integer in a narrow window, found by exact
-bisection, so it always completes.
+negative). Its discriminant 4p^3 + 27q^2 is 108b >= 0: the value is the
+cubic's one simple real root (b = 0 adds a double root at -value/2). When a
+and b are rational and a^2 - b is a perfect rational cube, the cubic is exact,
+and one exact bisection over the integers of its monic integer form, within
+2e-9 of the float value relative, replaces the radical by a plain number when
+it is rational: no factoring, and it always completes. An exact a^2 - b
+that is no rational cube, with |p| beyond the doubles, raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class NestedRadical(_record("NestedRadical", "a b")):
 class DenestResult(_record("DenestResult", "value exact cubic note", (None,))):
     """The radical's float value, its exact Fraction (or None) and its DepressedCubic.
 
-    note is always None since the rational-root search cannot give up; kept for readers of the field.
+    note is always None, since the one bisection cannot give up; kept for readers of the field.
     """
 
     __slots__ = ()
@@ -67,7 +68,10 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     else:
         t = a * a - b
         cr = fraction_cbrt(t)
-        p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
+        try:
+            p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
+        except OverflowError:
+            raise InvalidInputError("p = -3 cbrt(a^2 - b) has no double") from None
     try:
         return DepressedCubic(p, q)
     except InvalidInputError:
@@ -88,8 +92,10 @@ def _scale(a, b) -> int:
 
 
 def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
-    """u = cbrt(a + sign(a) sqrt(b)) plus the other cube root, cbrt(a^2 - b) / u = -p / (3u):
+    """u = cbrt(a + sign(a) sqrt(b)) plus the other cube root v = cbrt(a^2 - b) / u = -p / (3u):
     an exact radical's p = -3 cbrt(a^2 - b) is formed from an exact a^2 - b, so b ~ a^2 does not cancel.
+    When b > a^2 (p > 0), v has the opposite sign, and once 2|v| > |u| the sum is taken as
+    (u^3 + v^3) / (u^2 - uv + v^2) = 2a / (u^2 - uv + v^2), whose terms do not cancel.
     Formed on (a 8^-k, b 64^-k, p 4^-k), which scales the value by 2^-k; k = 0 in band."""
     a, b, p = radical.a, radical.b, cubic.p
     if not a:
@@ -97,56 +103,37 @@ def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
     k = _scale(a, b)
     a, b, p = _float_of(a, -3 * k), _float_of(b, -6 * k), _float_of(p, -2 * k)
     u = _root(a + math.copysign(math.sqrt(b), a), 3)
-    return math.ldexp(u - p / (3.0 * u), k)
+    v = -p / (3.0 * u)
+    x = 2.0 * a / (u * u - u * v + v * v) if p > 0 and 2.0 * abs(v) > abs(u) else u + v
+    return math.ldexp(x, k)
 
 
 def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:
-    """Rational root of x^3 + px + q within 1e-9 max(1, |target|) of target, if one exists.
+    """The radical's value as a Fraction, if rational: target is its float, x^3 + px + q its cubic (q = -2a).
 
-    With L = lcm(den p, den q), y = L x gives the monic integer cubic
-    y^3 + P y + Q (P = p L^2, Q = q L^3), whose rational roots are integers
-    (rational root theorem). Only integers within about 2e-9 max(1, |target|)
-    of L target can pass, and the cubic is strictly monotone on the integer
-    runs y < -k, |y| <= k and y > k (k = floor(sqrt(-P/3)) when P < 0), so
-    exact bisection finds each run's root in O(log window) evaluations.
-    Ties go to the smallest reduced denominator, then the smallest
-    |numerator|, then the positive root.
+    With L = lcm(den p, den q), y = L x gives the monic integer cubic y^3 + P y + Q
+    (P = p L^2, Q = q L^3), whose rational roots are integers (rational root theorem).
+    The discriminant 108b >= 0 makes the value the one simple real root, of a's sign; a
+    double root (b = 0) sits at -value/2, across 0. So on the value's side, within
+    2e-9 |target| (plus a subnormal's rounding and one integer), the cubic is negative below
+    the value and nonnegative from it on: one exact bisection finds the smallest such y.
     """
-    if q == 0:
-        # q = 0: zero is a root; it only denests the radical if it IS the value.
-        return Fraction(0) if abs(target) <= 1e-9 else None
     lead = math.lcm(p.denominator, q.denominator)
     big_p = p.numerator * (lead // p.denominator) * lead
     big_q = q.numerator * (lead // q.denominator) * lead * lead
-    scale = max(1.0, abs(target))
-    width = 2e-9 * scale
+    width = 2e-9 * abs(target) + 5e-324
     n, d = (target - width).as_integer_ratio()
     lo = lead * n // d - 1
     n, d = (target + width).as_integer_ratio()
     hi = -(-lead * n // d) + 1
-    if big_p < 0:
-        k = math.isqrt(-big_p // 3)
-        runs = ((lo, -k - 1, 1), (-k, k, -1), (k + 1, hi, 1))
-    else:
-        runs = ((lo, hi, 1),)
-    found = []
-    for start, stop, sign in runs:
-        # Smallest y in the run with sign * f(y) >= 0; f(y) = 0 there iff the run has a root.
-        y, stop = max(start, lo), min(stop, hi)
-        if y > stop:
-            continue
-        while y < stop:
-            mid = (y + stop) // 2
-            if sign * ((mid * mid + big_p) * mid + big_q) >= 0:
-                stop = mid
-            else:
-                y = mid + 1
-        if (y * y + big_p) * y + big_q == 0:
-            x = Fraction(y, lead)
-            fx = float(x)
-            if abs(fx - target) <= 1e-9 * scale:
-                found.append(x)
-    return min(found, key=lambda x: (x.denominator, abs(x.numerator), x < 0), default=None)
+    lo, hi = (max(lo, 1), hi) if big_q < 0 else (lo, min(hi, -1))  # the value's side of 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid * mid + big_p) * mid + big_q >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, lead) if (lo * lo + big_p) * lo + big_q == 0 else None
 
 
 def denest(radical: NestedRadical) -> DenestResult:

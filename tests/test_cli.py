@@ -382,6 +382,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: --batch writes JSON lines; --format text and --precision do not apply\n"
 
+    def test_denest_p_beyond_double_range_is_2(self, capsys):
+        # a^2 - b = 10^1000 is no rational cube: p = -3 cbrt(10^1000) has no double.
+        code, out, err = run(capsys, "denest", "--a", str(10**500), "--b", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: p = -3 cbrt(a^2 - b) has no double\n"
+
     def test_denest_a_beyond_double_range_is_0(self, capsys):
         code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2")
         assert code == 0
@@ -589,6 +595,19 @@ class TestDenestCommand:
         code, out, _ = run(capsys, "denest", "--a", f"1/{10**400}", "--b", "0")
         assert code == 0
         assert out.startswith("value = 9.28317766723e-134\n")
+
+    @pytest.mark.parametrize(
+        "c", [Fraction(1, 3**25), Fraction(1, 7**12), Fraction(-1, 3**25)], ids=["3^-25", "7^-12", "-3^-25"]
+    )
+    def test_tiny_cube_with_b_zero(self, capsys, c):
+        # The value 2c is exact; the cubic's double root -c, as near in absolute terms, is not it.
+        code, out, _ = run(capsys, "denest", f"--a={c**3}", "--b", "0")
+        assert code == 0
+        assert out.startswith(f"value = {2 * c} (exact)\n")
+        code, out, _ = run(capsys, "denest", f"--a={c**3}", "--b", "0", "--format", "json")
+        rec = json.loads(out)
+        assert code == 0 and rec["exact"] == str(2 * c)
+        assert rec["value"] == pytest.approx(float(2 * c), rel=1e-15)
 
     @pytest.mark.parametrize(
         "a, value",

@@ -167,6 +167,18 @@ def test_only_decompose_names_the_exact_rs_entry():
     assert names and set(names) == {"decompose.py"}
 
 
+def test_only_denest_calls_the_rational_root_search():
+    # _rational_root_near searches the radical's cubic alone (one simple real root, of a's
+    # sign): besides its def, the package names it once, in denest.denest.
+    found = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if "_rational_root_near" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                    found.append((path.stem, getattr(top, "name", None), type(node).__name__))
+    assert sorted(found) == [("denest", "_rational_root_near", "FunctionDef"), ("denest", "denest", "Name")]
+
+
 def test_cold_start_skips_dataclasses_and_inspect():
     # -S: no site-packages .pth file can import either module first and mask the result.
     code = "import sys, rscubic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
