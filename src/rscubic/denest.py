@@ -56,7 +56,7 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     """The depressed cubic the radical's value satisfies: p = -3 cbrt(a^2-b), q = -2a.
     Float unless a^2 - b is a rational cube. A float a^2 - b is formed on the
     radical's scale, as (a 8^-k)^2 - b 64^-k, so it neither over- nor underflows.
-    A -2a that no double holds stays exact."""
+    A -2a that no double holds stays exact; a float p that none holds raises InvalidInputError."""
     a, b = radical
     q = -2 * a
     if type(a) is float:
@@ -71,12 +71,12 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
         try:
             p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
         except OverflowError:
-            raise InvalidInputError("p = -3 cbrt(a^2 - b) has no double") from None
+            p = -math.inf  # no double holds p, as when -3.0 * cbrt(t) rounds to -inf: refused below
     try:
         return DepressedCubic(p, q)
     except InvalidInputError:
         if not math.isfinite(p):
-            raise
+            raise InvalidInputError("p = -3 cbrt(a^2 - b) has no double") from None
         # The mixed cubic: a float p beside an exact q beyond the double range, which solve_depressed solves.
         return _tuple_new(DepressedCubic, (p, q))
 

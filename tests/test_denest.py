@@ -158,10 +158,14 @@ class TestDenest:
         assert result.exact == 2 * c
         assert result.value == pytest.approx(float(2 * c), rel=1e-15)
 
-    def test_p_without_a_double_is_refused(self):
-        # a^2 - b = 10^1000 is no rational cube, and p = -3 cbrt(10^1000), about -3e333, has no double.
-        with pytest.raises(InvalidInputError, match=r"p = -3 cbrt\(a\^2 - b\) has no double"):
-            denest(NestedRadical(10**500, 0))
+    @pytest.mark.parametrize(
+        "a, t", [(10**500, 10**1000), (10**462, 343 * 10**921 + 1)], ids=["cube root overflows", "-3 cbrt overflows"]
+    )
+    def test_p_without_a_double_is_refused(self, a, t):
+        # a^2 - b = t is no rational cube, and p = -3 cbrt(t), about -3e333 or -2.1e308, has no
+        # double: the first raised a bare OverflowError, the second named a -inf coefficient.
+        with pytest.raises(InvalidInputError, match=r"^p = -3 cbrt\(a\^2 - b\) has no double$"):
+            denest(NestedRadical(a, a * a - t))
 
     @pytest.mark.parametrize("a, want", [(1e-200, 4.3088693800637675e-67), (1e200, 9.283177667225558e66)])
     def test_float_a_whose_square_has_no_double(self, a, want):
