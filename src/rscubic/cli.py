@@ -51,16 +51,6 @@ def _failure(exc: Exception) -> tuple[int, str]:
     return next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
 
 
-def _precision(text: str) -> int:
-    """A --precision value: 0 to 2**31 - 1, the most a format spec takes, else a usage error (exit 2)."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    # Ten significant digits at most, so int() never meets its 4300-digit limit.
-    if len(text.lstrip("0")) > 10 or int(text) > 2**31 - 1:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer up to {2**31 - 1}")
-    return int(text)
-
-
 def _str(value) -> str:
     """str(value); an integer past int-to-str's digit limit (4300 by default) is a numeric failure."""
     try:
@@ -85,14 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--batch", metavar="FILE", help="file with one equation per line; emits JSON lines")
     solve.add_argument("--method", choices=["chen", "both"], default="chen")
     solve.add_argument("--format", choices=["text", "json"], help="output format (default text; --batch: json)")
-    solve.add_argument("--precision", type=_precision, help="significant digits in text output (default 12)")
     solve.add_argument("--verify", action="store_true", help="append a verification report; exit 3 on failure")
 
     den = sub.add_parser("denest", help="denest cbrt(a+sqrt(b)) + cbrt(a-sqrt(b))")
     den.add_argument("--a", required=True)
     den.add_argument("--b", required=True)
     den.add_argument("--format", choices=["text", "json"], default="text")
-    den.add_argument("--precision", type=_precision, default=12)
     return parser
 
 
@@ -164,22 +152,21 @@ def _solve_json(triple: RootTriple, echo: str, args, values: tuple) -> str:
     if report is not None:
         line += (
             f', "verification": {{"pass": {"true" if report.passed else "false"}, '
-            f'"residuals": {_jnums(report.residuals)}, "vieta_errors": {_jnums(report.vieta_errors)}, '
-            f'"tol": {_jnum(report.tol)}, "scale": {_jnum(report.scale)}}}'
+            f'"residuals": {_jnums(report.residuals)}, "vieta_errors": {_jnums(report.vieta_errors)}}}'
         )
     return line + "}\n"
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+def _fmt(value: float) -> str:
+    return f"{value:.12g}"
 
 
-def _fmt_complex(z: complex, precision: int) -> str:
+def _fmt_complex(z: complex) -> str:
     re, im = z.real, z.imag
     if im == 0:
-        return _fmt(re, precision)
+        return _fmt(re)
     sign = "+" if im >= 0 else "-"
-    return f"{_fmt(re, precision)} {sign} {_fmt(abs(im), precision)}i"
+    return f"{_fmt(re)} {sign} {_fmt(abs(im))}i"
 
 
 def _exact_residual(cubic: GeneralCubic, z: complex) -> float:
@@ -196,7 +183,7 @@ def _exact_residual(cubic: GeneralCubic, z: complex) -> float:
         return math.inf
 
 
-def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: GeneralCubic, precision: int) -> str:
+def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: GeneralCubic) -> str:
     """The result as text: the roots with their exact values and multiplicities,
     the cosine form when chen has one, Cardano's roots under --method both, the
     residuals |f(x)| of the roots and, last, the --verify report."""
@@ -204,10 +191,10 @@ def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: Gene
     pair = triple.pair
     lines = [f"input: {echo}"]
     lines.append(f"method: {args.method}   case: {triple.case.value}")
-    shift = _fmt(delta, precision)
-    lines.append(f"depressed: p = {_fmt(p, precision)}, q = {_fmt(q, precision)}   (shift delta = {shift})")
+    shift = _fmt(delta)
+    lines.append(f"depressed: p = {_fmt(p)}, q = {_fmt(q)}   (shift delta = {shift})")
     if pair.r is not None:
-        lines.append(f"r = {_fmt_complex(pair.r, precision)}, s = {_fmt_complex(pair.s, precision)}")
+        lines.append(f"r = {_fmt_complex(pair.r)}, s = {_fmt_complex(pair.s)}")
     exact = exact or (None, None, None)
     mult = dict(triple.multiplicity) if cardano is None else {}
     lines.append("roots:")
@@ -215,35 +202,31 @@ def _render_text(triple: RootTriple, echo: str, args, values: tuple, cubic: Gene
         note = f"   (exact: {exact[i]})" if exact[i] is not None else ""
         if i in mult:
             note += f"   [multiplicity {mult[i]}]"
-        lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}{note}")
+        lines.append(f"  x[{i}] = {_fmt_complex(z)}{note}")
     r = pair.r
     if triple.case is CaseTag.CONJUGATE_PAIR and r is not None and args.method == "chen":
         theta, amplitude = math.atan2(r.imag, r.real), -2.0 * abs(r)  # the solve step's own expressions
         t = theta / 3.0
         shift_part = f" - ({shift})" if delta != 0 else ""
-        lines.append(
-            f"cosine form: x[i] = {_fmt(amplitude, precision)} * cos(offset[i]){shift_part}, "
-            f"theta = {_fmt(theta, precision)}"
-        )
+        lines.append(f"cosine form: x[i] = {_fmt(amplitude)} * cos(offset[i]){shift_part}, theta = {_fmt(theta)}")
         offsets = (t, t + 2.0 * _TWO_PI_3, t + _TWO_PI_3)
-        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi, precision)}*pi" for off in offsets))
+        lines.append("  offsets: " + ", ".join(f"{_fmt(off / math.pi)}*pi" for off in offsets))
     if cardano is not None:
         lines.append("cardano roots:")
         for i, z in enumerate(cardano):
-            lines.append(f"  x[{i}] = {_fmt_complex(z, precision)}")
-        lines.append(f"max matched distance = {_fmt(distance, 3)}")
+            lines.append(f"  x[{i}] = {_fmt_complex(z)}")
+        lines.append(f"max matched distance = {distance:.3g}")
     # GeneralCubic.__call__'s complex Horner form on the coefficients rounded to doubles,
     # or f(x) computed exactly where that overflows, as for a coefficient with no double.
     try:
         residuals = [abs(cubic(x)) for x in triple.roots]
     except OverflowError:
         residuals = [_exact_residual(cubic, x) for x in triple.roots]
-    lines.append("residuals: " + ", ".join(_fmt(v, 3) for v in residuals))
+    lines.append("residuals: " + ", ".join(f"{v:.3g}" for v in residuals))
     if report is not None:
         lines.append(
             f"verification: {'PASS' if report.passed else 'FAIL'} "
-            f"(max residual {_fmt(max(report.residuals), 3)}, "
-            f"max vieta error {_fmt(max(report.vieta_errors), 3)}, tol {report.tol:g})"
+            f"(max residual {max(report.residuals):.3g}, max vieta error {max(report.vieta_errors):.3g})"
         )
     return "\n".join(lines)
 
@@ -255,8 +238,8 @@ def cmd_solve(args) -> int:
         return 2
 
     if args.batch is not None:
-        if args.format == "text" or args.precision is not None:
-            print("error: --batch writes JSON lines; --format text and --precision do not apply", file=sys.stderr)
+        if args.format == "text":
+            print("error: --batch writes JSON lines; --format text does not apply", file=sys.stderr)
             return 2
         return _run_batch(args)
 
@@ -276,7 +259,7 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         sys.stdout.write(_solve_json(triple, echo, args, values))
     else:
-        print(_render_text(triple, echo, args, values, cubic, 12 if args.precision is None else args.precision))
+        print(_render_text(triple, echo, args, values, cubic))
     return 3 if args.verify and not values[-1].passed else 0
 
 
@@ -312,17 +295,13 @@ def cmd_denest(args) -> int:
     result = denest(radical)
     _check_finite([complex(result.value)])
     if args.format == "json":
-        a, b, p, q = float(radical.a), float(radical.b), float(result.cubic.p), float(result.cubic.q)
         exact = "null" if result.exact is None else _jstr(str(result.exact))
-        sys.stdout.write(
-            f'{{"a": {_jnum(a)}, "b": {_jnum(b)}, "value": {_jnum(result.value)}, "exact": {exact}, '
-            f'"p": {_jnum(p)}, "q": {_jnum(q)}}}\n'
-        )
+        sys.stdout.write(f'{{"value": {_jnum(result.value)}, "exact": {exact}}}\n')
         return 0
     if result.exact is not None:
         print(f"value = {result.exact} (exact)")
     else:
-        print(f"value = {_fmt(result.value, args.precision)}")
+        print(f"value = {_fmt(result.value)}")
     print(f"satisfies: {result.cubic} = 0")
     return 0
 

@@ -147,7 +147,10 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
     a, b, c = cubic
     if type(a) is float:
         p = b - a * a / 3
-        q = 2 * a**3 / 27 - a * b / 3 + c
+        try:
+            q = 2 * a**3 / 27 - a * b / 3 + c
+        except OverflowError:  # float ** raises where * would give inf
+            raise InvalidInputError("the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows") from None
         return DepressedCubic(p, q), a / 3
     return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
 

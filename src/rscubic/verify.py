@@ -13,9 +13,9 @@ from .reduction import DepressedCubic, _record
 _TOL = 1e-10
 
 
-class VerificationReport(_record("VerificationReport", "residuals vieta_errors passed tol scale")):
+class VerificationReport(_record("VerificationReport", "residuals vieta_errors passed")):
     """What verify_roots measured: three float residuals, three float Vieta
-    errors, whether all passed, and the float tolerance and scale they met."""
+    errors, and whether all passed."""
 
     __slots__ = ()
 
@@ -23,8 +23,9 @@ class VerificationReport(_record("VerificationReport", "residuals vieta_errors p
 def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
     """Residuals |x^3+px+q| and Vieta errors |sum x|, |sum x_i x_j - p|, |prod x + q|.
 
-    passed requires every error <= _TOL * max(1,|p|,|q|)^(3/2); the
+    passed requires every error <= _TOL * m^(3/2), m = max(1,|p|,|q|); the
     3/2 power keeps the bound covariant under the scaling (p,q) -> (p l^2, q l^3).
+    It is tested as e / m <= _TOL * sqrt(m), which never forms m^(3/2).
     """
     p, q = float(d.p), float(d.q)
     x0, x1, x2 = triple.roots
@@ -34,9 +35,9 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
         abs(x0 * x1 + x0 * x2 + x1 * x2 - p),
         abs(x0 * x1 * x2 + q),
     )
-    scale = max(1.0, abs(p), abs(q)) ** 1.5
-    passed = all(e <= _TOL * scale for e in residuals + vieta)
-    return VerificationReport(residuals, vieta, passed, _TOL, scale)
+    m = max(1.0, abs(p), abs(q))
+    bound = _TOL * math.sqrt(m)
+    return VerificationReport(residuals, vieta, all(e / m <= bound for e in residuals + vieta))
 
 
 def brute_force_roots(d: DepressedCubic) -> RootTriple:

@@ -167,12 +167,19 @@ class TestSolveFlags:
             assert out.rstrip().splitlines()[-1].startswith("verification: FAIL (max residual 0, ")
 
     def test_precision_flag(self, capsys):
-        _, out4, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "4")
-        _, out15, _ = run(capsys, "solve", "--p=-48", "--q=1", "--precision", "15")
-        assert len(out15) > len(out4)
-        # The largest precision a format spec takes (formatting it reserves about 2 GB of address space).
-        args = rscubic.cli.build_parser().parse_args(["solve", "--p=1", "--q=1", "--precision", "2147483647"])
-        assert args.precision == 2**31 - 1
+        # Text prints 12 significant digits; there is no --precision flag.
+        _, out, _ = run(capsys, "solve", "--p=-48", "--q=1")
+        assert "  x[2] = 6.91776297651\n" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--p=-48", "--q=1", "--precision", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --precision 4" in capsys.readouterr().err
+
+    def test_verify_beyond_the_old_scale(self, capsys):
+        # max(1, |p|, |q|)^1.5 overflows at q = 10^210; the bound is tested without forming it.
+        code, out, _ = run(capsys, "solve", "--p=0", f"--q={10**210}", "--verify", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verification"]["pass"] is True
 
     def test_negligible_p_case_matches_library(self, capsys):
         # p is below double resolution next to q, so the solve runs on x^3 + q.
@@ -364,23 +371,29 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err.startswith(f"error: {message}\n"), argv
 
+    # Text prints 12 significant digits: no command takes --precision, whatever its value.
     @pytest.mark.parametrize("value", ["-1", "abc", "2147483648", "9" * 20, pytest.param("9" * 5000, id="5000 digits")])
     @pytest.mark.parametrize("argv", [["solve", "--p=-6", "--q=-9"], ["denest", "--a", "2", "--b", "3"]])
     def test_bad_precision_is_2(self, capsys, argv, value):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--precision", value])
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--precision: must be a nonnegative integer" in err and "_precision" not in err
+        assert f"unrecognized arguments: --precision {value}\n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--format", "text"], ["--precision", "4"]], ids=["format text", "precision"])
+    @pytest.mark.parametrize("flags", [["--format", "text"]], ids=["format text"])
     def test_batch_refuses_text_flags_is_2(self, capsys, tmp_path, flags):
         # Batch output is JSON lines: a text-only flag given with --batch is an error, not dropped.
         batch = tmp_path / "cubics.txt"
         batch.write_text("x^3-12x+16\n")
         code, out, err = run(capsys, "solve", "--batch", str(batch), *flags)
         assert code == 2 and out == ""
-        assert err == "error: --batch writes JSON lines; --format text and --precision do not apply\n"
+        assert err == "error: --batch writes JSON lines; --format text does not apply\n"
+
+    def test_float_depress_overflow_is_2(self, capsys):
+        # a = 10^108 sqrt(2) is a double, but a^3 in the depressed q is not.
+        code, out, err = run(capsys, "solve", "--expr", f"x^3+{10**108}*sqrt(2)x^2+1")
+        assert (code, out) == (2, "")
+        assert err == "error: the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows\n"
 
     def test_denest_p_beyond_double_range_is_2(self, capsys):
         # a^2 - b = 10^1000 is no rational cube: p = -3 cbrt(10^1000) has no double.
@@ -392,6 +405,12 @@ class TestExitCodes:
         code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2")
         assert code == 0
         assert out.startswith("value = 4.30886938006e+133")
+
+    def test_denest_json_a_beyond_double_range_is_0(self, capsys):
+        # The record holds only the value and its exact form, so a is never rounded to a double.
+        code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2", "--format", "json")
+        assert code == 0
+        assert out == '{"value": 4.3088693800637675e+133, "exact": null}\n'
 
 
 class TestBatch:
@@ -520,7 +539,11 @@ def test_batch_output_is_golden(capfdbinary, flags, golden):
     the exact path moved to integer numerators and denominators, which must
     not change a byte, projected onto the record's fields: each line was
     json.loads'ed, stripped of cubic, shift, s, residuals, cardano_residuals
-    and trig, which the record no longer holds, and json.dumps'ed.
+    and trig, which the record no longer holds, and json.dumps'ed. The
+    --verify file was projected once more the same way when the verification
+    object dropped tol (always 1e-10) and scale (max(1, |p|, |q|)^1.5, which
+    follows from p and q): each line json.loads'ed, those two keys deleted,
+    and json.dumps'ed; no other byte changed.
     """
     data = Path(__file__).parent / "data"
     code = main(["solve", "--batch", str(data / "golden_batch.txt"), *flags, "--format", "json"])
@@ -534,7 +557,9 @@ def test_text_output_is_golden(capsys):
 
     tests/data/golden_text.txt is the output of the solver whose JSON record
     still held the shift, s, the residuals and the cosine form; the text prints
-    them from the solve result and the cubic, and must not change a byte.
+    them from the solve result and the cubic, and must not change a byte. It
+    was projected once when the verification report dropped its tolerance:
+    ", tol 1e-10" was deleted from each verification: line, and nothing else.
     """
     data = Path(__file__).parent / "data"
     out = []
@@ -555,7 +580,7 @@ def test_text_output_is_golden(capsys):
             ["solve", "--p=-6", "--q=-9", "--method", "both", "--verify"],
             SOLVE_KEYS + ["cardano_roots", "max_matched_distance", "verification"],
         ),
-        (["denest", "--a", "2", "--b", "5"], ["a", "b", "value", "exact", "p", "q"]),
+        (["denest", "--a", "2", "--b", "5"], ["value", "exact"]),
     ],
     ids=["chen", "chen verify", "both", "both verify", "denest"],
 )
@@ -575,10 +600,8 @@ class TestDenestCommand:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "denest", "--a", "2", "--b", "5", "--format", "json")
         assert code == 0
-        rec = json.loads(out)
-        assert rec["exact"] == "1"
-        assert rec["value"] == pytest.approx(1.0)
-        assert (rec["p"], rec["q"]) == (3.0, -4.0)
+        # a and b are the caller's, and p = -3 cbrt(a^2 - b) = 3, q = -2a = -4 follow from them.
+        assert json.loads(out) == {"value": 1.0, "exact": "1"}
 
     def test_inexact_output(self, capsys):
         code, out, _ = run(capsys, "denest", "--a", "1", "--b", "2")

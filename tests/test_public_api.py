@@ -111,25 +111,41 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
             assert shown in out, line
 
 
-def test_readme_lists_every_solve_flag():
-    # The bullets after "Flags of `solve`:" each open with the flags they describe.
-    text = README.read_text(encoding="utf-8").split("Flags of `solve`:", 1)[1].lstrip("\n")
-    bullets = text.split("\n\n", 1)[0].split("\n* ")
-    listed = {flag for bullet in bullets for flag in re.findall(r"--[a-z]+", bullet.split(" — ", 1)[0])}
-    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
-    flags = {s for action in solve._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
+def _readme_flags(command):
+    """The bullet list after "Flags of `command`:" in README, and the command's parser."""
+    text = README.read_text(encoding="utf-8").split(f"Flags of `{command}`:", 1)[1].lstrip("\n")
+    return text.split("\n\n", 1)[0], build_parser()._subparsers._group_actions[0].choices[command]
+
+
+def _assert_readme_lists_every_flag(command):
+    # Each bullet opens with the flags it describes.
+    text, parser = _readme_flags(command)
+    listed = {flag for bullet in text.split("\n* ") for flag in re.findall(r"--[a-z]+", bullet.split(" — ", 1)[0])}
+    flags = {s for action in parser._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
     assert listed == flags
 
 
-def test_readme_lists_every_solve_choice():
-    # The `--method {...}` and `--format {...}` bullets name exactly the parser's choices.
-    text = README.read_text(encoding="utf-8").split("Flags of `solve`:", 1)[1]
-    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
-    choices = {action.option_strings[0]: action.choices for action in solve._actions if action.choices}
-    assert set(choices) == {"--method", "--format"}
+def _assert_readme_lists_every_choice(command, flags):
+    # The `--flag {...}` bullets name exactly the parser's choices.
+    text, parser = _readme_flags(command)
+    choices = {action.option_strings[0]: action.choices for action in parser._actions if action.choices}
+    assert set(choices) == flags
     for flag, values in choices.items():
         (listed,) = re.findall(rf"^\* `{flag} \{{([a-z,]+)\}}`", text, re.MULTILINE)
         assert listed.split(",") == values
+
+
+def test_readme_lists_every_solve_flag():
+    _assert_readme_lists_every_flag("solve")
+
+
+def test_readme_lists_every_solve_choice():
+    _assert_readme_lists_every_choice("solve", {"--method", "--format"})
+
+
+def test_readme_lists_every_denest_flag():
+    _assert_readme_lists_every_flag("denest")
+    _assert_readme_lists_every_choice("denest", {"--format"})
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -52,6 +52,16 @@ class TestVerifyRoots:
         report = verify_roots(DepressedCubic(-6, -9), triple)
         assert not report.passed
 
+    def test_report_holds_only_what_it_measured(self):
+        triple = RootTriple((complex(2), complex(2), complex(-4)), CaseTag.EQUAL)
+        report = verify_roots(DepressedCubic(-12, 16), triple)
+        assert report._fields == ("residuals", "vieta_errors", "passed")
+
+    def test_bound_past_the_overflow_of_its_scale(self):
+        # max(1, |p|, |q|)^1.5 = 10^315 has no double; the bound is tested without forming it.
+        d = DepressedCubic(0, 10**210)
+        assert verify_roots(d, solve_depressed(d)).passed
+
     def test_every_solver_output_passes(self):
         rng = random.Random(89)
         for _ in range(500):
