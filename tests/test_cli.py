@@ -167,13 +167,9 @@ class TestSolveFlags:
             assert out.rstrip().splitlines()[-1].startswith("verification: FAIL (max residual 0, ")
 
     def test_precision_flag(self, capsys):
-        # Text prints 12 significant digits; there is no --precision flag.
+        # Text prints 12 significant digits; no flag sets them (test_bad_precision_is_2).
         _, out, _ = run(capsys, "solve", "--p=-48", "--q=1")
         assert "  x[2] = 6.91776297651\n" in out
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--p=-48", "--q=1", "--precision", "4"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --precision 4" in capsys.readouterr().err
 
     def test_verify_beyond_the_old_scale(self, capsys):
         # max(1, |p|, |q|)^1.5 overflows at q = 10^210; the bound is tested without forming it.
@@ -405,8 +401,6 @@ class TestExitCodes:
         code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2")
         assert code == 0
         assert out.startswith("value = 4.30886938006e+133")
-
-    def test_denest_json_a_beyond_double_range_is_0(self, capsys):
         # The record holds only the value and its exact form, so a is never rounded to a double.
         code, out, _ = run(capsys, "denest", "--a", str(10**400), "--b", "2", "--format", "json")
         assert code == 0

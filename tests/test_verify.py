@@ -33,6 +33,7 @@ class TestVerifyRoots:
         assert report.residuals == (0.0, 0.0, 0.0)
         assert report.vieta_errors == (0.0, 0.0, 0.0)
         assert report.passed
+        assert report._fields == ("residuals", "vieta_errors", "passed")
 
     def test_surd_case(self):
         roots = (complex(3), complex(-1.5, -SQRT3 / 2), complex(-1.5, SQRT3 / 2))
@@ -51,11 +52,6 @@ class TestVerifyRoots:
         triple = RootTriple((complex(1), complex(2), complex(3)), CaseTag.REAL_DISTINCT)
         report = verify_roots(DepressedCubic(-6, -9), triple)
         assert not report.passed
-
-    def test_report_holds_only_what_it_measured(self):
-        triple = RootTriple((complex(2), complex(2), complex(-4)), CaseTag.EQUAL)
-        report = verify_roots(DepressedCubic(-12, 16), triple)
-        assert report._fields == ("residuals", "vieta_errors", "passed")
 
     def test_bound_past_the_overflow_of_its_scale(self):
         # max(1, |p|, |q|)^1.5 = 10^315 has no double; the bound is tested without forming it.
