@@ -171,7 +171,7 @@ class TestSolveFlags:
         _, out, _ = run(capsys, "solve", "--p=-48", "--q=1")
         assert "  x[2] = 6.91776297651\n" in out
 
-    def test_verify_beyond_the_old_scale(self, capsys):
+    def test_verify_with_q_beyond_1e205(self, capsys):
         # max(1, |p|, |q|)^1.5 overflows at q = 10^210; the bound is tested without forming it.
         code, out, _ = run(capsys, "solve", "--p=0", f"--q={10**210}", "--verify", "--format", "json")
         assert code == 0

@@ -60,10 +60,13 @@ def test_float_coefficients_give_float_pq():
     assert isinstance(d.p, float) and isinstance(d.q, float)
 
 
-@pytest.mark.parametrize("a", [-(1e150 - 1.0), 1e108 * math.sqrt(2)], ids=["1e150", "1e108 sqrt(2)"])
-def test_float_a_cubed_beyond_the_doubles_is_invalid_input(a):
+@pytest.mark.parametrize(
+    "cubic",
+    [GeneralCubic(-(1e150 - 1.0), -1e150 - 2.0, 2e150), GeneralCubic(1e108 * math.sqrt(2), 0.0, 1.0)],
+    ids=["roots 1, -2, 1e150", "a = 1e108 sqrt(2)"],
+)
+def test_float_a_cubed_beyond_the_doubles_is_invalid_input(cubic):
     # Every coefficient is a double, but 2a^3/27 in the depressed q is not.
-    cubic = GeneralCubic(a, -1e150 - 2.0, 2e150) if a < 0 else GeneralCubic(a, 0.0, 1.0)
     with pytest.raises(InvalidInputError, match="a\\^3 overflows"):
         depress(cubic)
     with pytest.raises(InvalidInputError, match="a\\^3 overflows"):

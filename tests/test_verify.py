@@ -53,7 +53,7 @@ class TestVerifyRoots:
         report = verify_roots(DepressedCubic(-6, -9), triple)
         assert not report.passed
 
-    def test_bound_past_the_overflow_of_its_scale(self):
+    def test_bound_beyond_the_doubles(self):
         # max(1, |p|, |q|)^1.5 = 10^315 has no double; the bound is tested without forming it.
         d = DepressedCubic(0, 10**210)
         assert verify_roots(d, solve_depressed(d)).passed
