@@ -18,7 +18,6 @@ compute_rs's, so it reports the same one as the step.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 from .chen import RootTriple
 from .decompose import CaseTag, compute_rs, integer_discriminant
@@ -121,22 +120,41 @@ def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
         or (case is CaseTag.DEGENERATE_P0 and q == 0)
     )
     if three_real:
-        values = sorted(x.real for x in raw)
-        roots = tuple(complex(v, 0.0) for v in values)
+        x0, x1, x2 = sorted([raw[0].real, raw[1].real, raw[2].real])
+        roots = (complex(x0, 0.0), complex(x1, 0.0), complex(x2, 0.0))
         if case is CaseTag.EQUAL:
             mult = ((0, 2),) if q < 0 else ((1, 2),)
         else:
             mult = ((0, 3),) if case is CaseTag.DEGENERATE_P0 else ()
         return RootTriple(roots, case, multiplicity=mult)
-    k = min(range(3), key=lambda i: abs(raw[i].imag))
-    z1, z2 = (raw[i] for i in range(3) if i != k)
+    # The real root is the first of least |imag| (min's choice); the pair keeps raw order.
+    z0, z1, z2 = raw
+    i0, i1, i2 = abs(z0.imag), abs(z1.imag), abs(z2.imag)
+    if i2 < (i1 if i1 < i0 else i0):
+        z0, z1, z2, i1, i2 = z2, z0, z1, i0, i1
+    elif i1 < i0:
+        z0, z1, i1 = z1, z0, i0
     re = 0.5 * (z1.real + z2.real)
-    im = 0.5 * (abs(z1.imag) + abs(z2.imag))
-    roots = (complex(raw[k].real, 0.0), complex(re, -im), complex(re, im))
+    im = 0.5 * (i1 + i2)
+    roots = (complex(z0.real, 0.0), complex(re, -im), complex(re, im))
     return RootTriple(roots, case)
 
 
 def match_root_sets(a, b) -> float:
     """Minimum over pairings of the maximum pairwise distance between two root triples."""
-    return min(max(abs(x - y) for x, y in zip(a, perm)) for perm in permutations(b))
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    d00, d01, d02 = abs(a0 - b0), abs(a0 - b1), abs(a0 - b2)
+    d10, d11, d12 = abs(a1 - b0), abs(a1 - b1), abs(a1 - b2)
+    d20, d21, d22 = abs(a2 - b0), abs(a2 - b1), abs(a2 - b2)
+    # The six pairings in itertools.permutations order, so ties, inf and NaN
+    # pick as min and max over the permutations do.
+    return min(
+        max(d00, d11, d22),
+        max(d00, d12, d21),
+        max(d01, d10, d22),
+        max(d01, d12, d20),
+        max(d02, d10, d21),
+        max(d02, d11, d20),
+    )
 

@@ -117,7 +117,8 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     shift = _float_of(shift)
     cardano = distance = exact = report = None
     if args.method == "both":
-        cardano = tuple(x - shift for x in _cardano(d, case).roots)
+        y0, y1, y2 = _cardano(d, case).roots
+        cardano = (y0 - shift, y1 - shift, y2 - shift)
         _check_finite(roots + cardano)
     else:
         _check_finite(roots)
@@ -127,7 +128,8 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     elif exact_values is not None:
         exact = [_str(e) if e is not None else None for e in exact_values]
     if args.verify:
-        report = verify_roots(d, RootTriple(tuple(x + shift for x in roots), case))
+        x0, x1, x2 = roots
+        report = verify_roots(d, RootTriple((x0 + shift, x1 + shift, x2 + shift), case))
     return p, q, shift, cardano, distance, exact, report
 
 

@@ -8,7 +8,8 @@ import math
 
 from .chen import RootTriple
 from .decompose import compute_rs
-from .reduction import DepressedCubic, _record
+from .numerics import _float_of
+from .reduction import DepressedCubic, _beyond_double, _record
 
 _TOL = 1e-10
 
@@ -26,18 +27,27 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
     passed requires every error <= _TOL * m^(3/2), m = max(1,|p|,|q|); the
     3/2 power keeps the bound covariant under the scaling (p,q) -> (p l^2, q l^3).
     It is tested as e / m <= _TOL * sqrt(m), which never forms m^(3/2).
+    An exact p or q with no double raises InvalidInputError.
     """
-    p, q = float(d.p), float(d.q)
+    p, q = _doubles(d)
     x0, x1, x2 = triple.roots
-    residuals = tuple(abs((x * x + p) * x + q) for x in triple.roots)
-    vieta = (
-        abs(x0 + x1 + x2),
-        abs(x0 * x1 + x0 * x2 + x1 * x2 - p),
-        abs(x0 * x1 * x2 + q),
-    )
+    r0, r1, r2 = abs((x0 * x0 + p) * x0 + q), abs((x1 * x1 + p) * x1 + q), abs((x2 * x2 + p) * x2 + q)
+    v0, v1, v2 = abs(x0 + x1 + x2), abs(x0 * x1 + x0 * x2 + x1 * x2 - p), abs(x0 * x1 * x2 + q)
     m = max(1.0, abs(p), abs(q))
     bound = _TOL * math.sqrt(m)
-    return VerificationReport(residuals, vieta, all(e / m <= bound for e in residuals + vieta))
+    passed = (
+        r0 / m <= bound and r1 / m <= bound and r2 / m <= bound
+        and v0 / m <= bound and v1 / m <= bound and v2 / m <= bound
+    )
+    return VerificationReport((r0, r1, r2), (v0, v1, v2), passed)
+
+
+def _doubles(d: DepressedCubic) -> tuple[float, float]:
+    """p and q rounded once to doubles; an exact one beyond the double range is refused."""
+    try:
+        return _float_of(d.p), _float_of(d.q)
+    except OverflowError:
+        raise _beyond_double() from None
 
 
 def brute_force_roots(d: DepressedCubic) -> RootTriple:
@@ -49,7 +59,7 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
     factor at a double root. Pure oracle: no cube roots, no (r, s); only
     its case tag is compute_rs's.
     """
-    p, q = float(d.p), float(d.q)
+    p, q = _doubles(d)
 
     def f(x: float) -> float:
         return (x * x + p) * x + q

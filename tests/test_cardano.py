@@ -1,12 +1,15 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rscubic import (
     CaseTag,
     DepressedCubic,
     NestedRadical,
+    RootTriple,
     cardano_solve,
     denest,
     depress,
@@ -14,6 +17,7 @@ from rscubic import (
     parse_cubic,
     solve_depressed,
 )
+from rscubic.cardano import _finalize
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -155,3 +159,68 @@ def test_p_or_q_without_a_double_is_solved_on_the_scale_of_its_roots(d):
     expected = solve_depressed(d).roots
     assert all(math.isfinite(abs(z)) for z in roots)
     assert match_root_sets(roots, expected) <= 1e-12 * max(abs(z) for z in expected)
+
+
+# match_root_sets and _finalize as they were first written, with a generator and
+# a lambda key: the written-out forms must give the same bits on every input.
+def match_root_sets_reference(a, b):
+    return min(max(abs(x - y) for x, y in zip(a, perm)) for perm in permutations(b))
+
+
+def finalize_reference(raw, case, p=0.0, q=0.0):
+    three_real = (
+        case in (CaseTag.EQUAL, CaseTag.CONJUGATE_PAIR)
+        or (case is CaseTag.DEGENERATE_Q0 and p < 0)
+        or (case is CaseTag.DEGENERATE_P0 and q == 0)
+    )
+    if three_real:
+        values = sorted(x.real for x in raw)
+        roots = tuple(complex(v, 0.0) for v in values)
+        if case is CaseTag.EQUAL:
+            mult = ((0, 2),) if q < 0 else ((1, 2),)
+        else:
+            mult = ((0, 3),) if case is CaseTag.DEGENERATE_P0 else ()
+        return RootTriple(roots, case, multiplicity=mult)
+    k = min(range(3), key=lambda i: abs(raw[i].imag))
+    z1, z2 = (raw[i] for i in range(3) if i != k)
+    re = 0.5 * (z1.real + z2.real)
+    im = 0.5 * (abs(z1.imag) + abs(z2.imag))
+    roots = (complex(raw[k].real, 0.0), complex(re, -im), complex(re, im))
+    return RootTriple(roots, case)
+
+
+def outcome(f, *args):
+    """repr of f's result, which tells -0.0 from 0.0, or the type of what it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # abs of a complex past the double range raises OverflowError
+        return type(exc)
+
+
+# A small pool of parts makes tied distances and tied |imag| common.
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+values = st.one_of(st.builds(complex, parts, parts), parts)  # _cardano's first raw root can be a float
+triples = st.tuples(values, values, values)
+NAN = complex(math.nan, 0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(triples, triples)
+@example((1 + 1j, 2 - 1j, 3 + 1j), (1 + 1j, 1 + 1j, 1 + 1j))  # every pairing ties
+@example((NAN, 0j, 1 + 0j), (0j, NAN, 1 + 0j))
+@example((complex(math.inf, 0.0), 0j, 1 + 0j), (complex(math.inf, 0.0), 0j, 1 + 0j))  # inf - inf is NaN
+def test_match_root_sets_is_bit_equal_to_the_permutation_form(a, b):
+    assert outcome(match_root_sets, a, b) == outcome(match_root_sets_reference, a, b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(triples, st.sampled_from(list(CaseTag)), parts, parts)
+@example((1 + 1j, 2 - 1j, 3 + 1j), CaseTag.REAL_DISTINCT, 0.0, 0.0)  # three tied |imag|
+@example((1 + 2j, 2 - 1j, 3 + 1j), CaseTag.REAL_DISTINCT, 0.0, 0.0)  # the last two tie below the first
+@example((complex(1, math.nan), 2 - 1j, 3 + 0j), CaseTag.DEGENERATE_Q0, 1.0, 0.0)
+@example((complex(1, -0.0), complex(2, 0.0), 3 + 0j), CaseTag.DEGENERATE_P0, 0.0, 1.0)
+def test_finalize_is_bit_equal_to_the_sorted_and_keyed_form(raw, case, p, q):
+    assert outcome(_finalize, raw, case, p, q) == outcome(finalize_reference, raw, case, p, q)

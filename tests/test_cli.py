@@ -71,6 +71,16 @@ class TestSolveFlags:
         assert code == 0
         assert json.loads(out)["case"] == "real_distinct"
 
+    def test_expr_starting_with_minus_is_given_with_equals(self, capsys):
+        code, out, _ = run(capsys, "solve", "--expr=-9*x^3+1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["input"] == "-9*x^3+1"
+        # Given apart, argparse reads the equation as an option: a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--expr", "-9*x^3+1"])
+        assert exc.value.code == 2
+        assert "argument --expr: expected one argument" in capsys.readouterr().err
+
     def test_json_floats_roundtrip(self, capsys):
         _, out, _ = run(capsys, "solve", "--expr", "x^3-48x-64*sqrt(2)", "--format", "json")
         rec = json.loads(out)

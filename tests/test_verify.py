@@ -5,10 +5,13 @@ import pytest
 
 from rscubic import (
     DepressedCubic,
+    InvalidInputError,
+    NestedRadical,
     RootTriple,
     CaseTag,
     brute_force_roots,
     cardano_solve,
+    denest,
     match_root_sets,
     solve_depressed,
     verify_roots,
@@ -160,3 +163,22 @@ class TestBruteForce:
             scale = max(1.0, abs(p), abs(q)) ** 1.5
             real_res = [abs(d(x)) for x in triple.roots if x.imag == 0]
             assert min(real_res) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        DepressedCubic(10**400, 1),
+        DepressedCubic(-3, 10**400),
+        denest(NestedRadical(10**400, 10**799)).cubic,  # the mixed cubic: a float p, an exact q = -2 * 10^400
+    ],
+    ids=["p beyond the double range", "q beyond the double range", "mixed cubic"],
+)
+def test_p_or_q_without_a_double_is_refused_by_the_float_checks(d):
+    # solve_depressed and cardano_solve solve these cubics on the scale of their
+    # roots; the residual check and the oracle work on p and q as doubles.
+    triple = solve_depressed(d)
+    with pytest.raises(InvalidInputError, match="beyond the double range"):
+        verify_roots(d, triple)
+    with pytest.raises(InvalidInputError, match="beyond the double range"):
+        brute_force_roots(d)
