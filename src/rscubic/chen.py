@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from .decompose import CaseTag, RsPair, compute_rs
 from .numerics import _BAND_HIGH, _BAND_LOW, _band, _float_of, _ratio, _ratio_exponent, _root
-from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _record, _tuple_new, depress
+from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _fraction, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
@@ -109,7 +109,7 @@ def fraction_cbrt(value: Fraction) -> Optional[Fraction]:
     rd = _icbrt_floor(den)
     if rn**3 != abs(num) or rd**3 != den:
         return None
-    return Fraction(-rn if num < 0 else rn, rd)
+    return _fraction(-rn if num < 0 else rn, rd)
 
 
 class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
@@ -135,7 +135,7 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
         if value == 0:
             return cls(Fraction(0))
         k, m = _square_free_split(value.numerator * value.denominator)
-        return cls(Fraction(0), Fraction(k, value.denominator), m)
+        return cls(Fraction(0), _fraction(k, value.denominator), m)
 
     def __float__(self) -> float:
         if not self.surd_coef:
@@ -260,7 +260,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             channel, mult = (ExactValue(-delta),) * 3, ((0, 3),)
         else:
             x = complex(0.0 - delta, 0.0)
-            return RootTriple((x, x, x), case, ((0, 3),), None, pair, d, shift)
+            return _tuple_new(RootTriple, ((x, x, x), case, ((0, 3),), None, pair, d, shift))
     elif exact_r is not None and case is _EQUAL:
         # (x-r)^2 (x+2r): stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
         double, simple = ExactValue(exact_r - delta), ExactValue(-2 * exact_r - delta)
@@ -282,7 +282,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes
         # from the exact values, since two distinct ones can round to one double.
-        return RootTriple(tuple(complex(_float_of(e.rational)) for e in channel), case, mult, channel, pair, d, shift)
+        roots = tuple(complex(_float_of(e.rational)) for e in channel)
+        return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, shift))
     # Every root is within a small factor of size + |delta|.
     if exact:  # a, b, c and delta = an / (3 ad) from their integers, each rounded once, as an int / int
         an, ad, bn, bd, cn, cd = ints
@@ -387,7 +388,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
     if channel is not None:  # a rational root known exactly is reported as its value rounded once
         roots = tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
-    return RootTriple(roots, case, mult, channel, pair, d, shift)
+    return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, shift))
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:

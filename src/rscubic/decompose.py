@@ -18,21 +18,20 @@ of 4p^3 + 27q^2: equal only when it is exactly 0. An exact p = P/dp and
 q = Q/dq are read once, and the zero tests, the exponents, the sign
 (integer_discriminant), the square test and every float come from those four
 integers in _compute_rs_exact, which only compute_rs calls: every stage
-hands it a DepressedCubic. Only an exact r is built as a Fraction. Float
-inputs take the sign in doubles, on the 2^k-scaled p and q. The formulas
-discriminant and rs_quadratic are the reference both paths are tested
-against.
+hands it a DepressedCubic. Only an exact r is built as a Fraction, by
+_fraction. Float inputs take the sign in doubles, on the 2^k-scaled p and
+q. The formulas discriminant and rs_quadratic are the reference both paths
+are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .numerics import _band, _exponent, _float_of, _ratio, _ratio_exponent
-from .reduction import Coefficient, DepressedCubic, _record
+from .reduction import Coefficient, DepressedCubic, InvalidInputError, _fraction, _record, _tuple_new
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
 _NEGLIGIBLE_P_BITS = 199
@@ -85,7 +84,8 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     scale by 2^k under (p, q) -> (p 4^k, q 8^k), so the quadratic is solved on
     (p 4^-k, q 8^-k), k = max(ceil(e_p/2), ceil(e_q/3)) from binary exponents,
     and the float r, s are multiplied by 2^k, exactly; in band (|k| <= 100)
-    k = 0. Exact r, s come back when the quadratic discriminant is a square.
+    k = 0; an r or s with no double is an InvalidInputError. Exact r, s come
+    back when the quadratic discriminant is a square.
     """
     p, q = d
     if type(p) is not float:
@@ -93,14 +93,14 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     # denest's cubic can hold a float p beside an exact q beyond the double range
     tag, k = _triage(p, q, math.frexp(p)[1], math.frexp(q)[1] if type(q) is float else _exponent(q))
     if tag is not None:
-        return RsPair(None, None, tag)
+        return _tuple_new(RsPair, (None, None, tag, None))
     if k:
         p, q = math.ldexp(p, -2 * k), _float_of(q, -3 * k)
     delta = 4 * p**3 + 27 * q**2
     B, C = 3 * q / p, -p / 3
     if delta == 0:
         half = complex(math.ldexp(-B / 2, k))
-        return RsPair(half, half, CaseTag.EQUAL)
+        return _tuple_new(RsPair, (half, half, CaseTag.EQUAL, None))
     case = CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
@@ -130,12 +130,12 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
     """
     tag, k = _triage(P, Q, _ratio_exponent(P, dp), _ratio_exponent(Q, dq))
     if tag is not None:
-        return RsPair(None, None, tag)
+        return _tuple_new(RsPair, (None, None, tag, None))
     n = integer_discriminant(P, dp, Q, dq)[0]
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
-        half = Fraction(-b_num, 2 * b_den)
-        return RsPair(complex(half), complex(half), CaseTag.EQUAL, half)
+        half = _fraction(-b_num, 2 * b_den)
+        return _tuple_new(RsPair, (complex(half), complex(half), CaseTag.EQUAL, half))
 
     case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
     disc_den = 3 * P * P * dp * dq * dq
@@ -145,8 +145,8 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
         if root * root == square:
             # sqrt(B^2 - 4C) = root / disc_den; r, s = (-B +- sqrt) / 2.
             den = 2 * b_den * disc_den
-            r = Fraction(root * b_den - b_num * disc_den, den)
-            return RsPair(complex(r), complex((-root * b_den - b_num * disc_den) / den), case, r)
+            r = _fraction(root * b_den - b_num * disc_den, den)
+            return _tuple_new(RsPair, (complex(r), complex((-root * b_den - b_num * disc_den) / den), case, r))
 
     # The exact discriminant is rounded once: B*B - 4C in doubles cancels
     # when B^2 ~ 4|C| and can even flip sign.
@@ -162,6 +162,16 @@ def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:
         t1 = -(B + math.copysign(w, B)) / 2.0 if B != 0 else w / 2.0
         t2 = C / t1
         r, s = (t1, t2) if t1 >= t2 else (t2, t1)
-        return RsPair(complex(math.ldexp(r, k)), complex(math.ldexp(s, k)), case)
-    r = complex(math.ldexp(-B / 2.0, k), math.ldexp(w / 2.0, k))
-    return RsPair(r, r.conjugate(), case)
+        if k:
+            r, s = _scaled(r, k, "r"), _scaled(s, k, "s")
+        return _tuple_new(RsPair, (complex(r), complex(s), case, None))
+    r = complex(_scaled(-B / 2.0, k, "Re r"), _scaled(w / 2.0, k, "Im r")) if k else complex(-B / 2.0, w / 2.0)
+    return _tuple_new(RsPair, (r, r.conjugate(), case, None))
+
+
+def _scaled(x: float, k: int, name: str) -> float:
+    """x 2^k for the pair's r or s out of band: an InvalidInputError names one with no double."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        raise InvalidInputError(f"the pair's {name} = {x!r} * 2^{k} has no double") from None

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .chen import fraction_cbrt
 from .numerics import _band, _exponent, _float_of, _root
-from .reduction import DepressedCubic, InvalidInputError, _beyond_double, _coerce, _record, _tuple_new
+from .reduction import DepressedCubic, InvalidInputError, _beyond_double, _coerce, _fraction, _record, _tuple_new
 
 
 class NestedRadical(_record("NestedRadical", "a b")):
@@ -133,7 +133,7 @@ def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fra
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(lo, lead) if (lo * lo + big_p) * lo + big_q == 0 else None
+    return _fraction(lo, lead) if (lo * lo + big_p) * lo + big_q == 0 else None
 
 
 def denest(radical: NestedRadical) -> DenestResult:

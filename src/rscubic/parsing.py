@@ -8,14 +8,15 @@ Grammar (whitespace-insensitive, locale-independent, '.' decimal point):
     number   := digits '/' digits | decimal | digits
     sqrtlit  := 'sqrt' '(' digits ')'
 
-One compiled regex reads a whole term from its start position; every
-token of the grammar is an optional group in it, so a malformed term
-still matches and the groups it lacks name the error and its position.
-Integers, rationals a/b, and decimals parse to exact values ("0.75" -> 3/4),
-summed per power as integer numerator/denominator pairs. sqrt(m) stays exact
-for perfect squares and falls back to a float otherwise, which makes the whole
-cubic float. parse_cubic divides the lead ln/ld out: an exact cubic's only
-Fractions are its monic coefficients, one Fraction(n ld, d ln) each, and a float
+One compiled regex, matched in parse_cubic's loop, reads a whole term from its
+start position; every token of the grammar is an optional group in it, so a
+malformed term still matches and the groups it lacks name the error and its
+position. Integers (a plain one is read in the loop itself), rationals a/b and
+decimals parse to exact values ("0.75" -> 3/4), summed per power as integer
+numerator/denominator pairs. sqrt(m) stays exact for perfect squares and falls
+back to a float otherwise, which makes the whole cubic float. parse_cubic
+divides the lead ln/ld out: an exact cubic's only Fractions are its monic
+coefficients, one reduction._fraction(n ld, d ln) each (one gcd), and a float
 cubic rounds each sum once and divides it by the rounded lead. A term needs a
 coefficient or an x-part, powers may not exceed 3, and the x^3 coefficient
 must be nonzero. A digit string longer than int() converts (4300 digits by
@@ -27,9 +28,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .reduction import GeneralCubic, _beyond_double, _coerce, _tuple_new
+from .reduction import GeneralCubic, _beyond_double, _coerce, _fraction, _tuple_new
 
 _WS = re.compile(r"\s*")
 
@@ -130,13 +131,16 @@ def _coefficient(m: re.Match, g: tuple) -> Optional[_Value]:
     return (n * root, d) if isinstance(root, int) else _ratio_float(n, d) * root
 
 
-def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
-    """Yield (sign, coefficient, power) per term; raises ParseError."""
-    pos = _skip_ws(text, 0)
+def parse_cubic(text: str) -> GeneralCubic:
+    """Parse an equation string into a (monic-normalized) general cubic; raises ParseError."""
+    # Per power: an exact (numerator, denominator) sum, or a float once an
+    # irrational term joins it (summed in term order, as Fraction + float
+    # arithmetic would round it).
+    sums: list[_Value] = [(0, 1)] * 4
+    pos = start = _skip_ws(text, 0)
     end = len(text)
     if pos == end:
         raise ParseError("empty input", pos, text)
-    first = True
     while pos < end:
         if text[pos] == "=":
             pos = _skip_ws(text, pos + 1)
@@ -145,58 +149,51 @@ def _scan(text: str) -> Iterator[tuple[int, _Value, int]]:
             pos = _skip_ws(text, pos + 1)
             if pos < end:
                 raise ParseError("unexpected input after '= 0'", pos, text)
-            return
+            break
         m = _TERM.match(text, pos)
         g = m.groups()
-        sign, (star, x, caret, digits) = g[0], g[15:]
-        if not sign and not first:
+        sign, digits, (star, x, caret, exponent) = g[0], g[7], g[15:]
+        if not sign and pos != start:
             raise ParseError("expected '+', '-' or '=' between terms", pos, text)
-        coefficient = _coefficient(m, g)
-        if coefficient is None:
-            if x is None or star is not None:
-                at = m.start("star") if star is not None else _skip_ws(text, m.end("sign"))
-                raise ParseError("expected a coefficient or 'x'", at, text)
-            coefficient = (1, 1)
-        power = 0
-        if x is not None:
-            power = 1
-            if caret is not None:
-                if digits is None:
-                    raise ParseError("expected an integer exponent after '^'", _skip_ws(text, m.end("caret")), text)
-                try:
-                    power = int(digits)
-                except ValueError:
-                    raise ParseError(_TOO_LONG, m.start("pow"), text) from None
-                if power > 3:
-                    raise ParseError(f"power {power} exceeds 3 (cubics only)", pos, text)
-        elif star is not None:
-            raise ParseError("expected 'x' after '*'", _skip_ws(text, m.end("star")), text)
-        yield (-1 if sign == "-" else 1), coefficient, power
-        first = False
-        pos = m.end()
-
-
-def parse_cubic(text: str) -> GeneralCubic:
-    """Parse an equation string into a (monic-normalized) general cubic."""
-    # Per power: an exact (numerator, denominator) sum, or a float once an
-    # irrational term joins it (summed in term order, as Fraction + float
-    # arithmetic would round it).
-    sums: list[_Value] = [(0, 1)] * 4
-    for sign, value, power in _scan(text):
-        acc = sums[power]
-        if isinstance(acc, tuple) and isinstance(value, tuple):
-            (n, d), (vn, vd) = acc, value
-            sums[power] = (n * vd + sign * vn * d, d * vd)
+        if digits is not None and g[8] is None and g[11] is None:  # a plain integer, read here
+            try:
+                vn, vd = int(digits), 1
+            except ValueError:
+                raise ParseError(_TOO_LONG, m.start("num"), text) from None
         else:
-            acc = _ratio_float(*acc) if isinstance(acc, tuple) else acc
-            term = _ratio_float(sign * value[0], value[1]) if isinstance(value, tuple) else sign * value
-            sums[power] = acc + term
+            value = _coefficient(m, g)
+            if value is None:
+                if x is None or star is not None:
+                    at = m.start("star") if star is not None else _skip_ws(text, m.end("sign"))
+                    raise ParseError("expected a coefficient or 'x'", at, text)
+                value = (1, 1)
+            vn, vd = value if type(value) is tuple else (None, 1)  # vn / vd, or the float value
+        power = 0 if x is None else 1
+        if caret is not None:  # only after an x
+            if exponent is None:
+                raise ParseError("expected an integer exponent after '^'", _skip_ws(text, m.end("caret")), text)
+            try:
+                power = int(exponent)
+            except ValueError:
+                raise ParseError(_TOO_LONG, m.start("pow"), text) from None
+            if power > 3:
+                raise ParseError(f"power {power} exceeds 3 (cubics only)", pos, text)
+        elif x is None and star is not None:
+            raise ParseError("expected 'x' after '*'", _skip_ws(text, m.end("star")), text)
+        acc = sums[power]
+        if vn is not None and type(acc) is tuple:
+            n, d = acc
+            sums[power] = (n * vd - vn * d, d * vd) if sign == "-" else (n * vd + vn * d, d * vd)
+        else:
+            term = value if vn is None else _ratio_float(vn, vd)
+            sums[power] = (_ratio_float(*acc) if type(acc) is tuple else acc) + (-term if sign == "-" else term)
+        pos = m.end()
     c, b, a, lead = sums
     if not (lead[0] if type(lead) is tuple else lead):
         raise ParseError("not a cubic: the x^3 coefficient is zero", 0, text)
     if type(a) is type(b) is type(c) is type(lead) is tuple:  # exact: v / lead = (n ld) / (d ln)
         (an, ad), (bn, bd), (cn, cd), (ln, ld) = a, b, c, lead
-        return _tuple_new(GeneralCubic, (Fraction(an * ld, ad * ln), Fraction(bn * ld, bd * ln), Fraction(cn * ld, cd * ln)))
+        return _tuple_new(GeneralCubic, (_fraction(an * ld, ad * ln), _fraction(bn * ld, bd * ln), _fraction(cn * ld, cd * ln)))
     # A non-finite float sum is refused before any rounding, the lead's first.
     lead, a, b, c = (v if type(v) is tuple else _coerce(v) for v in (lead, a, b, c))
     try:  # n / d has the bits of float(Fraction(n, d)), and x / 1.0 is x
@@ -217,4 +214,4 @@ def parse_coefficient(text: str) -> Union[Fraction, float]:
     if end < len(text):
         raise ParseError("unexpected trailing input", end, text)
     sign = -1 if m["sign"] == "-" else 1
-    return sign * (Fraction(*value) if isinstance(value, tuple) else value)
+    return sign * (_fraction(*value) if isinstance(value, tuple) else value)

@@ -5,8 +5,8 @@ x^3 coefficient out), and exact (integers of any kind and other rationals,
 promoted to Fraction so ``a / 3`` stays exact) or float: a float anywhere
 rounds every exact value once at construction (InvalidInputError for an exact
 value beyond the double range). Exact inputs stay rational through the
-substitution (depress builds p and q from integers, one Fraction each, stored
-without a second coercion), so whole-number examples come out exact.
+substitution (depress builds p, q and the shift from integers, one _fraction
+each, stored without a second coercion), so whole-number examples come out exact.
 
 The cubics, and every other record the package returns, are built on
 _record: immutable namedtuples that compare and hash by value.
@@ -28,6 +28,18 @@ class InvalidInputError(ValueError):
 
 
 _tuple_new = tuple.__new__
+_object_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) of ints (lowest terms, d > 0, ZeroDivisionError at d = 0) with one gcd and
+    none of Fraction.__new__'s dispatch: it sets the two slots Fraction.__new__ sets (3.10-3.13)."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    f = _object_new(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
 
 
 def _refuse(self, other):
@@ -71,7 +83,7 @@ def _coerce(value) -> Coefficient:
             return value
         if isinstance(value, numbers.Rational):
             # int() first: a numpy integer's numerator stays a numpy int, which wraps at 2^63.
-            return Fraction(int(value.numerator), int(value.denominator))
+            return _fraction(int(value.numerator), int(value.denominator))
         value = float(value)
     if not math.isfinite(value):
         raise InvalidInputError(f"non-finite coefficient: {value!r}")
@@ -159,12 +171,12 @@ def _depress_exact(an: int, ad: int, bn: int, bd: int, cn: int, cd: int) -> tupl
     """depress on integers, for a = an/ad, b = bn/bd and c = cn/cd with positive denominators.
 
     p and q are summed as integers over the common denominators 3 ad^2 bd
-    and 27 ad^3 bd cd, one Fraction each, which reduces them to lowest terms:
+    and 27 ad^3 bd cd, one _fraction each, which reduces them to lowest terms:
     a cubic of common-denominator roots keeps its integers small. Returns
     what depress returns, the DepressedCubic of p and q and delta = a/3.
     """
     ad2 = ad * ad
     P, dp = 3 * bn * ad2 - an * an * bd, 3 * ad2 * bd
     Q, dq = (2 * an * an * bd - 9 * bn * ad2) * an * cd + 27 * cn * ad2 * ad * bd, 27 * ad2 * ad * bd * cd
-    d = _tuple_new(DepressedCubic, (Fraction(P, dp), Fraction(Q, dq)))  # Fractions already: no re-coercion
-    return d, Fraction(an, 3 * ad)
+    d = _tuple_new(DepressedCubic, (_fraction(P, dp), _fraction(Q, dq)))  # Fractions already: no re-coercion
+    return d, _fraction(an, 3 * ad)

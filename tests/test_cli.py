@@ -350,6 +350,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: an exact value beyond the double range cannot be rounded into a float form\n"
 
+    def test_r_or_s_without_a_double_is_2(self, capsys):
+        # x^3 + 2^1850 x + 2^2873: its s = -1.5 * 2^1024 has no double, which is invalid input.
+        code, out, err = run(capsys, "solve", f"--p={2**1850}", f"--q={2**2873}", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: the pair's s = -1.1068046444225731e+20 * 2^958 has no double\n"
+
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
         assert code == 3

@@ -10,9 +10,11 @@ from rscubic import (
     DepressedCubic,
     GeneralCubic,
     InvalidInputError,
+    NestedRadical,
     ParseError,
     RsPair,
     compute_rs,
+    denest,
     depress,
     parse_cubic,
     solve,
@@ -352,7 +354,7 @@ class TestParsedIntegerPath:
         d = depress(cubic)[0]
         try:
             pair = compute_rs(d)
-        except OverflowError:  # only a float r or s beyond the double range may overflow
+        except InvalidInputError:  # only a float r or s beyond the double range is refused
             B, C = rs_quadratic(d)
             assert abs(B) > 2**1000 or abs(C) > 2**2000
             return
@@ -366,6 +368,34 @@ class TestParsedIntegerPath:
         quad = B * B - 4 * C
         root = Fraction(math.isqrt(quad.numerator), math.isqrt(quad.denominator)) if quad >= 0 else None
         assert pair.exact_r == ((-B + root) / 2 if root is not None and root * root == quad else None)
+
+    @given(exact_line(), st.fractions(-1000, 1000, max_denominator=1000), st.integers(0, 10**4))
+    @example(("-2.5x^3 + 3x - 1.5", [Fraction(-3, 2), Fraction(3), Fraction(0), Fraction(-5, 2)]), Fraction(1, 2), 3)
+    @example(("-0.75x^3 - 4.5x^2 + 6/4x + 1.25x - 9", [-9, Fraction(11, 4), Fraction(-9, 2), Fraction(-3, 4)]), -3, 0)
+    @example(("-2x^3 + 24x - 32", [-32, 24, 0, -2]), Fraction(-5, 3), 7)  # equal: an exact r = s = 2
+    def test_every_returned_fraction_is_in_lowest_terms(self, line, s, m):
+        # Exact values are built from integers the package already holds, each reduced
+        # once (gcd(n, d) = 1 and d > 0): from parse_cubic, solve and denest alike.
+        text, (c, b, a, lead) = line
+        assume(lead != 0)
+        cubic = parse_cubic(text)
+        d, shift = depress(cubic)
+        values = [*cubic, *d, shift]
+        try:
+            triple = solve(cubic)
+        except InvalidInputError:  # an r or s beyond the double range
+            triple = None
+        if triple is not None:
+            assert (triple.depressed, triple.shift) == (d, shift)
+            values += [v for e in triple.exact or () if e is not None for v in e[:2]]
+            values += [triple.pair.exact_r] if triple.pair.exact_r is not None else []
+        # With u, v = s +- sqrt(m): u v = s^2 - m and u^3 + v^3 = 2 (s^3 + 3 s m), so the value is 2s.
+        radical = denest(NestedRadical(s**3 + 3 * s * m, 9 * s**4 * m + 6 * s**2 * m**2 + m**3))
+        assert radical.exact == 2 * s
+        values += [radical.exact] + [v for v in radical.cubic if type(v) is not float]
+        for value in values:
+            assert type(value) is Fraction
+            assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
 
 
 @pytest.mark.parametrize("p", [15 * 10**307, -15 * 10**307], ids=["positive", "negative"])

@@ -13,7 +13,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rscubic import CaseTag, DepressedCubic, GeneralCubic, NestedRadical, compute_rs, denest, solve, solve_depressed
+from rscubic import (
+    CaseTag,
+    DepressedCubic,
+    GeneralCubic,
+    InvalidInputError,
+    NestedRadical,
+    compute_rs,
+    denest,
+    solve,
+    solve_depressed,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -137,6 +147,29 @@ def test_out_of_band_real_distinct_cube_roots_keep_accuracy(p, q):
     triple = solve_depressed(DepressedCubic(p, q))
     assert triple.case is CaseTag.REAL_DISTINCT
     assert_roots_match(triple.roots, p, q, rel=1e-15)
+
+
+
+@pytest.mark.parametrize(
+    "p, q, name",
+    [
+        (2**1850, 2**2873, "s"),  # real root about -2^1023, the pair about +-2^925 i
+        (-(2**1850), 2**2873, "r"),
+        (-(2**2100), 1, "Im r"),  # conjugate_pair: |r| = 2^1050 / sqrt(3)
+    ],
+    ids=["s", "r", "conjugate r"],
+)
+def test_r_or_s_without_a_double_is_refused_by_name(p, q, name):
+    # Out of band, r and s are scaled back by 2^k: one past the double range is invalid
+    # input that names it, not a bare OverflowError from ldexp.
+    d = DepressedCubic(p, q)
+    message = rf"^the pair's {name} = \S+ \* 2\^\d+ has no double$"
+    with pytest.raises(InvalidInputError, match=message):
+        compute_rs(d)
+    with pytest.raises(InvalidInputError, match=message):
+        solve_depressed(d)
+    with pytest.raises(InvalidInputError, match=message):
+        solve(GeneralCubic(0, p, q))
 
 
 @st.composite

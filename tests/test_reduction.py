@@ -1,5 +1,7 @@
+import copy
 import math
 import numbers
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -20,6 +22,8 @@ from rscubic import (
     solve,
     solve_depressed,
 )
+
+from rscubic.reduction import _fraction
 
 try:
     import numpy
@@ -363,3 +367,30 @@ def test_coercion_keeps_the_isinstance_rules(a, b, c):
     assert_built_like(GeneralCubic, reference_rounded, "abc", a, b, c)
     assert_built_like(DepressedCubic, reference_rounded, "pq", a, b)
     assert_built_like(NestedRadical, reference_radical, "ab", b, c)
+
+
+# Either sign up to 10^600, with zero and a shared factor drawn often enough to matter.
+wide_int = st.integers(-(10**600), 10**600) | st.integers(-12, 12)
+
+
+@given(wide_int, wide_int, st.integers(1, 10**300) | st.integers(1, 6))
+@example(0, -5, 1)
+@example(-6, -4, 1)
+@example(7, 0, 1)
+@example(0, 0, 1)
+@example(10**600, -(10**600), 1)
+def test_fraction_constructor_is_fraction(n, d, g):
+    # _fraction builds the Fraction that Fraction(n, d) builds, with no slot left out.
+    n, d = n * g, d * g
+    if d == 0:
+        with pytest.raises(ZeroDivisionError) as expected:
+            Fraction(n, d)
+        with pytest.raises(ZeroDivisionError, match=re.escape(str(expected.value))):
+            _fraction(n, d)
+        return
+    built, expected = _fraction(n, d), Fraction(n, d)
+    copies = [pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)]
+    for value in [built] + copies:
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert value == expected and hash(value) == hash(expected) and repr(value) == repr(expected)
