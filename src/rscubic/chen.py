@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import _BAND_HIGH, _BAND_LOW, _band, _float_of, _ratio, _ratio_exponent, _root
+from .numerics import _BAND, _BAND_HIGH, _BAND_LOW, _band, _float_of, _ratio, _ratio_exponent, _root
 from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _fraction, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -219,7 +219,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     exact cubic takes from its exact a and b. The work runs at the
     scale 2^k of the largest root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k
     and delta 2^-k are taken exactly before they are rounded, and the roots
-    are multiplied back by 2^k. Both the pair and the three real roots leave
+    are multiplied back by 2^k. An exact cubic reads k = 0 off size's double
+    and the bit lengths of a's integers, and rounds a, b, c and delta by
+    plain int / int divisions then; only near the band's edge does it
+    compute delta's exponent. Both the pair and the three real roots leave
     through the third exit, where an exact degenerate cubic reports the roots
     it knows exactly, in output order: cbrt(-q) - delta for p = 0 and a
     rational cube root; -sqrt(-p) - delta, -delta, sqrt(-p) - delta for
@@ -287,11 +290,20 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     # Every root is within a small factor of size + |delta|.
     if exact:  # a, b, c and delta = an / (3 ad) from their integers, each rounded once, as an int / int
         an, ad, bn, bd, cn, cd = ints
-        e = math.frexp(size)[1]
-        k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
-        if not cn:  # the quotient x^2 + ax + b is exact, and so is its discriminant
-            quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
-        a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k)
+        # k = 0 for certain when size's exponent is in band and delta's, at most
+        # bit_length(an) - bit_length(ad), is at most _BAND; otherwise k comes from both exponents.
+        k = 0
+        if not (_BAND_LOW <= size < _BAND_HIGH and an.bit_length() - ad.bit_length() <= _BAND):
+            e = math.frexp(size)[1]
+            k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
+        if k:
+            if not cn:  # the quotient x^2 + ax + b is exact, and so is its discriminant
+                quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
+            a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k)
+        else:
+            if not cn:
+                quotient_disc = (an * an * bd - 4 * bn * ad * ad) / (ad * ad * bd)
+            a, b, c, delta = an / ad, bn / bd, cn / cd, an / (3 * ad)
     else:
         top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
@@ -401,7 +413,7 @@ def solve_depressed(d: DepressedCubic) -> RootTriple:
     p, q = d
     if not d.exact:
         return _solve_cubic(0.0, p, q, d, 0.0, compute_rs(d))
-    return _solve_cubic(_ZERO, p, q, d, _ZERO, compute_rs(d), (0, 1, p.numerator, p.denominator, q.numerator, q.denominator))
+    return _solve_cubic(_ZERO, p, q, d, _ZERO, compute_rs(d), (0, 1, p._numerator, p._denominator, q._numerator, q._denominator))
 
 
 def solve(cubic: GeneralCubic) -> RootTriple:
@@ -415,6 +427,6 @@ def solve(cubic: GeneralCubic) -> RootTriple:
     if type(a) is float:
         d, delta = depress(cubic)
         return _solve_cubic(a, b, c, d, delta, compute_rs(d))
-    ints = a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator
+    ints = a._numerator, a._denominator, b._numerator, b._denominator, c._numerator, c._denominator
     d, delta = _depress_exact(*ints)
     return _solve_cubic(a, b, c, d, delta, compute_rs(d), ints)

@@ -30,7 +30,7 @@ import math
 from enum import Enum
 from typing import Optional
 
-from .numerics import _band, _exponent, _float_of, _ratio, _ratio_exponent
+from .numerics import _BAND, _band, _exponent, _float_of, _ratio, _ratio_exponent
 from .reduction import Coefficient, DepressedCubic, InvalidInputError, _fraction, _record, _tuple_new
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
@@ -88,8 +88,8 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     back when the quadratic discriminant is a square.
     """
     p, q = d
-    if type(p) is not float:
-        return _compute_rs_exact(p.numerator, p.denominator, q.numerator, q.denominator)
+    if type(p) is not float:  # a Fraction: its slots, not the numerator and denominator properties
+        return _compute_rs_exact(p._numerator, p._denominator, q._numerator, q._denominator)
     # denest's cubic can hold a float p beside an exact q beyond the double range
     tag, k = _triage(p, q, math.frexp(p)[1], math.frexp(q)[1] if type(q) is float else _exponent(q))
     if tag is not None:
@@ -123,35 +123,69 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
         B = 3q/p = 3 Q dp / (dq P),   C = -p/3 = -P / (3 dp),
         B^2 - 4C = n / (3 P^2 dp dq^2)   (n from integer_discriminant),
 
-    so the case is the sign of n, the quadratic discriminant is a rational
-    square exactly when n * 3 P^2 dp dq^2 is an integer square, and each
-    float is one correctly rounded int / int division at scale 2^-k,
-    bit-equal to the float of the Fraction it stands for when k = 0.
+    so the case is the sign of n, and the quadratic discriminant is a
+    rational square exactly when 3 n dp is an integer square (P^2 dq^2 is
+    one): its root times |P| dq is the square root of n * 3 P^2 dp dq^2.
+    Bit lengths bracket frexp's exponents, e_p = lp or lp + 1 with
+    lp = P.bit_length() - dp.bit_length() (and e_q alike), so they settle
+    k = 0 and a p that is not negligible without computing either exponent;
+    only p = 0, q = 0, and a cubic out of band, with a negligible p, or
+    within a few bits of either, go through _triage. Each float is one correctly rounded int / int division:
+    a plain n / d in band, bit-equal to the float of the Fraction it stands
+    for, and at scale 2^-k (numerics._ratio) out of band.
     """
-    tag, k = _triage(P, Q, _ratio_exponent(P, dp), _ratio_exponent(Q, dq))
-    if tag is not None:
-        return _tuple_new(RsPair, (None, None, tag, None))
+    lp, lq = P.bit_length() - dp.bit_length(), Q.bit_length() - dq.bit_length()
+    # In band for certain: ceil(e_p/2) and ceil(e_q/3) at most _BAND, one of them
+    # at least -_BAND, and 2 e_q - 3 e_p <= 2 lq - 3 lp + 2 within _NEGLIGIBLE_P_BITS.
+    if (
+        P
+        and Q
+        and lp < 2 * _BAND
+        and lq < 3 * _BAND
+        and (lp > -2 * _BAND - 2 or lq > -3 * _BAND - 3)
+        and 2 * lq - 3 * lp <= _NEGLIGIBLE_P_BITS - 2
+    ):
+        k = 0
+    else:
+        tag, k = _triage(P, Q, _ratio_exponent(P, dp), _ratio_exponent(Q, dq))
+        if tag is not None:
+            return _tuple_new(RsPair, (None, None, tag, None))
     n = integer_discriminant(P, dp, Q, dq)[0]
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
         half = _fraction(-b_num, 2 * b_den)
-        return _tuple_new(RsPair, (complex(half), complex(half), CaseTag.EQUAL, half))
+        z = _exact_complex(half._numerator, half._denominator, "r")
+        return _tuple_new(RsPair, (z, z, CaseTag.EQUAL, half))
 
     case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
     disc_den = 3 * P * P * dp * dq * dq
     if n > 0:
-        square = n * disc_den
+        square = 3 * n * dp
         root = math.isqrt(square)
         if root * root == square:
-            # sqrt(B^2 - 4C) = root / disc_den; r, s = (-B +- sqrt) / 2.
+            # sqrt(B^2 - 4C) = root |P| dq / disc_den; r, s = (-B +- sqrt) / 2.
+            root *= abs(P) * dq
             den = 2 * b_den * disc_den
             r = _fraction(root * b_den - b_num * disc_den, den)
-            return _tuple_new(RsPair, (complex(r), complex((-root * b_den - b_num * disc_den) / den), case, r))
+            z = _exact_complex(r._numerator, r._denominator, "r")
+            return _tuple_new(RsPair, (z, _exact_complex(-root * b_den - b_num * disc_den, den, "s"), case, r))
 
     # The exact discriminant is rounded once: B*B - 4C in doubles cancels
     # when B^2 ~ 4|C| and can even flip sign.
-    w = math.sqrt(_ratio(abs(n), disc_den, -2 * k))
-    return _rs_float(case, _ratio(b_num, b_den, -k), _ratio(-P, 3 * dp, -2 * k), w, k)
+    if k:
+        w = math.sqrt(_ratio(abs(n), disc_den, -2 * k))
+        return _rs_float(case, _ratio(b_num, b_den, -k), _ratio(-P, 3 * dp, -2 * k), w, k)
+    return _rs_float(case, b_num / b_den, -P / (3 * dp), math.sqrt(abs(n) / disc_den), 0)
+
+
+def _exact_complex(n: int, d: int, name: str) -> complex:
+    """n / d rounded once, for an exact r or s: one with no double is an InvalidInputError
+    that names it, as _scaled's, with n / d written as x 2^k."""
+    try:
+        return complex(n / d)
+    except OverflowError:  # n / d rounds to 2^1024 or beyond, and so does x 2^k: _scaled raises
+        k = _ratio_exponent(abs(n), abs(d))
+        return complex(_scaled(_ratio(n, d, -k), k, name))
 
 
 def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:

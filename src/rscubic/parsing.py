@@ -45,7 +45,8 @@ _TERM = re.compile(
     r"(?P<sign>[+-]?)\s*"
     # coefficient: a sqrt literal, or a number with an optional '* sqrtlit' factor
     r"(?:" + _sqrt_pattern(1) + r"|"
-    r"(?:(?=\.?\d)(?P<ip>\d*)\.(?P<fp>\d*)|(?P<num>\d+)(?:\s*(?P<slash>/)(?:\s*(?P<den>\d+))?)?)"
+    # an integer first, the common term: (?![\d.]) leaves a decimal to the second alternative
+    r"(?:(?P<num>\d+)(?![\d.])(?:\s*(?P<slash>/)(?:\s*(?P<den>\d+))?)?|(?=\.?\d)(?P<ip>\d*)\.(?P<fp>\d*))"
     r"(?:\s*(?P<star2>\*)\s*" + _sqrt_pattern(2) + r")?"
     r")?"
     r"\s*(?P<star>\*)?(?:\s*(?P<x>[xX])(?:\s*(?P<caret>\^)(?:\s*(?P<pow>\d+))?)?)?\s*"
@@ -106,7 +107,7 @@ def _sqrt_value(m: re.Match, i: int, save: int) -> Union[int, float]:
 
 def _coefficient(m: re.Match, g: tuple) -> Optional[_Value]:
     """The coefficient a term or literal match holds, or None if it has none; g is m.groups()."""
-    _, s1, _, _, _, ip, fp, digits, slash, den, _, s2 = g[:12]
+    _, s1, _, _, _, digits, slash, den, ip, fp, _, s2 = g[:12]
     if s1 is not None:
         root = _sqrt_value(m, 1, m.end("sign"))
         return (root, 1) if isinstance(root, int) else root
@@ -152,10 +153,10 @@ def parse_cubic(text: str) -> GeneralCubic:
             break
         m = _TERM.match(text, pos)
         g = m.groups()
-        sign, digits, (star, x, caret, exponent) = g[0], g[7], g[15:]
+        sign, digits, (star, x, caret, exponent) = g[0], g[5], g[15:]
         if not sign and pos != start:
             raise ParseError("expected '+', '-' or '=' between terms", pos, text)
-        if digits is not None and g[8] is None and g[11] is None:  # a plain integer, read here
+        if digits is not None and g[6] is None and g[11] is None:  # a plain integer, read here
             try:
                 vn, vd = int(digits), 1
             except ValueError:

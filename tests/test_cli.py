@@ -356,6 +356,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: the pair's s = -1.1068046444225731e+20 * 2^958 has no double\n"
 
+    def test_rational_r_without_a_double_is_2(self, capsys):
+        # x^3 - 3 10^800 x + 2 10^1200 = (x - 10^400)^2 (x + 2 10^400): its exact r = 10^400 has no double.
+        code, out, err = run(capsys, "solve", f"--p={-3 * 10**800}", f"--q={2 * 10**1200}")
+        assert (code, out) == (2, "")
+        assert err == "error: the pair's r = 0.8533668389533203 * 2^1329 has no double\n"
+
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
         assert code == 3

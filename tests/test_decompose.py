@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rscubic import (
     CaseTag,
@@ -18,8 +18,12 @@ from rscubic import (
     depress,
     parse_cubic,
     solve,
+    solve_depressed,
 )
-from rscubic.decompose import discriminant, rs_quadratic
+import rscubic.chen
+import rscubic.decompose
+from rscubic.decompose import _rs_float, discriminant, rs_quadratic
+from rscubic.numerics import _ratio, _ratio_exponent
 
 SQRT2 = math.sqrt(2.0)
 
@@ -449,3 +453,129 @@ nonzero_float = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 @example(-(2.0**400), 1e-200)
 def test_float_compute_rs_matches_reference_formulas_bitwise(p, q):
     assert repr(compute_rs(DepressedCubic(p, q))) == repr(reference_float_rs(p, q))
+
+
+def scale_route_rs(P, dp, Q, dq):
+    """The exact compute_rs of p = P/dp, q = Q/dq on the scale route: both exponents and
+    k for every cubic, the square test on n * 3 P^2 dp dq^2, and every float by _ratio."""
+    ep, eq = _ratio_exponent(P, dp), _ratio_exponent(Q, dq)
+    if P == 0 or Q != 0 and 2 * eq - 3 * ep > 199:
+        return RsPair(None, None, CaseTag.DEGENERATE_P0)
+    if Q == 0:
+        return RsPair(None, None, CaseTag.DEGENERATE_Q0)
+    k = max(-(-ep // 2), -(-eq // 3))
+    k = k if abs(k) > 100 else 0
+    n = 4 * P**3 * dq**2 + 27 * Q**2 * dp**3
+    b_num, b_den = 3 * Q * dp, dq * P
+    if n == 0:
+        half = Fraction(-b_num, 2 * b_den)
+        return RsPair(complex(half), complex(half), CaseTag.EQUAL, half)
+    case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
+    disc_den = 3 * P * P * dp * dq * dq
+    if n > 0:
+        square = n * disc_den
+        root = math.isqrt(square)
+        if root * root == square:
+            den = 2 * b_den * disc_den
+            r = Fraction(root * b_den - b_num * disc_den, den)
+            return RsPair(complex(r), complex((-root * b_den - b_num * disc_den) / den), case, r)
+    w = math.sqrt(_ratio(abs(n), disc_den, -2 * k))
+    return _rs_float(case, _ratio(b_num, b_den, -k), _ratio(-P, 3 * dp, -2 * k), w, k)
+
+
+def with_exponent(x, e):
+    """x times the power of 2 that gives it frexp's exponent e."""
+    shift = e - exponent(x)
+    return x * 2**shift if shift >= 0 else x / 2**-shift
+
+
+signed_mantissa = st.builds(
+    lambda n, d, negative: Fraction(-n if negative else n, d),
+    st.integers(1, 2**64),
+    st.sampled_from([1, 3, 2**20]) | st.integers(1, 2**40),
+    st.booleans(),
+)
+
+
+@st.composite
+def edge_pq(draw):
+    """Exact (p, q) whose exponents sit at the band shortcut's edges: |k| in {99, 100, 101}
+    (k = max(ceil(e_p/2), ceil(e_q/3))), 2 e_q - 3 e_p in 195..203, or p or q zero."""
+    kind = draw(st.sampled_from(["p decides k", "q decides k", "negligible p", "p = 0", "q = 0"]))
+    k = draw(st.sampled_from([99, 100, 101])) * draw(st.sampled_from([1, -1]))
+    if kind == "p decides k":
+        ep, eq = 2 * k + draw(st.integers(-3, 1)), 3 * k - draw(st.integers(0, 60))
+    elif kind == "q decides k":
+        ep, eq = 2 * k - draw(st.integers(0, 60)), 3 * k + draw(st.integers(-4, 2))
+    else:
+        ep = draw(st.integers(-150, 150))
+        eq = -(-(draw(st.integers(195, 203)) + 3 * ep) // 2)  # 2 e_q - 3 e_p is t or t + 1
+    p, q = with_exponent(draw(signed_mantissa), ep), with_exponent(draw(signed_mantissa), eq)
+    if kind == "p = 0":
+        p = 0
+    elif kind == "q = 0":
+        q = 0
+    return p, q
+
+
+def outcome(f, *args):
+    """repr of f's result, or of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+class TestBandShortcutMatchesScaleRoute:
+    """compute_rs and the solve step settle k = 0 from bit lengths and round by plain int / int
+    divisions in band; the scale route decides every cubic from both exponents."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_pq())
+    @example((-(2**199), 2**298))  # e_p = 200, e_q = 299: k = 100, in band
+    @example((2**200, 2**299))  # k = 101
+    @example((Fraction(1, 2**201), Fraction(1, 2**302)))  # e_p = -200, e_q = -301: k = -100
+    @example((1, 2**100))  # 2 e_q - 3 e_p = 199: not negligible
+    @example((1, 2**101))  # 201: negligible
+    def test_compute_rs_matches_bitwise(self, pq):
+        d = DepressedCubic(*pq)
+        p, q = d
+        expected = repr(scale_route_rs(p.numerator, p.denominator, q.numerator, q.denominator))
+        assert repr(compute_rs(d)) == expected
+        assert repr(solve_depressed(d).pair) == expected
+        assert repr(solve(GeneralCubic(0, p, q)).pair) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(signed_mantissa, st.integers(-600, 600)).map(lambda m: with_exponent(*m)),
+        st.tuples(signed_mantissa, st.integers(-600, 600)).map(lambda m: with_exponent(*m)),
+    )
+    @example(Fraction(1, 2), -4)
+    @example(10**150, 10**140)  # k = 500: out of band
+    def test_square_test_finds_the_same_exact_r(self, r, s):
+        # p = -3rs, q = rs(r + s): the quadratic discriminant is (r - s)^2, a rational square.
+        assume(r != s and r != -s)
+        d = DepressedCubic(-3 * r * s, r * s * (r + s))
+        p, q = d
+        expected = scale_route_rs(p.numerator, p.denominator, q.numerator, q.denominator)
+        pair = compute_rs(d)
+        assert repr(pair) == repr(expected)
+        if pair.case is not CaseTag.DEGENERATE_P0:
+            assert pair.exact_r == max(r, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_pq(), st.tuples(signed_mantissa, st.integers(-110, 110)).map(lambda m: with_exponent(*m)) | st.just(0))
+    @example((-3, 2), 2**99)  # delta = 2^99: a = 3 2^99 has exponent 101
+    @example((-3, 2), 2**100)
+    @example((-(2**199), 2**298), 1)
+    @example((-3, 3), 2**400)  # one real root and a pair, shifted by -2^400: k = 401, and c has no double
+    def test_solve_matches_bitwise(self, pq, delta):
+        # solve_depressed and solve of the cubic shifted by delta, against the same calls on the
+        # scale route: compute_rs by scale_route_rs, the step's k from both exponents.
+        p, q = (Fraction(v) for v in pq)
+        cubic = GeneralCubic(3 * delta, 3 * delta**2 + p, delta**3 + p * delta + q)
+        got = outcome(solve_depressed, DepressedCubic(p, q)), outcome(solve, cubic)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rscubic.decompose, "_compute_rs_exact", scale_route_rs)
+            patch.setattr(rscubic.chen, "_BAND_HIGH", 0.0)  # no cubic is in band for the step's shortcut
+            assert got == (outcome(solve_depressed, DepressedCubic(p, q)), outcome(solve, cubic))

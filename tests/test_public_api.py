@@ -202,3 +202,19 @@ def test_cold_start_skips_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject's requires-python = ">=3.10": no 3.11 syntax (except*, and the like) in the package.
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_parser_patterns_need_no_python_3_11_regex():
+    # Atomic groups and possessive quantifiers compile only from Python 3.11 on.
+    import rscubic.parsing
+
+    patterns = [v.pattern for v in vars(rscubic.parsing).values() if isinstance(v, re.Pattern)]
+    assert patterns
+    for pattern in patterns:
+        assert not any(token in pattern for token in ("(?>", "++", "*+", "?+")), pattern

@@ -156,12 +156,17 @@ def test_out_of_band_real_distinct_cube_roots_keep_accuracy(p, q):
         (2**1850, 2**2873, "s"),  # real root about -2^1023, the pair about +-2^925 i
         (-(2**1850), 2**2873, "r"),
         (-(2**2100), 1, "Im r"),  # conjugate_pair: |r| = 2^1050 / sqrt(3)
+        # A rational pair is exact: r = 10^310, s = 10^260, the roots about 1e293.
+        (-3 * 10**570, 10**570 * (10**310 + 10**260), "r"),
+        # r = 10^300, s = -10^310: the real root is about 4.6e306.
+        (3 * 10**610, -(10**610) * (10**300 - 10**310), "s"),
+        (-3 * 10**800, 2 * 10**1200, "r"),  # equal: r = s = 10^400, the roots -10^400 and 2 10^400
     ],
-    ids=["s", "r", "conjugate r"],
+    ids=["s", "r", "conjugate r", "rational r", "rational s", "equal r"],
 )
 def test_r_or_s_without_a_double_is_refused_by_name(p, q, name):
-    # Out of band, r and s are scaled back by 2^k: one past the double range is invalid
-    # input that names it, not a bare OverflowError from ldexp.
+    # Out of band, r and s are scaled back by 2^k, and a rational pair is rounded once:
+    # one past the double range is invalid input that names it, not a bare OverflowError.
     d = DepressedCubic(p, q)
     message = rf"^the pair's {name} = \S+ \* 2\^\d+ has no double$"
     with pytest.raises(InvalidInputError, match=message):
