@@ -292,18 +292,17 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         an, ad, bn, bd, cn, cd = ints
         # k = 0 for certain when size's exponent is in band and delta's, at most
         # bit_length(an) - bit_length(ad), is at most _BAND; otherwise k comes from both exponents.
-        k = 0
-        if not (_BAND_LOW <= size < _BAND_HIGH and an.bit_length() - ad.bit_length() <= _BAND):
-            e = math.frexp(size)[1]
-            k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
-        if k:
+        if _BAND_LOW <= size < _BAND_HIGH and an.bit_length() - ad.bit_length() <= _BAND:
+            k = 0
             if not cn:  # the quotient x^2 + ax + b is exact, and so is its discriminant
-                quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
-            a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k)
-        else:
-            if not cn:
                 quotient_disc = (an * an * bd - 4 * bn * ad * ad) / (ad * ad * bd)
             a, b, c, delta = an / ad, bn / bd, cn / cd, an / (3 * ad)
+        else:
+            e = math.frexp(size)[1]
+            k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
+            if not cn:
+                quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
+            a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k)
     else:
         top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])

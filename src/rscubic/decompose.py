@@ -130,9 +130,10 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
     lp = P.bit_length() - dp.bit_length() (and e_q alike), so they settle
     k = 0 and a p that is not negligible without computing either exponent;
     only p = 0, q = 0, and a cubic out of band, with a negligible p, or
-    within a few bits of either, go through _triage. Each float is one correctly rounded int / int division:
-    a plain n / d in band, bit-equal to the float of the Fraction it stands
-    for, and at scale 2^-k (numerics._ratio) out of band.
+    within a few bits of either, go through _triage. Each float is one
+    correctly rounded int / int division: a plain n / d in band, bit-equal
+    to the float of the Fraction it stands for, and at scale 2^-k
+    (numerics._ratio) out of band.
     """
     lp, lq = P.bit_length() - dp.bit_length(), Q.bit_length() - dq.bit_length()
     # In band for certain: ceil(e_p/2) and ceil(e_q/3) at most _BAND, one of them
