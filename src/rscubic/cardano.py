@@ -17,11 +17,12 @@ compute_rs's, so it reports the same one as the step.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .chen import RootTriple
 from .decompose import CaseTag, compute_rs, integer_discriminant
-from .numerics import _BAND_HIGH, _BAND_LOW, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, cube_roots_all, principal_cube_root
+from .numerics import _BAND_HIGH, _BAND_LOW, _IM, _RE, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, _scaled, cube_roots_all, principal_cube_root
 from .reduction import DepressedCubic, InvalidInputError
 
 # solve_moebius's roots are off by about eps/|1 - u|: below this gap from a
@@ -37,10 +38,7 @@ def cardano_solve(d: DepressedCubic) -> RootTriple:
 def _cardano(d: DepressedCubic, case: CaseTag) -> RootTriple:
     """cardano_solve for a cubic whose case compute_rs has already decided.
 
-    Range: the roots scale by 2^k under (p, q) -> (p 4^k, q 8^k), so the
-    formula runs on (p 4^-k, q 8^-k) with compute_rs's k = max(ceil(e_p/2),
-    ceil(e_q/3)) over the nonzero p and q, and the roots are multiplied by
-    2^k; in band (|k| <= 100) k = 0, and p and q whose doubles have
+    The formula runs on numerics' range scale; p and q whose doubles have
     2^-101 <= |p| + |q| < 2^100 are in band without their exponents.
     """
     p, q = d
@@ -82,23 +80,27 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> RootTriple:
         OMEGA2 * cbrt_a + OMEGA * cbrt_b,
     )
     if k:
-        raw = tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in raw)
+        raw = tuple(complex(_scaled(z.real, k, _RE), _scaled(z.imag, k, _IM)) for z in raw)
     return _finalize(raw, case, p, q)
 
 
 def solve_moebius(r: complex, s: complex) -> RootTriple:
     """Roots x = (r - su)/(1 - u) over the three cube roots u of r/s.
 
-    Needs s != 0 and every cube root u at least 2^-32 from 1, where the
-    map blows up: that refuses r = s, and an r/s so close to 1 that the
-    roots would be wrong. The case is read off the pair's shape:
-    real_distinct for real r and s, else conjugate_pair.
+    Needs s != 0, an r/s that rounds to a finite double (nonzero unless r = 0),
+    and every cube root u at least 2^-32 from 1, where the map blows up: that
+    refuses r = s, and an r/s so close to 1 that the roots would be wrong.
+    The case is read off the pair's shape: real_distinct for real r and s,
+    else conjugate_pair.
     """
     r = complex(r)
     s = complex(s)
     if s == 0:
         raise InvalidInputError("Moebius form needs s != 0")
-    us = cube_roots_all(r / s)
+    ratio = r / s
+    if not cmath.isfinite(ratio) or r and not ratio:
+        raise InvalidInputError(f"Moebius form needs r/s as a finite double, nonzero unless r = 0: it rounds to {ratio!r}")
+    us = cube_roots_all(ratio)
     if min(abs(1.0 - u) for u in us) < _MOEBIUS_GAP:
         raise InvalidInputError("Moebius form degenerates when a cube root of r/s is within 2^-32 of 1")
     raw = tuple((r - s * u) / (1.0 - u) for u in us)

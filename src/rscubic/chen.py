@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import CaseTag, RsPair, compute_rs
-from .numerics import _BAND, _BAND_HIGH, _BAND_LOW, _band, _float_of, _ratio, _ratio_exponent, _root
+from .numerics import _BAND, _BAND_HIGH, _BAND_LOW, _IM, _RE, _band, _float_of, _ratio, _ratio_exponent, _root, _scaled
 from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _fraction, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
@@ -216,13 +216,12 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     the rounded S and P keeps its closed form: the lifted middle and other
     root, or the imaginary part im about the center S/2. For c = 0 the root
     x is 0 exactly and the quadratic is x^2 + ax + b, whose discriminant an
-    exact cubic takes from its exact a and b. The work runs at the
-    scale 2^k of the largest root (k = 0 in band): a 2^-k, b 4^-k, c 8^-k
-    and delta 2^-k are taken exactly before they are rounded, and the roots
-    are multiplied back by 2^k. An exact cubic reads k = 0 off size's double
-    and the bit lengths of a's integers, and rounds a, b, c and delta by
-    plain int / int divisions then; only near the band's edge does it
-    compute delta's exponent. Both the pair and the three real roots leave
+    exact cubic takes from its exact a and b. The work runs on numerics'
+    range scale, with k from the largest root and delta: a 2^-k, b 4^-k,
+    c 8^-k and delta 2^-k are taken exactly before they are rounded. An
+    exact cubic reads k = 0 off size's double and the bit lengths of a's
+    integers, and rounds a, b, c and delta by plain int / int divisions
+    then. Both the pair and the three real roots leave
     through the third exit, where an exact degenerate cubic reports the roots
     it knows exactly, in output order: cbrt(-q) - delta for p = 0 and a
     rational cube root; -sqrt(-p) - delta, -delta, sqrt(-p) - delta for
@@ -285,7 +284,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes
         # from the exact values, since two distinct ones can round to one double.
-        roots = tuple(complex(_float_of(e.rational)) for e in channel)
+        roots = tuple(complex(_scaled(e.rational, 0)) for e in channel)
         return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, shift))
     # Every root is within a small factor of size + |delta|.
     if exact:  # a, b, c and delta = an / (3 ad) from their integers, each rounded once, as an int / int
@@ -298,7 +297,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
                 quotient_disc = (an * an * bd - 4 * bn * ad * ad) / (ad * ad * bd)
             a, b, c, delta = an / ad, bn / bd, cn / cd, an / (3 * ad)
         else:
-            e = math.frexp(size)[1]
+            e = math.frexp(size)[1] if size < math.inf else 1025  # |r| + |s| < 2^1025 can round to inf
             k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
             if not cn:
                 quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
@@ -375,7 +374,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         if not closed:
             im = 0.5 * math.sqrt(-disc)
         if k:
-            x, re, im = math.ldexp(x, k), math.ldexp(re, k), math.ldexp(im, k)
+            x, re, im = _scaled(x, k), _scaled(re, k, _RE), _scaled(im, k, _IM)
         re += 0.0  # no -0.0 in the output
         roots = (complex(x + 0.0, 0.0), complex(re, -im), complex(re, im))
     else:
@@ -395,10 +394,10 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         if double:
             mult = ((0, 2),) if x == x1 else ((1, 2),)
         if k:
-            x, x1, x2 = math.ldexp(x, k), math.ldexp(x1, k), math.ldexp(x2, k)
+            x, x1, x2 = _scaled(x, k), _scaled(x1, k), _scaled(x2, k)
         roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
     if channel is not None:  # a rational root known exactly is reported as its value rounded once
-        roots = tuple(z if e is None or e.surd_coef else complex(_float_of(e.rational)) for z, e in zip(roots, channel))
+        roots = tuple(z if e is None or e.surd_coef else complex(_scaled(e.rational, 0)) for z, e in zip(roots, channel))
     return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, shift))
 
 

@@ -20,8 +20,8 @@ q = Q/dq are read once, and the zero tests, the exponents, the sign
 integers in _compute_rs_exact, which only compute_rs calls: every stage
 hands it a DepressedCubic. Only an exact r is built as a Fraction, by
 _fraction. Float inputs take the sign in doubles, on the 2^k-scaled p and
-q. The formulas discriminant and rs_quadratic are the reference both paths
-are tested against.
+q. Both paths are tested against the plain formulas 4p^3 + 27q^2 and
+(B, C) = (3q/p, -p/3), which live with the tests.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import math
 from enum import Enum
 from typing import Optional
 
-from .numerics import _BAND, _band, _exponent, _float_of, _ratio, _ratio_exponent
-from .reduction import Coefficient, DepressedCubic, InvalidInputError, _fraction, _record, _tuple_new
+from .numerics import _BAND, _R, _S, _band, _exponent, _float_of, _ratio, _ratio_exponent, _scaled
+from .reduction import DepressedCubic, _fraction, _record, _tuple_new
 
 # |p|^3 < 1e-60 q^2, as 2 e_q - 3 e_p in binary exponents: px moves no double root.
 _NEGLIGIBLE_P_BITS = 199
@@ -57,11 +57,6 @@ class RsPair(_record("RsPair", "r s case exact_r", (None,))):
     __slots__ = ()
 
 
-def discriminant(d: DepressedCubic) -> Coefficient:
-    """The cubic discriminant 4p^3 + 27q^2 (exact when the input is)."""
-    return 4 * d.p**3 + 27 * d.q**2
-
-
 def integer_discriminant(P: int, dp: int, Q: int, dq: int) -> tuple[int, int]:
     """4p^3 + 27q^2 of an exact cubic as a quotient n / m of integers, m > 0.
 
@@ -72,20 +67,12 @@ def integer_discriminant(P: int, dp: int, Q: int, dq: int) -> tuple[int, int]:
     return 4 * P * P * P * dq2 + 27 * Q * Q * dp3, dp3 * dq2
 
 
-def rs_quadratic(d: DepressedCubic) -> tuple[Coefficient, Coefficient]:
-    """Coefficients (B, C) of the monic quadratic t^2 + Bt + C with roots r, s."""
-    return 3 * d.q / d.p, -d.p / 3
-
-
 def compute_rs(d: DepressedCubic) -> RsPair:
     """Solve t^2 + (3q/p)t - p/3 = 0 for the pair (r, s).
 
-    p = 0, q = 0 and a negligible p return a tag with r, s unset. Range: r, s
-    scale by 2^k under (p, q) -> (p 4^k, q 8^k), so the quadratic is solved on
-    (p 4^-k, q 8^-k), k = max(ceil(e_p/2), ceil(e_q/3)) from binary exponents,
-    and the float r, s are multiplied by 2^k, exactly; in band (|k| <= 100)
-    k = 0; an r or s with no double is an InvalidInputError. Exact r, s come
-    back when the quadratic discriminant is a square.
+    p = 0, q = 0 and a negligible p return a tag with r, s unset. The quadratic
+    is solved on numerics' range scale, which refuses an r or s with no double
+    by name. Exact r, s come back when the quadratic discriminant is a square.
     """
     p, q = d
     if type(p) is not float:  # a Fraction: its slots, not the numerator and denominator properties
@@ -99,7 +86,7 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     delta = 4 * p**3 + 27 * q**2
     B, C = 3 * q / p, -p / 3
     if delta == 0:
-        half = complex(math.ldexp(-B / 2, k))
+        half = complex(_scaled(-B / 2, k, _R))
         return _tuple_new(RsPair, (half, half, CaseTag.EQUAL, None))
     case = CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
@@ -155,7 +142,7 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
     b_num, b_den = 3 * Q * dp, dq * P
     if n == 0:
         half = _fraction(-b_num, 2 * b_den)
-        z = _exact_complex(half._numerator, half._denominator, "r")
+        z = complex(_scaled(half, 0, _R))
         return _tuple_new(RsPair, (z, z, CaseTag.EQUAL, half))
 
     case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
@@ -168,8 +155,8 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
             root *= abs(P) * dq
             den = 2 * b_den * disc_den
             r = _fraction(root * b_den - b_num * disc_den, den)
-            z = _exact_complex(r._numerator, r._denominator, "r")
-            return _tuple_new(RsPair, (z, _exact_complex(-root * b_den - b_num * disc_den, den, "s"), case, r))
+            s = _fraction(-root * b_den - b_num * disc_den, den)
+            return _tuple_new(RsPair, (complex(_scaled(r, 0, _R)), complex(_scaled(s, 0, _S)), case, r))
 
     # The exact discriminant is rounded once: B*B - 4C in doubles cancels
     # when B^2 ~ 4|C| and can even flip sign.
@@ -177,16 +164,6 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
         w = math.sqrt(_ratio(abs(n), disc_den, -2 * k))
         return _rs_float(case, _ratio(b_num, b_den, -k), _ratio(-P, 3 * dp, -2 * k), w, k)
     return _rs_float(case, b_num / b_den, -P / (3 * dp), math.sqrt(abs(n) / disc_den), 0)
-
-
-def _exact_complex(n: int, d: int, name: str) -> complex:
-    """n / d rounded once, for an exact r or s: one with no double is an InvalidInputError
-    that names it, as _scaled's, with n / d written as x 2^k."""
-    try:
-        return complex(n / d)
-    except OverflowError:  # n / d rounds to 2^1024 or beyond, and so does x 2^k: _scaled raises
-        k = _ratio_exponent(abs(n), abs(d))
-        return complex(_scaled(_ratio(n, d, -k), k, name))
 
 
 def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:
@@ -198,15 +175,7 @@ def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:
         t2 = C / t1
         r, s = (t1, t2) if t1 >= t2 else (t2, t1)
         if k:
-            r, s = _scaled(r, k, "r"), _scaled(s, k, "s")
+            r, s = _scaled(r, k, _R), _scaled(s, k, _S)
         return _tuple_new(RsPair, (complex(r), complex(s), case, None))
-    r = complex(_scaled(-B / 2.0, k, "Re r"), _scaled(w / 2.0, k, "Im r")) if k else complex(-B / 2.0, w / 2.0)
+    r = complex(_scaled(-B / 2.0, k, "the pair's Re r = {}"), _scaled(w / 2.0, k, "the pair's Im r = {}")) if k else complex(-B / 2.0, w / 2.0)
     return _tuple_new(RsPair, (r, r.conjugate(), case, None))
-
-
-def _scaled(x: float, k: int, name: str) -> float:
-    """x 2^k for the pair's r or s out of band: an InvalidInputError names one with no double."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        raise InvalidInputError(f"the pair's {name} = {x!r} * 2^{k} has no double") from None

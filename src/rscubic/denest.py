@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chen import fraction_cbrt
-from .numerics import _band, _exponent, _float_of, _root
+from .numerics import _band, _exponent, _float_of, _root, _scaled
 from .reduction import DepressedCubic, InvalidInputError, _beyond_double, _coerce, _fraction, _record, _tuple_new
 
 
@@ -62,21 +62,20 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     if type(a) is float:
         k = _scale(a, b)
         fa = _float_of(a, -3 * k)
-        p = math.ldexp(-3.0 * _root(fa * fa - _float_of(b, -6 * k), 3), 2 * k)
+        t, k = fa * fa - _float_of(b, -6 * k), 2 * k  # a^2 - b at 64^-k, so its cube root is at 4^-k
         if math.isinf(q):
             q = -2 * Fraction(a)
     else:
         t = a * a - b
         cr = fraction_cbrt(t)
-        try:
-            p = -3 * cr if cr is not None else -3.0 * _root(t, 3)
-        except OverflowError:
-            p = -math.inf  # no double holds p, as when -3.0 * cbrt(t) rounds to -inf: refused below
+        if cr is not None:
+            return DepressedCubic(-3 * cr, q)
+        k = _band(-(-_exponent(t) // 3))  # t's own scale: a^2 - b cancels where b ~ a^2
+        t = _float_of(t, -3 * k)
+    p = _scaled(-3.0 * _root(t, 3), k, "p = -3 cbrt(a^2 - b)")
     try:
         return DepressedCubic(p, q)
     except InvalidInputError:
-        if not math.isfinite(p):
-            raise InvalidInputError("p = -3 cbrt(a^2 - b) has no double") from None
         # The mixed cubic: a float p beside an exact q beyond the double range, which solve_depressed solves.
         return _tuple_new(DepressedCubic, (p, q))
 
@@ -105,7 +104,7 @@ def _value(radical: NestedRadical, cubic: DepressedCubic) -> float:
     u = _root(a + math.copysign(math.sqrt(b), a), 3)
     v = -p / (3.0 * u)
     x = 2.0 * a / (u * u - u * v + v * v) if p > 0 and 2.0 * abs(v) > abs(u) else u + v
-    return math.ldexp(x, k)
+    return _scaled(x, k, "the value = {}")
 
 
 def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fraction]:

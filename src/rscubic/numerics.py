@@ -1,4 +1,4 @@
-"""Complex helpers: principal-branch cube roots, the unit cube roots, arguments.
+"""Numeric helpers: principal-branch cube roots, the unit cube roots, arguments, and the range rule.
 
 Everything downstream leans on two conventions fixed here:
 
@@ -10,12 +10,22 @@ Everything downstream leans on two conventions fixed here:
 A separate sign-preserving *real* cube root, ``_root(x, 3)``, serves the
 real r,s solution formulas, which want (-8)^(1/3) = -2, not the principal
 complex root.
+
+The range rule. The roots of x^3 + px + q scale by 2^k under (p, q) ->
+(p 4^k, q 8^k), so a stage solves on (p 4^-k, q 8^-k), k = max(ceil(e_p/2),
+ceil(e_q/3)) from the binary exponents of the nonzero p and q (k = 0 in
+band, |k| <= _BAND), and multiplies what it finds back by 2^k through
+_scaled, which also rounds an exact value reported as a double. Only it
+leaves the scale, and a value with no double is an InvalidInputError that
+names it, never a bare OverflowError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+from .reduction import InvalidInputError
 
 # Primitive cube root of unity, omega = (-1 + sqrt(3) i) / 2.
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -83,11 +93,30 @@ def _band(k: int) -> int:
 
 def _root(x, n: int) -> float:
     """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
-    of a float or exact x, as root(x 2^-nk) 2^k."""
+    of a float or exact x, as root(x 2^-nk) 2^k; _scaled refuses one with no double as a root."""
     k = _band(-(-_exponent(x) // n))
     y = _float_of(x, -n * k)
     y = math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y)
-    return math.ldexp(y, k) if k else y
+    return _scaled(y, k) if k else y
+
+
+# The names _scaled refuses a root's parts, and the pair's r and s, by.
+_RE, _IM, _R, _S = "a root's real part = {}", "a root's imaginary part = {}", "the pair's r = {}", "the pair's s = {}"
+
+
+def _scaled(x, k: int, name: str = "a root = {}") -> float:
+    """x 2^k rounded once, for a float x found on the scale 2^-k or an exact x (k = 0): one with
+    no double, or a float x that overflowed on the scale, is an InvalidInputError that names it,
+    as name with its value, written as a double times 2^k, in place of its "{}"."""
+    try:
+        y = _float_of(x, k)
+        if math.isfinite(y):
+            return y
+    except OverflowError:  # x 2^k rounds to 2^1024 or beyond
+        if type(x) is not float:
+            j = _exponent(x)
+            x, k = _float_of(x, -j), k + j
+    raise InvalidInputError(name.format(f"{x!r} * 2^{k}") + " has no double")
 
 
 def cube_roots_all(z: complex) -> tuple[complex, complex, complex]:

@@ -22,11 +22,26 @@ through Vieta's relations, with c_k = cos(theta/3 + 2k pi/3):
 The signs on the last two follow from prod(-2|r| c_k) = -q = -2|r|^3 cos
 theta and from A^3+B^3+C^3 = 3ABC when A+B+C = 0; theta = 0 (c = 1, -1/2,
 -1/2, product 1/4) pins them numerically.
+
+The reference formulas of the r,s stage: the cubic discriminant
+4p^3 + 27q^2 and the quadratic t^2 + (3q/p)t - p/3 whose roots are r and s,
+which decompose.compute_rs is tested against on both of its paths.
 """
 
 import math
 
 from rscubic.numerics import OMEGA, OMEGA2
+from rscubic.reduction import Coefficient, DepressedCubic
+
+
+def discriminant(d: DepressedCubic) -> Coefficient:
+    """The cubic discriminant 4p^3 + 27q^2 (exact when the input is)."""
+    return 4 * d.p**3 + 27 * d.q**2
+
+
+def rs_quadratic(d: DepressedCubic) -> tuple[Coefficient, Coefficient]:
+    """Coefficients (B, C) of the monic quadratic t^2 + Bt + C with roots r, s."""
+    return 3 * d.q / d.p, -d.p / 3
 
 
 def decomposition_identity_residual(r: complex, s: complex, x: complex) -> float:

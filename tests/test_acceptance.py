@@ -27,10 +27,9 @@ from rscubic import (
     solve_depressed,
     solve_moebius,
 )
-from rscubic.decompose import discriminant
 from rscubic.numerics import cube_roots_all, principal_cube_root
 
-from paper_identities import decomposition_identity_residual, trig_identity_residuals, unified_roots
+from paper_identities import decomposition_identity_residual, discriminant, trig_identity_residuals, unified_roots
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

@@ -362,6 +362,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: the pair's r = 0.8533668389533203 * 2^1329 has no double\n"
 
+    def test_root_without_a_double_is_2(self, capsys):
+        # x^3 + 10^1000: its real root, -cbrt(10^1000) or about -2.15e333, has no double.
+        code, out, err = run(capsys, "solve", "--p=0", f"--q={10**1000}")
+        assert (code, out) == (2, "")
+        assert err == "error: a root = -0.619581066161271 * 2^1108 has no double\n"
+
     def test_overflowing_input_is_3(self, capsys):
         code, _, err = run(capsys, "solve", "--p=" + "9" * 320, "--q=1")
         assert code == 3

@@ -22,8 +22,10 @@ from rscubic import (
 )
 import rscubic.chen
 import rscubic.decompose
-from rscubic.decompose import _rs_float, discriminant, rs_quadratic
+from rscubic.decompose import _rs_float
 from rscubic.numerics import _ratio, _ratio_exponent
+
+from paper_identities import discriminant, rs_quadratic
 
 SQRT2 = math.sqrt(2.0)
 

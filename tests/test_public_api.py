@@ -183,6 +183,39 @@ def test_only_decompose_names_the_exact_rs_entry():
     assert names and set(names) == {"decompose.py"}
 
 
+def test_only_numerics_scales_back_by_2_to_the_k():
+    # A value solved on the scale 2^-k can overflow on its way back, so only numerics multiplies
+    # by 2^k (_scaled and _rounded refuse one with no double by name); elsewhere math.ldexp goes
+    # onto the scale, by a negated exponent such as -k or -2 * k.
+    def negated(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            node = node.left
+        return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+
+    upward = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "math.ldexp" and not negated(node.args[1]):
+                upward.append(f"{path.name}:{node.lineno}")
+    assert upward == []
+
+
+def test_decompose_and_chen_leave_overflow_to_numerics():
+    # The r,s stage and the solve step hold no range refusal of their own: no handler names OverflowError.
+    import rscubic.chen
+    import rscubic.decompose
+
+    for module in (rscubic.chen, rscubic.decompose):
+        handlers = [
+            node.lineno
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8")))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and "OverflowError" in ast.unparse(node.type)
+        ]
+        assert handlers == [], module.__name__
+
+
 def test_only_denest_calls_the_rational_root_search():
     # _rational_root_near searches the radical's cubic alone (one simple real root, of a's
     # sign): besides its def, the package names it once, in denest.denest.

@@ -19,10 +19,12 @@ from rscubic import (
     GeneralCubic,
     InvalidInputError,
     NestedRadical,
+    cardano_solve,
     compute_rs,
     denest,
     solve,
     solve_depressed,
+    solve_moebius,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -197,3 +199,50 @@ def test_mixed_cubic_solves(radical):
     roots = solve_depressed(result.cubic).roots
     assert all(math.isfinite(abs(z)) for z in roots)
     assert min(abs(z - result.value) for z in roots if z.imag == 0) <= 1e-12 * abs(result.value)
+
+
+def dyadic():
+    """An exact +-(m/n) 2^e, 1 <= m <= 2^53 and 1 <= n <= 2^20, with e up to +-3000 and often
+    near the edges of the doubles, 2^1024 and 2^-1074."""
+    exponents = st.one_of(st.integers(-3000, 3000), st.integers(1000, 1030), st.integers(-1090, -1060))
+    return st.builds(
+        lambda sign, m, n, e: sign * Fraction(m, n) * Fraction(2) ** e,
+        st.sampled_from([1, -1]),
+        st.integers(1, 2**53),
+        st.integers(1, 2**20),
+        exponents,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(lambda r, s: (-3 * r * s, r * s * (r + s)), dyadic(), dyadic()), st.one_of(st.just(0), dyadic()))
+@example((0, 10**1000), 0)  # cbrt(-q) has no double
+@example((-(10**1000), 0), 0)  # sqrt(-p) has none
+@example((0, 0), 10**400)  # (x + 10^400)^3: the rational triple root -10^400 has none
+@example((-9 * 2**2045, 9 * 2**3067), 0)  # r = 3 2^1022, s = 2^1023: |r| + |s| rounds to inf
+@example((-3 * 2**2045, 2**3068), 2**1023)
+def test_far_cubics_solve_or_are_refused_by_name(pq, delta):
+    # x^3 + px + q with p = -3rs and q = rs(r + s), and the cubic in x = y - delta: the roots
+    # of each are finite doubles, or the call raises InvalidInputError, never a bare
+    # OverflowError or ZeroDivisionError.
+    p, q = pq
+    d = DepressedCubic(p, q)
+    shifted = GeneralCubic(3 * delta, 3 * delta * delta + p, (delta * delta + p) * delta + q)
+    for call in (lambda: solve_depressed(d), lambda: solve(shifted), lambda: cardano_solve(d)):
+        try:
+            roots = call().roots
+        except InvalidInputError:
+            continue
+        assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots), roots
+
+
+@pytest.mark.parametrize("r, s", [(1e-320, 1e300), (1e308, 1e-308)], ids=["r/s underflows", "r/s overflows"])
+def test_moebius_refuses_an_r_over_s_without_a_double(r, s):
+    # r/s rounds to 0 (every u = 0 gave x = r three times, though the real root is about
+    # -2.15e93) or to inf (NaN roots).
+    with pytest.raises(InvalidInputError, match=r"^Moebius form needs r/s as a finite double"):
+        solve_moebius(r, s)
+
+
+def test_moebius_zero_r_is_the_triple_root_zero():
+    assert solve_moebius(0.0, 1e300).roots == (0j, 0j, 0j)
