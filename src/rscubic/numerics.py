@@ -109,7 +109,7 @@ def _scaled(x, k: int, name: str = "a root = {}") -> float:
     no double, or a float x that overflowed on the scale, is an InvalidInputError that names it,
     as name with its value, written as a double times 2^k, in place of its "{}"."""
     try:
-        y = _float_of(x, k)
+        y = math.ldexp(x, k) if type(x) is float else x._numerator / x._denominator  # a Fraction's slots
         if math.isfinite(y):
             return y
     except OverflowError:  # x 2^k rounds to 2^1024 or beyond

@@ -185,8 +185,8 @@ def test_only_decompose_names_the_exact_rs_entry():
 
 def test_only_numerics_scales_back_by_2_to_the_k():
     # A value solved on the scale 2^-k can overflow on its way back, so only numerics multiplies
-    # by 2^k (_scaled and _rounded refuse one with no double by name); elsewhere math.ldexp goes
-    # onto the scale, by a negated exponent such as -k or -2 * k.
+    # by 2^k (_scaled refuses one with no double by name); elsewhere math.ldexp goes onto the
+    # scale, by a negated exponent such as -k or -2 * k.
     def negated(node):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             node = node.left
@@ -204,9 +204,6 @@ def test_only_numerics_scales_back_by_2_to_the_k():
 
 def test_decompose_and_chen_leave_overflow_to_numerics():
     # The r,s stage and the solve step hold no range refusal of their own: no handler names OverflowError.
-    import rscubic.chen
-    import rscubic.decompose
-
     for module in (rscubic.chen, rscubic.decompose):
         handlers = [
             node.lineno
