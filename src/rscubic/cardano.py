@@ -21,9 +21,9 @@ import cmath
 import math
 
 from .chen import RootTriple
-from .decompose import CaseTag, compute_rs, integer_discriminant
+from .decompose import _CONJUGATE_PAIR, _DEGENERATE_P0, _DEGENERATE_Q0, _EQUAL, _REAL_DISTINCT, CaseTag, compute_rs, integer_discriminant
 from .numerics import _BAND_HIGH, _BAND_LOW, _IM, _RE, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, _scaled, cube_roots_all, principal_cube_root
-from .reduction import DepressedCubic, InvalidInputError
+from .reduction import DepressedCubic, InvalidInputError, _tuple_new
 
 # solve_moebius's roots are off by about eps/|1 - u|: below this gap from a
 # cube root u of r/s to 1 that error can pass 1e-6, so the map refuses.
@@ -104,7 +104,7 @@ def solve_moebius(r: complex, s: complex) -> RootTriple:
     if min(abs(1.0 - u) for u in us) < _MOEBIUS_GAP:
         raise InvalidInputError("Moebius form degenerates when a cube root of r/s is within 2^-32 of 1")
     raw = tuple((r - s * u) / (1.0 - u) for u in us)
-    return _finalize(raw, CaseTag.REAL_DISTINCT if r.imag == s.imag == 0 else CaseTag.CONJUGATE_PAIR)
+    return _finalize(raw, _REAL_DISTINCT if r.imag == s.imag == 0 else _CONJUGATE_PAIR)
 
 
 def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
@@ -116,19 +116,15 @@ def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
     the double root r of (x-r)^2 (x+2r) sorts first when q = 2r^3 < 0,
     and p = q = 0 is a triple root; only those tags read p and q.
     """
-    three_real = (
-        case in (CaseTag.EQUAL, CaseTag.CONJUGATE_PAIR)
-        or (case is CaseTag.DEGENERATE_Q0 and p < 0)
-        or (case is CaseTag.DEGENERATE_P0 and q == 0)
-    )
+    three_real = case in (_EQUAL, _CONJUGATE_PAIR) or (case is _DEGENERATE_Q0 and p < 0) or (case is _DEGENERATE_P0 and q == 0)
     if three_real:
         x0, x1, x2 = sorted([raw[0].real, raw[1].real, raw[2].real])
         roots = (complex(x0, 0.0), complex(x1, 0.0), complex(x2, 0.0))
-        if case is CaseTag.EQUAL:
+        if case is _EQUAL:
             mult = ((0, 2),) if q < 0 else ((1, 2),)
         else:
-            mult = ((0, 3),) if case is CaseTag.DEGENERATE_P0 else ()
-        return RootTriple(roots, case, multiplicity=mult)
+            mult = ((0, 3),) if case is _DEGENERATE_P0 else ()
+        return _tuple_new(RootTriple, (roots, case, mult, None, None, None, None))
     # The real root is the first of least |imag| (min's choice); the pair keeps raw order.
     z0, z1, z2 = raw
     i0, i1, i2 = abs(z0.imag), abs(z1.imag), abs(z2.imag)
@@ -139,7 +135,7 @@ def _finalize(raw, case: CaseTag, p: float = 0.0, q: float = 0.0) -> RootTriple:
     re = 0.5 * (z1.real + z2.real)
     im = 0.5 * (i1 + i2)
     roots = (complex(z0.real, 0.0), complex(re, -im), complex(re, im))
-    return RootTriple(roots, case)
+    return _tuple_new(RootTriple, (roots, case, (), None, None, None, None))
 
 
 def match_root_sets(a, b) -> float:

@@ -39,15 +39,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .decompose import CaseTag, RsPair, compute_rs
+from .decompose import _CONJUGATE_PAIR, _EQUAL, _REAL_DISTINCT, RsPair, compute_rs
 from .numerics import _BAND, _BAND_HIGH, _BAND_LOW, _IM, _RE, _band, _float_of, _ratio, _ratio_exponent, _root, _scaled
 from .reduction import DepressedCubic, GeneralCubic, _depress_exact, _fraction, _record, _tuple_new, depress
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _SQRT3 = math.sqrt(3.0)
-# The tags the solve step tests, bound once: in Python 3.11 reading an Enum
-# member off its class takes about 40 ns, a module global about 6.
-_REAL_DISTINCT, _CONJUGATE_PAIR, _EQUAL = CaseTag.REAL_DISTINCT, CaseTag.CONJUGATE_PAIR, CaseTag.EQUAL
 # Largest relative Newton step an exact cubic's closed-form root takes: 256 ulps.
 _NEWTON_CAP = 2.0**-45
 _EPS = 2.0**-52

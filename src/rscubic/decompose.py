@@ -45,6 +45,9 @@ class CaseTag(Enum):
     DEGENERATE_Q0 = "degenerate_q0"
 
 
+# The tags bound once, in definition order: an Enum member read off its class takes about 40 ns in 3.11, a global 6.
+_EQUAL, _REAL_DISTINCT, _CONJUGATE_PAIR, _DEGENERATE_P0, _DEGENERATE_Q0 = CaseTag
+
 class RsPair(_record("RsPair", "r s case exact_r", (None,))):
     """The decomposition pair: complex r and s (None for the degenerate tags) and the CaseTag.
 
@@ -87,8 +90,8 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     B, C = 3 * q / p, -p / 3
     if delta == 0:
         half = complex(_scaled(-B / 2, k, _R))
-        return _tuple_new(RsPair, (half, half, CaseTag.EQUAL, None))
-    case = CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
+        return _tuple_new(RsPair, (half, half, _EQUAL, None))
+    case = _REAL_DISTINCT if delta > 0 else _CONJUGATE_PAIR
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
 
 
@@ -97,9 +100,9 @@ def _triage(p, q, ep: int, eq: int) -> tuple[Optional[CaseTag], int]:
     binary exponents: the degenerate tag of p = 0, q = 0 or a negligible p with
     k = 0, or None and the scale exponent k."""
     if p == 0 or q != 0 and 2 * eq - 3 * ep > _NEGLIGIBLE_P_BITS:
-        return CaseTag.DEGENERATE_P0, 0
+        return _DEGENERATE_P0, 0
     if q == 0:
-        return CaseTag.DEGENERATE_Q0, 0
+        return _DEGENERATE_Q0, 0
     k, kq = (ep + 1) // 2, (eq + 2) // 3  # ceil(e_p / 2), ceil(e_q / 3)
     return None, _band(kq if kq > k else k)
 
@@ -143,9 +146,9 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
     if n == 0:
         half = _fraction(-b_num, 2 * b_den)
         z = complex(_scaled(half, 0, _R))
-        return _tuple_new(RsPair, (z, z, CaseTag.EQUAL, half))
+        return _tuple_new(RsPair, (z, z, _EQUAL, half))
 
-    case = CaseTag.REAL_DISTINCT if n > 0 else CaseTag.CONJUGATE_PAIR
+    case = _REAL_DISTINCT if n > 0 else _CONJUGATE_PAIR
     disc_den = 3 * P * P * dp * dq * dq
     if n > 0:
         square = 3 * n * dp
@@ -168,7 +171,7 @@ def _compute_rs_exact(P: int, dp: int, Q: int, dq: int) -> RsPair:
 
 def _rs_float(case: CaseTag, B: float, C: float, w: float, k: int) -> RsPair:
     """Float r, s of t^2 + Bt + C, given w = sqrt(|B^2 - 4C|), times 2^k."""
-    if case is CaseTag.REAL_DISTINCT:
+    if case is _REAL_DISTINCT:
         # Stable form: the large-magnitude root first, the other from the
         # product so that r*s reproduces C to a rounding error.
         t1 = -(B + math.copysign(w, B)) / 2.0 if B != 0 else w / 2.0

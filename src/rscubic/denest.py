@@ -23,7 +23,7 @@ from typing import Optional
 
 from .chen import fraction_cbrt
 from .numerics import _band, _exponent, _float_of, _root, _scaled
-from .reduction import DepressedCubic, InvalidInputError, _beyond_double, _coerce, _fraction, _record, _tuple_new
+from .reduction import DepressedCubic, InvalidInputError, _coerced, _fraction, _record, _tuple_new
 
 
 class NestedRadical(_record("NestedRadical", "a b")):
@@ -32,15 +32,10 @@ class NestedRadical(_record("NestedRadical", "a b")):
     __slots__ = ()
 
     def __new__(cls, a, b):
-        a, b = _coerce(a), _coerce(b)
-        if isinstance(a, float) or isinstance(b, float):
-            try:
-                a, b = float(a), float(b)
-            except OverflowError:
-                raise _beyond_double() from None
-        if b < 0:
+        radical = _coerced(cls, a, b)
+        if radical.b < 0:
             raise InvalidInputError("b must be nonnegative (real square root)")
-        return _tuple_new(cls, (a, b))
+        return radical
 
 
 class DenestResult(_record("DenestResult", "value exact cubic note", (None,))):

@@ -3,10 +3,10 @@
 A cubic is monic, x^3 + ax^2 + bx + c (parsing.parse_cubic divides a written
 x^3 coefficient out), and exact (integers of any kind and other rationals,
 promoted to Fraction so ``a / 3`` stays exact) or float: a float anywhere
-rounds every exact value once at construction (InvalidInputError for an exact
-value beyond the double range). Exact inputs stay rational through the
-substitution (depress builds p, q and the shift from integers, one _fraction
-each, stored without a second coercion), so whole-number examples come out exact.
+rounds every exact value once at construction, in _coerced (InvalidInputError
+for an exact value beyond the double range). Exact inputs stay rational through
+the substitution (depress builds p, q and the shift from integers, one _fraction
+each); depress stores its p and q, exact or finite floats, without a second coercion.
 
 The cubics, and every other record the package returns, are built on
 _record: immutable namedtuples that compare and hash by value.
@@ -70,14 +70,14 @@ def _record(name, fields, defaults=()):
 
 
 def _coerce(value) -> Coefficient:
-    # Exact int and float are tested by type first: isinstance(x, Fraction)
-    # goes through ABCMeta.__instancecheck__ for any x that is not exactly a
-    # Fraction. Every other input takes the isinstance rules: a Rational (bool,
-    # int subclasses, numpy integers) is exact, the rest (numpy floats,
-    # Decimal, numeric strings) goes through float().
+    # Exact int and float are tested by type first: isinstance(x, Fraction) goes through ABCMeta.__instancecheck__
+    # for any x that is not exactly a Fraction. Every other input takes the isinstance rules: a Rational (bool, int
+    # subclasses, numpy integers) is exact, the rest (numpy floats, Decimal, numeric strings) goes through float().
     kind = type(value)
-    if kind is int:
-        return Fraction(value)
+    if kind is int:  # the two slots Fraction(value) sets, without its dispatch
+        f = _object_new(Fraction)
+        f._numerator, f._denominator = value, 1
+        return f
     if kind is not float:
         if isinstance(value, Fraction):
             return value
@@ -94,19 +94,30 @@ def _beyond_double() -> InvalidInputError:
     return InvalidInputError("an exact value beyond the double range cannot be rounded into a float form")
 
 
+def _coerced(cls, *values):
+    """Record cls of values coerced in order (_coerce), a float rounding all; plain finite floats are stored as they are."""
+    for v in values:
+        if type(v) is not float or v - v:  # v - v is nan for an inf or a nan
+            break
+    else:
+        return _tuple_new(cls, values)
+    values = tuple(map(_coerce, values))
+    for v in values:
+        if type(v) is float:
+            try:
+                return _tuple_new(cls, tuple(map(float, values)))
+            except OverflowError:
+                raise _beyond_double() from None
+    return _tuple_new(cls, values)
+
+
 class GeneralCubic(_record("GeneralCubic", "a b c")):
     """Monic cubic x^3 + a*x^2 + b*x + c, exact or float; a float a, b or c rounds all three."""
 
     __slots__ = ()
 
     def __new__(cls, a, b, c):
-        a, b, c = _coerce(a), _coerce(b), _coerce(c)
-        if isinstance(a, float) or isinstance(b, float) or isinstance(c, float):
-            try:
-                a, b, c = float(a), float(b), float(c)
-            except OverflowError:
-                raise _beyond_double() from None
-        return _tuple_new(cls, (a, b, c))
+        return _coerced(cls, a, b, c)
 
     @property
     def exact(self) -> bool:
@@ -128,13 +139,7 @@ class DepressedCubic(_record("DepressedCubic", "p q")):
     __slots__ = ()
 
     def __new__(cls, p, q):
-        p, q = _coerce(p), _coerce(q)
-        if isinstance(p, float) or isinstance(q, float):
-            try:
-                p, q = float(p), float(q)
-            except OverflowError:
-                raise _beyond_double() from None
-        return _tuple_new(cls, (p, q))
+        return _coerced(cls, p, q)
 
     @property
     def exact(self) -> bool:
@@ -163,7 +168,8 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
             q = 2 * a**3 / 27 - a * b / 3 + c
         except OverflowError:  # float ** raises where * would give inf
             raise InvalidInputError("the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows") from None
-        return DepressedCubic(p, q), a / 3
+        # p - p == q - q only for a finite p and q (inf - inf is nan); the constructor refuses the rest by name.
+        return (_tuple_new(DepressedCubic, (p, q)) if p - p == q - q else DepressedCubic(p, q)), a / 3
     return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)
 
 

@@ -9,7 +9,7 @@ import math
 from .chen import RootTriple
 from .decompose import compute_rs
 from .numerics import _float_of
-from .reduction import DepressedCubic, _beyond_double, _record
+from .reduction import DepressedCubic, _beyond_double, _record, _tuple_new
 
 _TOL = 1e-10
 
@@ -39,7 +39,7 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
         r0 / m <= bound and r1 / m <= bound and r2 / m <= bound
         and v0 / m <= bound and v1 / m <= bound and v2 / m <= bound
     )
-    return VerificationReport((r0, r1, r2), (v0, v1, v2), passed)
+    return _tuple_new(VerificationReport, ((r0, r1, r2), (v0, v1, v2), passed))
 
 
 def _doubles(d: DepressedCubic) -> tuple[float, float]:
@@ -103,4 +103,4 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
     else:
         re, im = -b2 / 2.0, math.sqrt(-disc) / 2.0
         roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
-    return RootTriple(roots, compute_rs(d).case)
+    return _tuple_new(RootTriple, (roots, compute_rs(d).case, (), None, None, None, None))

@@ -202,6 +202,20 @@ def test_only_numerics_scales_back_by_2_to_the_k():
     assert upward == []
 
 
+def test_solve_stages_read_no_case_tag_off_its_class():
+    # Reading an Enum member off its class costs about 40 ns, a module global about 6: decompose binds
+    # the tags once, and no function body of the r,s stage, the solvers or verify reads CaseTag.X. The
+    # CLI's text renderer, outside these modules, reads one tag a cubic.
+    reads = []
+    for module in (rscubic.decompose, rscubic.chen, rscubic.cardano, rscubic.verify):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for read in (sub for statement in node.body for sub in ast.walk(statement)):
+                    if isinstance(read, ast.Attribute) and isinstance(read.value, ast.Name) and read.value.id == "CaseTag":
+                        reads.append(f"{module.__name__}.{node.name}:{read.lineno}")
+    assert reads == []
+
+
 def test_decompose_and_chen_leave_overflow_to_numerics():
     # The r,s stage and the solve step hold no range refusal of their own: no handler names OverflowError.
     for module in (rscubic.chen, rscubic.decompose):

@@ -77,6 +77,38 @@ def test_float_a_cubed_beyond_the_doubles_is_invalid_input(cubic):
         solve(cubic)
 
 
+@pytest.mark.parametrize(
+    "cubic, value",
+    [(GeneralCubic(1e100, 1e300, 0.0), "-inf"), (GeneralCubic(1e100, -1e300, 1e308), "inf")],
+    ids=["q = -inf", "q = inf"],
+)
+def test_float_ab_beyond_the_doubles_is_invalid_input(cubic, value):
+    # a^3 has a double but ab/3 in the depressed q does not: q is refused as a non-finite coefficient.
+    message = f"^{re.escape(f'non-finite coefficient: {value}')}$"
+    with pytest.raises(InvalidInputError, match=message):
+        depress(cubic)
+    with pytest.raises(InvalidInputError, match=message):
+        solve(cubic)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False), finite)
+@example(1e200, 0.0, 0.0)  # p = -inf
+@example(1e100, 1e300, 0.0)  # q = -inf
+@example(5e102, 1e300, 0.0)  # 2a^3 = inf beside ab = inf: q = nan
+@example(-0.0, -0.0, 0.0)
+def test_float_depress_stores_the_constructors_record(a, b, c):
+    # depress stores a finite float p and q as they are: the record DepressedCubic(p, q) builds,
+    # and a non-finite p or q gets the constructor's refusal.
+    p = b - a * a / 3
+    try:
+        q = 2 * a**3 / 27 - a * b / 3 + c
+    except OverflowError:
+        with pytest.raises(InvalidInputError, match="a\\^3 overflows"):
+            depress(GeneralCubic(a, b, c))
+        return
+    assert_built_like(lambda a, b, c: depress(GeneralCubic(a, b, c))[0], lambda *_: list(DepressedCubic(p, q)), "pq", a, b, c)
+
+
 def test_non_monic_is_normalized():
     # GeneralCubic is monic; parse_cubic divides a written x^3 coefficient out.
     assert parse_cubic("2x^3 + 4x^2 - 2x + 6") == GeneralCubic(2, -1, 3)
