@@ -48,6 +48,7 @@ class CaseTag(Enum):
 # The tags bound once, in definition order: an Enum member read off its class takes about 40 ns in 3.11, a global 6.
 _EQUAL, _REAL_DISTINCT, _CONJUGATE_PAIR, _DEGENERATE_P0, _DEGENERATE_Q0 = CaseTag
 
+
 class RsPair(_record("RsPair", "r s case exact_r", (None,))):
     """The decomposition pair: complex r and s (None for the degenerate tags) and the CaseTag.
 

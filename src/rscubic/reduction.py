@@ -70,9 +70,11 @@ def _record(name, fields, defaults=()):
 
 
 def _coerce(value) -> Coefficient:
-    # Exact int and float are tested by type first: isinstance(x, Fraction) goes through ABCMeta.__instancecheck__
-    # for any x that is not exactly a Fraction. Every other input takes the isinstance rules: a Rational (bool, int
-    # subclasses, numpy integers) is exact, the rest (numpy floats, Decimal, numeric strings) goes through float().
+    # Exact int and float are tested by type first: isinstance(x, Fraction)
+    # goes through ABCMeta.__instancecheck__ for any x that is not exactly a
+    # Fraction. Every other input takes the isinstance rules: a Rational (bool,
+    # int subclasses, numpy integers) is exact, the rest (numpy floats,
+    # Decimal, numeric strings) goes through float().
     kind = type(value)
     if kind is int:  # the two slots Fraction(value) sets, without its dispatch
         f = _object_new(Fraction)
