@@ -29,6 +29,8 @@ case tag alike. Lifting all three roots in doubles would lose any root far
 below the shift a/3. An exact cubic whose three roots are rational (a
 rational pair r = s, p = q = 0, or q = 0 > p with a rational sqrt(-p))
 skips all of this and reports each root as its exact value rounded once.
+The step builds every exact value from integers, one gcd each, with no
+Fraction operator, and tells a square -p by isqrt before trial division.
 """
 
 from __future__ import annotations
@@ -68,8 +70,11 @@ def _trial_primes() -> Sequence[int]:
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """Write n = k^2 * m by trial division by the primes up to _SQUARE_FREE_TRIAL_CAP = 2^17: m is square-free
-    below 2^51 = (2^17)^3, and keeps a square only where a prime above the cap divides the rest twice (p^2 q)."""
+    """Write n = k^2 * m: a square n is (isqrt(n), 1) at once, else trial division by the primes up to 2^17
+    splits n: m is square-free below 2^51 = (2^17)^3, and keeps a square only where a prime above the cap divides the rest twice (p^2 q)."""
+    k = math.isqrt(n)
+    if k * k == n:
+        return k, 1
     k, m = 1, 1
     for d in _trial_primes():
         if d * d * d > n:
@@ -101,12 +106,16 @@ def _icbrt_floor(n: int) -> int:
 
 def fraction_cbrt(value: Fraction) -> Optional[Fraction]:
     """Exact rational cube root of value, or None if it is not a perfect cube."""
-    num, den = value.numerator, value.denominator
-    rn = _icbrt_floor(abs(num))
-    rd = _icbrt_floor(den)
+    num, den = value._numerator, value._denominator
+    rn, rd = _icbrt_floor(abs(num)), _icbrt_floor(den)
     if rn**3 != abs(num) or rd**3 != den:
         return None
     return _fraction(-rn if num < 0 else rn, rd)
+
+
+def _rational(n: int, d: int) -> "ExactValue":
+    """The rational ExactValue n / d of ints, d > 0: one _fraction, and no folding."""
+    return _tuple_new(ExactValue, (_fraction(n, d), _ZERO, 1))
 
 
 class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
@@ -127,12 +136,11 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
     @classmethod
     def sqrt_of(cls, value: Fraction) -> "ExactValue":
         """Exact sqrt of a nonnegative rational, as k*sqrt(m)."""
-        if value < 0:
+        n, d = value.numerator, value.denominator
+        if n < 0:
             raise ValueError("sqrt_of needs a nonnegative rational")
-        if value == 0:
-            return cls(Fraction(0))
-        k, m = _square_free_split(value.numerator * value.denominator)
-        return cls(Fraction(0), _fraction(k, value.denominator), m)
+        k, m = _square_free_split(n * d)
+        return _tuple_new(cls, (_fraction(k, d), _ZERO, 1) if m == 1 else (_ZERO, _fraction(k, d), m))
 
     def __float__(self) -> float:
         if not self.surd_coef:
@@ -143,10 +151,7 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
         if not self.surd_coef:
             return str(self.rational)
         coef = self.surd_coef
-        if abs(coef) == 1:
-            surd = f"sqrt({self.radicand})"
-        else:
-            surd = f"{abs(coef)}*sqrt({self.radicand})"
+        surd = f"sqrt({self.radicand})" if abs(coef) == 1 else f"{abs(coef)}*sqrt({self.radicand})"
         if self.rational == 0:
             return surd if coef > 0 else f"-{surd}"
         joiner = " + " if coef > 0 else " - "
@@ -229,54 +234,64 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     shift = delta  # the result's delta: the step rescales delta below
     exact = ints is not None
     channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
+    h = 0  # the anchor (y and im, or the amplitude) is found at 2^-h: where it would pass 2^1024, h > 0
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
     if r is None:
         p, q = d
         shape = _REAL_DISTINCT
+        if exact:  # |p|, -q and p's sign from the integers of p = pn / pd, q and delta = dn / dd
+            pn, pd, dn, dd = p._numerator, p._denominator, delta._numerator, delta._denominator
+            p, q = _fraction(abs(pn), pd), _fraction(-q._numerator, q._denominator)
+        else:
+            pn, p, q = p, abs(p), -q
         if q:  # p = 0 or negligible: y^3 = -q
-            q = -q
             y = _root(q, 3)
             size = abs(y)
             im = size * _SQRT3 / 2.0
-            root = fraction_cbrt(q) if exact and not p else None
+            root = fraction_cbrt(q) if exact and not pn else None
             if root is not None:
-                channel = (ExactValue(root - delta), None, None)
+                channel = (_rational(root._numerator * dd - dn * root._denominator, root._denominator * dd), None, None)
         elif p:  # q = 0
-            size = _root(abs(p), 2)
-            if p > 0:
+            size = _root(p, 2)
+            if pn > 0:
                 y, im = 0.0, size
                 if exact:
-                    channel = (ExactValue(-delta), None, None)
+                    channel = (_rational(-dn, dd), None, None)
             else:
                 shape, amplitude, cos0, cos1, cos2 = _CONJUGATE_PAIR, size, -1.0, 0.0, 1.0
                 if exact:
-                    w, coef, m = ExactValue.sqrt_of(-p)
-                    center = -delta
-                    channel = (ExactValue(center - w, -coef, m), ExactValue(center), ExactValue(center + w, coef, m))
-                    if not coef:
-                        mult = ()
+                    w, m = _square_free_split(-pn * pd)  # sqrt(-p) = w sqrt(m) / pd
+                    if m == 1:
+                        channel, mult = (_rational(-dn * pd - w * dd, dd * pd), _rational(-dn, dd), _rational(w * dd - dn * pd, dd * pd)), ()
+                    else:
+                        center = _fraction(-dn, dd)
+                        channel = tuple(_tuple_new(ExactValue, (center, _fraction(e, pd), m) if e else (center, _ZERO, 1)) for e in (-w, 0, w))
         elif exact:
-            channel, mult = (ExactValue(-delta),) * 3, ((0, 3),)
+            channel, mult = (_rational(-dn, dd),) * 3, ((0, 3),)
         else:
             x = complex(0.0 - delta, 0.0)
             return _tuple_new(RootTriple, ((x, x, x), case, ((0, 3),), None, pair, d, shift))
     elif exact_r is not None and case is _EQUAL:
         # (x-r)^2 (x+2r): stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
-        double, simple = ExactValue(exact_r - delta), ExactValue(-2 * exact_r - delta)
-        channel, mult = ((double, double, simple), ((0, 2),)) if exact_r < 0 else ((simple, double, double), ((1, 2),))
+        rn, rd, dn, dd = exact_r._numerator, exact_r._denominator, delta._numerator, delta._denominator
+        double, simple = _rational(rn * dd - dn * rd, rd * dd), _rational(-2 * rn * dd - dn * rd, rd * dd)
+        channel, mult = ((double, double, simple), ((0, 2),)) if rn < 0 else ((simple, double, double), ((1, 2),))
     else:
         size = abs(r) + abs(s)
         if case is _REAL_DISTINCT:
             u, v = r.real, s.real
             if exact and not (_BAND_LOW <= abs(u) < _BAND_HIGH and _BAND_LOW <= abs(v) < _BAND_HIGH):
                 u, v = _root(u, 3), _root(v, 3)
+                if abs(u) + abs(v) > 1.0:  # y and im at 2^-3: either can reach 2^1026 unscaled
+                    u, v, h = 0.5 * u, 0.5 * v, 3
             else:  # _root's bits in band; a float's unscaled cbrt costs under 2e-14, which Newton removes
                 u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
             m = u * v
             y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
         elif case is _CONJUGATE_PAIR:
             # theta = Arg r in (0, pi] (Im r > 0); the cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
-            t, amplitude = math.atan2(r.imag, r.real) / 3.0, -2.0 * abs(r)
+            t = math.atan2(r.imag, r.real) / 3.0
+            amplitude, h = (-size, 0) if size < math.inf else (-abs(r), 1)  # size = 2|r|, unless that passes 2^1024
             cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes
@@ -306,15 +321,15 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
     if shape is _REAL_DISTINCT:
-        if k:
-            y, im = math.ldexp(y, -k), math.ldexp(im, -k)
+        if k or h:
+            y, im = math.ldexp(y, -(k - h)), math.ldexp(im, -(k - h))
         x = y - delta
         re = -0.5 * y - delta
         modulus2 = re * re + im * im
         if x * x < modulus2:
             x = -c / modulus2
     elif shape is _CONJUGATE_PAIR:
-        amp = math.ldexp(amplitude, -k) if k else amplitude
+        amp = math.ldexp(amplitude, -(k - h)) if k or h else amplitude
         lo, mid, hi = amp * cos0 - delta, amp * cos1 - delta, amp * cos2 - delta
         x, other = (hi, lo) if hi - mid >= mid - lo else (lo, hi)
         if abs(x) * (abs(mid) + abs(other)) < abs(mid * other):

@@ -7,11 +7,11 @@ i.e. it is a root of x^3 + px + q with
 
 where the cube root is the real, sign-preserving one (a^2 - b is often
 negative). Its discriminant 4p^3 + 27q^2 is 108b >= 0: the value is the
-cubic's one simple real root (b = 0 adds a double root at -value/2). When a
-and b are rational and a^2 - b is a perfect rational cube, the cubic is exact,
-and one exact bisection over the integers of its monic integer form, within
-2e-9 of the float value relative, replaces the radical by a plain number when
-it is rational: no factoring, and it always completes. An exact a^2 - b
+cubic's one simple real root (b = 0 adds a double root at -value/2). Rational
+a and b give q, a^2 - b and p on integers, one gcd each. Where a^2 - b is a
+rational cube the cubic is exact, and one exact bisection over the integers of
+its monic integer form, within 2e-9 of the float value (relative), finds the
+value when rational: no factoring, and it always completes. An exact a^2 - b
 that is no rational cube, with |p| beyond the doubles, raises InvalidInputError.
 """
 
@@ -33,7 +33,7 @@ class NestedRadical(_record("NestedRadical", "a b")):
 
     def __new__(cls, a, b):
         radical = _coerced(cls, a, b)
-        if radical.b < 0:
+        if (radical.b if type(radical.b) is float else radical.b._numerator) < 0:
             raise InvalidInputError("b must be nonnegative (real square root)")
         return radical
 
@@ -53,18 +53,18 @@ def radical_to_cubic(radical: NestedRadical) -> DepressedCubic:
     radical's scale, as (a 8^-k)^2 - b 64^-k, so it neither over- nor underflows.
     A -2a that no double holds stays exact; a float p that none holds raises InvalidInputError."""
     a, b = radical
-    q = -2 * a
     if type(a) is float:
-        k = _scale(a, b)
+        q, k = -2 * a, _scale(a, b)
         fa = _float_of(a, -3 * k)
         t, k = fa * fa - _float_of(b, -6 * k), 2 * k  # a^2 - b at 64^-k, so its cube root is at 4^-k
         if math.isinf(q):
             q = -2 * Fraction(a)
     else:
-        t = a * a - b
+        an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+        q, t = _fraction(-2 * an, ad), _fraction(an * an * bd - bn * ad * ad, ad * ad * bd)
         cr = fraction_cbrt(t)
         if cr is not None:
-            return DepressedCubic(-3 * cr, q)
+            return _tuple_new(DepressedCubic, (_fraction(-3 * cr._numerator, cr._denominator), q))
         k = _band(-(-_exponent(t) // 3))  # t's own scale: a^2 - b cancels where b ~ a^2
         t = _float_of(t, -3 * k)
     p = _scaled(-3.0 * _root(t, 3), k, "p = -3 cbrt(a^2 - b)")
@@ -112,9 +112,9 @@ def _rational_root_near(p: Fraction, q: Fraction, target: float) -> Optional[Fra
     2e-9 |target| (plus a subnormal's rounding and one integer), the cubic is negative below
     the value and nonnegative from it on: one exact bisection finds the smallest such y.
     """
-    lead = math.lcm(p.denominator, q.denominator)
-    big_p = p.numerator * (lead // p.denominator) * lead
-    big_q = q.numerator * (lead // q.denominator) * lead * lead
+    lead = math.lcm(p._denominator, q._denominator)
+    big_p = p._numerator * (lead // p._denominator) * lead
+    big_q = q._numerator * (lead // q._denominator) * lead * lead
     width = 2e-9 * abs(target) + 5e-324
     n, d = (target - width).as_integer_ratio()
     lo = lead * n // d - 1
@@ -134,9 +134,9 @@ def denest(radical: NestedRadical) -> DenestResult:
     """Numeric value of the radical, plus its exact rational form when one exists."""
     cubic = radical_to_cubic(radical)
     value = _value(radical, cubic)
-    if not isinstance(radical.a, float) and radical.a == 0:
-        # cbrt(sqrt(b)) + cbrt(-sqrt(b)) cancels identically, whatever b is.
-        return DenestResult(value, Fraction(0), cubic)
-    if not cubic.exact:
-        return DenestResult(value, None, cubic)
-    return DenestResult(value, _rational_root_near(cubic.p, cubic.q, value), cubic)
+    a, (p, q) = radical.a, cubic
+    if type(a) is not float and not a._numerator:
+        exact = Fraction(0)  # cbrt(sqrt(b)) + cbrt(-sqrt(b)) cancels identically, whatever b is
+    else:
+        exact = None if type(p) is float else _rational_root_near(p, q, value)
+    return _tuple_new(DenestResult, (value, exact, cubic, None))

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rscubic import (
     CaseTag,
@@ -617,3 +617,60 @@ def test_other_solvers_leave_the_stages_unset():
     pair = compute_rs(d)
     for triple in (cardano_solve(d), solve_moebius(pair.r, pair.s), brute_force_roots(d)):
         assert triple.pair is triple.depressed is triple.shift is None
+
+
+# Signed rationals from 10^-12 to about 10^300 in magnitude, numerator and denominator drawn apart.
+big_rationals = st.builds(
+    lambda n, e, d: Fraction(n * 10**e, d), st.integers(-(10**6), 10**6).filter(bool), st.integers(0, 294), st.integers(1, 10**12)
+)
+
+
+@st.composite
+def exact_exit_cubics(draw):
+    """A cubic (x + delta)^3 + p (x + delta) + q that leaves the solve step by an exact exit."""
+    delta = draw(st.one_of(st.just(Fraction(0)), big_rationals))
+    family = draw(st.sampled_from(["equal", "cube", "p0", "square", "q0", "triple"]))
+    p = q = Fraction(0)
+    if family == "equal":  # roots r, r, -2r
+        r = draw(big_rationals)
+        p, q = -3 * r * r, 2 * r**3
+    elif family == "cube":  # p = 0, a rational cube root
+        q = draw(big_rationals) ** 3
+    elif family == "p0":
+        q = draw(big_rationals)
+    elif family == "square":  # q = 0 > p, a rational sqrt(-p)
+        p = -draw(big_rationals) ** 2
+    elif family == "q0":
+        p = draw(big_rationals)
+    return GeneralCubic(3 * delta, 3 * delta * delta + p, (delta * delta + p) * delta + q)
+
+
+def reference_channel(triple):
+    """The exact channel in Fraction arithmetic: the solve step's expressions before it ran on integers."""
+    (p, q), delta, exact_r = triple.depressed, triple.shift, triple.pair.exact_r
+    if triple.case is CaseTag.EQUAL:
+        double, simple = ExactValue(exact_r - delta), ExactValue(-2 * exact_r - delta)
+        return (double, double, simple) if exact_r < 0 else (simple, double, double)
+    if p == 0:
+        if q == 0:
+            return (ExactValue(-delta),) * 3
+        root = fraction_cbrt(-q)
+        return None if root is None else (ExactValue(root - delta), None, None)
+    if q == 0 and p > 0:
+        return (ExactValue(-delta), None, None)
+    if q == 0:
+        w, coef, m = ExactValue.sqrt_of(-p)
+        center = -delta
+        return (ExactValue(center - w, -coef, m), ExactValue(center), ExactValue(center + w, coef, m))
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_exit_cubics())
+def test_exact_channel_matches_the_fraction_reference(cubic):
+    triple = solve(cubic)
+    assert repr(triple.exact) == repr(reference_channel(triple))
+    for value in triple.exact or ():
+        if value is not None:
+            for x in value[:2]:
+                assert type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1

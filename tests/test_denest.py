@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rscubic import InvalidInputError, NestedRadical, denest, solve_depressed
+from rscubic import DepressedCubic, InvalidInputError, NestedRadical, denest, solve_depressed
+from rscubic.chen import fraction_cbrt
 from rscubic.denest import radical_to_cubic
 from rscubic.numerics import _root
 
@@ -351,3 +352,50 @@ def test_perfect_cube_construction_denests(a):
         assert result.exact**3 + 3 * result.exact - 2 * a == 0
         assert abs(float(result.exact) - result.value) <= 1e-9
 
+
+
+def _signed_big(n, e, d):
+    return Fraction(n * 10**e, d)
+
+
+@st.composite
+def big_exact_radicals(draw):
+    """(a, b, x): a and b up to about 10^300, of either sign of a. For a "cube" radical
+    a^2 - b = m^3 with 2a = x^3 - 3mx, so its value is x; an "offset" one raises 2a by
+    one (an exact cubic, x None); a "free" b need not make a^2 - b a cube; "zero" is a = 0."""
+    kind = draw(st.sampled_from(["cube", "offset", "free", "zero"]))
+    x = _signed_big(draw(st.integers(-999, 999).filter(bool)), draw(st.integers(0, 96)), draw(st.integers(1, 10**6)))
+    m = _signed_big(-draw(st.integers(0, 999)), draw(st.integers(0, 192)), draw(st.integers(1, 10**6)))
+    a = (x**3 - 3 * m * x) / 2 + (Fraction(1, 2) if kind == "offset" else 0)
+    if kind == "zero":
+        a = Fraction(0)
+    b = a * a - m**3 if kind != "free" else abs(_signed_big(draw(st.integers(1, 999)), draw(st.integers(0, 290)), draw(st.integers(1, 10**6))))
+    return a, b, x if kind == "cube" else None
+
+
+def _lowest_terms(f):
+    return type(f) is Fraction and f.denominator > 0 and math.gcd(f.numerator, f.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_exact_radicals())
+def test_cubic_and_exact_match_the_fraction_reference(radical):
+    # The radical's cubic and exact value against Fraction arithmetic: q = -2a and
+    # p = -3 cbrt(a^2 - b), exact when a^2 - b is a rational cube, else the rounded real cube root.
+    a, b, x = radical
+    result = denest(NestedRadical(a, b))
+    t = a * a - b
+    cr = fraction_cbrt(t)
+    reference = DepressedCubic(-3 * cr, -2 * a) if cr is not None else DepressedCubic(-3.0 * _root(t, 3), -2 * a)
+    assert repr(result.cubic) == repr(reference)
+    if cr is not None:
+        assert _lowest_terms(result.cubic.p) and _lowest_terms(result.cubic.q)
+    if a == 0:
+        assert repr(result.exact) == repr(Fraction(0))
+    elif x is not None:
+        assert repr(result.exact) == repr(x)
+    elif result.exact is not None:
+        p, q = result.cubic
+        assert result.exact**3 + p * result.exact + q == 0
+    if result.exact is not None:
+        assert _lowest_terms(result.exact)

@@ -5,9 +5,11 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import rscubic
+from rscubic import CaseTag, GeneralCubic, NestedRadical, denest, solve
 from rscubic.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,6 +239,56 @@ def test_only_denest_calls_the_rational_root_search():
                 if "_rational_root_near" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
                     found.append((path.stem, getattr(top, "name", None), type(node).__name__))
     assert sorted(found) == [("denest", "_rational_root_near", "FunctionDef"), ("denest", "denest", "Name")]
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    "__neg__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_exact_solve_and_denest_run_no_fraction_operator(monkeypatch):
+    # Exact values are built from integers, one gcd each (reduction._fraction): no Fraction
+    # operator, each a dispatch through Fraction.__new__, runs on any exit of the solve step
+    # or in denest. Each input is built before the operators are counted.
+    cubics = {
+        "equal": GeneralCubic(-5, 7, -3),  # (x - 1)^2 (x - 3)
+        "equal, r < 0": GeneralCubic(1, Fraction(-8, 3), Fraction(-80, 27)),  # (x + 4/3)^2 (x - 5/3)
+        "real_distinct": GeneralCubic(1, 1, 1),
+        "real_distinct, rational pair": GeneralCubic(0, -6, -9),  # (r, s) = (-1/2, -4)
+        "conjugate_pair": GeneralCubic(-7, 14, -8),  # (x - 1)(x - 2)(x - 4)
+        "out of band": GeneralCubic(0, -7 * 10**300, 6 * 10**450),  # roots 10^150, 2 10^150, -3 10^150
+        "p = 0, rational cube root": GeneralCubic(3, 3, -7),  # (x + 1)^3 - 8
+        "p = 0, no rational cube root": GeneralCubic(0, 0, Fraction(-2, 5)),
+        "negligible p": GeneralCubic(0, 1, 10**200),
+        "q = 0, p > 0": GeneralCubic(1, Fraction(4, 3), Fraction(10, 27)),  # (x + 1/3)^3 + (x + 1/3)
+        "q = 0, square -p": GeneralCubic(3, -1, -3),  # (x + 1)^3 - 4(x + 1)
+        "q = 0, surd -p": GeneralCubic(0, Fraction(-2, 9), 0),
+        "triple": GeneralCubic(-6, 12, -8),  # (x - 2)^3
+    }
+    radicals = [NestedRadical(2, 5), NestedRadical(Fraction(9, 2), Fraction(49, 4)), NestedRadical(1, 3), NestedRadical(0, 4)]
+    calls = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, _name=name, _operator=getattr(Fraction, name)):
+            calls.append(_name)
+            return _operator(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    triples = {label: solve(cubic) for label, cubic in cubics.items()}
+    results = [denest(radical) for radical in radicals]
+    monkeypatch.undo()
+    assert calls == []
+    # Every exit was reached: each exact channel the step reports, and denest's three kinds.
+    exact = {label: [None if e is None else str(e) for e in t.exact] if t.exact else None for label, t in triples.items()}
+    assert exact["equal"] == ["1", "1", "3"] and exact["equal, r < 0"] == ["-4/3", "-4/3", "5/3"]
+    assert exact["p = 0, rational cube root"] == ["1", None, None] and exact["p = 0, no rational cube root"] is None
+    assert exact["q = 0, p > 0"] == ["-1/3", None, None] and exact["q = 0, square -p"] == ["-3", "-1", "1"]
+    assert exact["q = 0, surd -p"] == ["-1/3*sqrt(2)", "0", "1/3*sqrt(2)"] and exact["triple"] == ["2", "2", "2"]
+    cases = {label: t.case for label, t in triples.items()}
+    assert cases["real_distinct"] is cases["real_distinct, rational pair"] is CaseTag.REAL_DISTINCT
+    assert cases["conjugate_pair"] is cases["out of band"] is CaseTag.CONJUGATE_PAIR
+    assert cases["negligible p"] is CaseTag.DEGENERATE_P0
+    assert [r.exact for r in results] == [Fraction(1), Fraction(3), None, Fraction(0)]
 
 
 def test_cold_start_skips_dataclasses_and_inspect():

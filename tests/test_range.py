@@ -235,6 +235,33 @@ def test_far_cubics_solve_or_are_refused_by_name(pq, delta):
         assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots), roots
 
 
+@pytest.mark.parametrize(
+    "p, q, case",
+    [
+        (-9 * 2**2045, 15 * 2**3067, CaseTag.REAL_DISTINCT),  # r = 3 2^1022, s = 2^1023: y = -uv(u + v) passes 2^1024
+        (-9 * 2**2045, 9 * 2**3067, CaseTag.CONJUGATE_PAIR),  # |r| > 2^1023: the amplitude -2|r| passes 2^1024
+    ],
+    ids=["real_distinct", "conjugate_pair"],
+)
+def test_refusal_near_the_top_names_a_finite_root(p, q, case):
+    # The largest root, about -1.2 * 2^1024, has no double. The anchor is formed on the
+    # scale, so the refusal names the root's finite mantissa, not -inf.
+    d = DepressedCubic(p, q)
+    assert compute_rs(d).case is case
+    with pytest.raises(InvalidInputError, match=r"^a root = -0\.\d+ \* 2\^1025 has no double$"):
+        solve_depressed(d)
+
+
+def test_conjugate_pair_whose_amplitude_passes_2_to_the_1024_solves():
+    # Roots a, b and -(a + b): 2|r| = 1.9e308 has no double, though every root has one.
+    a, b = int(1.7e308), -int(1e307)
+    d = DepressedCubic(a * b - (a + b) ** 2, a * b * (a + b))
+    assert compute_rs(d).case is CaseTag.CONJUGATE_PAIR
+    roots = solve_depressed(d).roots
+    assert [z.imag for z in roots] == [0.0, 0.0, 0.0]
+    assert [z.real for z in roots] == pytest.approx([float(-(a + b)), float(b), float(a)], rel=1e-15)
+
+
 @pytest.mark.parametrize("r, s", [(1e-320, 1e300), (1e308, 1e-308)], ids=["r/s underflows", "r/s overflows"])
 def test_moebius_refuses_an_r_over_s_without_a_double(r, s):
     # r/s rounds to 0 (every u = 0 gave x = r three times, though the real root is about
