@@ -79,9 +79,10 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> RootTriple:
         OMEGA * cbrt_a + OMEGA2 * cbrt_b,
         OMEGA2 * cbrt_a + OMEGA * cbrt_b,
     )
+    triple = _finalize(raw, case, p, q)  # on the scale: off it, the mean of the pair's imaginary parts can overflow
     if k:
-        raw = tuple(complex(_scaled(z.real, k, _RE), _scaled(z.imag, k, _IM)) for z in raw)
-    return _finalize(raw, case, p, q)
+        triple = triple._replace(roots=tuple(complex(_scaled(z.real, k, _RE), _scaled(z.imag, k, _IM)) for z in triple.roots))
+    return triple
 
 
 def solve_moebius(r: complex, s: complex) -> RootTriple:

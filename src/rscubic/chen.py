@@ -26,11 +26,10 @@ it (x = y - a/3), refine it with one Newton step on the original cubic and
 take the other two from the quadratic left by deflation (Kahan, "To Solve
 a Real Cubic Equation", 1986; Flocke, ACM TOMS Alg. 954, 2015), for every
 case tag alike. Lifting all three roots in doubles would lose any root far
-below the shift a/3. An exact cubic whose three roots are rational (a
-rational pair r = s, p = q = 0, or q = 0 > p with a rational sqrt(-p))
-skips all of this and reports each root as its exact value rounded once.
-The step builds every exact value from integers, one gcd each, with no
-Fraction operator, and tells a square -p by isqrt before trial division.
+below the shift a/3. An exact cubic whose three roots are rational (a rational
+pair r = s, p = q = 0, or q = 0 > p with a rational sqrt(-p)) skips all of this
+and reports each root as its exact value rounded once. Exact values are built
+from integers, one gcd each; a square -p is told by isqrt first.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ def _trial_primes() -> Sequence[int]:
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """Write n = k^2 * m: a square n is (isqrt(n), 1) at once, else trial division by the primes up to 2^17
-    splits n: m is square-free below 2^51 = (2^17)^3, and keeps a square only where a prime above the cap divides the rest twice (p^2 q)."""
+    """Write n = k^2 * m: a square n is (isqrt(n), 1) at once; any other n is split by trial division by the primes up to
+    2^17, so m is square-free below 2^51 = (2^17)^3 and keeps a square only where a prime above the cap divides the rest twice."""
     k = math.isqrt(n)
     if k * k == n:
         return k, 1
@@ -234,7 +233,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     shift = delta  # the result's delta: the step rescales delta below
     exact = ints is not None
     channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
-    h = 0  # the anchor (y and im, or the amplitude) is found at 2^-h: where it would pass 2^1024, h > 0
+    h = 0  # the anchor (y and im, or the amplitude) is found at 2^-h; h > 0 only where it would pass 2^1024, and k > 0 there
     shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
     if r is None:
         p, q = d
@@ -247,7 +246,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         if q:  # p = 0 or negligible: y^3 = -q
             y = _root(q, 3)
             size = abs(y)
-            im = size * _SQRT3 / 2.0
+            im = size * (_SQRT3 / 2.0)  # the same bits as size * sqrt(3) / 2, which can overflow near 2^1024
             root = fraction_cbrt(q) if exact and not pn else None
             if root is not None:
                 channel = (_rational(root._numerator * dd - dn * root._denominator, root._denominator * dd), None, None)
@@ -264,8 +263,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
                     if m == 1:
                         channel, mult = (_rational(-dn * pd - w * dd, dd * pd), _rational(-dn, dd), _rational(w * dd - dn * pd, dd * pd)), ()
                     else:
-                        center = _fraction(-dn, dd)
-                        channel = tuple(_tuple_new(ExactValue, (center, _fraction(e, pd), m) if e else (center, _ZERO, 1)) for e in (-w, 0, w))
+                        center = _fraction(-dn, dd)  # the genexpr reads no local: one would become a closure cell, paid on every call
+                        channel = tuple(_tuple_new(ExactValue, e) for e in ((center, _fraction(-w, pd), m), (center, _ZERO, 1), (center, _fraction(w, pd), m)))
         elif exact:
             channel, mult = (_rational(-dn, dd),) * 3, ((0, 3),)
         else:
@@ -282,7 +281,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             u, v = r.real, s.real
             if exact and not (_BAND_LOW <= abs(u) < _BAND_HIGH and _BAND_LOW <= abs(v) < _BAND_HIGH):
                 u, v = _root(u, 3), _root(v, 3)
-                if abs(u) + abs(v) > 1.0:  # y and im at 2^-3: either can reach 2^1026 unscaled
+                if abs(u) + abs(v) > 2.0**35:  # y and im at 2^-3, as they can reach 2^1026; k > 100 here
                     u, v, h = 0.5 * u, 0.5 * v, 3
             else:  # _root's bits in band; a float's unscaled cbrt costs under 2e-14, which Newton removes
                 u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
@@ -290,8 +289,9 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
         elif case is _CONJUGATE_PAIR:
             # theta = Arg r in (0, pi] (Im r > 0); the cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
-            t = math.atan2(r.imag, r.real) / 3.0
-            amplitude, h = (-size, 0) if size < math.inf else (-abs(r), 1)  # size = 2|r|, unless that passes 2^1024
+            t, amplitude = math.atan2(r.imag, r.real) / 3.0, -size  # |s| = |r|, so size = 2|r|
+            if size == math.inf:  # 2|r| passes 2^1024 (k >= 1025 then): the amplitude at 2^-1
+                amplitude, h = -abs(r), 1
             cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes
@@ -321,7 +321,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
             a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
 
     if shape is _REAL_DISTINCT:
-        if k or h:
+        if k:
             y, im = math.ldexp(y, -(k - h)), math.ldexp(im, -(k - h))
         x = y - delta
         re = -0.5 * y - delta
@@ -329,7 +329,7 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         if x * x < modulus2:
             x = -c / modulus2
     elif shape is _CONJUGATE_PAIR:
-        amp = math.ldexp(amplitude, -(k - h)) if k or h else amplitude
+        amp = math.ldexp(amplitude, -(k - h)) if k else amplitude
         lo, mid, hi = amp * cos0 - delta, amp * cos1 - delta, amp * cos2 - delta
         x, other = (hi, lo) if hi - mid >= mid - lo else (lo, hi)
         if abs(x) * (abs(mid) + abs(other)) < abs(mid * other):

@@ -135,8 +135,6 @@ def denest(radical: NestedRadical) -> DenestResult:
     cubic = radical_to_cubic(radical)
     value = _value(radical, cubic)
     a, (p, q) = radical.a, cubic
-    if type(a) is not float and not a._numerator:
-        exact = Fraction(0)  # cbrt(sqrt(b)) + cbrt(-sqrt(b)) cancels identically, whatever b is
-    else:
-        exact = None if type(p) is float else _rational_root_near(p, q, value)
-    return _tuple_new(DenestResult, (value, exact, cubic, None))
+    if type(a) is not float and not a._numerator:  # cbrt(sqrt(b)) + cbrt(-sqrt(b)) cancels identically, whatever b is
+        return _tuple_new(DenestResult, (value, Fraction(0), cubic, None))
+    return _tuple_new(DenestResult, (value, None if type(p) is float else _rational_root_near(p, q, value), cubic, None))

@@ -73,6 +73,9 @@ def assert_roots_match(roots, p, q, rel=1e-12):
         assert min(abs(x - z) for x in roots) <= rel * abs(z), roots
 
 
+# r = t and s = t 2^1475 give a negligible p and roots near 2^1024.
+NEAR_TOP_T = Fraction(144597784759682, 83)
+
 # (p, q) of well-separated unit shapes: roots {1, 2, -3}, {1, 3, -4}, {1, -1/2 +- i}, {-1, 0, 1}, cube roots of -1.
 SHAPES = [(-7, 6), (-13, 12), (Fraction(1, 4), Fraction(-5, 4)), (-1, 0), (0, 1)]
 
@@ -219,7 +222,8 @@ def dyadic():
 @example((0, 10**1000), 0)  # cbrt(-q) has no double
 @example((-(10**1000), 0), 0)  # sqrt(-p) has none
 @example((0, 0), 10**400)  # (x + 10^400)^3: the rational triple root -10^400 has none
-@example((-9 * 2**2045, 9 * 2**3067), 0)  # r = 3 2^1022, s = 2^1023: |r| + |s| rounds to inf
+@example((-9 * 2**2045, 9 * 2**3067), 0)  # a conjugate pair with |r| > 2^1023: |r| + |s| rounds to inf
+@example((-3 * NEAR_TOP_T**2 * 2**1475, NEAR_TOP_T**3 * 2**1475 * (1 + 2**1475)), 0)  # r = t, s = t 2^1475: a pair near 2^1024
 def test_far_cubics_solve_or_are_refused_by_name(pq, delta):
     # x^3 + px + q with p = -3rs and q = rs(r + s), and the cubic in x = y - delta: the roots
     # of each are finite doubles, or the call raises InvalidInputError, never a bare
@@ -250,6 +254,20 @@ def test_refusal_near_the_top_names_a_finite_root(p, q, case):
     assert compute_rs(d).case is case
     with pytest.raises(InvalidInputError, match=r"^a root = -0\.\d+ \* 2\^1025 has no double$"):
         solve_depressed(d)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(0, 2**3071), (-3 * NEAR_TOP_T**2 * 2**1475, NEAR_TOP_T**3 * 2**1475 * (1 + 2**1475))],
+    ids=["p = 0", "negligible p"],
+)
+def test_pair_near_the_top_is_right(p, q):
+    # y^3 = -q with |y| near 2^1024: the pair's imaginary part sqrt(3)|y|/2 has a double and
+    # sqrt(3)|y| does not. The step read it as inf and returned 0, 0, 0 (p = 0) or 0 and
+    # +-sqrt(-p); Cardano's mean of the pair's two imaginary parts overflowed to inf.
+    d = DepressedCubic(p, q)
+    for triple in (solve_depressed(d), solve(GeneralCubic(0, p, q)), cardano_solve(d)):
+        assert_roots_match(triple.roots, p, q)
 
 
 def test_conjugate_pair_whose_amplitude_passes_2_to_the_1024_solves():
