@@ -276,7 +276,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         double, simple = _rational(rn * dd - dn * rd, rd * dd), _rational(-2 * rn * dd - dn * rd, rd * dd)
         channel, mult = ((double, double, simple), ((0, 2),)) if rn < 0 else ((simple, double, double), ((1, 2),))
     else:
-        size = abs(r) + abs(s)
+        # Only a pair's Im r is not 0, and its |s| = |r|: from Im r = 2^100 on, 2|r| is taken as 4|r/2|, as abs(r) raises past 2^1024
+        size = abs(r) + abs(s) if r.imag < 2.0**100 else 4.0 * abs(0.5 * r)
         if case is _REAL_DISTINCT:
             u, v = r.real, s.real
             if exact and not (_BAND_LOW <= abs(u) < _BAND_HIGH and _BAND_LOW <= abs(v) < _BAND_HIGH):
@@ -290,8 +291,8 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         elif case is _CONJUGATE_PAIR:
             # theta = Arg r in (0, pi] (Im r > 0); the cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
             t, amplitude = math.atan2(r.imag, r.real) / 3.0, -size  # |s| = |r|, so size = 2|r|
-            if size == math.inf:  # 2|r| passes 2^1024 (k >= 1025 then): the amplitude at 2^-1
-                amplitude, h = -abs(r), 1
+            if size == math.inf:  # 2|r| passes 2^1024 (k >= 1025 then): the amplitude at 2^-2, from r's halved parts
+                amplitude, h = -abs(0.5 * r), 2
             cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
     if mult is not None:
         # Three rational roots: each is its value rounded once, and the multiplicity comes

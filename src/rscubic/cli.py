@@ -96,15 +96,6 @@ def _jnum(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _jnums(xs) -> str:
-    return "[" + ", ".join(map(_jnum, xs)) + "]"
-
-
-def _jroots(roots) -> str:
-    # Printed roots are checked finite first, so float.__repr__ alone is json's spelling.
-    return "[" + ", ".join([f'{{"re": {z.real!r}, "im": {z.imag!r}}}' for z in roots]) + "]"
-
-
 def _solve_values(triple: RootTriple, args) -> tuple:
     """What a solve result is printed with beside its own fields, for the JSON line
     and the text alike: p, q and the shift as doubles; under both, Cardano's roots of
@@ -116,19 +107,22 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     roots, case, _, exact_values, _, d, shift = triple
     shift = _float_of(shift)
     cardano = distance = exact = report = None
+    x0, x1, x2 = roots
+    nonfinite = (x0 - x0) + (x1 - x1) + (x2 - x2)  # 0j only when every root is finite
     if args.method == "both":
         y0, y1, y2 = _cardano(d, case).roots
-        cardano = (y0 - shift, y1 - shift, y2 - shift)
-        _check_finite(roots + cardano)
-    else:
-        _check_finite(roots)
-    p, q = _float_of(d.p), _float_of(d.q)
+        cardano = y0, y1, y2 = (y0 - shift, y1 - shift, y2 - shift)
+        nonfinite += (y0 - y0) + (y1 - y1) + (y2 - y2)
+    if nonfinite:
+        _check_finite(roots + (cardano or ()))
+    p, q = d
+    if type(p) is not float:  # exact: each rounded once by its int / int division, as _float_of rounds it
+        p, q = p.numerator / p.denominator, q.numerator / q.denominator
     if cardano is not None:
         distance = match_root_sets(roots, cardano)
     elif exact_values is not None:
         exact = [_str(e) if e is not None else None for e in exact_values]
     if args.verify:
-        x0, x1, x2 = roots
         report = verify_roots(d, RootTriple((x0 + shift, x1 + shift, x2 + shift), case))
     return p, q, shift, cardano, distance, exact, report
 
@@ -141,12 +135,19 @@ def _solve_json(triple: RootTriple, echo: str, args, values: tuple) -> str:
     p, q, _, cardano, distance, exact, report = values
     r = triple.pair.r
     rj = "null" if r is None else f'{{"re": {_jnum(r.real)}, "im": {_jnum(r.imag)}}}'
+    # p, q and the roots are finite (_solve_values), so float.__repr__ is json's spelling.
+    x0, x1, x2 = triple.roots
     line = (
-        f'{{"input": {_jstr(echo)}, "method": "{args.method}", "p": {_jnum(p)}, "q": {_jnum(q)}, '
-        f'"case": "{triple.case.value}", "r": {rj}, "roots": {_jroots(triple.roots)}'
+        f'{{"input": {_jstr(echo)}, "method": "{args.method}", "p": {p!r}, "q": {q!r}, "case": "{triple.case.value}", '
+        f'"r": {rj}, "roots": [{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, '
+        f'{{"re": {x2.real!r}, "im": {x2.imag!r}}}]'
     )
     if cardano is not None:
-        line += f', "cardano_roots": {_jroots(cardano)}, "max_matched_distance": {_jnum(distance)}'
+        x0, x1, x2 = cardano
+        line += (
+            f', "cardano_roots": [{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, '
+            f'{{"re": {x2.real!r}, "im": {x2.imag!r}}}], "max_matched_distance": {_jnum(distance)}'
+        )
     else:
         mult = ", ".join([f"[{i}, {n}]" for i, n in triple.multiplicity])
         ej = "null" if exact is None else "[" + ", ".join([_jstr(e) if e is not None else "null" for e in exact]) + "]"
@@ -154,7 +155,8 @@ def _solve_json(triple: RootTriple, echo: str, args, values: tuple) -> str:
     if report is not None:
         line += (
             f', "verification": {{"pass": {"true" if report.passed else "false"}, '
-            f'"residuals": {_jnums(report.residuals)}, "vieta_errors": {_jnums(report.vieta_errors)}}}'
+            f'"residuals": [{", ".join(map(_jnum, report.residuals))}], '
+            f'"vieta_errors": [{", ".join(map(_jnum, report.vieta_errors))}]}}'
         )
     return line + "}\n"
 

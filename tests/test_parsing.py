@@ -1,8 +1,12 @@
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import regex_parser
 from rscubic import InvalidInputError, ParseError, parse_coefficient, parse_cubic
 
 SQRT2 = math.sqrt(2.0)
@@ -243,3 +247,53 @@ def test_exact_value_beyond_double_range_in_a_float_cubic(parser, template):
     # 10^400 cannot be rounded into the float a sqrt literal makes of its sum: invalid input, not OverflowError.
     with pytest.raises(InvalidInputError, match="beyond the double range"):
         parser(template.format(10**400))
+
+
+def test_scanner_classes_are_the_regex_classes():
+    # The scanner reads whitespace as str.isspace and a digit as str.isdecimal, where the
+    # regex parser read \s and \d: the two accept the same code points.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+
+# The grammar's tokens, a stray letter, a digit and a space outside ASCII, and a digit
+# run past int()'s 4300 digits.
+LONG = "9" * 4301
+FRAGMENTS = ["+", "-", "*", "/", "^", ".", "(", ")", "=", "0", "1", "7", "42", "x", "X", "sqrt", " ", "\t", "y", "\u0663", "\u2003", LONG]
+# Terms built part by part from whole and broken tokens, so that most errors are reached
+# from a well-formed start.
+WS = st.sampled_from(["", "", " ", "\u2003", "\t "])
+TERM = st.tuples(
+    st.sampled_from(["", "+", "-", "- "]),
+    WS,
+    st.sampled_from(["", "1", "42", "0", "\u0663", "1\u06633", LONG, "1.5", ".5", "5.", ".", "3/4", "7/0", "1/", "2 / 3", "sqrt(4)", "sqrt( 2 )", "sqrt", "sqrt(", "sqrt()", "sqrt(2.5)", "y"]),
+    st.sampled_from(["", "", "*sqrt(2)", "* sqrt (9)", "*sqrt", "* sqrt", "*sqrt(", "*sqrt(" + LONG + ")"]),
+    WS,
+    st.sampled_from(["", "", "*", " * ", "**"]),
+    st.sampled_from(["", "x", "X", "x^2", "x ^ 3", "x^", "x^4", "x^\u0663", "x^" + LONG, "x^3.5", "^2"]),
+    WS,
+).map("".join)
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=14).map("".join),
+    st.tuples(st.lists(TERM, min_size=1, max_size=4).map("".join), st.sampled_from(["", "= 0", "=0 ", "= 5", "= 0 y", "y"])).map("".join),
+)
+
+
+def _outcome(parser, text):
+    """A parser's result with its type and its values' types, or its exception's type, message and position."""
+    try:
+        value = parser(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return type(value), value, tuple(map(type, value)) if isinstance(value, tuple) else None
+
+
+@settings(max_examples=600, deadline=None)
+@given(TEXTS)
+@example("x^3 + 2 * \u2003sqrt (\u0663) x^ 2 - 1.50x = 0")
+@example("-\u0663/0x^3 + .5")
+@example("x^3 - 7/ 42*sqrt(2)x")
+def test_scanner_matches_the_regex_parser(text):
+    for scanner, reference in ((parse_cubic, regex_parser.parse_cubic), (parse_coefficient, regex_parser.parse_coefficient)):
+        assert _outcome(scanner, text) == _outcome(reference, text)

@@ -306,11 +306,10 @@ def test_every_module_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-def test_parser_patterns_need_no_python_3_11_regex():
-    # Atomic groups and possessive quantifiers compile only from Python 3.11 on.
-    import rscubic.parsing
-
-    patterns = [v.pattern for v in vars(rscubic.parsing).values() if isinstance(v, re.Pattern)]
-    assert patterns
-    for pattern in patterns:
-        assert not any(token in pattern for token in ("(?>", "++", "*+", "?+")), pattern
+def test_parser_imports_no_regex():
+    # The batch path reads each term with a scanner of str methods: no regex module, so no
+    # pattern (nor its Python-version-dependent syntax) can come back to it.
+    tree = ast.parse(Path(rscubic.__file__).resolve().parent.joinpath("parsing.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"re", "regex"}, imported

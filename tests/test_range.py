@@ -256,6 +256,16 @@ def test_refusal_near_the_top_names_a_finite_root(p, q, case):
         solve_depressed(d)
 
 
+def test_conjugate_pair_whose_r_has_no_modulus_is_refused_by_name():
+    # r = 13 2^1020 (1 + i): the complex |r| passes 2^1024, and abs(r) raised a bare
+    # OverflowError('absolute value too large') before the roots were formed.
+    d = DepressedCubic(-1014 * 2**2040, 8788 * 2**3060)
+    assert compute_rs(d).case is CaseTag.CONJUGATE_PAIR
+    for call in (lambda: solve_depressed(d), lambda: solve(GeneralCubic(0, d.p, d.q))):
+        with pytest.raises(InvalidInputError, match=r"^a root = -1\.1098956405748563 \* 2\^1025 has no double$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "p, q",
     [(0, 2**3071), (-3 * NEAR_TOP_T**2 * 2**1475, NEAR_TOP_T**3 * 2**1475 * (1 + 2**1475))],
