@@ -96,6 +96,17 @@ def _jnum(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+def _jroots(roots) -> str:
+    """The JSON array of three finite roots, as float.__repr__ spells each part; a pair
+    (re, -im), (re, im) with re != 0 < im takes the repr of re and of im once."""
+    x0, x1, x2 = roots
+    re, im = x2.real, x2.imag
+    if im > 0.0 and x1.imag == -im and x1.real == re != 0.0:  # equal and nonzero: the same bits
+        re, im = _repr(re), _repr(im)
+        return f'[{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {re}, "im": -{im}}}, {{"re": {re}, "im": {im}}}]'
+    return f'[{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, {{"re": {re!r}, "im": {im!r}}}]'
+
+
 def _solve_values(triple: RootTriple, args) -> tuple:
     """What a solve result is printed with beside its own fields, for the JSON line
     and the text alike: p, q and the shift as doubles; under both, Cardano's roots of
@@ -105,7 +116,8 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     depressed cubic (y = x + shift). Failures raise in that order, but for the
     check that every printed root is finite, which comes before p and q."""
     roots, case, _, exact_values, _, d, shift = triple
-    shift = _float_of(shift)
+    if type(shift) is not float:
+        shift = _float_of(shift)
     cardano = distance = exact = report = None
     x0, x1, x2 = roots
     nonfinite = (x0 - x0) + (x1 - x1) + (x2 - x2)  # 0j only when every root is finite
@@ -136,28 +148,23 @@ def _solve_json(triple: RootTriple, echo: str, args, values: tuple) -> str:
     r = triple.pair.r
     rj = "null" if r is None else f'{{"re": {_jnum(r.real)}, "im": {_jnum(r.imag)}}}'
     # p, q and the roots are finite (_solve_values), so float.__repr__ is json's spelling.
-    x0, x1, x2 = triple.roots
     line = (
         f'{{"input": {_jstr(echo)}, "method": "{args.method}", "p": {p!r}, "q": {q!r}, "case": "{triple.case.value}", '
-        f'"r": {rj}, "roots": [{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, '
-        f'{{"re": {x2.real!r}, "im": {x2.imag!r}}}]'
+        f'"r": {rj}, "roots": {_jroots(triple.roots)}'
     )
     if cardano is not None:
-        x0, x1, x2 = cardano
-        line += (
-            f', "cardano_roots": [{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, '
-            f'{{"re": {x2.real!r}, "im": {x2.imag!r}}}], "max_matched_distance": {_jnum(distance)}'
-        )
+        line += f', "cardano_roots": {_jroots(cardano)}, "max_matched_distance": {_jnum(distance)}'
     else:
         mult = ", ".join([f"[{i}, {n}]" for i, n in triple.multiplicity])
         ej = "null" if exact is None else "[" + ", ".join([_jstr(e) if e is not None else "null" for e in exact]) + "]"
         line += f', "multiplicity": [{mult}], "exact": {ej}'
     if report is not None:
-        line += (
-            f', "verification": {{"pass": {"true" if report.passed else "false"}, '
-            f'"residuals": [{", ".join(map(_jnum, report.residuals))}], '
-            f'"vieta_errors": [{", ".join(map(_jnum, report.vieta_errors))}]}}'
-        )
+        (r0, r1, r2), (v0, v1, v2), passed = report
+        if (r0 - r0) + (r1 - r1) + (r2 - r2) + (v0 - v0) + (v1 - v1) + (v2 - v2) == 0.0:  # nan unless all are finite
+            errors = f'[{r0!r}, {r1!r}, {r2!r}], "vieta_errors": [{v0!r}, {v1!r}, {v2!r}]'
+        else:
+            errors = f'[{", ".join(map(_jnum, report.residuals))}], "vieta_errors": [{", ".join(map(_jnum, report.vieta_errors))}]'
+        line += f', "verification": {{"pass": {"true" if passed else "false"}, "residuals": {errors}}}'
     return line + "}\n"
 
 

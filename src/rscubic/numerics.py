@@ -49,7 +49,8 @@ def principal_cube_root(z: complex) -> complex:
     z = complex(z)
     if z == 0:
         return 0j
-    return cmath.rect(abs(z) ** (1.0 / 3.0), principal_arg(z) / 3.0)
+    a = math.atan2(z.imag, z.real)  # principal_arg's, inline
+    return cmath.rect(abs(z) ** (1.0 / 3.0), (math.pi if a <= -math.pi else a) / 3.0)
 
 
 def _exponent(x) -> int:
@@ -91,12 +92,20 @@ def _band(k: int) -> int:
     return k if k > _BAND or k < -_BAND else 0
 
 
+# Per n, the nonzero floats whose scale k is 0 (frexp exponent in [-302, 300] for n = 3, [-201, 200]
+# for n = 2), which _root takes without _exponent or _float_of: low <= |x| < high.
+_ROOT_BANDS = {2: (2.0**-202, 2.0**200), 3: (2.0**-303, 2.0**300)}
+
+
 def _root(x, n: int) -> float:
     """sqrt(x) (n = 2) or the sign-preserving real cube root (n = 3, _root(-8, 3) == -2)
     of a float or exact x, as root(x 2^-nk) 2^k; _scaled refuses one with no double as a root."""
-    k = _band(-(-_exponent(x) // n))
-    y = _float_of(x, -n * k)
-    y = math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y)
+    low, high = _ROOT_BANDS[n]
+    k = 0
+    if type(x) is not float or not (low <= abs(x) < high or not x):
+        k = _band(-(-_exponent(x) // n))
+        x = _float_of(x, -n * k)
+    y = math.sqrt(x) if n == 2 else math.copysign(abs(x) ** (1.0 / 3.0), x)
     return _scaled(y, k) if k else y
 
 

@@ -168,8 +168,12 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
         p = b - a * a / 3
         try:
             q = 2 * a**3 / 27 - a * b / 3 + c
-        except OverflowError:  # float ** raises where * would give inf
-            raise InvalidInputError("the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows") from None
+        except OverflowError:  # float ** raises where * would give inf: q is summed exactly and rounded once
+            q = _depress_exact(*a.as_integer_ratio(), *b.as_integer_ratio(), *c.as_integer_ratio())[0].q
+            try:
+                q = q._numerator / q._denominator
+            except OverflowError:
+                raise InvalidInputError("the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows") from None
         # p - p == q - q only for a finite p and q (inf - inf is nan); the constructor refuses the rest by name.
         return (_tuple_new(DepressedCubic, (p, q)) if p - p == q - q else DepressedCubic(p, q)), a / 3
     return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rscubic.cli
-from rscubic import GeneralCubic, solve
+from rscubic import GeneralCubic, VerificationReport, solve
 from rscubic.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -714,6 +714,50 @@ def test_exact_residual_is_the_nearest_double(abc, re, im):
 @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
 def test_float_writer_spells_floats_as_json(x):
     assert rscubic.cli._jnum(x) == json.dumps(x)
+
+
+@pytest.mark.parametrize(
+    "errors",
+    [tuple(math.inf if i == j else 1e-20 * j for j in range(6)) for i in range(6)] + [(0.0, 0.0, 0.0, math.nan, 2.5e-17, math.inf)],
+)
+def test_non_finite_verification_is_json_dumps(capsys, monkeypatch, errors):
+    # A report's errors are not checked for finiteness: json spells the non-finite ones, wherever they are.
+    residuals, vieta_errors = errors[:3], errors[3:]
+    monkeypatch.setattr(rscubic.cli, "verify_roots", lambda d, t: VerificationReport(residuals, vieta_errors, False))
+    code, out, _ = run(capsys, "solve", "--p=-6", "--q=-9", "--method", "both", "--verify", "--format", "json")
+    assert code == 3 and _is_json_dumps(out[:-1])
+    verification = out[out.index('"verification"'):]
+    assert "Infinity" in verification
+    assert ("NaN" in verification) == any(v != v for v in errors)
+    rec = json.loads(out)["verification"]
+    assert [repr(v) for v in rec["residuals"] + rec["vieta_errors"]] == [repr(v) for v in residuals + vieta_errors]
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        (1.0, complex(-2.5, -0.0), complex(-2.5, 0.0)),  # a pair whose im is 0.0
+        (1.0, complex(-2.5, 0.0), complex(-2.5, -0.0)),  # and -0.0
+        (complex(-0.0, -0.0), complex(-0.0, -1.5), complex(-0.0, 1.5)),  # -0.0 parts
+        (complex(3.0, 0.0), complex(0.0, -1.5), complex(-0.0, 1.5)),  # re 0.0 beside -0.0
+        (complex(3.0, 0.0), complex(-1.25, -1e-300), complex(-1.25, 1e-300)),  # a conjugate pair
+        (complex(3.0, 0.0), complex(-1.25, 1e-300), complex(-1.25, -1e-300)),  # one in the other order
+        (complex(3.0, 0.0), complex(-1.25, -2.0), complex(-1.5, 2.0)),  # not a pair
+    ],
+)
+def test_root_array_is_json_dumps(roots):
+    expected = json.dumps([{"re": complex(z).real, "im": complex(z).imag} for z in roots])
+    assert rscubic.cli._jroots(roots) == expected
+
+
+_FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e308]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE, _FINITE, _FINITE)
+def test_conjugate_pair_array_is_json_dumps(x0, re, im):
+    # The roots as the solvers write a pair, (re, -im) then (re, im), for any sign of either part.
+    test_root_array_is_json_dumps((complex(x0, 0.0), complex(re, -im), complex(re, im)))
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rscubic.numerics import OMEGA, OMEGA2, _root, cube_roots_all, principal_arg, principal_cube_root
+from rscubic.numerics import OMEGA, OMEGA2, _band, _exponent, _float_of, _root, _scaled, cube_roots_all, principal_arg, principal_cube_root
 
 SQRT3 = math.sqrt(3.0)
 
@@ -90,6 +90,78 @@ class TestRealCubeRoot:
         # |x| in [2^-300, 2^299): no range scale, so the bits are the plain formula's.
         x = math.copysign(math.ldexp(m, e), -1.0 if negative else 1.0)
         assert _root(x, 3) == math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def _outcome(f, *args):
+    """repr of the result, which tells -0.0 from 0.0 and spells nan, or the exception's type."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # math.sqrt of a negative float raises ValueError
+        return type(exc)
+
+
+def _root_reference(x, n):
+    """_root on the scale: root(x 2^-nk) 2^k, with k = 0 in band."""
+    k = _band(-(-_exponent(x) // n))
+    y = _float_of(x, -n * k)
+    y = math.sqrt(y) if n == 2 else math.copysign(abs(y) ** (1.0 / 3.0), y)
+    return _scaled(y, k) if k else y
+
+
+def _principal_cube_root_reference(z):
+    z = complex(z)
+    if z == 0:
+        return 0j
+    return cmath.rect(abs(z) ** (1.0 / 3.0), principal_arg(z) / 3.0)
+
+
+# The exponents of each band's edges (frexp's: k = 0 for e in [-302, 300] at n = 3, [-201, 200] at n = 2),
+# with a few on either side.
+_EDGES = {3: (-303, -302, 300, 301), 2: (-202, -201, 200, 201)}
+
+
+@st.composite
+def _near_band_edges(draw):
+    n = draw(st.sampled_from([2, 3]))
+    e = draw(st.sampled_from(_EDGES[n])) + draw(st.integers(-2, 2))
+    x = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), e)
+    return (-x if draw(st.booleans()) else x), n
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_near_band_edges(), st.tuples(st.floats(), st.sampled_from([2, 3]))))
+@example((2.0**-303, 3))
+@example((math.nextafter(2.0**-303, 0.0), 3))
+@example((2.0**300, 3))
+@example((math.nextafter(2.0**300, 0.0), 3))
+@example((-(2.0**300), 3))
+@example((2.0**-202, 2))
+@example((math.nextafter(2.0**-202, 0.0), 2))
+@example((2.0**200, 2))
+@example((math.nextafter(2.0**200, 0.0), 2))
+@example((-0.0, 3))
+@example((-0.0, 2))
+@example((5e-324, 3))
+@example((-1e308, 3))
+@example((math.inf, 2))
+@example((math.nan, 3))
+def test_root_is_bit_equal_to_the_scaled_form(case):
+    x, n = case
+    assert _outcome(_root, x, n) == _outcome(_root_reference, x, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(complex, st.floats(), st.floats()))
+@example(complex(-8.0, -0.0))  # atan2 gives -pi: folded to +pi
+@example(complex(-8.0, 0.0))
+@example(complex(-0.0, -0.0))
+@example(complex(0.0, -0.0))
+@example(complex(3.0, -0.0))
+@example(complex(-1e-300, -0.0))
+@example(complex(-1e308, -1e308))
+@example(complex(math.inf, -0.0))
+def test_principal_cube_root_is_bit_equal_to_the_principal_arg_form(z):
+    assert _outcome(principal_cube_root, z) == _outcome(_principal_cube_root_reference, z)
 
 
 class TestCubeRootsAll:

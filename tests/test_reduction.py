@@ -77,6 +77,22 @@ def test_float_a_cubed_beyond_the_doubles_is_invalid_input(cubic):
         solve(cubic)
 
 
+def test_float_a_cubed_beyond_the_doubles_with_a_double_q_solves():
+    # 2a^3/27 and ab/3 pass the doubles but cancel: q is summed exactly and rounded once. The
+    # roots are about -6.667e102, -3.333e102 and -4.5e-206 (their product is -c = -1).
+    cubic = GeneralCubic(1e103, 2e206 / 9, 1.0)
+    a, b, c = map(Fraction, cubic)
+    d, delta = depress(cubic)
+    assert repr(d) == repr(DepressedCubic(b - 1e103 * 1e103 / 3, float(2 * a**3 / 27 - a * b / 3 + c)))
+    roots = solve(cubic).roots
+    assert all(z.imag == 0.0 for z in roots)
+    for x, near in zip(sorted(z.real for z in roots), (-6.667e102, -3.333e102, -4.5e-206)):
+        assert x == pytest.approx(near, rel=1e-3)
+        # The exact cubic changes sign within 4 ulps of each root.
+        lo, hi = Fraction(x - 4 * math.ulp(x)), Fraction(x + 4 * math.ulp(x))
+        assert (((lo + a) * lo + b) * lo + c) * (((hi + a) * hi + b) * hi + c) < 0
+
+
 @pytest.mark.parametrize(
     "cubic, value",
     [(GeneralCubic(1e100, 1e300, 0.0), "-inf"), (GeneralCubic(1e100, -1e300, 1e308), "inf")],
@@ -96,16 +112,22 @@ def test_float_ab_beyond_the_doubles_is_invalid_input(cubic, value):
 @example(1e100, 1e300, 0.0)  # q = -inf
 @example(5e102, 1e300, 0.0)  # 2a^3 = inf beside ab = inf: q = nan
 @example(-0.0, -0.0, 0.0)
+@example(1e103, 2e206 / 9, 1.0)  # a^3 overflows, but q cancels to about 2.4e291
 def test_float_depress_stores_the_constructors_record(a, b, c):
     # depress stores a finite float p and q as they are: the record DepressedCubic(p, q) builds,
-    # and a non-finite p or q gets the constructor's refusal.
+    # and a non-finite p or q gets the constructor's refusal. Where float a^3 overflows, q is the
+    # exact sum rounded once, and refused when that has no double.
     p = b - a * a / 3
     try:
         q = 2 * a**3 / 27 - a * b / 3 + c
     except OverflowError:
-        with pytest.raises(InvalidInputError, match="a\\^3 overflows"):
-            depress(GeneralCubic(a, b, c))
-        return
+        fa = Fraction(a)
+        try:
+            q = float(2 * fa**3 / 27 - fa * Fraction(b) / 3 + Fraction(c))
+        except OverflowError:
+            with pytest.raises(InvalidInputError, match="a\\^3 overflows"):
+                depress(GeneralCubic(a, b, c))
+            return
     assert_built_like(lambda a, b, c: depress(GeneralCubic(a, b, c))[0], lambda *_: list(DepressedCubic(p, q)), "pq", a, b, c)
 
 
