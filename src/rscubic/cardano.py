@@ -22,7 +22,7 @@ import math
 
 from .chen import RootTriple
 from .decompose import _CONJUGATE_PAIR, _DEGENERATE_P0, _DEGENERATE_Q0, _EQUAL, _REAL_DISTINCT, CaseTag, compute_rs, integer_discriminant
-from .numerics import _BAND_HIGH, _BAND_LOW, _IM, _RE, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, _scaled, cube_roots_all, principal_cube_root
+from .numerics import _BAND_HIGH, _BAND_LOW, _IM, _RE, OMEGA, OMEGA2, _band, _exponent, _float_of, _float_pair, _ratio, _root, _scaled, cube_roots_all, principal_cube_root
 from .reduction import DepressedCubic, InvalidInputError, _tuple_new
 
 # solve_moebius's roots are off by about eps/|1 - u|: below this gap from a
@@ -42,8 +42,8 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> RootTriple:
     2^-101 <= |p| + |q| < 2^100 are in band without their exponents.
     """
     p, q = d
-    try:  # an exact p and q each rounded once by its int / int division
-        fp, fq = (p, q) if type(p) is float else (p._numerator / p._denominator, q._numerator / q._denominator)
+    try:
+        fp, fq = _float_pair(p, q)
         k = 0 if _BAND_LOW <= abs(fp) + abs(fq) < _BAND_HIGH else None
     except OverflowError:  # an exact p or q beyond the double range
         k = None
@@ -143,12 +143,6 @@ def match_root_sets(a, b) -> float:
     """Minimum over pairings of the maximum pairwise distance between two root triples."""
     a0, a1, a2 = a
     b0, b1, b2 = b
-    if a0.imag == a1.imag == a2.imag == b0.imag == b1.imag == b2.imag == 0.0 and (
-        -math.inf < a0.real <= a1.real <= a2.real < math.inf and -math.inf < b0.real <= b1.real <= b2.real < math.inf
-    ):
-        # Finite ascending reals: pairing them in order is optimal, and rounding the distances,
-        # which is monotone, keeps it so; so this is the value the six pairings' min-max returns.
-        return max(abs(a0.real - b0.real), abs(a1.real - b1.real), abs(a2.real - b2.real))
     d00, d01, d02 = abs(a0 - b0), abs(a0 - b1), abs(a0 - b2)
     d10, d11, d12 = abs(a1 - b0), abs(a1 - b1), abs(a1 - b2)
     d20, d21, d22 = abs(a2 - b0), abs(a2 - b1), abs(a2 - b2)

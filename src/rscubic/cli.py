@@ -97,14 +97,9 @@ def _jnum(x: float) -> str:
 
 
 def _jroots(roots) -> str:
-    """The JSON array of three finite roots, as float.__repr__ spells each part; a pair
-    (re, -im), (re, im) with re != 0 < im takes the repr of re and of im once."""
+    """The JSON array of three finite roots, as float.__repr__ spells each part."""
     x0, x1, x2 = roots
-    re, im = x2.real, x2.imag
-    if im > 0.0 and x1.imag == -im and x1.real == re != 0.0:  # equal and nonzero: the same bits
-        re, im = _repr(re), _repr(im)
-        return f'[{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {re}, "im": -{im}}}, {{"re": {re}, "im": {im}}}]'
-    return f'[{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, {{"re": {re!r}, "im": {im!r}}}]'
+    return f'[{{"re": {x0.real!r}, "im": {x0.imag!r}}}, {{"re": {x1.real!r}, "im": {x1.imag!r}}}, {{"re": {x2.real!r}, "im": {x2.imag!r}}}]'
 
 
 def _solve_values(triple: RootTriple, args) -> tuple:

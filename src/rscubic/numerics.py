@@ -81,6 +81,12 @@ def _float_of(x, e: int = 0) -> float:
     return _ratio(x.numerator, x.denominator, e)
 
 
+def _float_pair(p, q) -> tuple[float, float]:
+    """p and q each rounded once, as _float_of rounds it at e = 0: a float kept, an exact one
+    by its int / int division, which raises OverflowError for one beyond the double range."""
+    return (p if type(p) is float else p._numerator / p._denominator), (q if type(q) is float else q._numerator / q._denominator)
+
+
 # Scale exponents |k| <= _BAND are not applied: no double of the formulas overflows there.
 _BAND = 100
 # The floats m whose binary exponent (frexp's) is in band: _BAND_LOW <= m < _BAND_HIGH.
@@ -92,9 +98,9 @@ def _band(k: int) -> int:
     return k if k > _BAND or k < -_BAND else 0
 
 
-# Per n, the nonzero floats whose scale k is 0 (frexp exponent in [-302, 300] for n = 3, [-201, 200]
-# for n = 2), which _root takes without _exponent or _float_of: low <= |x| < high.
-_ROOT_BANDS = {2: (2.0**-202, 2.0**200), 3: (2.0**-303, 2.0**300)}
+# Per n, the nonzero floats whose scale k = ceil(e / n) is in band (frexp exponent e in
+# [-n _BAND - n + 1, n _BAND]), which _root takes without _exponent or _float_of: low <= |x| < high.
+_ROOT_BANDS = {n: (2.0 ** -(n * _BAND + n), 2.0 ** (n * _BAND)) for n in (2, 3)}
 
 
 def _root(x, n: int) -> float:

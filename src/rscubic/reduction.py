@@ -171,7 +171,7 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
         except OverflowError:  # float ** raises where * would give inf: q is summed exactly and rounded once
             q = _depress_exact(*a.as_integer_ratio(), *b.as_integer_ratio(), *c.as_integer_ratio())[0].q
             try:
-                q = q._numerator / q._denominator
+                q = float(q)
             except OverflowError:
                 raise InvalidInputError("the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows") from None
         # p - p == q - q only for a finite p and q (inf - inf is nan); the constructor refuses the rest by name.

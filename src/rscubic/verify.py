@@ -8,6 +8,7 @@ import math
 
 from .chen import RootTriple
 from .decompose import compute_rs
+from .numerics import _float_pair
 from .reduction import DepressedCubic, _beyond_double, _record, _tuple_new
 
 _TOL = 1e-10
@@ -42,10 +43,9 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
 
 
 def _doubles(d: DepressedCubic) -> tuple[float, float]:
-    """p and q rounded once to doubles, an exact one by its int / int division; one beyond the double range is refused."""
-    p, q = d
+    """p and q rounded once to doubles; an exact one beyond the double range is refused."""
     try:
-        return (p if type(p) is float else p._numerator / p._denominator), (q if type(q) is float else q._numerator / q._denominator)
+        return _float_pair(*d)
     except OverflowError:
         raise _beyond_double() from None
 

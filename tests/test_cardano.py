@@ -216,24 +216,6 @@ def test_match_root_sets_is_bit_equal_to_the_permutation_form(a, b):
     assert outcome(match_root_sets, a, b) == outcome(match_root_sets_reference, a, b)
 
 
-# Ascending finite reals, ties, signed zeros and distances that overflow included: match_root_sets pairs them in order.
-real_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]), st.floats(allow_nan=False, allow_infinity=False))
-real_values = st.tuples(real_parts, st.sampled_from([0.0, -0.0, None])).map(lambda t: t[0] if t[1] is None else complex(*t))
-sorted_real_triples = st.lists(real_values, min_size=3, max_size=3).map(lambda v: tuple(sorted(v, key=lambda x: x.real)))
-
-
-@settings(max_examples=500, deadline=None)
-@given(sorted_real_triples, sorted_real_triples)
-@example((-1e308, 0.0, 1e308), (-1e308, 0.0, 1e308))  # the crossed pairings' distances overflow
-@example((complex(-0.0, -0.0), 0.0, 1.0), (0.0, complex(-0.0, 0.0), 1.0))
-@example((1.0, 1.0, 2.0), (1.0, 2.0, 2.0))
-@example((0.0, 1.0, 2.0), (5j, 1.0, 2.0))  # one part off the real axis: the six pairings decide
-@example((0.0, 1.0, complex(2.0, -1e-300)), (0.0, 1.0, 2.0))
-@example((0.0, 2.0, 1.0), (0.0, 1.0, 2.0))  # not ascending
-def test_match_root_sets_of_sorted_reals_is_bit_equal_to_the_permutation_form(a, b):
-    assert outcome(match_root_sets, a, b) == outcome(match_root_sets_reference, a, b)
-
-
 @settings(max_examples=1000, deadline=None)
 @given(triples, st.sampled_from(list(CaseTag)), parts, parts)
 @example((1 + 1j, 2 - 1j, 3 + 1j), CaseTag.REAL_DISTINCT, 0.0, 0.0)  # three tied |imag|

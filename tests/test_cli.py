@@ -741,8 +741,6 @@ def test_non_finite_verification_is_json_dumps(capsys, monkeypatch, errors):
         (complex(-0.0, -0.0), complex(-0.0, -1.5), complex(-0.0, 1.5)),  # -0.0 parts
         (complex(3.0, 0.0), complex(0.0, -1.5), complex(-0.0, 1.5)),  # re 0.0 beside -0.0
         (complex(3.0, 0.0), complex(-1.25, -1e-300), complex(-1.25, 1e-300)),  # a conjugate pair
-        (complex(3.0, 0.0), complex(-1.25, 1e-300), complex(-1.25, -1e-300)),  # one in the other order
-        (complex(3.0, 0.0), complex(-1.25, -2.0), complex(-1.5, 2.0)),  # not a pair
     ],
 )
 def test_root_array_is_json_dumps(roots):

@@ -1,11 +1,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rscubic.numerics import OMEGA, OMEGA2, _band, _exponent, _float_of, _root, _scaled, cube_roots_all, principal_arg, principal_cube_root
+from rscubic.numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _float_pair, _root, _scaled, cube_roots_all, principal_arg, principal_cube_root
 
 SQRT3 = math.sqrt(3.0)
 
@@ -108,6 +109,23 @@ def _root_reference(x, n):
     return _scaled(y, k) if k else y
 
 
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        (1.5, Fraction(1, 3), (1.5, 1 / 3)),  # denest's mixed cubic: each part rounded on its own
+        (Fraction(-2, 3), 2.5, (-2 / 3, 2.5)),
+        (Fraction(10**400), 1.0, OverflowError),
+        (0.0, Fraction(-(10**400), 3), OverflowError),
+    ],
+)
+def test_float_pair_rounds_each_part_as_float_of(p, q, expected):
+    if expected is OverflowError:
+        with pytest.raises(OverflowError):
+            _float_pair(p, q)
+    else:
+        assert _float_pair(p, q) == (_float_of(p), _float_of(q)) == expected
+
+
 def _principal_cube_root_reference(z):
     z = complex(z)
     if z == 0:
@@ -115,9 +133,9 @@ def _principal_cube_root_reference(z):
     return cmath.rect(abs(z) ** (1.0 / 3.0), principal_arg(z) / 3.0)
 
 
-# The exponents of each band's edges (frexp's: k = 0 for e in [-302, 300] at n = 3, [-201, 200] at n = 2),
-# with a few on either side.
-_EDGES = {3: (-303, -302, 300, 301), 2: (-202, -201, 200, 201)}
+# The exponents of each band's edges (frexp's: k = ceil(e / n) is in band for e in [-n _BAND - n + 1, n _BAND]),
+# and the first out of band on either side.
+_EDGES = {n: (-n * _BAND - n, -n * _BAND - n + 1, n * _BAND, n * _BAND + 1) for n in (2, 3)}
 
 
 @st.composite
