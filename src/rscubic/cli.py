@@ -19,17 +19,14 @@ import cmath
 import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _jstr
 from typing import Optional
 
-from .cardano import _cardano, match_root_sets
 from .chen import RootTriple, solve
 from .decompose import CaseTag
 from .denest import NestedRadical, denest
 from .numerics import _float_of
 from .parsing import ParseError, parse_coefficient, parse_cubic
 from .reduction import GeneralCubic, InvalidInputError
-from .verify import verify_roots
 
 
 class NumericFailure(RuntimeError):
@@ -45,6 +42,41 @@ _FAILURES = {
     NumericFailure: (3, "numeric failure: "),
     OverflowError: (3, "numeric failure: "),
 }
+
+
+def __getattr__(name: str):
+    """Bind what only some options use as globals on first use (by _bind, or by an attribute
+    read), so that a run loads no Cardano, verify or json it does not run."""
+    if name in ("_cardano", "match_root_sets"):
+        from .cardano import _cardano, match_root_sets
+
+        found = {"_cardano": _cardano, "match_root_sets": match_root_sets}
+    elif name == "verify_roots":
+        from .verify import verify_roots
+
+        found = {"verify_roots": verify_roots}
+    elif name == "_jstr":
+        from json.encoder import encode_basestring_ascii
+
+        found = {"_jstr": encode_basestring_ascii}
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for key, value in found.items():
+        globals().setdefault(key, value)  # a name already bound (a test may have replaced it) is kept
+    return globals()[name]
+
+
+def _bind(args) -> None:
+    """Bind, once per run and never per line, what its options use: Cardano under --method
+    both, verify under --verify, json's string writer for JSON output (a batch writes JSON)."""
+    solving = args.command == "solve"
+    for name, used in (
+        ("_cardano", solving and args.method == "both"),
+        ("verify_roots", solving and args.verify),
+        ("_jstr", args.format == "json" or solving and args.batch is not None),
+    ):
+        if used and name not in globals():
+            __getattr__(name)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -315,6 +347,7 @@ def cmd_denest(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind(args)
     try:
         if args.command == "solve":
             return cmd_solve(args)

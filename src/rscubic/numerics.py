@@ -1,4 +1,4 @@
-"""Numeric helpers: principal-branch cube roots, the unit cube roots, arguments, and the range rule.
+"""Numeric helpers: principal-branch cube roots, the unit cube roots, and the range rule.
 
 Everything downstream leans on two conventions fixed here:
 
@@ -32,24 +32,12 @@ OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 OMEGA2 = OMEGA.conjugate()
 
 
-def principal_arg(z: complex) -> float:
-    """Argument of z in (-pi, pi]; 0.0 for z = 0.
-
-    atan2 can return -pi for inputs that carry a negative-zero imaginary
-    part; that boundary value is folded back to +pi.
-    """
-    a = math.atan2(z.imag, z.real)
-    if a <= -math.pi:
-        return math.pi
-    return a
-
-
 def principal_cube_root(z: complex) -> complex:
     """Cube root |z|^(1/3) * e^(i*Arg(z)/3); argument in (-pi/3, pi/3]."""
     z = complex(z)
     if z == 0:
         return 0j
-    a = math.atan2(z.imag, z.real)  # principal_arg's, inline
+    a = math.atan2(z.imag, z.real)  # -pi only for a negative-zero imaginary part: folded to +pi
     return cmath.rect(abs(z) ** (1.0 / 3.0), (math.pi if a <= -math.pi else a) / 3.0)
 
 

@@ -169,11 +169,14 @@ def depress(cubic: GeneralCubic) -> tuple[DepressedCubic, Coefficient]:
         try:
             q = 2 * a**3 / 27 - a * b / 3 + c
         except OverflowError:  # float ** raises where * would give inf: q is summed exactly and rounded once
-            q = _depress_exact(*a.as_integer_ratio(), *b.as_integer_ratio(), *c.as_integer_ratio())[0].q
+            exact = _depress_exact(*a.as_integer_ratio(), *b.as_integer_ratio(), *c.as_integer_ratio())[0]
             try:
-                q = float(q)
+                q = float(exact.q)
             except OverflowError:
                 raise InvalidInputError("the depressed q = 2a^3/27 - ab/3 + c has no double: a^3 overflows") from None
+            if p - p:  # a * a overflowed too (|a| about 2^512 or more): p is summed exactly and rounded once,
+                # and has a double: a double q holds b within 2^515 of 2a^2/9, so |p| < |b|/2 + 2^516.
+                p = float(exact.p)
         # p - p == q - q only for a finite p and q (inf - inf is nan); the constructor refuses the rest by name.
         return (_tuple_new(DepressedCubic, (p, q)) if p - p == q - q else DepressedCubic(p, q)), a / 3
     return _depress_exact(a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator)

@@ -53,21 +53,23 @@ def _doubles(d: DepressedCubic) -> tuple[float, float]:
 def brute_force_roots(d: DepressedCubic) -> RootTriple:
     """Bisection + Newton for one real root, then quadratic deflation.
 
-    A monic cubic always changes sign over [-R, R] with R = 1 + max(|p|,|q|)
-    (Cauchy bound), and bisection can only converge to a sign-changing
-    (odd-multiplicity) root, so deflation never divides out the wrong
-    factor at a double root. Pure oracle: no cube roots, no (r, s); only
-    its case tag is compute_rs's.
+    A monic cubic always changes sign over [-R, R] with R = 2 max(|p|^(1/2),
+    |q/2|^(1/3)) (Fujiwara's bound, widened past its rounding; Cauchy's
+    1 + max(|p|,|q|) can lie far above the roots), and bisection can only
+    converge to a sign-changing (odd-multiplicity) root, so deflation never
+    divides out the wrong factor at a double root. Pure oracle: no cube
+    roots, no (r, s); only its case tag is compute_rs's.
     """
     p, q = _doubles(d)
 
     def f(x: float) -> float:
         return (x * x + p) * x + q
 
-    radius = 1.0 + max(abs(p), abs(q))
+    # ** (1/3) is up to about 62 ulps off at the ends of the double range; 2^-40 covers that.
+    radius = 2.0 * max(math.sqrt(abs(p)), (abs(q) / 2.0) ** (1.0 / 3.0)) * (1.0 + 2.0**-40) or 1.0
     lo, hi = -radius, radius
     flo = f(lo)
-    for _ in range(200):
+    for _ in range(2200):  # from a radius below 2^515 to adjacent doubles, spaced 2^-1074 or more
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -81,13 +83,13 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
             hi = mid
     x0 = 0.5 * (lo + hi)
     for _ in range(60):
-        dfx = 3.0 * x0 * x0 + p
-        if dfx == 0.0:
+        fx, dfx = f(x0), 3.0 * x0 * x0 + p
+        if dfx == 0.0 or fx - fx:  # f overflows beside a root far enough out: no step from inf
             break
-        x1 = x0 - f(x0) / dfx
+        x1 = x0 - fx / dfx
         if x1 == x0:
             break
-        if abs(f(x1)) > abs(f(x0)):
+        if abs(f(x1)) > abs(fx):
             break
         x0 = x1
 

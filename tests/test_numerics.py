@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rscubic.numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _float_pair, _root, _scaled, cube_roots_all, principal_arg, principal_cube_root
+from rscubic.numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _float_pair, _root, _scaled, cube_roots_all, principal_cube_root
 
 SQRT3 = math.sqrt(3.0)
 
@@ -21,6 +21,18 @@ class TestOmega:
     def test_omega2_is_square_and_conjugate(self):
         assert abs(OMEGA2 - OMEGA**2) <= 1e-15
         assert OMEGA2 == OMEGA.conjugate()
+
+
+def principal_arg(z: complex) -> float:
+    """Argument of z in (-pi, pi], numerics' convention; 0.0 for z = 0: principal_cube_root's reference.
+
+    atan2 can return -pi for inputs that carry a negative-zero imaginary
+    part; that boundary value is folded back to +pi.
+    """
+    a = math.atan2(z.imag, z.real)
+    if a <= -math.pi:
+        return math.pi
+    return a
 
 
 class TestPrincipalArg:

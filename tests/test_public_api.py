@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import rscubic
 from rscubic import CaseTag, GeneralCubic, NestedRadical, denest, solve
 from rscubic.cli import build_parser, main
@@ -291,13 +293,53 @@ def test_exact_solve_and_denest_run_no_fraction_operator(monkeypatch):
     assert [r.exact for r in results] == [Fraction(1), Fraction(3), None, Fraction(0)]
 
 
-def test_cold_start_skips_dataclasses_and_inspect():
-    # -S: no site-packages .pth file can import either module first and mask the result.
-    code = "import sys, rscubic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _fresh(code: str) -> list[str]:
+    """The lines code prints in a fresh interpreter. -S: no site-packages .pth file can
+    import a module first and mask what the code finds loaded."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_cold_start_skips_dataclasses_and_inspect():
+    assert _fresh("import sys, rscubic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == ["[]"]
+
+
+def test_import_loads_only_what_solve_runs():
+    # cardano, parsing and verify load on the first read of one of their names.
+    code = "import sys, rscubic; print(*sorted(m for m in sys.modules if m.startswith('rscubic.')))"
+    assert _fresh(code) == ["rscubic.chen rscubic.decompose rscubic.denest rscubic.numerics rscubic.reduction"]
+
+
+def test_every_public_name_is_listed_and_resolves_in_a_fresh_interpreter():
+    code = "import rscubic; print(set(rscubic.__all__) <= set(dir(rscubic)), all(hasattr(rscubic, n) for n in rscubic.__all__))"
+    assert _fresh(code) == ["True True"]
+
+
+@pytest.mark.parametrize(
+    "flags, loaded",
+    [([], ""), (["--format", "json"], "json"), (["--method", "both", "--verify", "--format", "json"], "rscubic.cardano rscubic.verify json")],
+    ids=["text", "json", "both, verify, json"],
+)
+def test_cli_run_loads_only_what_its_options_use(flags, loaded):
+    argv = ["solve", "--p", "-12", "--q", "16", *flags]
+    code = (
+        f"import sys; from rscubic.cli import main; code = main({argv!r}); "
+        "print(code, *[m for m in ('rscubic.cardano', 'rscubic.verify', 'json') if m in sys.modules])"
+    )
+    *output, last = _fresh(code)
+    assert last == f"0 {loaded}".strip()
+    assert ("  x[0] = -4   (exact: -4)" in output) == (not flags)
+
+
+def test_denest_stays_the_function():
+    # The package imports denest eagerly: a submodule loaded after it would rebind rscubic.denest.
+    code = (
+        "import rscubic, rscubic.cli; rscubic.cli.main(['denest', '--a', '2', '--b', '5', '--format', 'json']); "
+        "import rscubic.denest; print(rscubic.denest(rscubic.NestedRadical(2, 5)).exact)"
+    )
+    assert _fresh(code) == ['{"value": 1.0, "exact": "1"}', "1"]
 
 
 def test_every_module_parses_as_python_3_10():

@@ -93,6 +93,14 @@ def test_float_a_cubed_beyond_the_doubles_with_a_double_q_solves():
         assert (((lo + a) * lo + b) * lo + c) * (((hi + a) * hi + b) * hi + c) < 0
 
 
+def test_float_a_squared_beyond_the_doubles_with_a_double_p_solves():
+    # Roots 0, -2^511 and -2^512: a = 3 2^511 squares past the doubles, but the exact p = -2^1022
+    # and q = 0 are doubles, each summed exactly and rounded once.
+    cubic = GeneralCubic(3 * 2.0**511, 2.0**1023, 0.0)
+    assert repr(depress(cubic)) == repr((DepressedCubic(-(2.0**1022), 0.0), 2.0**511))
+    assert solve(cubic).roots == (complex(-(2.0**512)), complex(-(2.0**511)), 0j)
+
+
 @pytest.mark.parametrize(
     "cubic, value",
     [(GeneralCubic(1e100, 1e300, 0.0), "-inf"), (GeneralCubic(1e100, -1e300, 1e308), "inf")],
@@ -113,21 +121,24 @@ def test_float_ab_beyond_the_doubles_is_invalid_input(cubic, value):
 @example(5e102, 1e300, 0.0)  # 2a^3 = inf beside ab = inf: q = nan
 @example(-0.0, -0.0, 0.0)
 @example(1e103, 2e206 / 9, 1.0)  # a^3 overflows, but q cancels to about 2.4e291
+@example(3 * 2.0**511, 2.0**1023, 0.0)  # a^2 overflows too, but p = -2^1022 and q = 0
 def test_float_depress_stores_the_constructors_record(a, b, c):
     # depress stores a finite float p and q as they are: the record DepressedCubic(p, q) builds,
     # and a non-finite p or q gets the constructor's refusal. Where float a^3 overflows, q is the
-    # exact sum rounded once, and refused when that has no double.
+    # exact sum rounded once, and refused when that has no double; so is p where a^2 overflows.
     p = b - a * a / 3
     try:
         q = 2 * a**3 / 27 - a * b / 3 + c
     except OverflowError:
-        fa = Fraction(a)
+        fa, fb = Fraction(a), Fraction(b)
         try:
-            q = float(2 * fa**3 / 27 - fa * Fraction(b) / 3 + Fraction(c))
+            q = float(2 * fa**3 / 27 - fa * fb / 3 + Fraction(c))
         except OverflowError:
             with pytest.raises(InvalidInputError, match="a\\^3 overflows"):
                 depress(GeneralCubic(a, b, c))
             return
+        if math.isinf(p):
+            p = float(fb - fa * fa / 3)
     assert_built_like(lambda a, b, c: depress(GeneralCubic(a, b, c))[0], lambda *_: list(DepressedCubic(p, q)), "pq", a, b, c)
 
 

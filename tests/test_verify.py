@@ -144,6 +144,25 @@ class TestBruteForce:
         triple = brute_force_roots(DepressedCubic(0, 0))
         assert max(abs(x) for x in triple.roots) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "d, x0",
+        [(DepressedCubic(-1.0, -2e200), 5.848035476425732e66), (DepressedCubic(1e300, 1.0), -1e-300)],
+        ids=["roots far below Cauchy's bound", "a root far below Fujiwara's bound"],
+    )
+    def test_far_bracket_still_reaches_the_real_root(self, d, x0):
+        # The first cubic's roots sit far below Cauchy's radius 1 + max(|p|, |q|), about 2e200, from
+        # which 200 halvings stop about 2.5e140 wide; the second's real root, -1e-300, is about 1,500
+        # halvings below Fujiwara's 2e150.
+        (real, low, high) = brute_force_roots(d).roots
+        assert real == x0 and low == high.conjugate()
+        assert high.real == -x0 / 2 and high.imag == pytest.approx(math.sqrt(3 * x0 * x0 / 4 + d.p))
+
+    def test_no_newton_step_from_an_overflowed_value(self):
+        # Beside the roots +-2.948e130, f(x) = (x^2 + p) x + q overflows at the bisection's last
+        # bracket end, and a Newton step from inf would go to -inf and then nan.
+        d = DepressedCubic(-8.691614186196356e260, -1.9204898750549179e-181)
+        assert match_root_sets(brute_force_roots(d).roots, solve_depressed(d).roots) <= 1e-15 * 2.948154369465133e130
+
     def test_agrees_with_both_solvers(self):
         rng = random.Random(107)
         for _ in range(1000):
