@@ -21,15 +21,27 @@ roots of the ratio r/s:
 p = 0 or q = 0 fall outside the decomposition, and their roots are read
 off the cubic: the cube roots of -q, or 0 and +-sqrt(-p).
 
-solve and solve_depressed read only one real root off these forms, lift
-it (x = y - a/3), refine it with one Newton step on the original cubic and
-take the other two from the quadratic left by deflation (Kahan, "To Solve
-a Real Cubic Equation", 1986; Flocke, ACM TOMS Alg. 954, 2015), for every
-case tag alike. Lifting all three roots in doubles would lose any root far
-below the shift a/3. An exact cubic whose three roots are rational (a rational
-pair r = s, p = q = 0, or q = 0 > p with a rational sqrt(-p)) skips all of this
-and reports each root as its exact value rounded once. Exact values are built
-from integers, one gcd each; a square -p is told by isqrt first.
+solve and solve_depressed read only one real root off these forms, lift it
+(x = y - a/3), refine it and deflate (Kahan, "To Solve a Real Cubic Equation",
+1986; Flocke, ACM TOMS Alg. 954, 2015), for every case tag alike: lifting all
+three roots in doubles would lose any root far below the shift a/3. The step,
+_solve_cubic, is the sequence of its stages, each a function whose docstring
+holds its conditions:
+
+* _anchor: the case solver, one real root's closed form off (r, s), or off
+  the depressed cubic for a degenerate tag (_degenerate_anchor);
+* _exact_channel: an exact cubic's roots known exactly, built from integers,
+  one gcd each (a square -p is told by isqrt first); a cubic whose three
+  roots are rational takes them from here alone, with no float work;
+* _onto_scale: numerics' range scale 2^k, and a, b, c and a/3 on it, each
+  rounded once;
+* _lift: the root x, as y - a/3 or from the product of the roots;
+* _polish: one Newton step on the original cubic;
+* _deflate: the other two roots, from the quadratic left by deflation, and
+  all three multiplied back by 2^k.
+
+A rational root of the exact channel then replaces its float root, as its
+value rounded once (_rounded).
 """
 
 from __future__ import annotations
@@ -53,6 +65,8 @@ _EPS = 2.0**-52
 _ZERO = Fraction(0)
 # A float equal tag's deflated discriminant within this share of S^2 + 4|P| is rounding noise.
 _DOUBLE_NOISE = 2.0**-48
+# _exact_channel's (channel, mult) for a cubic with no root known exactly.
+_NO_CHANNEL = (None, None)
 
 _SQUARE_FREE_TRIAL_CAP = 2**17
 
@@ -179,239 +193,277 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
     b and c as integer pairs (an, ad, bn, bd, cn, cd), denominators positive,
     and a, b, c are not read.
 
-    The step has three exits. An exact cubic whose three roots are rational
-    (a rational equal pair, p = q = 0, or q = 0 > p with a rational
-    sqrt(-p)) leaves first, before any float work: each root is its exact
-    value rounded once, and the multiplicity is read off the exact values,
-    since two distinct ones can round to one double. A float p = q = 0 is
-    the triple root -delta. Every other cubic is solved from one real root
-    x, read off (r, s), or off d for a degenerate tag, in the depressed
-    variable and lifted, x = y - delta:
-
-    * one real root y and a pair about -y/2 (real_distinct: y = -uv(u+v)
-      from the real cube roots u, v of r and s, the pair's imaginary part
-      sqrt(3)|uv(u-v)|/2; p = 0 or negligible: y = cbrt(-q), the pair y omega,
-      y omega^2; q = 0 < p: y = 0, the pair +-i sqrt(p)): x = y - delta, or,
-      when the lifted pair z = -y/2 - delta +- i im has the larger modulus,
-      the product of the roots over |z|^2, x = -c/|z|^2, since y - delta
-      would cancel;
-    * three real roots lo < mid < hi (conjugate_pair: amplitude*cos(theta/3),
-      amplitude*cos(theta/3 + 4pi/3), amplitude*cos(theta/3 + 2pi/3);
-      q = 0 > p: -sqrt(-p), 0, sqrt(-p)): of lo and hi, the one farther from
-      the middle root, where f' is largest (at a double root it vanishes),
-      with no sort; when the lift would cancel, 1/|x| > 1/|middle| +
-      1/|other|, x = -c / (other * middle);
-    * float equal: the simple root -2r - delta, or -c/(r - delta)^2 when it
-      is under half the double root; at the double root f' vanishes, and a
-      Newton step there would divide by rounding noise.
-
-    One Newton step on the original cubic refines x. The other two roots are
-    those of x^2 - Sx + P with P = -c/x and S = (b - P)/x while x dominates
-    (x^2 >= |P|), else S = -a - x: the larger real root is
-    (S + sign(S) sqrt(S^2 - 4P))/2 and the other is P over it (its negative
-    for S = 0, so +-sqrt(-P) come out symmetric), or, when S^2 < 4P, the
-    pair is S/2 +- i sqrt(4P - S^2)/2: for a float cubic the quadratic
-    decides, whatever the tag. A float equal tag keeps its double
-    root S/2, and its multiplicity, only where S^2 - 4P is rounding noise.
-    An exact cubic's tag is right, and a pair too close to tell apart from
-    the rounded S and P keeps its closed form: the lifted middle and other
-    root, or the imaginary part im about the center S/2. For c = 0 the root
-    x is 0 exactly and the quadratic is x^2 + ax + b, whose discriminant an
-    exact cubic takes from its exact a and b. The work runs on numerics'
-    range scale, with k from the largest root and delta: a 2^-k, b 4^-k,
-    c 8^-k and delta 2^-k are taken exactly before they are rounded. An
-    exact cubic reads k = 0 off size's double and the bit lengths of a's
-    integers, and rounds a, b, c and delta by plain int / int divisions
-    then. Both the pair and the three real roots leave
-    through the third exit, where an exact degenerate cubic reports the roots
-    it knows exactly, in output order: cbrt(-q) - delta for p = 0 and a
-    rational cube root; -sqrt(-p) - delta, -delta, sqrt(-p) - delta for
-    q = 0 > p; -delta for q = 0 < p. A rational one among them replaces its
-    float root, as its value rounded once.
+    The stages run in order: _anchor, _exact_channel (exact input), then
+    _onto_scale, _lift, _polish and _deflate, after which each rational root
+    of the exact channel replaces its float root (_rounded). A cubic whose
+    three roots are rational takes them off the exact channel alone, and a
+    float p = q = 0 is the triple root -delta. The anchor runs first: where a
+    root has no double, the anchor's own rounding is what refuses the cubic,
+    for three rational roots too.
     """
-    r, s, case, exact_r = pair
-    shift = delta  # the result's delta: the step rescales delta below
+    r, _, case, _ = pair
     exact = ints is not None
-    channel = mult = quotient_disc = None  # mult is set here only when all three roots are rational
-    h = 0  # the anchor (y and im, or the amplitude) is found at 2^-h; h > 0 only where it would pass 2^1024, and k > 0 there
-    shape = case  # the tag whose anchor the roots take: a degenerate one takes real_distinct's or conjugate_pair's
-    if r is None:
-        p, q = d
-        shape = _REAL_DISTINCT
-        if exact:  # |p|, -q and p's sign from the integers of p = pn / pd, q and delta = dn / dd
-            pn, pd, dn, dd = p._numerator, p._denominator, delta._numerator, delta._denominator
-            p, q = _fraction(abs(pn), pd), _fraction(-q._numerator, q._denominator)
-        else:
-            pn, p, q = p, abs(p), -q
-        if q:  # p = 0 or negligible: y^3 = -q
-            y = _root(q, 3)
-            size = abs(y)
-            im = size * (_SQRT3 / 2.0)  # the same bits as size * sqrt(3) / 2, which can overflow near 2^1024
-            root = fraction_cbrt(q) if exact and not pn else None
-            if root is not None:
-                channel = (_rational(root._numerator * dd - dn * root._denominator, root._denominator * dd), None, None)
-        elif p:  # q = 0
-            size = _root(p, 2)
-            if pn > 0:
-                y, im = 0.0, size
-                if exact:
-                    channel = (_rational(-dn, dd), None, None)
-            else:
-                shape, amplitude, cos0, cos1, cos2 = _CONJUGATE_PAIR, size, -1.0, 0.0, 1.0
-                if exact:
-                    w, m = _square_free_split(-pn * pd)  # sqrt(-p) = w sqrt(m) / pd
-                    if m == 1:
-                        channel, mult = (_rational(-dn * pd - w * dd, dd * pd), _rational(-dn, dd), _rational(w * dd - dn * pd, dd * pd)), ()
-                    else:
-                        center = _fraction(-dn, dd)  # the genexpr reads no local: one would become a closure cell, paid on every call
-                        channel = tuple(_tuple_new(ExactValue, e) for e in ((center, _fraction(-w, pd), m), (center, _ZERO, 1), (center, _fraction(w, pd), m)))
-        elif exact:
-            channel, mult = (_rational(-dn, dd),) * 3, ((0, 3),)
-        else:
-            x = complex(0.0 - delta, 0.0)
-            return _tuple_new(RootTriple, ((x, x, x), case, ((0, 3),), None, pair, d, shift))
-    elif exact_r is not None and case is _EQUAL:
-        # (x-r)^2 (x+2r): stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
-        rn, rd, dn, dd = exact_r._numerator, exact_r._denominator, delta._numerator, delta._denominator
-        double, simple = _rational(rn * dd - dn * rd, rd * dd), _rational(-2 * rn * dd - dn * rd, rd * dd)
-        channel, mult = ((double, double, simple), ((0, 2),)) if rn < 0 else ((simple, double, double), ((1, 2),))
-    else:
-        # Only a pair's Im r is not 0, and its |s| = |r|: from Im r = 2^100 on, 2|r| is taken as 4|r/2|, as abs(r) raises past 2^1024
-        size = abs(r) + abs(s) if r.imag < 2.0**100 else 4.0 * abs(0.5 * r)
-        if case is _REAL_DISTINCT:
-            u, v = r.real, s.real
-            if exact and not (_BAND_LOW <= abs(u) < _BAND_HIGH and _BAND_LOW <= abs(v) < _BAND_HIGH):
-                u, v = _root(u, 3), _root(v, 3)
-                if abs(u) + abs(v) > 2.0**35:  # y and im at 2^-3, as they can reach 2^1026; k > 100 here
-                    u, v, h = 0.5 * u, 0.5 * v, 3
-            else:  # _root's bits in band; a float's unscaled cbrt costs under 2e-14, which Newton removes
-                u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
-            m = u * v
-            y, im = -m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0
-        elif case is _CONJUGATE_PAIR:
-            # theta = Arg r in (0, pi] (Im r > 0); the cosines ascend as theta/3, theta/3 + 4pi/3, theta/3 + 2pi/3.
-            t, amplitude = math.atan2(r.imag, r.real) / 3.0, -size  # |s| = |r|, so size = 2|r|
-            if size == math.inf:  # 2|r| passes 2^1024 (k >= 1025 then): the amplitude at 2^-2, from r's halved parts
-                amplitude, h = -abs(0.5 * r), 2
-            cos0, cos1, cos2 = math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3)
+    anchor = _anchor(d, pair, exact)
+    channel, mult = _exact_channel(d, delta, pair) if exact else _NO_CHANNEL
     if mult is not None:
-        # Three rational roots: each is its value rounded once, and the multiplicity comes
-        # from the exact values, since two distinct ones can round to one double.
-        roots = tuple(complex(_scaled(e.rational, 0)) for e in channel)
-        return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, shift))
-    # Every root is within a small factor of size + |delta|.
-    if exact:  # a, b, c and delta = an / (3 ad) from their integers, each rounded once, as an int / int
-        an, ad, bn, bd, cn, cd = ints
-        # k = 0 for certain when size's exponent is in band and delta's, at most
-        # bit_length(an) - bit_length(ad), is at most _BAND; otherwise k comes from both exponents.
-        if _BAND_LOW <= size < _BAND_HIGH and an.bit_length() - ad.bit_length() <= _BAND:
-            k = 0
-            if not cn:  # the quotient x^2 + ax + b is exact, and so is its discriminant
-                quotient_disc = (an * an * bd - 4 * bn * ad * ad) / (ad * ad * bd)
-            a, b, c, delta = an / ad, bn / bd, cn / cd, an / (3 * ad)
-        else:
-            e = math.frexp(size)[1] if size < math.inf else 1025  # |r| + |s| < 2^1025 can round to inf
-            k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
-            if not cn:
-                quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
-            a, b, c, delta = _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k)
+        roots = _rounded(channel, (None,) * 3)
+    elif anchor is None:  # a float p = q = 0: the triple root -delta
+        roots, mult = (complex(0.0 - delta, 0.0),) * 3, ((0, 3),)
     else:
+        shape, size, h, values = anchor
+        k, a, b, c, delta_k, quotient_disc = _onto_scale(size, a, b, c, delta, ints)
+        x, form = _lift(shape, values, k - h, c, delta_k)
+        x = _polish(x, a, b, c, exact, r is None)
+        roots, mult = _deflate(x, a, b, c, delta_k, k, quotient_disc, shape, form, exact)
+        if channel is not None:
+            roots = _rounded(channel, roots)
+    return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, delta))
+
+
+def _anchor(d: DepressedCubic, pair: RsPair, exact: bool):
+    """The case solver: (shape, size, h, values), the closed form of one real root
+    in the depressed variable, found at 2^-h, or None for p = q = 0. size bounds
+    the roots within a small factor; h > 0 only where the form would pass 2^1024.
+
+    * shape real_distinct, values (y, im): one real root y and a pair about -y/2
+      with imaginary part im; for real_distinct, y = -uv(u+v) from the real cube
+      roots u, v of r and s, im = sqrt(3)|uv(u-v)|/2 (an exact cubic's r and s
+      out of band are rooted on their scale, and y, im are found at 2^-3 from
+      |u| + |v| > 2^35, as they can reach 2^1026);
+    * shape conjugate_pair, values (amplitude, cos0, cos1, cos2): three real roots
+      amplitude * cos, ascending; for conjugate_pair, amplitude = -2|r| (at 2^-2
+      once 2|r| passes 2^1024) and cos(theta/3), cos(theta/3 + 4pi/3),
+      cos(theta/3 + 2pi/3), theta = Arg r;
+    * shape equal (a float equal tag), values (r,): the double root r and the simple root -2r.
+
+    The degenerate tags read theirs off d (_degenerate_anchor).
+    """
+    r, s, case, _ = pair
+    if r is None:
+        return _degenerate_anchor(d, exact)
+    if case is _REAL_DISTINCT:
+        u, v, h = r.real, s.real, 0
+        size = abs(u) + abs(v)
+        if exact and not (_BAND_LOW <= abs(u) < _BAND_HIGH and _BAND_LOW <= abs(v) < _BAND_HIGH):
+            u, v = _root(u, 3), _root(v, 3)
+            if abs(u) + abs(v) > 2.0**35:  # k > 100 here
+                u, v, h = 0.5 * u, 0.5 * v, 3
+        else:  # _root's bits in band; a float's unscaled cbrt costs under 2e-14, which Newton removes
+            u, v = math.copysign(abs(u) ** (1.0 / 3.0), u), math.copysign(abs(v) ** (1.0 / 3.0), v)
+        m = u * v
+        return _REAL_DISTINCT, size, h, (-m * (u + v), abs(m * (u - v)) * _SQRT3 / 2.0)
+    if case is _CONJUGATE_PAIR:
+        # |s| = |r|, so size = 2|r|: from Im r = 2^100 on, 4|r/2|, as abs(r) raises past 2^1024.
+        size = 2.0 * abs(r) if r.imag < 2.0**100 else 4.0 * abs(0.5 * r)
+        # theta = Arg r in (0, pi] (Im r > 0).
+        t, amplitude, h = math.atan2(r.imag, r.real) / 3.0, -size, 0
+        if size == math.inf:  # 2|r| passes 2^1024 (k >= 1025 then): the amplitude from r's halved parts
+            amplitude, h = -abs(0.5 * r), 2
+        return _CONJUGATE_PAIR, size, h, (amplitude, math.cos(t), math.cos(t + 2.0 * _TWO_PI_3), math.cos(t + _TWO_PI_3))
+    return _EQUAL, 2.0 * abs(r.real), 0, (r.real,)
+
+
+def _degenerate_anchor(d: DepressedCubic, exact: bool):
+    """_anchor off d for r = s = None: p = 0 or negligible, the real root y = cbrt(-q)
+    and the pair y omega, y omega^2 (real_distinct's values, im = sqrt(3)|y|/2); q = 0 < p,
+    y = 0 and the pair +-i sqrt(p); q = 0 > p, the amplitude sqrt(-p) and cosines -1, 0, 1
+    (conjugate_pair's); None for p = q = 0. An exact p and q are rooted as rationals."""
+    p, q = d
+    if exact:  # |p|, -q and p's sign from the integers of p = pn / pd and q
+        pn, pd = p._numerator, p._denominator
+        p, q = _fraction(abs(pn), pd), _fraction(-q._numerator, q._denominator)
+    else:
+        pn, p, q = p, abs(p), -q
+    if q:  # y^3 = -q
+        y = _root(q, 3)
+        size = abs(y)
+        return _REAL_DISTINCT, size, 0, (y, size * (_SQRT3 / 2.0))  # the bits of size * sqrt(3) / 2, which can overflow near 2^1024
+    if not p:
+        return None
+    size = _root(p, 2)
+    return (_REAL_DISTINCT, size, 0, (0.0, size)) if pn > 0 else (_CONJUGATE_PAIR, size, 0, (size, -1.0, 0.0, 1.0))
+
+
+def _exact_channel(d: DepressedCubic, delta: Fraction, pair: RsPair):
+    """(channel, mult): the roots of an exact cubic known exactly, in output order,
+    each an ExactValue or None, and the multiplicity when all three are rational,
+    read off the exact values, since two distinct ones can round to one double.
+    A rational equal pair (x - r)^2 (x + 2r) gives r - delta twice and -2r - delta;
+    p = q = 0 the triple root -delta; q = 0 > p -sqrt(-p) - delta, -delta,
+    sqrt(-p) - delta, rational where -p is a square; q = 0 < p -delta; p = 0 and
+    a rational cube root cbrt(-q) - delta. Any other cubic has none: (None, None)."""
+    r, _, case, exact_r = pair
+    if r is not None and case is not _EQUAL:
+        return _NO_CHANNEL
+    dn, dd = delta._numerator, delta._denominator
+    if r is not None:  # compute_rs sets an exact cubic's exact_r under equal
+        # Stated with r itself, not sqrt(rs) = |r|, the double root is first for r < 0.
+        rn, rd = exact_r._numerator, exact_r._denominator
+        double, simple = _rational(rn * dd - dn * rd, rd * dd), _rational(-2 * rn * dd - dn * rd, rd * dd)
+        return ((double, double, simple), ((0, 2),)) if rn < 0 else ((simple, double, double), ((1, 2),))
+    p, q = d
+    pn, pd = p._numerator, p._denominator
+    if q._numerator:  # cbrt(-q) = -cbrt(q)
+        root = None if pn else fraction_cbrt(q)
+        if root is None:
+            return _NO_CHANNEL
+        return (_rational(-root._numerator * dd - dn * root._denominator, root._denominator * dd), None, None), None
+    if pn > 0:
+        return (_rational(-dn, dd), None, None), None
+    if not pn:
+        return (_rational(-dn, dd),) * 3, ((0, 3),)
+    w, m = _square_free_split(-pn * pd)  # sqrt(-p) = w sqrt(m) / pd
+    if m == 1:
+        return (_rational(-dn * pd - w * dd, dd * pd), _rational(-dn, dd), _rational(w * dd - dn * pd, dd * pd)), ()
+    center = _fraction(-dn, dd)  # the genexpr reads no local: one would become a closure cell, paid on every call
+    return tuple(_tuple_new(ExactValue, e) for e in ((center, _fraction(-w, pd), m), (center, _ZERO, 1), (center, _fraction(w, pd), m))), None
+
+
+def _rounded(channel, roots):
+    """roots with each rational root of the exact channel (radicand 1) in its place, as its value rounded once."""
+    return tuple(z if e is None or e.radicand != 1 else complex(_scaled(e.rational, 0)) for z, e in zip(roots, channel))
+
+
+def _onto_scale(size: float, a, b, c, delta, ints):
+    """(k, a 2^-k, b 4^-k, c 8^-k, delta 2^-k, quotient_disc): numerics' range scale,
+    with k from size + |delta|, every root being within a small factor of it, and
+    each value taken exactly before it is rounded once. An exact cubic reads k = 0
+    off size's double and the bit lengths of a's integers, and rounds a, b, c and
+    delta = an / (3 ad) by plain int / int divisions then; for c = 0 its quotient
+    x^2 + ax + b is exact, and so is the discriminant a^2 - 4b, quotient_disc (else None)."""
+    if ints is None:
         top = size + abs(delta)
         k = 0 if _BAND_LOW <= top < _BAND_HIGH else _band(math.frexp(top)[1])
         if k:  # denest's cubic can hold an exact c = q beside its float b = p
             a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
+        return k, a, b, c, delta, None
+    an, ad, bn, bd, cn, cd = ints
+    quotient_disc = None
+    # k = 0 for certain when size's exponent is in band and delta's, at most
+    # bit_length(an) - bit_length(ad), is at most _BAND; otherwise k comes from both exponents.
+    if _BAND_LOW <= size < _BAND_HIGH and an.bit_length() - ad.bit_length() <= _BAND:
+        if not cn:
+            quotient_disc = (an * an * bd - 4 * bn * ad * ad) / (ad * ad * bd)
+        return 0, an / ad, bn / bd, cn / cd, an / (3 * ad), quotient_disc
+    e = math.frexp(size)[1] if size < math.inf else 1025  # |r| + |s| < 2^1025 can round to inf
+    k = _band(max(e, _ratio_exponent(an, 3 * ad)) if an else e)
+    if not cn:
+        quotient_disc = _ratio(an * an * bd - 4 * bn * ad * ad, ad * ad * bd, -2 * k)
+    return k, _ratio(an, ad, -k), _ratio(bn, bd, -2 * k), _ratio(cn, cd, -3 * k), _ratio(an, 3 * ad, -k), quotient_disc
 
+
+def _lift(shape, values, e: int, c: float, delta: float):
+    """(x, form): the anchor's root lifted, x = y - delta, once its values are taken
+    onto the scale (times 2^-e); where that difference would cancel, x comes from
+    the product of the roots, -c, instead. form is the closed form deflation may keep.
+
+    * real_distinct: x = y - delta, or x = -c/|z|^2 when the lifted pair
+      z = -y/2 - delta +- i im has the larger modulus; form (y, im);
+    * conjugate_pair: of lo and hi, the one farther from the middle root, where
+      f' is largest (at a double root it vanishes), with no sort; when the lift
+      would cancel, 1/|x| > 1/|middle| + 1/|other|, x = -c / (other * middle);
+      form (amplitude, middle, other);
+    * equal: the simple root -2r - delta, or -c/(r - delta)^2 when it is under
+      half the double root, since a Newton step at the double root, where f'
+      vanishes, would divide by rounding noise; no form.
+    """
     if shape is _REAL_DISTINCT:
-        if k:
-            y, im = math.ldexp(y, -(k - h)), math.ldexp(im, -(k - h))
+        y, im = values
+        if e:
+            y, im = math.ldexp(y, -e), math.ldexp(im, -e)
         x = y - delta
         re = -0.5 * y - delta
         modulus2 = re * re + im * im
-        if x * x < modulus2:
-            x = -c / modulus2
-    elif shape is _CONJUGATE_PAIR:
-        amp = math.ldexp(amplitude, -(k - h)) if k else amplitude
+        return (-c / modulus2 if x * x < modulus2 else x), (y, im)
+    if shape is _CONJUGATE_PAIR:
+        amplitude, cos0, cos1, cos2 = values
+        amp = math.ldexp(amplitude, -e) if e else amplitude
         lo, mid, hi = amp * cos0 - delta, amp * cos1 - delta, amp * cos2 - delta
         x, other = (hi, lo) if hi - mid >= mid - lo else (lo, hi)
-        if abs(x) * (abs(mid) + abs(other)) < abs(mid * other):
-            x = -c / (other * mid)
-    else:
-        y = math.ldexp(r.real, -k) if k else r.real
-        x, double = -2.0 * y - delta, y - delta
-        if 2.0 * abs(x) < abs(double):
-            x = -c / (double * double)
+        return (-c / (other * mid) if abs(x) * (abs(mid) + abs(other)) < abs(mid * other) else x), (amp, mid, other)
+    y = math.ldexp(values[0], -e) if e else values[0]
+    x, double = -2.0 * y - delta, y - delta
+    return (-c / (double * double) if 2.0 * abs(x) < abs(double) else x), None
 
-    if c:
-        slope = (3.0 * x + 2.0 * a) * x + b
-        if slope:
-            f = ((x + a) * x + b) * x + c
-            step = f / slope
-            # An exact cubic's closed form is within a few ulps, since p, q and the
-            # discriminant were rounded once; a larger step comes from rounding
-            # a, b, c, as next to a cluster of roots far from 0. A degenerate
-            # anchor is one rounded cbrt(-q) or sqrt(-p): beside such a cluster,
-            # as (x + 17)^3 + 2, a step that f(x)'s own rounding explains would cost
-            # it up to 1e-14, so it is taken only where f(x) is above that rounding.
-            if (not exact or abs(step) <= _NEWTON_CAP * abs(x)) and (
-                r is not None or abs(f) > _EPS * (((abs(x) + abs(a)) * abs(x) + abs(b)) * abs(x) + abs(c))
-            ):
-                x -= step
-    else:
-        x = 0.0
+
+def _polish(x: float, a, b, c, exact: bool, degenerate: bool) -> float:
+    """One Newton step on the original cubic; for c = 0 the root is 0 exactly.
+
+    An exact cubic's closed form is within a few ulps, since p, q and the
+    discriminant were rounded once; a step above _NEWTON_CAP |x| comes from
+    rounding a, b, c, as next to a cluster of roots far from 0, and is refused.
+    A degenerate anchor is one rounded cbrt(-q) or sqrt(-p): beside such a
+    cluster, as (x + 17)^3 + 2, a step that f(x)'s own rounding explains would
+    cost it up to 1e-14, so it is taken only where f(x) is above that rounding.
+    """
+    if not c:
+        return 0.0
+    slope = (3.0 * x + 2.0 * a) * x + b
+    if slope:
+        f = ((x + a) * x + b) * x + c
+        step = f / slope
+        if (not exact or abs(step) <= _NEWTON_CAP * abs(x)) and (
+            not degenerate or abs(f) > _EPS * (((abs(x) + abs(a)) * abs(x) + abs(b)) * abs(x) + abs(c))
+        ):
+            return x - step
+    return x
+
+
+def _deflate(x: float, a, b, c, delta, k: int, quotient_disc, shape, form, exact: bool):
+    """(roots, mult): x and the two roots of x^2 - Sx + P, each multiplied back by 2^k.
+
+    P = -c/x and S = (b - P)/x while x dominates (x^2 >= |P|), else S = -a - x
+    (S = -a, P = b for x = 0). The larger real root is (S + sign(S) sqrt(S^2 - 4P))/2
+    and the other P over it (its negative for S = 0, so +-sqrt(-P) come out
+    symmetric), or, when S^2 < 4P, the pair is S/2 +- i sqrt(4P - S^2)/2: for a
+    float cubic the quadratic decides, whatever the tag. A float equal tag keeps
+    its double root S/2, and its multiplicity, only where S^2 - 4P is rounding
+    noise. An exact cubic's tag is right, and a pair too close to tell apart from
+    the rounded S and P is closed: it keeps its form, the lifted middle and other
+    root, or im about the center S/2, where that is off by about 2 eps (size +
+    |delta|) and deflation would do worse. For c = 0 an exact quotient_disc is
+    the discriminant.
+    """
     if x:
         P = -c / x
         S = (b - P) / x if x * x >= abs(P) else -a - x
     else:
         S, P = -a, b
     disc = S * S - 4.0 * P if quotient_disc is None else quotient_disc
-
     # Rounding S and P moves the deflated roots by about eps N / (4 sqrt|disc|), N = S^2 + 4|P|,
     # and by no more than about sqrt(eps N) / 4, once |disc| is down to its own rounding eps N.
     closed = double = False
-    if exact:
-        # Exact p, q tell a close pair apart, and its closed form is off by about
-        # 2 eps (size + |delta|): the closed pair stays where deflation would do worse.
-        # (An exact cubic here takes real_distinct's or conjugate_pair's anchor.)
-        spread, size = (-disc, abs(y) + im) if shape is _REAL_DISTINCT else (disc, abs(amp))
+    if exact:  # (an exact cubic here takes real_distinct's or conjugate_pair's anchor)
+        spread, size = (-disc, abs(form[0]) + form[1]) if shape is _REAL_DISTINCT else (disc, abs(form[0]))
         noise = S * S + 4.0 * abs(P)
         closed = c and noise > 8.0 * math.sqrt(max(spread, _EPS * noise)) * (size + abs(delta))
-    elif case is _EQUAL:
-        # A float equal tag is a double root only where the quadratic cannot tell its two
-        # roots apart; elsewhere, as beside a large root, the quadratic's shape stands.
+    elif shape is _EQUAL:  # a float equal tag's anchor
         double = abs(disc) <= _DOUBLE_NOISE * (S * S + 4.0 * abs(P))
-    mult = ()
     if closed and shape is _REAL_DISTINCT or disc < 0 and not (closed or double):
         # The pair's center is S/2 either way: the closed one, -y/2 - delta, cancels
         # when the pair is small beside delta.
-        re = 0.5 * S
-        if not closed:
-            im = 0.5 * math.sqrt(-disc)
+        re, im = 0.5 * S, form[1] if closed else 0.5 * math.sqrt(-disc)
         if k:
             x, re, im = _scaled(x, k), _scaled(re, k, _RE), _scaled(im, k, _IM)
         re += 0.0  # no -0.0 in the output
-        roots = (complex(x + 0.0, 0.0), complex(re, -im), complex(re, im))
+        return (x + 0j, complex(re, -im), complex(re, im)), ()
+    if closed:
+        x1, x2 = form[1], form[2]
+    elif disc > 0 and not double:
+        x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
+        x2 = P / x1 if S else -x1  # S = 0: the roots are +-sqrt(-P), symmetric to the bit
     else:
-        if closed:
-            x1, x2 = mid, other
-        elif disc > 0 and not double:
-            x1 = 0.5 * (S + math.copysign(math.sqrt(disc), S))
-            x2 = P / x1 if S else -x1  # S = 0: the roots are +-sqrt(-P), symmetric to the bit
-        else:
-            x1 = x2 = 0.5 * S
+        x1 = x2 = 0.5 * S
+    if x1 > x2:
+        x1, x2 = x2, x1
+    if x > x1:
+        x, x1 = x1, x
         if x1 > x2:
             x1, x2 = x2, x1
-        if x > x1:
-            x, x1 = x1, x
-            if x1 > x2:
-                x1, x2 = x2, x1
-        if double:
-            mult = ((0, 2),) if x == x1 else ((1, 2),)
-        if k:
-            x, x1, x2 = _scaled(x, k), _scaled(x1, k), _scaled(x2, k)
-        roots = (complex(x + 0.0, 0.0), complex(x1 + 0.0, 0.0), complex(x2 + 0.0, 0.0))
-    if channel is not None:  # a rational root known exactly is reported as its value rounded once
-        roots = tuple(z if e is None or e.surd_coef else complex(_scaled(e.rational, 0)) for z, e in zip(roots, channel))
-    return _tuple_new(RootTriple, (roots, case, mult, channel, pair, d, shift))
+    mult = (((0, 2),) if x == x1 else ((1, 2),)) if double else ()
+    if k:
+        x, x1, x2 = _scaled(x, k), _scaled(x1, k), _scaled(x2, k)
+    return (x + 0j, x1 + 0j, x2 + 0j), mult  # + 0j: no -0.0 in the output
 
 
 def solve_depressed(d: DepressedCubic) -> RootTriple:

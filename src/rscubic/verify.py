@@ -93,8 +93,9 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
             break
         x0 = x1
 
-    # x^3 + px + q = (x - x0)(x^2 + x0 x + (x0^2 + p)) up to the residual.
-    b2, c2 = x0, x0 * x0 + p
+    # x^3 + px + q = (x - x0)(x^2 + x0 x + c2) up to the residual, c2 = x0^2 + p = -q/x0; the
+    # quotient while x0 dominates (x0^2 >= |p|), as the sum cancels beside a large root.
+    b2, c2 = x0, -q / x0 if x0 and x0 * x0 >= abs(p) else x0 * x0 + p
     disc = b2 * b2 - 4.0 * c2
     if disc >= 0.0:
         w = math.sqrt(disc)

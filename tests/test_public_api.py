@@ -220,6 +220,14 @@ def test_solve_stages_read_no_case_tag_off_its_class():
     assert reads == []
 
 
+def test_no_function_of_chen_is_longer_than_60_lines():
+    # The solve step is the sequence of its stages (_anchor, _exact_channel, _onto_scale, _lift,
+    # _polish, _deflate), each one function short enough to change without reading the others.
+    tree = ast.parse(Path(rscubic.chen.__file__).read_text(encoding="utf-8"))
+    lengths = {node.name: node.end_lineno - node.lineno + 1 for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "_solve_cubic" in lengths and {name: n for name, n in lengths.items() if n > 60} == {}
+
+
 def test_decompose_and_chen_leave_overflow_to_numerics():
     # The r,s stage and the solve step hold no range refusal of their own: no handler names OverflowError.
     for module in (rscubic.chen, rscubic.decompose):

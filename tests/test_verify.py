@@ -163,6 +163,13 @@ class TestBruteForce:
         d = DepressedCubic(-8.691614186196356e260, -1.9204898750549179e-181)
         assert match_root_sets(brute_force_roots(d).roots, solve_depressed(d).roots) <= 1e-15 * 2.948154369465133e130
 
+    def test_deflation_keeps_a_small_root_beside_large_ones(self):
+        # Roots +-2.948e130 and about -2.2e-442 (0 as a double): c2 = x0^2 + p kept the large root's
+        # one-ulp error and gave a middle root of -7.41e114; -q/x0 does not cancel.
+        d = DepressedCubic(-8.691614186196356e260, -1.9204898750549179e-181)
+        low, middle, high = (z.real for z in brute_force_roots(d).roots)
+        assert middle == 0.0 and low == -high == pytest.approx(-2.948154369465133e130, rel=1e-15)
+
     def test_agrees_with_both_solvers(self):
         rng = random.Random(107)
         for _ in range(1000):
