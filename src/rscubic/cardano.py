@@ -22,7 +22,7 @@ import math
 
 from .chen import RootTriple
 from .decompose import _CONJUGATE_PAIR, _DEGENERATE_P0, _DEGENERATE_Q0, _EQUAL, _REAL_DISTINCT, CaseTag, compute_rs, integer_discriminant
-from .numerics import _BAND_HIGH, _BAND_LOW, _IM, _RE, OMEGA, OMEGA2, _band, _exponent, _float_of, _float_pair, _ratio, _root, _scaled, cube_roots_all, principal_cube_root
+from .numerics import _BAND_HIGH, _BAND_LOW, _IM, _RE, OMEGA, OMEGA2, _band, _exponent, _float_of, _ratio, _root, _scaled, cube_roots_all, principal_cube_root
 from .reduction import DepressedCubic, InvalidInputError, _tuple_new
 
 # solve_moebius's roots are off by about eps/|1 - u|: below this gap from a
@@ -43,7 +43,7 @@ def _cardano(d: DepressedCubic, case: CaseTag) -> RootTriple:
     """
     p, q = d
     try:
-        fp, fq = _float_pair(p, q)
+        fp, fq = _float_of(p), _float_of(q)
         k = 0 if _BAND_LOW <= abs(fp) + abs(fq) < _BAND_HIGH else None
     except OverflowError:  # an exact p or q beyond the double range
         k = None

@@ -138,11 +138,11 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
     __slots__ = ()
 
     def __new__(cls, rational, surd_coef=Fraction(0), radicand=1):
-        if radicand != 1 or surd_coef:  # not a plain rational: check the surd, fold a degenerate one
+        if radicand != 1 or surd_coef:  # not a plain rational: check the surd, fold a rational one
             if radicand < 0:
                 raise ValueError("radicand must be nonnegative")
-            if radicand in (0, 1) or surd_coef == 0:
-                rational += surd_coef if radicand == 1 else Fraction(0)
+            if (root := math.isqrt(radicand)) ** 2 == radicand or surd_coef == 0:
+                rational += surd_coef * root
                 surd_coef, radicand = Fraction(0), 1
         return _tuple_new(cls, (rational, surd_coef, radicand))
 
@@ -157,8 +157,8 @@ class ExactValue(_record("ExactValue", "rational surd_coef radicand")):
 
     def __float__(self) -> float:
         if not self.surd_coef:
-            return _float_of(self.rational)
-        return _float_of(self.rational) + _float_of(self.surd_coef) * math.sqrt(self.radicand)
+            return float(self.rational)
+        return float(self.rational) + float(self.surd_coef) * math.sqrt(self.radicand)
 
     def __str__(self) -> str:
         if not self.surd_coef:

@@ -44,39 +44,19 @@ _FAILURES = {
 }
 
 
-def __getattr__(name: str):
-    """Bind what only some options use as globals on first use (by _bind, or by an attribute
-    read), so that a run loads no Cardano, verify or json it does not run."""
-    if name in ("_cardano", "match_root_sets"):
-        from .cardano import _cardano, match_root_sets
-
-        found = {"_cardano": _cardano, "match_root_sets": match_root_sets}
-    elif name == "verify_roots":
-        from .verify import verify_roots
-
-        found = {"verify_roots": verify_roots}
-    elif name == "_jstr":
-        from json.encoder import encode_basestring_ascii
-
-        found = {"_jstr": encode_basestring_ascii}
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for key, value in found.items():
-        globals().setdefault(key, value)  # a name already bound (a test may have replaced it) is kept
-    return globals()[name]
-
-
 def _bind(args) -> None:
-    """Bind, once per run and never per line, what its options use: Cardano under --method
-    both, verify under --verify, json's string writer for JSON output (a batch writes JSON)."""
+    """Import, with plain imports once per run and never per line, what its options use:
+    Cardano under --method both, verify under --verify, json's string writer for JSON
+    output (a batch writes JSON). Each run reads the names off their source modules, so
+    a test replaces a CLI dependency there (rscubic.cardano, rscubic.verify)."""
+    global _cardano, match_root_sets, verify_roots, _jstr
     solving = args.command == "solve"
-    for name, used in (
-        ("_cardano", solving and args.method == "both"),
-        ("verify_roots", solving and args.verify),
-        ("_jstr", args.format == "json" or solving and args.batch is not None),
-    ):
-        if used and name not in globals():
-            __getattr__(name)
+    if solving and args.method == "both":
+        from .cardano import _cardano, match_root_sets
+    if solving and args.verify:
+        from .verify import verify_roots
+    if args.format == "json" or solving and args.batch is not None:
+        from json.encoder import encode_basestring_ascii as _jstr
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -143,8 +123,7 @@ def _solve_values(triple: RootTriple, args) -> tuple:
     depressed cubic (y = x + shift). Failures raise in that order, but for the
     check that every printed root is finite, which comes before p and q."""
     roots, case, _, exact_values, _, d, shift = triple
-    if type(shift) is not float:
-        shift = _float_of(shift)
+    shift = _float_of(shift)
     cardano = distance = exact = report = None
     x0, x1, x2 = roots
     nonfinite = (x0 - x0) + (x1 - x1) + (x2 - x2)  # 0j only when every root is finite
@@ -154,9 +133,7 @@ def _solve_values(triple: RootTriple, args) -> tuple:
         nonfinite += (y0 - y0) + (y1 - y1) + (y2 - y2)
     if nonfinite:
         _check_finite(roots + (cardano or ()))
-    p, q = d
-    if type(p) is not float:  # exact: each rounded once by its int / int division, as _float_of rounds it
-        p, q = p.numerator / p.denominator, q.numerator / q.denominator
+    p, q = _float_of(d.p), _float_of(d.q)
     if cardano is not None:
         distance = match_root_sets(roots, cardano)
     elif exact_values is not None:

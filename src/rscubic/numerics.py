@@ -14,10 +14,13 @@ complex root.
 The range rule. The roots of x^3 + px + q scale by 2^k under (p, q) ->
 (p 4^k, q 8^k), so a stage solves on (p 4^-k, q 8^-k), k = max(ceil(e_p/2),
 ceil(e_q/3)) from the binary exponents of the nonzero p and q (k = 0 in
-band, |k| <= _BAND), and multiplies what it finds back by 2^k through
-_scaled, which also rounds an exact value reported as a double. Only it
-leaves the scale, and a value with no double is an InvalidInputError that
-names it, never a bare OverflowError.
+band, |k| <= _BAND), and multiplies what it finds back by 2^k. Two helpers
+round: _float_of rounds a float or exact value once to a double or onto the
+scale, and raises OverflowError for an exact one beyond the double range;
+_scaled takes a value off the scale (and rounds an exact one reported as a
+double), and refuses one with no double by an InvalidInputError that names
+it, never a bare OverflowError. Outside this module no division reads a
+Fraction's numerator or denominator.
 """
 
 from __future__ import annotations
@@ -58,21 +61,15 @@ def _ratio(n: int, m: int, e: int) -> float:
 
 
 def _float_of(x, e: int = 0) -> float:
-    """x * 2^e rounded once: ldexp for a float; for an exact x one integer true
-    division, which rounds correctly, so at e = 0 it is bit-equal to float(x)
-    without numbers.Rational.__float__'s dispatch, and at e != 0 it needs no
-    Fraction product."""
+    """x * 2^e rounded once: ldexp for a float; for an exact x (a Fraction) one integer
+    true division of its slots, which rounds correctly, so at e = 0 it is bit-equal to
+    float(x) without numbers.Rational.__float__'s dispatch, and at e != 0 it needs no
+    Fraction product. An exact x beyond the double range raises OverflowError."""
     if type(x) is float:
         return math.ldexp(x, e) if e else x
     if not e:
-        return x.numerator / x.denominator
-    return _ratio(x.numerator, x.denominator, e)
-
-
-def _float_pair(p, q) -> tuple[float, float]:
-    """p and q each rounded once, as _float_of rounds it at e = 0: a float kept, an exact one
-    by its int / int division, which raises OverflowError for one beyond the double range."""
-    return (p if type(p) is float else p._numerator / p._denominator), (q if type(q) is float else q._numerator / q._denominator)
+        return x._numerator / x._denominator
+    return _ratio(x._numerator, x._denominator, e)
 
 
 # Scale exponents |k| <= _BAND are not applied: no double of the formulas overflows there.

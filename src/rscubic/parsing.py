@@ -64,14 +64,9 @@ def _skip_ws(s: str, i: int) -> int:
 
 
 def _digits_end(s: str, i: int) -> int:
-    """The end of the digit run at i: all-digit slices doubling in length, then ASCII digits stripped."""
-    w = _W
+    """The end of the digit run at i."""
     while s[i].isdecimal():
-        chunk = s[i : i + w]
-        if chunk.isdecimal():
-            i, w = i + w, w + w
-        else:
-            i, w = i + (len(chunk) - len(chunk.lstrip(_ASCII_DIGITS)) or 1), _W
+        i += 1
     return i
 
 

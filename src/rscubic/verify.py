@@ -8,7 +8,7 @@ import math
 
 from .chen import RootTriple
 from .decompose import compute_rs
-from .numerics import _float_pair
+from .numerics import _float_of
 from .reduction import DepressedCubic, _beyond_double, _record, _tuple_new
 
 _TOL = 1e-10
@@ -45,7 +45,7 @@ def verify_roots(d: DepressedCubic, triple: RootTriple) -> VerificationReport:
 def _doubles(d: DepressedCubic) -> tuple[float, float]:
     """p and q rounded once to doubles; an exact one beyond the double range is refused."""
     try:
-        return _float_pair(*d)
+        return _float_of(d.p), _float_of(d.q)
     except OverflowError:
         raise _beyond_double() from None
 

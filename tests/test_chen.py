@@ -486,6 +486,18 @@ class TestExactValue:
         v = ExactValue(Fraction(1), Fraction(3), 1)
         assert v == ExactValue(Fraction(4))
 
+    def test_normalization_folds_a_square_radicand(self):
+        # sqrt(4) is 2: a value is rational exactly when its surd_coef is 0.
+        v = ExactValue(Fraction(0), Fraction(1), 4)
+        assert v == ExactValue(Fraction(2)) and v.surd_coef == 0
+        assert str(v) == "2"
+        assert ExactValue(Fraction(1), Fraction(-3, 2), 0) == ExactValue(Fraction(1))
+        assert ExactValue(Fraction(1), Fraction(3), 2)._replace(radicand=9) == ExactValue(Fraction(10))
+
+    def test_float_of_int_parts(self):
+        assert float(ExactValue(3)) == 3.0
+        assert float(ExactValue(1, 2, 3)) == 1 + 2 * math.sqrt(3)
+
     def test_make_and_replace_fold_the_surd(self):
         plain = ExactValue(Fraction(4))
         assert ExactValue._make((Fraction(1), Fraction(3), 1)) == plain

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rscubic.cardano
 import rscubic.cli
+import rscubic.verify
 from rscubic import GeneralCubic, VerificationReport, solve
 from rscubic.cli import main
 
@@ -28,9 +30,9 @@ SOLVE_KEYS = ["input", "method", "p", "q", "case", "r", "roots"]
 
 @pytest.fixture
 def failing_verify(monkeypatch):
-    """verify_roots as the CLI calls it, with every report failed."""
-    verify_roots = rscubic.cli.verify_roots
-    monkeypatch.setattr(rscubic.cli, "verify_roots", lambda d, t: verify_roots(d, t)._replace(passed=False))
+    """verify_roots as the CLI binds it from rscubic.verify, with every report failed."""
+    verify_roots = rscubic.verify.verify_roots
+    monkeypatch.setattr(rscubic.verify, "verify_roots", lambda d, t: verify_roots(d, t)._replace(passed=False))
 
 
 @pytest.fixture
@@ -262,8 +264,8 @@ def test_each_stage_runs_once_per_line(capsys, tmp_path, monkeypatch):
     for name in ("depress", "_depress_exact", "compute_rs", "_solve_cubic"):
         assert not hasattr(rscubic.cli, name)  # only solve runs the stages
         count(rscubic.chen, name)
-    for name in ("_cardano", "verify_roots"):
-        count(rscubic.cli, name)
+    count(rscubic.cardano, "_cardano")
+    count(rscubic.verify, "verify_roots")
     exact_lines = ["x^3-6x^2+11x-6", "x^3+3x^2-1", "2x^3+x+5"]
     float_lines = ["x^3+sqrt(2)x^2-x+1"]
     batch = tmp_path / "cubics.txt"
@@ -723,7 +725,7 @@ def test_float_writer_spells_floats_as_json(x):
 def test_non_finite_verification_is_json_dumps(capsys, monkeypatch, errors):
     # A report's errors are not checked for finiteness: json spells the non-finite ones, wherever they are.
     residuals, vieta_errors = errors[:3], errors[3:]
-    monkeypatch.setattr(rscubic.cli, "verify_roots", lambda d, t: VerificationReport(residuals, vieta_errors, False))
+    monkeypatch.setattr(rscubic.verify, "verify_roots", lambda d, t: VerificationReport(residuals, vieta_errors, False))
     code, out, _ = run(capsys, "solve", "--p=-6", "--q=-9", "--method", "both", "--verify", "--format", "json")
     assert code == 3 and _is_json_dumps(out[:-1])
     verification = out[out.index('"verification"'):]

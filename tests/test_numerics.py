@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rscubic.numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _float_pair, _root, _scaled, cube_roots_all, principal_cube_root
+from rscubic.numerics import _BAND, OMEGA, OMEGA2, _band, _exponent, _float_of, _root, _scaled, cube_roots_all, principal_cube_root
 
 SQRT3 = math.sqrt(3.0)
 
@@ -130,12 +130,13 @@ def _root_reference(x, n):
         (0.0, Fraction(-(10**400), 3), OverflowError),
     ],
 )
-def test_float_pair_rounds_each_part_as_float_of(p, q, expected):
+def test_float_of_rounds_each_part_once(p, q, expected):
+    # _float_of is the one rounding of p and q for Cardano, verify and the CLI alike.
     if expected is OverflowError:
         with pytest.raises(OverflowError):
-            _float_pair(p, q)
+            _float_of(p), _float_of(q)
     else:
-        assert _float_pair(p, q) == (_float_of(p), _float_of(q)) == expected
+        assert (_float_of(p), _float_of(q)) == (float(p), float(q)) == expected
 
 
 def _principal_cube_root_reference(z):

@@ -206,6 +206,32 @@ def test_only_numerics_scales_back_by_2_to_the_k():
     assert upward == []
 
 
+def test_only_the_package_loads_names_on_first_use():
+    # PEP 562 is the package's alone: a submodule, the CLI among them, imports what it uses.
+    found = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+                found.append(path.name)
+    assert found == ["__init__.py"]
+
+
+def test_only_numerics_divides_an_exact_value_into_a_double():
+    # numerics._float_of and _scaled are the roundings of an exact value: no other module
+    # divides a numerator by a denominator read off a Fraction.
+    parts = ("numerator", "denominator", "_numerator", "_denominator")
+    divisions = []
+    for path in sorted(Path(rscubic.__file__).resolve().parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                reads = [sub for side in (node.left, node.right) for sub in ast.walk(side) if isinstance(sub, ast.Attribute) and sub.attr in parts]
+                if reads:
+                    divisions.append(f"{path.name}:{node.lineno}")
+    assert divisions == []
+
+
 def test_solve_stages_read_no_case_tag_off_its_class():
     # Reading an Enum member off its class costs about 40 ns, a module global about 6: decompose binds
     # the tags once, and no function body of the r,s stage, the solvers or verify reads CaseTag.X. The

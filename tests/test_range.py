@@ -300,3 +300,44 @@ def test_moebius_refuses_an_r_over_s_without_a_double(r, s):
 
 def test_moebius_zero_r_is_the_triple_root_zero():
     assert solve_moebius(0.0, 1e300).roots == (0j, 0j, 0j)
+
+
+# Known wrong roots, returned with no error. They share one cause: the solve step computes
+# all three roots on the largest root's scale and deflates by P = -c/x there, where c (the
+# roots' product) and x can underflow to zero or to a few subnormal ulps.
+_ONE_SCALE = "every root is computed on the largest root's scale, where the small roots' product underflows"
+
+
+@pytest.mark.xfail(strict=True, reason=_ONE_SCALE)
+@pytest.mark.parametrize(
+    "roots, expected",
+    [
+        ((Fraction(1), Fraction(-2), Fraction(10**200)), (-2.0, 1.0, 1e200)),  # gives -1, 0, 1e200
+        ((Fraction(3), Fraction(1, 10**200), Fraction(-5, 2 * 10**200)), (-2.5e-200, 1e-200, 3.0)),  # gives -1.5e-200, 0, 3
+    ],
+    ids=["beside 1e200", "beside 3"],
+)
+def test_small_roots_beside_a_large_root_keep_their_values(roots, expected):
+    x0, x1, x2 = roots
+    got = solve(GeneralCubic(-(x0 + x1 + x2), x0 * x1 + x0 * x2 + x1 * x2, -x0 * x1 * x2)).roots
+    assert [z.imag for z in got] == [0.0, 0.0, 0.0]
+    assert [z.real for z in got] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=_ONE_SCALE)
+def test_tiny_real_root_beside_a_huge_pair_keeps_its_value():
+    # p > 0 and |q| below about p^(3/2) 1e-318: the step's scale is 2^436, on which q 8^-436 is
+    # 5e-324 and the real root three subnormal ulps. Gives -2.630e-192 and Im 1.0245e131.
+    x0, pair = solve_depressed(DepressedCubic(1.1629478265567585e262, 2.9987607300242697e70)).roots[:2]
+    assert x0.real == pytest.approx(-2.5785857813612870e-192, rel=1e-15, abs=0.0) and x0.imag == 0.0
+    assert pair.real == pytest.approx(1.2892928906806435e-192, rel=1e-15, abs=0.0)
+    assert abs(pair.imag) == pytest.approx(1.0784005872386933e131, rel=1e-15)
+
+
+@pytest.mark.xfail(strict=True, reason=_ONE_SCALE)
+def test_pair_beside_a_subnormal_real_root_keeps_its_modulus():
+    # In band (k = 0): the real root -4e-324 rounds to -5e-324, so P = -c/x reads 1.0 for
+    # 1.25. Gives Im = +-1 for +-sqrt(1.25); test_roundtrip_residual can draw this cubic.
+    roots = solve(GeneralCubic(0.0, 1.25, 5e-324)).roots
+    assert roots[0] == complex(-5e-324, 0.0)
+    assert [abs(z.imag) for z in roots[1:]] == pytest.approx([math.sqrt(1.25)] * 2, rel=1e-15)
