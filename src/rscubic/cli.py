@@ -280,7 +280,7 @@ def cmd_solve(args) -> int:
 
 def _run_batch(args) -> int:
     try:
-        with open(args.batch, encoding="utf-8") as fh:
+        with open(args.batch, encoding="utf-8-sig") as fh:
             batch_lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read batch file: {exc}", file=sys.stderr)

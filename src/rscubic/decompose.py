@@ -20,7 +20,9 @@ q = Q/dq are read once, and the zero tests, the exponents, the sign
 integers in _compute_rs_exact, which only compute_rs calls: every stage
 hands it a DepressedCubic. Only an exact r is built as a Fraction, by
 _fraction. Float inputs take the sign in doubles, on the 2^k-scaled p and
-q. Both paths are tested against the plain formulas 4p^3 + 27q^2 and
+q; a float cubic in band for certain settles k = 0 with one magnitude test,
+as an exact one does with bit lengths, and only the others go through
+_triage. Both paths are tested against the plain formulas 4p^3 + 27q^2 and
 (B, C) = (3q/p, -p/3), which live with the tests.
 """
 
@@ -77,20 +79,36 @@ def compute_rs(d: DepressedCubic) -> RsPair:
     p = 0, q = 0 and a negligible p return a tag with r, s unset. The quadratic
     is solved on numerics' range scale, which refuses an r or s with no double
     by name. Exact r, s come back when the quadratic discriminant is a square.
+
+    A float cubic with a float q != 0, 2^-199 <= |p| < 2^199, |q| < 2^300 and
+    q*q < 2^196 |p|**3 is in band for certain, and its p is not negligible, so
+    it settles k = 0 without _triage or either exponent. The bounds give
+    frexp exponents -198 <= e_p <= 199 and e_q <= 300, so ceil(e_p/2) is in
+    [-99, 100] and ceil(e_q/3) at most 100: k = 0. A negligible p, 2 e_q - 3 e_p
+    >= 200, has q^2 >= 2^(2 e_q - 2) >= 2^(3 e_p + 198) > 2^198 |p|^3, and
+    |p|^3 >= 2^-597 keeps q*q normal there, so one rounding of q*q and one of
+    |p|**3, each within 2^-52 of its value, cannot bring q*q under
+    2^196 |p|**3: the last clause means 2 e_q - 3 e_p <= 198, two bits inside
+    _NEGLIGIBLE_P_BITS. Nothing overflows: q*q < 2^600 and 2^196 |p|**3 < 2^793.
+    Any other float p, q goes through _triage.
     """
     p, q = d
     if type(p) is not float:  # a Fraction: its slots, not the numerator and denominator properties
         return _compute_rs_exact(p._numerator, p._denominator, q._numerator, q._denominator)
-    # denest's cubic can hold a float p beside an exact q beyond the double range
-    tag, k = _triage(p, q, math.frexp(p)[1], math.frexp(q)[1] if type(q) is float else _exponent(q))
-    if tag is not None:
-        return _tuple_new(RsPair, (None, None, tag, None))
-    if k:
-        p, q = math.ldexp(p, -2 * k), _float_of(q, -3 * k)
+    # In band for certain, and p not negligible (the proof is above).
+    if type(q) is float and q and 2.0**-199 <= abs(p) < 2.0**199 and abs(q) < 2.0**300 and q * q < 2.0**196 * abs(p) ** 3:
+        k = 0
+    else:
+        # denest's cubic can hold a float p beside an exact q beyond the double range
+        tag, k = _triage(p, q, math.frexp(p)[1], math.frexp(q)[1] if type(q) is float else _exponent(q))
+        if tag is not None:
+            return _tuple_new(RsPair, (None, None, tag, None))
+        if k:
+            p, q = math.ldexp(p, -2 * k), _float_of(q, -3 * k)
     delta = 4 * p**3 + 27 * q**2
     B, C = 3 * q / p, -p / 3
     if delta == 0:
-        half = complex(_scaled(-B / 2, k, _R))
+        half = complex(_scaled(-B / 2, k, _R) if k else -B / 2)  # in band, B = 3q/p is finite
         return _tuple_new(RsPair, (half, half, _EQUAL, None))
     case = _REAL_DISTINCT if delta > 0 else _CONJUGATE_PAIR
     return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)

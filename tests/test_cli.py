@@ -449,6 +449,15 @@ class TestBatch:
         assert first["case"] == "equal"
         assert second["case"] == "real_distinct"
 
+    def test_batch_file_with_a_utf8_bom_reads_as_without(self, capsys, tmp_path):
+        # Editors on Windows save UTF-8 with a byte order mark: it is no part of line 1.
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"x^3 - 6x^2 + 11x - 6\nx^3-12x+16\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "solve", "--batch", str(plain))
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, "solve", "--batch", str(marked)) == expected
+
     def test_batch_symmetric_roots_are_symmetric(self, capsys, tmp_path):
         # x^3 - 1021x: the deflated quadratic x^2 - 1021 gives +-sqrt(1021) to the bit.
         batch = tmp_path / "cubics.txt"

@@ -23,7 +23,7 @@ from rscubic import (
 import rscubic.chen
 import rscubic.decompose
 from rscubic.decompose import _rs_float
-from rscubic.numerics import _ratio, _ratio_exponent
+from rscubic.numerics import _R, _ratio, _ratio_exponent, _scaled
 
 from paper_identities import discriminant, rs_quadratic
 
@@ -526,6 +526,62 @@ def outcome(f, *args):
         return repr(f(*args))
     except (ArithmeticError, ValueError) as error:
         return f"{type(error).__name__}: {error}"
+
+
+def triage_route_rs(p, q):
+    """The float compute_rs on the scale route: _triage decides every cubic from both exponents."""
+    tag, k = rscubic.decompose._triage(p, q, math.frexp(p)[1], math.frexp(q)[1])
+    if tag is not None:
+        return RsPair(None, None, tag)
+    if k:
+        p, q = math.ldexp(p, -2 * k), math.ldexp(q, -3 * k)
+    delta = 4 * p**3 + 27 * q**2
+    B, C = 3 * q / p, -p / 3
+    if delta == 0:
+        half = complex(_scaled(-B / 2, k, _R))
+        return RsPair(half, half, CaseTag.EQUAL)
+    case = CaseTag.REAL_DISTINCT if delta > 0 else CaseTag.CONJUGATE_PAIR
+    return _rs_float(case, B, C, math.sqrt(abs(B * B - 4.0 * C)), k)
+
+
+def pair_outcome(f, arg):
+    """repr of f(arg).pair, or of the error f raises."""
+    return outcome(lambda: f(arg).pair)
+
+
+wide_float = st.builds(
+    lambda m, e, negative: math.ldexp(-m if negative else m, e),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-1074, 1023),
+    st.booleans(),
+)
+
+
+class TestFloatShortcutMatchesTriage:
+    """compute_rs settles an in-band float cubic's k = 0 with one magnitude test; _triage decides
+    every float cubic from both exponents, and both give the same pair, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(wide_float | st.just(0.0), wide_float | st.just(0.0)) | edge_pq().map(lambda pq: (float(pq[0]), float(pq[1]))))
+    @example((2.0**199, 1.0))  # |p| = 2^199: the shortcut's top, taken by _triage
+    @example((-math.nextafter(2.0**199, 0.0), 2.0**290))
+    @example((2.0**-199, 2.0**-300))  # |p| = 2^-199: its bottom, in the shortcut
+    @example((-math.nextafter(2.0**-199, 0.0), 2.0**-300))
+    @example((2.0**150, 2.0**300))  # |q| = 2^300: k = 101
+    @example((2.0**150, -math.nextafter(2.0**300, 0.0)))  # k = 100
+    @example((2.0, 2.0**100))  # 2 e_q - 3 e_p = 196
+    @example((1.0, 2.0**99))  # 197
+    @example((2.0, 1.5 * 2.0**101))  # 198
+    @example((1.0, -(2.0**100)))  # 199: not negligible
+    @example((-2.0, 2.0**102))  # 200: negligible
+    @example((1.0, 1.999 * 2.0**101))  # 201
+    def test_compute_rs_matches_bitwise(self, pq):
+        p, q = pq
+        d = DepressedCubic(p, q)
+        expected = outcome(triage_route_rs, p, q)
+        assert outcome(compute_rs, d) == expected
+        assert pair_outcome(solve_depressed, d) == expected
+        assert pair_outcome(solve, GeneralCubic(0.0, p, q)) == expected
 
 
 class TestBandShortcutMatchesScaleRoute:

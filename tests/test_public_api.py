@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rscubic
-from rscubic import CaseTag, GeneralCubic, NestedRadical, denest, solve
+from rscubic import CaseTag, DepressedCubic, GeneralCubic, NestedRadical, denest, solve, solve_depressed
 from rscubic.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -389,3 +389,42 @@ def test_parser_imports_no_regex():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert not imported & {"re", "regex"}, imported
+
+
+SCALE_ROUTE = {"_triage", "_band", "_onto_scale", "_float_of", "_scaled"}
+
+
+def _python_calls(f, *args) -> set[str]:
+    """The names of the Python functions that f(*args) calls."""
+    names = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize(
+    "p, q, case, skipped",
+    [
+        (-12.0, 16.0, CaseTag.EQUAL, SCALE_ROUTE),
+        (-6.0, -9.0, CaseTag.REAL_DISTINCT, SCALE_ROUTE),
+        (-7.0, 6.0, CaseTag.CONJUGATE_PAIR, SCALE_ROUTE),
+        # p = 0 and q = 0 are the tags _triage gives: the step still runs no scale route.
+        (0.0, -8.0, CaseTag.DEGENERATE_P0, SCALE_ROUTE - {"_triage"}),
+        (-4.0, 0.0, CaseTag.DEGENERATE_Q0, SCALE_ROUTE - {"_triage"}),
+    ],
+)
+def test_in_band_float_solve_runs_no_scale_route(p, q, case, skipped):
+    # An in-band float cubic settles k = 0 with one magnitude test in compute_rs and one in the
+    # solve step: neither the range scale's triage and band nor any rounding helper runs.
+    d = DepressedCubic(p, q)
+    assert solve_depressed(d).case is case
+    assert _python_calls(solve_depressed, d) & skipped == set()
+    assert _python_calls(solve, GeneralCubic(3.0, 3.0 + p, 1.0 + p + q)) & skipped == set()  # shifted by 1
