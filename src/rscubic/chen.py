@@ -33,8 +33,9 @@ holds its conditions:
 * _exact_channel: an exact cubic's roots known exactly, built from integers,
   one gcd each (a square -p is told by isqrt first); a cubic whose three
   roots are rational takes them from here alone, with no float work;
-* _onto_scale: numerics' range scale 2^k, and a, b, c and a/3 on it, each
-  rounded once; a float cubic in band skips it, being on its scale with k = 0;
+* _onto_scale (exact input) or _onto_float_scale (a float cubic out of
+  band): numerics' range scale 2^k, and a, b, c and a/3 on it, each rounded
+  once; a float cubic in band is on its scale already, with k = 0;
 * _lift: the root x, as y - a/3 or from the product of the roots;
 * _polish: one Newton step on the original cubic;
 * _deflate: the other two roots, from the quadratic left by deflation, and
@@ -195,14 +196,14 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
 
     The stages run in order: _anchor, _exact_channel (exact input), then
     _onto_scale, _lift, _polish and _deflate, after which each rational root
-    of the exact channel replaces its float root (_rounded). _onto_scale runs
-    for exact input and for a float cubic out of band: a float cubic with
-    _BAND_LOW <= size + |delta| < _BAND_HIGH is on its scale already, k = 0
-    with a, b, c and delta as they are and no quotient_disc. A cubic whose
-    three roots are rational takes them off the exact channel alone, and a
-    float p = q = 0 is the triple root -delta. The anchor runs first: where a
-    root has no double, the anchor's own rounding is what refuses the cubic,
-    for three rational roots too.
+    of the exact channel replaces its float root (_rounded). The scale is
+    decided once: _onto_scale for exact input; for a float cubic with
+    _BAND_LOW <= size + |delta| < _BAND_HIGH, k = 0 with a, b, c and delta as
+    they are and no quotient_disc; _onto_float_scale for a float cubic out of
+    band. A cubic whose three roots are rational takes them off the exact
+    channel alone, and a float p = q = 0 is the triple root -delta. The anchor
+    runs first: where a root has no double, the anchor's own rounding is what
+    refuses the cubic, for three rational roots too.
     """
     r, _, case, _ = pair
     exact = ints is not None
@@ -214,10 +215,12 @@ def _solve_cubic(a, b, c, d: DepressedCubic, delta, pair: RsPair, ints=None) -> 
         roots, mult = (complex(0.0 - delta, 0.0),) * 3, ((0, 3),)
     else:
         shape, size, h, values = anchor
-        if not exact and _BAND_LOW <= size + abs(delta) < _BAND_HIGH:  # on its scale already: _onto_scale's k = 0
+        if exact:
+            k, a, b, c, delta_k, quotient_disc = _onto_scale(size, ints)
+        elif _BAND_LOW <= size + abs(delta) < _BAND_HIGH:  # a float cubic on its scale already, k = 0
             k, delta_k, quotient_disc = 0, delta, None
         else:
-            k, a, b, c, delta_k, quotient_disc = _onto_scale(size, a, b, c, delta, ints)
+            k, a, b, c, delta_k, quotient_disc = _onto_float_scale(size, a, b, c, delta)
         x, form = _lift(shape, values, k - h, c, delta_k)
         x = _polish(x, a, b, c, exact, r is None)
         roots, mult = _deflate(x, a, b, c, delta_k, k, quotient_disc, shape, form, exact)
@@ -330,20 +333,24 @@ def _rounded(channel, roots):
     return tuple(z if e is None or e.radicand != 1 else complex(_scaled(e.rational, 0)) for z, e in zip(roots, channel))
 
 
-def _onto_scale(size: float, a, b, c, delta, ints):
-    """(k, a 2^-k, b 4^-k, c 8^-k, delta 2^-k, quotient_disc): numerics' range scale,
-    with k from size + |delta|, every root being within a small factor of it, and
-    each value taken exactly before it is rounded once. It runs for an exact cubic
-    and for a float cubic out of band (_solve_cubic keeps a float cubic in band
-    off it), whose k is read off size + |delta|'s exponent. An exact cubic reads k = 0
-    off size's double and the bit lengths of a's integers, and rounds a, b, c and
-    delta = an / (3 ad) by plain int / int divisions then; for c = 0 its quotient
-    x^2 + ax + b is exact, and so is the discriminant a^2 - 4b, quotient_disc (else None)."""
-    if ints is None:
-        k = _band(math.frexp(size + abs(delta))[1])
-        if k:  # denest's cubic can hold an exact c = q beside its float b = p
-            a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
-        return k, a, b, c, delta, None
+def _onto_float_scale(size: float, a, b, c, delta):
+    """(k, a 2^-k, b 4^-k, c 8^-k, delta 2^-k, None) of a float cubic out of band:
+    numerics' range scale, with k read off the exponent of size + |delta|, every
+    root being within a small factor of it, and each value rounded once."""
+    k = _band(math.frexp(size + abs(delta))[1])
+    if k:  # denest's cubic can hold an exact c = q beside its float b = p
+        a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
+    return k, a, b, c, delta, None
+
+
+def _onto_scale(size: float, ints):
+    """(k, a 2^-k, b 4^-k, c 8^-k, delta 2^-k, quotient_disc) of an exact cubic, its
+    a, b, c given as the integers of ints: numerics' range scale, with k from size
+    and delta = an / (3 ad), every root being within a small factor of size + |delta|,
+    and each value taken exactly before it is rounded once. It reads k = 0 off size's
+    double and the bit lengths of a's integers, and rounds a, b, c and delta by plain
+    int / int divisions then; for c = 0 its quotient x^2 + ax + b is exact, and so is
+    the discriminant a^2 - 4b, quotient_disc (else None)."""
     an, ad, bn, bd, cn, cd = ints
     quotient_disc = None
     # k = 0 for certain when size's exponent is in band and delta's, at most

@@ -391,7 +391,7 @@ def test_parser_imports_no_regex():
     assert not imported & {"re", "regex"}, imported
 
 
-SCALE_ROUTE = {"_triage", "_band", "_onto_scale", "_float_of", "_scaled"}
+SCALE_ROUTE = {"_triage", "_band", "_onto_scale", "_onto_float_scale", "_float_of", "_scaled"}
 
 
 def _python_calls(f, *args) -> set[str]:

@@ -17,6 +17,8 @@ It prints
   ``solve`` or ``denest`` result, or the exception's type and message.
 
 The inputs are perfbench's seeded corpora (``perfbench/corpus.py``, imported read-only).
+``load`` and ``batch_file`` are ``tools/opcount.py``'s too, so the corpus interface is
+known here alone.
 """
 
 from __future__ import annotations
@@ -49,16 +51,35 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
+def load():
+    """(corpus, rscubic, cli.main) of this checkout, perfbench's corpus imported read-only."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # perfbench/ stays as it is
+    from perfbench import corpus
+
+    sys.dont_write_bytecode = saved
+    import rscubic
+    from rscubic.cli import main as cli_main
+
+    return corpus, rscubic, cli_main
+
+
+def batch_file(path: Path, lines) -> list[str]:
+    """Writes lines to path as a batch file; the cli.main arguments that solve it as JSON."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return ["solve", "--batch", str(path), "--format", "json"]
+
+
 def batch_digest(corpus, main, workload: str, seeds, streams, flags, work: Path) -> tuple[int, int, str]:
     """(records, refused lines, SHA-256) of the batch runs over the given seeds and streams."""
     digest, records, refused = hashlib.sha256(), 0, 0
     for seed in seeds:
         for stream in streams:
             path = work / f"{workload}-{seed}-{stream}.txt"
-            path.write_text("".join(item.args + "\n" for item in corpus.generate(workload, seed, stream=stream)), encoding="utf-8")
+            argv = batch_file(path, (item.args for item in corpus.generate(workload, seed, stream=stream))) + flags
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["solve", "--batch", str(path), "--format", "json"] + flags)
+                code = main(argv)
             stdout, stderr = out.getvalue(), err.getvalue().replace(str(path), "<batch>")
             records, refused = records + stdout.count("\n"), refused + stderr.count("\n")
             digest.update(f"{seed} {stream} {code}\n{stdout}\0{stderr}\0".encode())
@@ -89,14 +110,7 @@ def main() -> int:
     parser.add_argument("--streams", type=int, nargs="+", default=[0])
     args = parser.parse_args()
 
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # perfbench/ stays as it is
-    from perfbench import corpus
-
-    sys.dont_write_bytecode = saved
-    import rscubic
-    from rscubic.cli import main as cli_main
-
+    corpus, rscubic, cli_main = load()
     modules = sorted((ROOT / "src" / "rscubic").glob("*.py"))
     counts = {path.name: code_lines(path) for path in modules}
     print("code lines (tokenize; no blank, comment or docstring lines)")

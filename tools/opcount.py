@@ -5,7 +5,8 @@ each op asks of the interpreter, without timing noise:
 
     python tools/opcount.py --seed 7 --stream 1 --ops 200
 
-Per workload of perfbench's corpora (``perfbench/corpus.py``, imported read-only), it
+Per workload of perfbench's corpora (``perfbench/corpus.py``, imported read-only by
+``footprint.load``, whose ``batch_file`` writes the batch files too), it
 takes the first ``--ops`` items of the given stream and seed (all of them by default;
 a library workload's untimed probes are left out, as perfbench leaves them out of its
 timings) and runs them twice after one warm pass:
@@ -32,7 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from footprint import batch_file, load
+
 WORKLOADS = ("batch_plain", "batch_both_verify", "lib_float_wide", "lib_exact")
 FLAGS = {"batch_plain": [], "batch_both_verify": ["--method", "both", "--verify"]}
 BATCH_CHUNK = 300
@@ -120,30 +122,20 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--stream", type=int, default=1)
     parser.add_argument("--ops", type=int, default=None, help="items a workload (default: the whole stream)")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
-
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # perfbench/ stays as it is
-    from perfbench import corpus
-
-    sys.dont_write_bytecode = saved
-    import rscubic
-    from rscubic.cli import main as cli_main
-
+    corpus, rscubic, cli_main = load()
     print(f"per op, seed {args.seed}, stream {args.stream}, Python {sys.version.split()[0]}")
     print(f"  {'workload':<22}{'ops':>6}{'opcodes':>11}{'py_calls':>10}{'c_calls':>10}")
     rows = []
     with tempfile.TemporaryDirectory() as work:
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             items = corpus.generate(workload, args.seed, stream=args.stream)
             if workload in FLAGS:
                 lines = [item.args for item in items][: args.ops]
-                argvs = []
-                for k in range(0, len(lines), BATCH_CHUNK):
-                    path = Path(work) / f"{workload}-{k // BATCH_CHUNK}.txt"
-                    path.write_text("".join(line + "\n" for line in lines[k : k + BATCH_CHUNK]), encoding="utf-8")
-                    argvs.append(["solve", "--batch", str(path), "--format", "json"] + FLAGS[workload])
+                argvs = [
+                    batch_file(Path(work) / f"{workload}-{k}.txt", lines[k : k + BATCH_CHUNK]) + FLAGS[workload]
+                    for k in range(0, len(lines), BATCH_CHUNK)
+                ]
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     rows.append((workload, len(lines), measure(run_batch, cli_main, argvs)))
                 continue
