@@ -94,16 +94,18 @@ def brute_force_roots(d: DepressedCubic) -> RootTriple:
         x0 = x1
 
     # x^3 + px + q = (x - x0)(x^2 + x0 x + c2) up to the residual, c2 = x0^2 + p = -q/x0; the
-    # quotient while x0 dominates (x0^2 >= |p|), as the sum cancels beside a large root.
-    b2, c2 = x0, -q / x0 if x0 and x0 * x0 >= abs(p) else x0 * x0 + p
-    disc = b2 * b2 - 4.0 * c2
+    # quotient while x0 dominates (x0^2 >= |p|), as the sum cancels beside a large root. Its
+    # roots -h +- sqrt(h^2 - c2), h = x0/2: the quarter discriminant, as 4 c2 overflows once
+    # |p| passes about 4.5e307.
+    h, c2 = 0.5 * x0, -q / x0 if x0 and x0 * x0 >= abs(p) else x0 * x0 + p
+    disc = h * h - c2
     if disc >= 0.0:
         w = math.sqrt(disc)
-        t1 = -(b2 + math.copysign(w, b2)) / 2.0 if b2 != 0.0 else w / 2.0
+        t1 = -(h + math.copysign(w, h)) if x0 != 0.0 else w
         t2 = c2 / t1 if t1 != 0.0 else 0.0
         values = sorted([x0, t1, t2])
         roots = tuple(complex(v, 0.0) for v in values)
     else:
-        re, im = -b2 / 2.0, math.sqrt(-disc) / 2.0
+        re, im = -h, math.sqrt(-disc)
         roots = (complex(x0, 0.0), complex(re, -im), complex(re, im))
     return _tuple_new(RootTriple, (roots, compute_rs(d).case, (), None, None, None, None))

@@ -391,7 +391,7 @@ def test_parser_imports_no_regex():
     assert not imported & {"re", "regex"}, imported
 
 
-SCALE_ROUTE = {"_triage", "_band", "_onto_scale", "_onto_float_scale", "_float_of", "_scaled"}
+SCALE_ROUTE = {"_triage", "_band", "_onto_scale", "_float_of", "_scaled"}
 
 
 def _python_calls(f, *args) -> set[str]:
@@ -428,3 +428,12 @@ def test_in_band_float_solve_runs_no_scale_route(p, q, case, skipped):
     assert solve_depressed(d).case is case
     assert _python_calls(solve_depressed, d) & skipped == set()
     assert _python_calls(solve, GeneralCubic(3.0, 3.0 + p, 1.0 + p + q)) & skipped == set()  # shifted by 1
+
+
+def test_out_of_band_float_solve_takes_the_one_scale_stage():
+    # A float cubic out of band (roots 2^201 and -2^202) goes onto its scale through the step's one
+    # scale stage, _onto_scale, on its doubles' integers, as exact input does.
+    d = DepressedCubic(-12.0 * 2.0**400, 16.0 * 2.0**600)
+    assert solve_depressed(d).case is CaseTag.EQUAL
+    assert "_onto_scale" in _python_calls(solve_depressed, d)
+    assert "_onto_scale" in _python_calls(solve, GeneralCubic(3.0, 3.0 + d.p, 1.0 + d.p + d.q))

@@ -22,10 +22,14 @@ from rscubic import (
     cardano_solve,
     compute_rs,
     denest,
+    depress,
     solve,
     solve_depressed,
     solve_moebius,
 )
+from rscubic.chen import _anchor, _onto_scale
+from rscubic.numerics import _BAND_HIGH, _BAND_LOW, _band, _float_of
+from rscubic.reduction import _tuple_new
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -296,6 +300,60 @@ def test_moebius_refuses_an_r_over_s_without_a_double(r, s):
     # -2.15e93) or to inf (NaN roots).
     with pytest.raises(InvalidInputError, match=r"^Moebius form needs r/s as a finite double"):
         solve_moebius(r, s)
+
+
+def float_scale_route(size, a, b, c, delta):
+    """The solve step's former scale stage for a float cubic out of band, kept as the reference:
+    (k, a 2^-k, b 4^-k, c 8^-k, delta 2^-k), k off the exponent of size + |delta|, each value
+    rounded from its double."""
+    k = _band(math.frexp(size + abs(delta))[1])
+    if k:  # denest's cubic can hold an exact c = q beside its float b = p
+        a, b, c, delta = _float_of(a, -k), _float_of(b, -2 * k), _float_of(c, -3 * k), _float_of(delta, -k)
+    return k, a, b, c, delta
+
+
+wide_float = st.builds(
+    lambda m, e, negative: math.ldexp(-m if negative else m, e),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-1074, 1023),
+    st.booleans(),
+) | st.sampled_from([0.0, -0.0])
+
+MIXED = denest(NestedRadical(10**400, 10**799)).cubic  # a float p beside an exact q = -2 10^400
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(wide_float, wide_float, wide_float))
+@example((1.5 * 2.0**300, 1.0, math.pi * 2.0**-130))  # k = 301: c 8^-k is subnormal
+@example((-1.25 * 2.0**300, 3.0, -math.e * 2.0**-150))
+@example((3.5e-323, 0.0, 2.0**-1000))  # k = -333: a/3 is subnormal as a double, and normal on the scale
+@example((-0.0, -0.0, 2.0**-1000))
+@example((0.0, MIXED.p, MIXED.q))  # denest's mixed cubic, as solve_depressed takes it
+def test_out_of_band_float_route_is_the_float_stage(abc):
+    # A float cubic out of band takes _onto_scale on its doubles' integers, with size + |delta|
+    # as the size. A double is a dyadic rational, so each value is the reference's bit for bit
+    # (an underflow keeps its sign in both), but for two things the integers cannot carry: a
+    # zero comes out +0.0, and delta is a/3 on the scale rounded once, where the reference
+    # rounded it twice if a/3 or its value on the scale is subnormal.
+    a, b, c = abc
+    try:
+        if type(c) is float:
+            d, delta = depress(GeneralCubic(a, b, c))
+        else:
+            d, delta = _tuple_new(DepressedCubic, (b, c)), 0.0
+        anchor = _anchor(d, compute_rs(d), False)
+    except InvalidInputError:
+        assume(False)
+    assume(anchor is not None)
+    size = anchor[1]
+    assume(not _BAND_LOW <= size + abs(delta) < _BAND_HIGH)
+    k, *expected = float_scale_route(size, a, b, c, delta)
+    got = _onto_scale(size + abs(delta), a.as_integer_ratio() + b.as_integer_ratio() + c.as_integer_ratio())[:5]
+    assert got[0] == k
+    assert [x.hex() for x in got[1:4]] == [(x if v else 0.0).hex() for x, v in zip(expected, abc)]
+    assert got[4].hex() == float(Fraction(a) / 3 * Fraction(2) ** -k).hex()
+    if not a or min(abs(delta), abs(expected[3])) >= 2.0**-1022:
+        assert got[4].hex() == (expected[3] if a else 0.0).hex()
 
 
 def test_moebius_zero_r_is_the_triple_root_zero():

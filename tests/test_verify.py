@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -169,6 +170,16 @@ class TestBruteForce:
         d = DepressedCubic(-8.691614186196356e260, -1.9204898750549179e-181)
         low, middle, high = (z.real for z in brute_force_roots(d).roots)
         assert middle == 0.0 and low == -high == pytest.approx(-2.948154369465133e130, rel=1e-15)
+
+    @pytest.mark.parametrize("p, q", [(6e307, 1.0), (1.7e308, 3.0), (5e307, 0.0)])
+    def test_deflation_near_the_top_of_the_double_range_stays_finite(self, p, q):
+        # The pair is about +-sqrt(p) i: a discriminant x0^2 - 4 c2 with c2 ~ p overflowed to -inf
+        # and gave an infinite imaginary part; the quarter discriminant (x0/2)^2 - c2 does not.
+        d = DepressedCubic(p, q)
+        roots, expected = brute_force_roots(d).roots, solve_depressed(d).roots
+        scale = max(abs(z) for z in expected)
+        assert all(cmath.isfinite(z) for z in roots)
+        assert all(abs(z - e) <= 1e-15 * scale for z, e in zip(roots, expected))
 
     def test_agrees_with_both_solvers(self):
         rng = random.Random(107)
